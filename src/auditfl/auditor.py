@@ -86,14 +86,23 @@ class AuditReport:
         )
 
 
+def masked_products(rec: RoundRecord) -> dict[int, int]:
+    """<mg1_i, mgS1_i> == l_i * <g_i, g_S> for every participant of the round."""
+    return {
+        pid: dot(rec.local_detect[pid][0], rec.server_detect[pid])
+        for pid in sorted(rec.local_detect)
+    }
+
+
 def audit_detection(
     rec: RoundRecord, genesis: GenesisPayload
-) -> tuple[set[int], set[int]]:
+) -> tuple[set[int], set[int], dict[int, int]]:
     """Verify the round's signatures and re-derive the benign set.
 
-    Returns (sign-test-positive ids, derived benign set); the derived set
-    intersects the positives with the ids whose aggregation mask was
-    published. Any bad signature or structural gap is an AuditFailure.
+    Returns (sign-test-positive ids, derived benign set, masked inner
+    products); the derived set intersects the positives with the ids whose
+    aggregation mask was published. Any bad signature or structural gap is
+    an AuditFailure.
     """
     present = sorted(rec.local_detect)
     roster = genesis.participant_pks
@@ -128,14 +137,10 @@ def audit_detection(
                 f"round {rec.r}: aggregation-mask signature of participant "
                 f"{pid} does not verify",
             )
-    positive = {
-        pid
-        for pid in present
-        if sign_indicator(dot(rec.local_detect[pid][0], rec.server_detect[pid]))
-        == 1
-    }
+    products = masked_products(rec)
+    positive = {pid for pid, p in products.items() if sign_indicator(p) == 1}
     derived = positive & set(rec.local_agg)
-    return positive, derived
+    return positive, derived, products
 
 
 def audit_aggregate(rec: RoundRecord, benign: set[int]) -> FpVector:
@@ -153,18 +158,17 @@ def audit_aggregate(rec: RoundRecord, benign: set[int]) -> FpVector:
 
 
 def deflated_products(
-    rec: RoundRecord, deflation: dict[int, tuple[int, int]]
+    r: int, products: dict[int, int], deflation: dict[int, tuple[int, int]]
 ) -> dict[int, Fraction]:
-    """Masked inner products scaled back to a common basis by rt_i."""
+    """Round r's masked inner products scaled back to a common basis by rt_i."""
     out: dict[int, Fraction] = {}
-    for pid in sorted(rec.local_detect):
+    for pid in sorted(products):
         if pid not in deflation:
             raise AuditFailure(
-                "structure", f"round {rec.r}: no deflation value for id {pid}"
+                "structure", f"round {r}: no deflation value for id {pid}"
             )
         num, den = deflation[pid]
-        inner = dot(rec.local_detect[pid][0], rec.server_detect[pid])
-        out[pid] = Fraction(num, den) * inner
+        out[pid] = Fraction(num, den) * products[pid]
     return out
 
 
@@ -179,7 +183,12 @@ def audit_clipping(
     """Per-round ranking of participants by deflated inner product."""
     _check_deflation(record)
     return [
-        (rec.r, ranking_of(deflated_products(rec, record.deflation)))
+        (
+            rec.r,
+            ranking_of(
+                deflated_products(rec.r, masked_products(rec), record.deflation)
+            ),
+        )
         for rec in record.rounds
     ]
 
@@ -249,7 +258,7 @@ def audit_record(record: TrainingRecord, genesis: GenesisPayload) -> AuditReport
         _check_deflation(record)
         replayed: list[FpVector] = []
         for rec in record.rounds:
-            positive, derived = audit_detection(rec, genesis)
+            positive, derived, products = audit_detection(rec, genesis)
             published = set(rec.local_agg)
             if genesis.clipping:
                 set_ok = published <= positive
@@ -263,7 +272,9 @@ def audit_record(record: TrainingRecord, genesis: GenesisPayload) -> AuditReport
                     f"{sorted(positive)}",
                 )
             replayed.append(audit_aggregate(rec, derived))
-            ranking = ranking_of(deflated_products(rec, record.deflation))
+            ranking = ranking_of(
+                deflated_products(rec.r, products, record.deflation)
+            )
             report.rounds.append(
                 RoundAudit(
                     r=rec.r,

@@ -1,97 +1,20 @@
-"""Integer vector kernels: numba-accelerated hot paths with exact numpy fallbacks.
+"""Exact int64 vector kernels in numpy.
 
-Every kernel here is *exact*: the numba path and the numpy path return
-bit-identical results, so backend selection never changes protocol output.
-The backend is chosen once at import from the ``AUDITFL_BACKEND`` environment
-variable ("numba" or "numpy"; default tries numba and falls back to numpy).
+Every kernel here is *exact*: it returns the true integer result or raises
+KernelOverflow before an int64 value would wrap. Wide inner products are
+summed in Python integers, so they never overflow.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 INT64_MAX = (1 << 63) - 1
 INT64_MIN = -(1 << 63)
 
-_ENV_BACKEND = os.environ.get("AUDITFL_BACKEND", "auto").strip().lower()
-if _ENV_BACKEND not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"AUDITFL_BACKEND must be 'numba' or 'numpy', got {_ENV_BACKEND!r}"
-    )
-
-_NUMBA_OK = False
-if _ENV_BACKEND in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _NUMBA_OK = True
-    except ImportError:
-        if _ENV_BACKEND == "numba":
-            raise
-        _NUMBA_OK = False
-
 
 def active_backend() -> str:
-    """Name of the kernel backend in use ('numba' or 'numpy')."""
-    return "numba" if _NUMBA_OK else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# Exact wide dot product.
-#
-# Products of two int64 values need up to 126 bits, so the accumulator is
-# kept as five int64 partial sums over the 32-bit limb decomposition
-#   x = (x >> 32) * 2^32 + (x & 0xFFFFFFFF)
-# and recombined in Python big-int arithmetic. The limb accumulators stay
-# inside int64 only when the inputs are small enough; `_dot_fast_ok` checks
-# that bound per call and anything larger takes the arbitrary-precision path.
-# ---------------------------------------------------------------------------
-
-if _NUMBA_OK:
-
-    @njit(cache=True)
-    def _dot_limbs_numba(a, b):  # pragma: no cover - exercised via dot_i64
-        acc_hh = np.int64(0)
-        acc_hl = np.int64(0)
-        acc_lh = np.int64(0)
-        acc_lw = np.int64(0)
-        acc_ll = np.int64(0)
-        mask = np.int64(0xFFFFFFFF)
-        for k in range(a.shape[0]):
-            x = a[k]
-            y = b[k]
-            xh = x >> 32
-            xl = x & mask
-            yh = y >> 32
-            yl = y & mask
-            acc_hh += xh * yh
-            acc_hl += xh * yl
-            acc_lh += xl * yh
-            lo = np.uint64(xl) * np.uint64(yl)
-            acc_lw += np.int64(lo >> np.uint64(32))
-            acc_ll += np.int64(lo & np.uint64(0xFFFFFFFF))
-        out = np.empty(5, dtype=np.int64)
-        out[0] = acc_hh
-        out[1] = acc_hl
-        out[2] = acc_lh
-        out[3] = acc_lw
-        out[4] = acc_ll
-        return out
-
-    @njit(cache=True)
-    def _hadamard_numba(a, b, out):  # pragma: no cover - exercised via wrapper
-        limit = np.int64(INT64_MAX)
-        for k in range(a.shape[0]):
-            x = a[k]
-            y = b[k]
-            if y != 0:
-                ay = y if y > 0 else -y
-                ax = x if x >= 0 else -x
-                if ax > limit // ay:
-                    return k
-            out[k] = x * y
-        return np.int64(-1)
+    """Name of the kernel implementation in use; always 'numpy'."""
+    return "numpy"
 
 
 def _max_abs(a: np.ndarray) -> int:
@@ -101,34 +24,15 @@ def _max_abs(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min()))
 
 
-def _dot_fast_ok(n: int, max_a: int, max_b: int) -> bool:
-    # Worst-case magnitude of each limb accumulator after n additions; all
-    # five must stay clear of 2^63 (headroom to 2^62).
-    ah = (max_a >> 32) + 1
-    bh = (max_b >> 32) + 1
-    lo = 1 << 32
-    worst = max(ah * bh, ah * lo, bh * lo, lo)
-    return n * worst < (1 << 62)
+def dot_i64(a: np.ndarray, b: np.ndarray) -> int:
+    """Exact dot product of two int64 arrays as an arbitrary-precision int.
 
-
-def _dot_object(a: np.ndarray, b: np.ndarray) -> int:
+    Products of two int64 values need up to 126 bits, so the products are
+    taken and summed over object (Python int) arrays.
+    """
     if a.size == 0:
         return 0
     return int(np.dot(a.astype(object), b.astype(object)))
-
-
-def dot_i64(a: np.ndarray, b: np.ndarray) -> int:
-    """Exact dot product of two int64 arrays as an arbitrary-precision int."""
-    if _NUMBA_OK:
-        n = a.shape[0]
-        if _dot_fast_ok(n, _max_abs(a), _max_abs(b)):
-            p = _dot_limbs_numba(a, b)
-            return (
-                (int(p[0]) << 64)
-                + ((int(p[1]) + int(p[2]) + int(p[3])) << 32)
-                + int(p[4])
-            )
-    return _dot_object(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +52,18 @@ class KernelOverflow(Exception):
         )
 
 
-def _hadamard_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def hadamard_i64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact entrywise int64 product; raises KernelOverflow before wrapping."""
+    if a.size and min(int(a.min()), int(b.min())) == INT64_MIN:
+        # abs(INT64_MIN) wraps in numpy; resolve these inputs in big-int
+        # arithmetic with the same symmetric |p| <= INT64_MAX bound.
+        out = np.empty_like(a)
+        for k in range(a.shape[0]):
+            p = int(a[k]) * int(b[k])
+            if abs(p) > INT64_MAX:
+                raise KernelOverflow(k, int(a[k]), int(b[k]))
+            out[k] = p
+        return out
     ab = np.abs(a)
     bb = np.abs(b)
     lim = np.full_like(b, INT64_MAX)
@@ -159,27 +74,6 @@ def _hadamard_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         k = int(np.argmax(bad))
         raise KernelOverflow(k, int(a[k]), int(b[k]))
     return a * b
-
-
-def hadamard_i64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact entrywise int64 product; raises KernelOverflow before wrapping."""
-    if a.size and min(int(a.min()), int(b.min())) == INT64_MIN:
-        # abs(INT64_MIN) wraps in the fast paths; resolve these inputs in
-        # big-int arithmetic with the same symmetric |p| <= INT64_MAX bound.
-        out = np.empty_like(a)
-        for k in range(a.shape[0]):
-            p = int(a[k]) * int(b[k])
-            if abs(p) > INT64_MAX:
-                raise KernelOverflow(k, int(a[k]), int(b[k]))
-            out[k] = p
-        return out
-    if _NUMBA_OK:
-        out = np.empty_like(a)
-        k = int(_hadamard_numba(a, b, out))
-        if k >= 0:
-            raise KernelOverflow(k, int(a[k]), int(b[k]))
-        return out
-    return _hadamard_numpy(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -158,9 +158,8 @@ def cmd_run(args) -> int:
     print("-- informational cost analogues (hardware dependent) --")
     print(f"  participant mask+sign per round:  {t['sign_mask_s'] / r / n * 1e3:.3f} ms")
     print(f"  server verify+aggregate per round: {t['server_verify_s'] / r * 1e3:.3f} ms")
-    print(f"  one mask-vector generation:        {t['prvg_s'] * 1e3:.3f} ms")
     print(f"  preprocessing bytes (genesis):     {t['preprocess_bytes']}")
-    print(f"  record bytes per round:            {t['record_bytes'] // max(r, 1)}")
+    print(f"  training record bytes per round:   {t['record_bytes'] // r}")
 
     if args.with_baseline:
         base = run_training(cfg, train, test, detection=False, publish=False)

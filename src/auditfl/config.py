@@ -68,7 +68,6 @@ class RunConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     rn_lo: int = randomness.RN_LO
     rn_hi: int = randomness.RN_HI
-    mask_bits: int = randomness.MASK_BITS
     timestamp: int = 0  # ledger block timestamp; fixed for reproducibility
     metrics_every: int = 1  # 0 = only final evaluation
 
@@ -113,11 +112,9 @@ def validate(config: RunConfig, dim: int | None = None) -> None:
         )
     if not (0 < c.rn_lo <= c.rn_hi):
         raise ConfigError(f"invalid rn bounds [{c.rn_lo}, {c.rn_hi}]")
-    if not (0 < c.mask_bits < 63):
-        raise ConfigError(f"mask_bits must be in (0, 63), got {c.mask_bits}")
-    if eta_exp >= c.mask_bits:
+    if eta_exp >= randomness.MASK_BITS:
         raise ConfigError(
-            f"dyadic exponent {eta_exp} >= mask_bits {c.mask_bits}; "
+            f"dyadic exponent {eta_exp} >= mask bits {randomness.MASK_BITS}; "
             f"no lattice room for exact model-mask shares"
         )
     if c.clipping and c.clip_factor < 1:
@@ -136,7 +133,7 @@ def check_overflow_budget(config: RunConfig, dim: int) -> None:
     )
     grad_raw = (1 << (c.scale + GRAD_VALUE_BITS)) * amp  # max |g| raw
     n = c.participants
-    mask = 1 << c.mask_bits
+    mask = 1 << randomness.MASK_BITS
 
     def need(name: str, value: int, bits: int):
         if value >= (1 << bits):
@@ -265,7 +262,6 @@ def to_dict(config: RunConfig) -> dict:
         },
         "rn_lo": config.rn_lo,
         "rn_hi": config.rn_hi,
-        "mask_bits": config.mask_bits,
         "timestamp": config.timestamp,
         "metrics_every": config.metrics_every,
     }

@@ -7,6 +7,12 @@ server recomputes the masks it issued and verifies the signatures, so masks
 protect against third parties and other participants, not against the
 server, which is trusted by participants.
 
+`Server.run_round` is the one round of the protocol, published or not: it
+verifies, detects, aggregates, updates the model and, when publishing,
+builds the round record from the masked vectors it computed to verify the
+signatures. An unpublished round skips masks, signatures and the record;
+its model trajectory is the same.
+
 All protocol vectors are fixed point, so the published record satisfies the
 audit identities exactly:
 
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import crypto
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .fixedpoint import (
     FpVector,
     dot,
@@ -39,6 +45,7 @@ from .randomness import (
     gen_model_mask_shares,
     prg,
     prvg,
+    sign_vector,
 )
 from .records import GenesisPayload, RoundRecord, TrainingRecord
 from .training import (
@@ -79,9 +86,14 @@ class ServerSecrets:
     keypair: crypto.KeyPair
 
 
-def round_mask_vector(mask_seed: int, r: int, rn: int, dim: int) -> np.ndarray:
-    """The round-r multiplicative mask stream for one (seed, rn) pair."""
-    return prvg(derive_seed(mask_seed, "prvg", r), rn, dim)
+def round_mask_seed(mask_seed: int, r: int) -> int:
+    """Seed of one participant's round-r sign stream.
+
+    Both detection masks come from it: rv_r = prvg(seed, rn_i) and
+    rv_S = prvg(seed, rn_S_i). Since prvg(seed, rn) == sign_vector(seed) * rn,
+    the server draws the signs once and scales them for each mask.
+    """
+    return derive_seed(mask_seed, "prvg", r)
 
 
 def round_zero_share(zero_seed: int, r: int, dim: int, scale: int) -> FpVector:
@@ -181,7 +193,8 @@ class Participant:
         )
         self.batch_size = batch_size
 
-    def compute_submission(self, w_prev: FpVector, r: int) -> Submission:
+    def local_update(self, w_prev: FpVector, r: int) -> tuple[FpVector, float]:
+        """The round-r local gradient (after any attack) and its loss."""
         g, loss = local_gradient(
             self.arch,
             w_prev,
@@ -189,12 +202,15 @@ class Participant:
             self.batch_size,
             derive_seed(self.secrets.mask_seed, "batch", r),
         )
-        g = corrupt_gradient(g, self.adversary)
+        return corrupt_gradient(g, self.adversary), loss
+
+    def compute_submission(self, w_prev: FpVector, r: int) -> Submission:
+        g, loss = self.local_update(w_prev, r)
         return self.sign_gradient(g, r, loss)
 
     def sign_gradient(self, g: FpVector, r: int, loss: float = 0.0) -> Submission:
         """Mask + sign an already-computed gradient for round r."""
-        rv = round_mask_vector(self.secrets.mask_seed, r, self.secrets.rn, g.dim)
+        rv = prvg(round_mask_seed(self.secrets.mask_seed, r), self.secrets.rn, g.dim)
         mg1 = hadamard(g, rv)
         zv = round_zero_share(self.secrets.zero_seed, r, g.dim, g.scale)
         mg2 = zv + g
@@ -222,6 +238,14 @@ def detect(g_s: FpVector, g_i: FpVector) -> int:
     return sign_indicator(dot(g_s, g_i))
 
 
+def floor_average(g_s: FpVector, gradients: list[FpVector]) -> FpVector:
+    """floor((g_S + sum of gradients) / (count + 1)): a round's aggregate."""
+    total = g_s
+    for g in gradients:
+        total = total + g
+    return floor_div(total, len(gradients) + 1)
+
+
 def robust_aggregate(
     g_s: FpVector,
     gradients: dict[int, FpVector],
@@ -241,11 +265,20 @@ def robust_aggregate(
         median = vals[(len(vals) - 1) // 2]  # lower median: exact in integers
         threshold = clip_factor * median
         benign = [i for i in benign if dots[i] <= threshold]
-    total = g_s
-    for i in benign:
-        total = total + gradients[i]
-    ag = floor_div(total, len(benign) + 1)
+    ag = floor_average(g_s, [gradients[i] for i in benign])
     return ag, benign, dots
+
+
+@dataclass(frozen=True)
+class VerifiedSubmission:
+    """A submission whose signatures verified, with the masked forms the
+    server recomputed to check them; the round record reuses these."""
+
+    sub: Submission
+    signs: np.ndarray  # the round's sign stream; rv_r = signs * rn_i
+    mg1: FpVector  # rv_r (.) g_i
+    zv: FpVector  # zero share zv_r
+    mg2: FpVector  # zv_r + g_i
 
 
 @dataclass
@@ -302,98 +335,61 @@ class Server:
             derive_seed(self.config.master_seed, "server-batch", r),
         )
 
-    def verify_submission(self, sub: Submission, r: int) -> bool:
-        """Recompute both masked gradients and check both signatures."""
+    def verify_submission(self, sub: Submission, r: int) -> VerifiedSubmission | None:
+        """Recompute both masked gradients and check both signatures.
+
+        Returns the recomputed masked forms, or None if a signature fails.
+        """
         ps = self.secrets.per_participant[sub.id]
-        rv = round_mask_vector(ps.mask_seed, r, ps.rn, sub.gradient.dim)
-        mg1 = hadamard(sub.gradient, rv)
+        g = sub.gradient
+        signs = sign_vector(round_mask_seed(ps.mask_seed, r), g.dim)
+        mg1 = hadamard(g, signs * np.int64(ps.rn))
         if not crypto.verify(ps.keypair.pk, mg1.encode(), sub.sig_detect):
-            return False
-        zv = round_zero_share(ps.zero_seed, r, sub.gradient.dim, sub.gradient.scale)
-        mg2 = zv + sub.gradient
-        return crypto.verify(ps.keypair.pk, mg2.encode(), sub.sig_agg)
+            return None
+        zv = round_zero_share(ps.zero_seed, r, g.dim, g.scale)
+        mg2 = zv + g
+        if not crypto.verify(ps.keypair.pk, mg2.encode(), sub.sig_agg):
+            return None
+        return VerifiedSubmission(sub, signs, mg1, zv, mg2)
 
     def run_round(
         self,
         r: int,
         submissions: list[Submission],
         detection: bool = True,
-        skip_benign_id: int | None = None,
-    ) -> tuple[RoundRecord, RoundInternals]:
-        """Verify, detect, aggregate, update the model, and build the record.
+        publish: bool = True,
+    ) -> tuple[RoundRecord | None, RoundInternals]:
+        """Verify, detect, aggregate and update the model; build the record
+        when publishing.
 
-        skip_benign_id models a misbehaving server for the audit test
-        harness: that participant's gradient is silently dropped from the
-        actual aggregation while the published record still claims it.
+        Without detection every valid gradient is averaged. Without
+        publishing nothing was signed: every submission counts as valid and
+        no mask, signature or record is computed.
         """
         g_s, server_loss = self.server_gradient(r)
-        valid: list[Submission] = []
+        valid = sorted(submissions, key=lambda s: s.id)
+        verified: dict[int, VerifiedSubmission] = {}
         rejected: list[int] = []
-        for sub in sorted(submissions, key=lambda s: s.id):
-            if self.verify_submission(sub, r):
-                valid.append(sub)
-            else:
-                # invalid signature: malicious for this round, excluded from
-                # the record (stored signatures must all verify)
-                rejected.append(sub.id)
+        if publish:
+            for sub in valid:
+                v = self.verify_submission(sub, r)
+                if v is None:
+                    # invalid signature: malicious for this round, excluded
+                    # from the record (stored signatures must all verify)
+                    rejected.append(sub.id)
+                else:
+                    verified[sub.id] = v
+            valid = [v.sub for v in verified.values()]
         gradients = {sub.id: sub.gradient for sub in valid}
         if detection:
             ag, benign, dots = robust_aggregate(
                 g_s, gradients, self.config.clipping, self.config.clip_factor
             )
         else:
-            # baseline mode: no detection, every valid gradient is averaged
-            benign = sorted(gradients)
-            dots = {i: dot(g_s, gradients[i]) for i in benign}
-            total = g_s
-            for i in benign:
-                total = total + gradients[i]
-            ag = floor_div(total, len(benign) + 1)
-
-        published_benign = list(benign)
-        if skip_benign_id is not None and skip_benign_id in benign:
-            actual = [i for i in benign if i != skip_benign_id]
-            total = g_s
-            for i in actual:
-                total = total + gradients[i]
-            ag = floor_div(total, len(actual) + 1)
-
+            benign, dots = sorted(gradients), {}
+            ag = floor_average(g_s, [gradients[i] for i in benign])
         self.w = self.w - scale_by_dyadic(ag, self.eta_num, self.eta_exp)
 
-        dim, scale = g_s.dim, g_s.scale
-        m_r = self.secrets.model_mask.per_round[r - 1]
-        zv_server = np.zeros(dim, dtype=np.int64)
-        local_agg = {}
-        for sub in valid:
-            if sub.id in published_benign:
-                ps = self.secrets.per_participant[sub.id]
-                zv = round_zero_share(ps.zero_seed, r, dim, scale)
-                zv_server -= zv.raw
-                mg2 = zv + sub.gradient
-                local_agg[sub.id] = (mg2, sub.sig_agg)
-        server_agg = (
-            m_r.scalar_mul(len(published_benign) + 1)
-            + FpVector(zv_server, scale)
-            + g_s
-        )
-        local_detect = {}
-        server_detect = {}
-        for sub in valid:
-            ps = self.secrets.per_participant[sub.id]
-            rv = round_mask_vector(ps.mask_seed, r, ps.rn, dim)
-            local_detect[sub.id] = (hadamard(sub.gradient, rv), sub.sig_detect)
-            rv_s = round_mask_vector(
-                ps.mask_seed, r, self.secrets.rn_server[sub.id], dim
-            )
-            server_detect[sub.id] = hadamard(g_s, rv_s)
-
-        record = RoundRecord(
-            r=r,
-            local_detect=local_detect,
-            local_agg=local_agg,
-            server_detect=server_detect,
-            server_agg=server_agg,
-        )
         losses = {sub.id: sub.loss for sub in valid}
         losses[0] = server_loss
         internals = RoundInternals(
@@ -405,7 +401,42 @@ class Server:
             g_s=g_s,
             losses=losses,
         )
+        record = self.round_record(r, g_s, verified, benign) if publish else None
         return record, internals
+
+    def round_record(
+        self,
+        r: int,
+        g_s: FpVector,
+        verified: dict[int, VerifiedSubmission],
+        benign: list[int],
+    ) -> RoundRecord:
+        """The published round: every valid participant's detection pair,
+        the benign participants' aggregation masks, and the server's
+        aggregation vector, whose zero share cancels the benign ones."""
+        m_r = self.secrets.model_mask.per_round[r - 1]
+        zv_server = np.zeros(g_s.dim, dtype=np.int64)
+        local_agg = {}
+        for i in benign:
+            v = verified[i]
+            zv_server -= v.zv.raw
+            local_agg[i] = (v.mg2, v.sub.sig_agg)
+        server_agg = (
+            m_r.scalar_mul(len(benign) + 1) + FpVector(zv_server, g_s.scale) + g_s
+        )
+        local_detect = {}
+        server_detect = {}
+        for i, v in verified.items():
+            local_detect[i] = (v.mg1, v.sub.sig_detect)
+            rn_s = self.secrets.rn_server[i]
+            server_detect[i] = hadamard(g_s, v.signs * np.int64(rn_s))
+        return RoundRecord(
+            r=r,
+            local_detect=local_detect,
+            local_agg=local_agg,
+            server_detect=server_detect,
+            server_agg=server_agg,
+        )
 
     def finalize(self, round_records: list[RoundRecord]) -> TrainingRecord:
         """Mask the final model and attach the deflation values."""
@@ -456,18 +487,23 @@ def run_training(
     detection: bool = True,
     publish: bool = True,
     keep_internals: bool = False,
-    skip_benign: tuple[int, int] | None = None,
-    submission_hook=None,
 ) -> RunResult:
     """Run the whole protocol: partition, preprocess, R rounds, publication.
 
-    skip_benign = (round, participant id) engages the misbehaving-server
-    harness; submission_hook(r, submissions) may rewrite participant
-    messages in flight (both exist for audit soundness tests).
+    A run publishes when `publish` is set and a ledger path is given. A
+    published run needs detection: the audit re-derives every round's benign
+    set from the detection identity, so a ledger of a run without detection
+    could never verify.
     """
     from .config import validate
     from .training import partition
 
+    publishing = publish and ledger_path is not None
+    if publishing and not detection:
+        raise ConfigError(
+            "publishing requires detection: the audit re-derives the benign "
+            "set of every round, so a record without detection never verifies"
+        )
     arch = Architecture(
         n_features=train.n_features,
         n_classes=train.n_classes,
@@ -483,12 +519,10 @@ def run_training(
     timing: dict[str, float] = {
         "sign_mask_s": 0.0,
         "server_verify_s": 0.0,
-        "prvg_s": 0.0,
         "record_bytes": 0,
         "preprocess_bytes": 0,
     }
 
-    publishing = publish and ledger_path is not None
     secrets, participant_secrets, genesis = preprocess(config, dim, w0)
     server_ledger = None
     if publishing:
@@ -509,10 +543,6 @@ def run_training(
     ]
     server = Server(config, secrets, arch, root_shard, w0)
 
-    t_prvg = time.perf_counter()
-    round_mask_vector(participant_secrets[0].mask_seed, 1, participant_secrets[0].rn, dim)
-    timing["prvg_s"] = time.perf_counter() - t_prvg
-
     metrics: list[dict] = []
     internals_log: list[RoundInternals] = []
     round_records: list[RoundRecord] = []
@@ -525,61 +555,15 @@ def run_training(
             # when nothing is being published
             submissions = []
             for p in participants:
-                g, loss = local_gradient(
-                    p.arch,
-                    server.w,
-                    p.shard,
-                    p.batch_size,
-                    derive_seed(p.secrets.mask_seed, "batch", r),
-                )
-                g = corrupt_gradient(g, p.adversary)
-                submissions.append(
-                    Submission(p.secrets.id, g, b"", b"", loss)
-                )
+                g, loss = p.local_update(server.w, r)
+                submissions.append(Submission(p.secrets.id, g, b"", b"", loss))
         timing["sign_mask_s"] += time.perf_counter() - t0
-        if submission_hook is not None:
-            submissions = submission_hook(r, submissions)
 
+        t0 = time.perf_counter()
+        record, info = server.run_round(r, submissions, detection, publishing)
+        timing["server_verify_s"] += time.perf_counter() - t0
         if publishing:
-            skip_id = None
-            if skip_benign is not None and skip_benign[0] == r:
-                skip_id = skip_benign[1]
-            t0 = time.perf_counter()
-            record, info = server.run_round(
-                r, submissions, detection=detection, skip_benign_id=skip_id
-            )
-            timing["server_verify_s"] += time.perf_counter() - t0
             round_records.append(record)
-            timing["record_bytes"] += len(record.encode())
-        else:
-            g_s, server_loss = server.server_gradient(r)
-            gradients = {s.id: s.gradient for s in submissions}
-            if detection:
-                ag, benign, dots = robust_aggregate(
-                    g_s, gradients, config.clipping, config.clip_factor
-                )
-            else:
-                benign = sorted(gradients)
-                dots = {}
-                total = g_s
-                for i in benign:
-                    total = total + gradients[i]
-                ag = floor_div(total, len(benign) + 1)
-            server.w = server.w - scale_by_dyadic(
-                ag, server.eta_num, server.eta_exp
-            )
-            losses = {s.id: s.loss for s in submissions}
-            losses[0] = server_loss
-            info = RoundInternals(
-                r=r,
-                benign=list(benign),
-                rejected_sigs=[],
-                dots=dots,
-                ag=ag,
-                g_s=g_s,
-                losses=losses,
-            )
-
         if keep_internals:
             internals_log.append(info)
 
@@ -602,7 +586,7 @@ def run_training(
     if publishing:
         record_obj = server.finalize(round_records)
         payload = record_obj.encode()
-        timing["record_bytes"] += len(payload)
+        timing["record_bytes"] = len(payload)
         server_ledger.append(payload, timestamp=config.timestamp)
 
     return RunResult(

@@ -73,17 +73,6 @@ def sign_vector(seed: int, count: int) -> np.ndarray:
     return (1 - 2 * (words & _U64(1)).astype(np.int64)).astype(np.int64)
 
 
-def random_sample_sign(seed: int, i: int) -> int:
-    """Sign at stream position i; pure function of (seed, i).
-
-    Equals sign_vector(seed, n)[i] for any n > i. Scalar access generates
-    the prefix, so batch callers should prefer sign_vector.
-    """
-    if i < 0:
-        raise ValueError(f"index must be >= 0, got {i}")
-    return int(sign_vector(seed, i + 1)[-1])
-
-
 def prvg(seed: int, rn: int, num: int) -> np.ndarray:
     """Pseudo-random vector with entries +-rn and seed-determined signs."""
     rn = int(rn)
@@ -126,26 +115,6 @@ def bounded_int_vector(seed: int, dim: int, bits: int = MASK_BITS) -> np.ndarray
     words = prg(seed, dim)
     span = _U64(1) << _U64(bits + 1)
     return (words % span).astype(np.int64) - np.int64(1 << bits)
-
-
-def gen_zero_shares(seed: int, n: int, dim: int, scale: int) -> list[FpVector]:
-    """n share vectors summing exactly to the zero vector.
-
-    The first n-1 shares are drawn from the seeded stream with raws bounded
-    by 2^MASK_BITS; the last is the exact negation of their sum.
-    """
-    if n < 2:
-        raise ValueError(f"zero sharing needs at least 2 parties, got {n}")
-    if dim <= 0:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    shares = []
-    total = np.zeros(dim, dtype=np.int64)
-    for j in range(n - 1):
-        raw = bounded_int_vector(derive_seed(seed, "share", j), dim)
-        total += raw  # bounded by (n-1) * 2^MASK_BITS, far inside int64
-        shares.append(FpVector(raw, scale))
-    shares.append(FpVector(-total, scale))
-    return shares
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from auditfl.auditor import (
     audit_clipping,
     audit_detection,
     deflated_products,
+    masked_products,
     ranking_of,
 )
 from auditfl.fixedpoint import FpVector, dot, floor_div
@@ -25,6 +26,7 @@ from util import (
     make_dataset,
     republish,
     run_published,
+    server_skipping_benign,
     small_config,
     tamper_drop_mg2,
     tamper_flip_mg1,
@@ -102,7 +104,7 @@ class TestAggregateReplay:
         genesis = GenesisPayload.decode(
             __import__("auditfl.ledger", fromlist=["Ledger"]).Ledger.open(path).get_record(height=0)
         )
-        positive, derived = audit_detection(rec, genesis)
+        positive, derived, _ = audit_detection(rec, genesis)
         mag = audit_aggregate(rec, derived)
         info = result.internals[0]
         m_1 = secrets.model_mask.per_round[0]
@@ -130,7 +132,7 @@ class TestAggregateReplay:
         _, _, path = honest_run
         _, record, genesis = load_chain(path)
         rec = record.rounds[0]
-        _, derived = audit_detection(rec, genesis)
+        _, derived, _ = audit_detection(rec, genesis)
         assert audit_aggregate(rec, derived) == audit_aggregate(rec, derived)
 
 
@@ -189,9 +191,8 @@ class TestTamperSoundness:
         cfg = small_config(participants=3, rounds=2, master_seed=1051)
         honest, _ = run_published(tmp_path, cfg, seed=51)
         r, pid = first_round_with_benign(honest)
-        bad, path = run_published(
-            tmp_path / "skip", cfg, seed=51, skip_benign=(r, pid)
-        )
+        with server_skipping_benign(r, pid):
+            bad, path = run_published(tmp_path / "skip", cfg, seed=51)
         # the record still lists the skipped participant as benign
         assert pid in bad.record.rounds[r - 1].local_agg
         report = full_audit(path)
@@ -218,7 +219,9 @@ class TestClippingRanking:
         cfg, result, path = honest_run
         _, record, genesis = load_chain(path)
         for info, rec in zip(result.internals, record.rounds):
-            products = deflated_products(rec, record.deflation)
+            products = deflated_products(
+                rec.r, masked_products(rec), record.deflation
+            )
             # white-box oracle: exact plaintext inner products
             for pid, frac in products.items():
                 assert frac == Fraction(info.dots[pid])

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from auditfl import crypto
+from auditfl import ConfigError, crypto
 from auditfl.fixedpoint import FpVector, dot, floor_div, scale_by_dyadic
+from auditfl.ledger import Ledger
 from auditfl.protocol import (
     Participant,
     Server,
@@ -15,7 +16,7 @@ from auditfl.protocol import (
 )
 from auditfl.randomness import prg
 from auditfl.training import AdversarySpec, Architecture
-from util import make_dataset, run_published, small_config
+from util import make_dataset, run_published, small_config, stale_mask_signer
 
 
 def _vec(vals, scale=20):
@@ -165,60 +166,21 @@ class TestRoundMechanics:
         for info in result.internals:
             assert info.rejected_sigs == []
 
-    def test_stale_round_mask_fails_signature_check(self):
+    def test_stale_round_mask_fails_signature_check(self, tmp_path):
+        # participant 1 signs its round-2 gradient with the round-1 masks
         cfg = small_config(participants=2, rounds=2, master_seed=31)
         train = make_dataset(8, 200, 5, 2)
-
-        stale = {}
-
-        def hook(r, submissions):
-            # participant 1 signs with the round-(r-1)-derived masks
-            if r == 2:
-                out = []
-                for sub in submissions:
-                    if sub.id == 1:
-                        out.append(stale["p1"].sign_gradient(sub.gradient, 1))
-                    else:
-                        out.append(sub)
-                return out
-            return submissions
-
-        # build a mirror participant to produce the stale signature
-        from auditfl.protocol import preprocess as prep
-        from auditfl.training import partition
-
-        arch = Architecture(5, 2)
-        secrets, parts, _ = prep(cfg, arch.param_count, FpVector.zeros(arch.param_count))
-        shards = partition(train, 3, cfg.master_seed)
-        stale["p1"] = Participant(parts[0], arch, shards[1], cfg.batch_size)
-
-        result = run_training(
-            cfg,
-            train,
-            None,
-            ledger_path=None,
-            publish=True,
-            keep_internals=True,
-            submission_hook=hook,
-        )
-        # not publishing (no path) -> hook not applied on the fast path, so
-        # run again against a real ledger
-        import tempfile
-        from pathlib import Path
-
-        with tempfile.TemporaryDirectory() as d:
+        with stale_mask_signer(pid=1, r=2):
             result = run_training(
                 cfg,
                 train,
                 None,
-                ledger_path=Path(d) / "l.bin",
-                publish=True,
+                ledger_path=tmp_path / "l.bin",
                 keep_internals=True,
-                submission_hook=hook,
             )
-            round2 = result.internals[1]
-            assert round2.rejected_sigs == [1]
-            assert 1 not in result.record.rounds[1].local_detect
+        assert result.internals[0].rejected_sigs == []
+        assert result.internals[1].rejected_sigs == [1]
+        assert 1 not in result.record.rounds[1].local_detect
 
     def test_adversary_signatures_still_verify(self, published_run):
         cfg, result, _ = published_run
@@ -336,6 +298,20 @@ class TestTrajectoryInvariance:
             without = run_training(cfg, train, test, publish=False)
         assert with_pub.w_final == without.w_final
         assert with_pub.metrics == without.metrics
+
+
+class TestRunTrainingContract:
+    def test_publishing_without_detection_rejected_before_ledger(self, tmp_path):
+        path = tmp_path / "l.bin"
+        with pytest.raises(ConfigError):
+            run_training(small_config(), make_dataset(3, 200, 5, 2), None,
+                         ledger_path=path, detection=False)
+        assert not path.exists()
+
+    def test_record_bytes_is_training_record_payload(self, published_run):
+        _, result, path = published_run
+        payload = Ledger.open(path).get_record(height=1)
+        assert result.timing["record_bytes"] == len(payload)
 
 
 class TestZeroShareServerCompensation:

@@ -2,17 +2,14 @@
 import numpy as np
 import pytest
 
-from auditfl.fixedpoint import FpVector
 from auditfl.randomness import (
     CorrelatedPair,
     bounded_int_vector,
     derive_seed,
     gen_correlated_pair,
     gen_model_mask_shares,
-    gen_zero_shares,
     prg,
     prvg,
-    random_sample_sign,
     sign_vector,
 )
 
@@ -59,13 +56,14 @@ class TestDeriveSeed:
 
 class TestSigns:
     def test_scalar_matches_vector_prefix(self):
+        # the sign at position i does not depend on the stream's length
         seed = derive_seed(7, "signs")
         vec = sign_vector(seed, 40)
         for i in range(40):
-            assert random_sample_sign(seed, i) == vec[i]
+            assert sign_vector(seed, i + 1)[i] == vec[i]
 
     def test_determinism(self):
-        assert random_sample_sign(9, 3) == random_sample_sign(9, 3)
+        assert np.array_equal(sign_vector(9, 4), sign_vector(9, 4))
 
     def test_values_are_signs(self):
         vec = sign_vector(11, 1000)
@@ -84,7 +82,7 @@ class TestSigns:
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            random_sample_sign(1, -1)
+            sign_vector(1, -1)
 
 
 class TestPrvg:
@@ -92,8 +90,7 @@ class TestPrvg:
         seed = derive_seed(3, "prvg")
         out = prvg(seed, 3, 4)
         assert set(np.unique(np.abs(out))) == {3}
-        for i in range(4):
-            assert out[i] == 3 * random_sample_sign(seed, i)
+        assert np.array_equal(out, 3 * sign_vector(seed, 4))
 
     def test_unit_magnitude(self):
         out = prvg(17, 1, 64)
@@ -145,39 +142,6 @@ class TestCorrelatedPair:
             gen_correlated_pair(1, lo=10, hi=5)
 
 
-class TestZeroShares:
-    def test_sum_is_exactly_zero(self):
-        shares = gen_zero_shares(5, 3, 2, 20)
-        total = np.zeros(2, dtype=np.int64)
-        for s in shares:
-            total += s.raw
-        assert np.all(total == 0)
-
-    def test_two_party_negation(self):
-        a, b = gen_zero_shares(6, 2, 10, 20)
-        assert np.array_equal(a.raw, -b.raw)
-
-    def test_bounds_and_spread(self):
-        shares = gen_zero_shares(7, 16, 4096, 20)
-        for s in shares[:-1]:
-            assert s.max_abs_raw() <= 1 << 40
-        # crude uniformity scan: drawn raws should fill the range
-        raw = np.concatenate([s.raw for s in shares[:-1]])
-        assert raw.min() < -(1 << 39) and raw.max() > (1 << 39)
-
-    def test_single_party_rejected(self):
-        with pytest.raises(ValueError):
-            gen_zero_shares(1, 1, 4, 20)
-
-    def test_cancellation_across_sizes(self):
-        for n, dim in [(2, 1), (5, 17), (64, 100)]:
-            shares = gen_zero_shares(n * dim, n, dim, 20)
-            total = np.zeros(dim, dtype=np.int64)
-            for s in shares:
-                total += s.raw
-            assert np.all(total == 0)
-
-
 class TestModelMaskShares:
     def test_single_round_identity(self):
         mm = gen_model_mask_shares(1, 1, 8, 20, eta_num=1, eta_exp=1)
@@ -223,7 +187,3 @@ class TestBoundedIntVector:
         with pytest.raises(ValueError):
             bounded_int_vector(1, 4, 63)
 
-
-def test_zero_share_type_usable_as_fpvector():
-    shares = gen_zero_shares(8, 2, 3, 20)
-    assert all(isinstance(s, FpVector) for s in shares)

@@ -1,12 +1,15 @@
 """Shared helpers for the test suite: tiny datasets, runs, tamper tools."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import itertools
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from auditfl import RunConfig, run_training
+from auditfl import RunConfig, protocol, run_training
 from auditfl.ledger import Ledger
 from auditfl.randomness import derive_seed, prg
 from auditfl.records import GenesisPayload, TrainingRecord
@@ -154,6 +157,50 @@ def tamper_ledger_byte(path: Path) -> None:
     data = bytearray(path.read_bytes())
     data[len(data) // 2] ^= 0x01
     path.write_bytes(bytes(data))
+
+
+# ---------------------------------------------------------------------------
+# Adversaries inside the round, built by patching the round's own seams.
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def server_skipping_benign(r: int, pid: int):
+    """A misbehaving server: in round r it leaves participant pid's gradient
+    out of the aggregate but still publishes pid as benign.
+
+    Counts calls to robust_aggregate, which runs once per round with
+    detection on.
+    """
+    honest = protocol.robust_aggregate
+    rounds = itertools.count(1)
+
+    def lying(g_s, gradients, clipping=False, clip_factor=3):
+        ag, benign, dots = honest(g_s, gradients, clipping, clip_factor)
+        if next(rounds) == r and pid in benign:
+            kept = [gradients[i] for i in benign if i != pid]
+            ag = protocol.floor_average(g_s, kept)
+        return ag, benign, dots
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "robust_aggregate", lying)
+        yield
+
+
+@contextlib.contextmanager
+def stale_mask_signer(pid: int, r: int):
+    """Participant pid signs its round-r gradient with its round-(r-1) masks."""
+    honest = protocol.Participant.compute_submission
+
+    def stale(self, w_prev, round_no):
+        sub = honest(self, w_prev, round_no)
+        if self.secrets.id == pid and round_no == r:
+            return self.sign_gradient(sub.gradient, r - 1, sub.loss)
+        return sub
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol.Participant, "compute_submission", stale)
+        yield
 
 
 def first_round_with_benign(result) -> tuple[int, int]:
