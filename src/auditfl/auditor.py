@@ -207,6 +207,40 @@ def _check_deflation(record: TrainingRecord) -> None:
             )
 
 
+def clipped_set(
+    positive: set[int], deflated: dict[int, Fraction], clip_factor: int
+) -> set[int]:
+    """The positives whose deflated product is at most clip_factor times the
+    lower median over the positives: robust_aggregate's clip rule."""
+    if not positive:
+        return set()
+    vals = sorted(deflated[pid] for pid in positive)
+    threshold = clip_factor * vals[(len(vals) - 1) // 2]
+    return {pid for pid in positive if deflated[pid] <= threshold}
+
+
+def _check_geometry(record: TrainingRecord, genesis: GenesisPayload) -> None:
+    """Every published vector must have the genesis dimension and scale."""
+
+    def check(vec: FpVector, where: str) -> None:
+        if vec.dim != genesis.dim or vec.scale != genesis.scale:
+            raise AuditFailure(
+                "structure",
+                f"{where} has dim {vec.dim}, scale {vec.scale}; genesis "
+                f"declares dim {genesis.dim}, scale {genesis.scale}",
+            )
+
+    check(record.masked_model, "masked model")
+    for rec in record.rounds:
+        for pid, (vec, _) in rec.local_detect.items():
+            check(vec, f"round {rec.r}: detection mask of participant {pid}")
+        for pid, (vec, _) in rec.local_agg.items():
+            check(vec, f"round {rec.r}: aggregation mask of participant {pid}")
+        for pid, vec in rec.server_detect.items():
+            check(vec, f"round {rec.r}: server detection mask for {pid}")
+        check(rec.server_agg, f"round {rec.r}: server aggregate")
+
+
 def audit_trace(
     record: TrainingRecord,
     genesis: GenesisPayload,
@@ -256,25 +290,25 @@ def audit_record(record: TrainingRecord, genesis: GenesisPayload) -> AuditReport
                 f"genesis roster has {len(genesis.participant_pks)}",
             )
         _check_deflation(record)
+        _check_geometry(record, genesis)
         replayed: list[FpVector] = []
         for rec in record.rounds:
             positive, derived, products = audit_detection(rec, genesis)
+            deflated = deflated_products(rec.r, products, record.deflation)
             published = set(rec.local_agg)
             if genesis.clipping:
-                set_ok = published <= positive
+                expected = clipped_set(positive, deflated, genesis.clip_factor)
             else:
-                set_ok = published == positive
-            if not set_ok:
+                expected = positive
+            if published != expected:
                 raise AuditFailure(
                     "benign-set",
                     f"round {rec.r}: published benign set "
                     f"{sorted(published)} inconsistent with derived "
-                    f"{sorted(positive)}",
+                    f"{sorted(expected)}",
                 )
             replayed.append(audit_aggregate(rec, derived))
-            ranking = ranking_of(
-                deflated_products(rec.r, products, record.deflation)
-            )
+            ranking = ranking_of(deflated)
             report.rounds.append(
                 RoundAudit(
                     r=rec.r,

@@ -1,9 +1,13 @@
 """Signatures and hashing: P-256 ECDSA with deterministic nonces, SHA-256.
 
-Nonces follow RFC 6979, so signing the same message under the same key always
-yields the same bytes; that is what makes whole ledger files reproducible.
-Scalar multiplication uses Jacobian coordinates with 4-bit fixed-window
-tables; tables for frequently verified public keys are cached.
+Signing and verification run in OpenSSL through the `cryptography` package.
+Nonces follow RFC 6979 (`deterministic_signing=True`), so signing the same
+message under the same key always yields the same bytes; that is what makes
+whole ledger files reproducible. An OpenSSL without RFC 6979 support fails at
+import with `UnsupportedAlgorithm` rather than producing different ledgers.
+
+Signing keys are plain scalars derived from entropy by a SHA-256
+hash-to-scalar loop, so a key depends only on its entropy.
 
 Encodings are fixed length: public key = x||y (64 bytes, big-endian),
 signature = r||s (64 bytes, big-endian). Malformed encodings verify as
@@ -12,157 +16,31 @@ False, they never raise.
 from __future__ import annotations
 
 import hashlib
-import hmac
 import os
 from dataclasses import dataclass
 
-# NIST P-256 domain parameters (SEC 2 / FIPS 186-4 D.1.2.3).
-P = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
-A = P - 3
-B = 0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.utils import (
+    decode_dss_signature,
+    encode_dss_signature,
+)
+
+# Order of the P-256 base point (SEC 2 / FIPS 186-4 D.1.2.3).
 N = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
-GX = 0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296
-GY = 0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5
 
 SIGNATURE_SIZE = 64
 PUBLIC_KEY_SIZE = 64
 
-_WINDOW = 4
-_NWIN = 64  # 256 bits / 4-bit windows
+_CURVE = ec.SECP256R1()
+_SIGN = ec.ECDSA(hashes.SHA256(), deterministic_signing=True)
+_VERIFY = ec.ECDSA(hashes.SHA256())
 
 
 def sha256(data: bytes) -> bytes:
     """32-byte collision-resistant digest."""
     return hashlib.sha256(data).digest()
-
-
-# ---------------------------------------------------------------------------
-# Point arithmetic in Jacobian coordinates: (X, Y, Z) with x = X/Z^2,
-# y = Y/Z^3; Z == 0 encodes the point at infinity.
-# ---------------------------------------------------------------------------
-
-_INF = (0, 0, 0)
-
-
-def _jac_double(pt):
-    X, Y, Z = pt
-    if Z == 0 or Y == 0:
-        return _INF
-    YY = Y * Y % P
-    S = 4 * X * YY % P
-    ZZ = Z * Z % P
-    # a = -3 allows M = 3(X - Z^2)(X + Z^2)
-    M = 3 * (X - ZZ) * (X + ZZ) % P
-    X3 = (M * M - 2 * S) % P
-    Y3 = (M * (S - X3) - 8 * YY * YY) % P
-    Z3 = 2 * Y * Z % P
-    return (X3, Y3, Z3)
-
-
-def _jac_add_affine(pt, ax, ay):
-    """Mixed addition: Jacobian point + affine point."""
-    X1, Y1, Z1 = pt
-    if Z1 == 0:
-        return (ax, ay, 1)
-    ZZ = Z1 * Z1 % P
-    U2 = ax * ZZ % P
-    S2 = ay * ZZ * Z1 % P
-    H = (U2 - X1) % P
-    R = (S2 - Y1) % P
-    if H == 0:
-        if R == 0:
-            return _jac_double(pt)
-        return _INF
-    HH = H * H % P
-    HHH = H * HH % P
-    V = X1 * HH % P
-    X3 = (R * R - HHH - 2 * V) % P
-    Y3 = (R * (V - X3) - Y1 * HHH) % P
-    Z3 = Z1 * H % P
-    return (X3, Y3, Z3)
-
-
-def _jac_to_affine(pt):
-    X, Y, Z = pt
-    if Z == 0:
-        raise ValueError("point at infinity has no affine form")
-    zinv = pow(Z, -1, P)
-    zinv2 = zinv * zinv % P
-    return (X * zinv2 % P, Y * zinv2 * zinv % P)
-
-
-def _batch_to_affine(points):
-    """Normalize many Jacobian points with a single field inversion."""
-    zs = [pt[2] for pt in points]
-    prefix = [1] * (len(zs) + 1)
-    for i, z in enumerate(zs):
-        prefix[i + 1] = prefix[i] * z % P
-    inv = pow(prefix[-1], -1, P)
-    out = [None] * len(points)
-    for i in range(len(points) - 1, -1, -1):
-        zinv = inv * prefix[i] % P
-        inv = inv * zs[i] % P
-        X, Y, _ = points[i]
-        zinv2 = zinv * zinv % P
-        out[i] = (X * zinv2 % P, Y * zinv2 * zinv % P)
-    return out
-
-
-def _build_table(ax: int, ay: int):
-    """table[j][d-1] = affine d * 2^(4j) * point, for d in 1..15."""
-    table = []
-    base = (ax, ay, 1)
-    for _ in range(_NWIN):
-        row = [base]
-        for _ in range(14):
-            row.append(_jac_add_affine(row[-1], ax, ay))
-        table.append(row)
-        nxt = row[-1]  # 15 * base
-        nxt = _jac_add_affine(nxt, ax, ay)  # 16 * base
-        base = nxt
-        bx, by = _jac_to_affine(base)
-        ax, ay = bx, by
-    flat = [pt for row in table for pt in row]
-    aff = _batch_to_affine(flat)
-    return [aff[15 * j : 15 * (j + 1)] for j in range(_NWIN)]
-
-
-def _table_mult(table, k: int):
-    """k * point via its fixed-window table; returns Jacobian point."""
-    acc = _INF
-    for j in range(_NWIN):
-        d = (k >> (4 * j)) & 0xF
-        if d:
-            ax, ay = table[j][d - 1]
-            acc = _jac_add_affine(acc, ax, ay)
-    return acc
-
-
-_G_TABLE = _build_table(GX, GY)
-
-# Small FIFO cache of per-public-key tables (verification is the hot path;
-# one protocol run reuses a handful of keys thousands of times).
-_PK_TABLES: dict[bytes, list] = {}
-_PK_TABLE_LIMIT = 256
-
-
-def _pk_table(pk: bytes, qx: int, qy: int):
-    tbl = _PK_TABLES.get(pk)
-    if tbl is None:
-        tbl = _build_table(qx, qy)
-        if len(_PK_TABLES) >= _PK_TABLE_LIMIT:
-            _PK_TABLES.pop(next(iter(_PK_TABLES)))
-        _PK_TABLES[pk] = tbl
-    return tbl
-
-
-def _on_curve(x: int, y: int) -> bool:
-    return (y * y - (x * x * x + A * x + B)) % P == 0
-
-
-# ---------------------------------------------------------------------------
-# Keys and ECDSA.
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -188,52 +66,18 @@ def keygen(entropy: bytes | None = None) -> KeyPair:
         if 1 <= cand <= N - 1:
             break
         counter += 1
-    d = cand
-    qx, qy = _jac_to_affine(_table_mult(_G_TABLE, d))
-    pk = qx.to_bytes(32, "big") + qy.to_bytes(32, "big")
-    return KeyPair(sk=d, pk=pk)
-
-
-def _rfc6979_k(sk: int, h1: bytes) -> int:
-    """Deterministic nonce per RFC 6979 (HMAC-SHA256), yielding k in [1, N-1]."""
-    holen = 32
-    x = sk.to_bytes(32, "big")
-    # bits2octets: h1 interpreted mod N, back to 32 bytes
-    e = int.from_bytes(h1, "big")
-    if e >= N:
-        e -= N
-    bx = x + e.to_bytes(32, "big")
-    v = b"\x01" * holen
-    k = b"\x00" * holen
-    k = hmac.new(k, v + b"\x00" + bx, hashlib.sha256).digest()
-    v = hmac.new(k, v, hashlib.sha256).digest()
-    k = hmac.new(k, v + b"\x01" + bx, hashlib.sha256).digest()
-    v = hmac.new(k, v, hashlib.sha256).digest()
-    while True:
-        v = hmac.new(k, v, hashlib.sha256).digest()
-        cand = int.from_bytes(v, "big")
-        if 1 <= cand <= N - 1:
-            return cand
-        k = hmac.new(k, v + b"\x00", hashlib.sha256).digest()
-        v = hmac.new(k, v, hashlib.sha256).digest()
+    point = ec.derive_private_key(cand, _CURVE).public_key().public_numbers()
+    pk = point.x.to_bytes(32, "big") + point.y.to_bytes(32, "big")
+    return KeyPair(sk=cand, pk=pk)
 
 
 def sign(sk: int, message: bytes) -> bytes:
     """ECDSA signature over SHA-256(message), encoded as r||s (64 bytes)."""
     if not (1 <= sk <= N - 1):
         raise ValueError("signing key out of range")
-    h1 = sha256(message)
-    e = int.from_bytes(h1, "big") % N
-    k = _rfc6979_k(sk, h1)
-    while True:
-        rx, _ = _jac_to_affine(_table_mult(_G_TABLE, k))
-        r = rx % N
-        if r != 0:
-            s = pow(k, -1, N) * (e + r * sk) % N
-            if s != 0:
-                return r.to_bytes(32, "big") + s.to_bytes(32, "big")
-        # astronomically unlikely; re-derive a nonce deterministically
-        k = _rfc6979_k(sk, sha256(h1 + b"retry"))
+    der = ec.derive_private_key(sk, _CURVE).sign(message, _SIGN)
+    r, s = decode_dss_signature(der)
+    return r.to_bytes(32, "big") + s.to_bytes(32, "big")
 
 
 def verify(pk: bytes, message: bytes, signature: bytes) -> bool:
@@ -242,32 +86,13 @@ def verify(pk: bytes, message: bytes, signature: bytes) -> bool:
         return False
     if not isinstance(signature, bytes) or len(signature) != SIGNATURE_SIZE:
         return False
-    qx = int.from_bytes(pk[:32], "big")
-    qy = int.from_bytes(pk[32:], "big")
-    if qx >= P or qy >= P or not _on_curve(qx, qy):
-        return False
-    if qx == 0 and qy == 0:
-        return False
     r = int.from_bytes(signature[:32], "big")
     s = int.from_bytes(signature[32:], "big")
     if not (1 <= r <= N - 1 and 1 <= s <= N - 1):
         return False
-    e = int.from_bytes(sha256(message), "big") % N
-    sinv = pow(s, -1, N)
-    u1 = e * sinv % N
-    u2 = r * sinv % N
-    acc = _INF
-    if u1:
-        acc = _table_mult(_G_TABLE, u1)
-    if u2:
-        qtbl = _pk_table(pk, qx, qy)
-        pt2 = _table_mult(qtbl, u2)
-        if acc == _INF:
-            acc = pt2
-        elif pt2 != _INF:
-            a2 = _jac_to_affine(pt2)
-            acc = _jac_add_affine(acc, a2[0], a2[1])
-    if acc == _INF:
+    try:
+        key = ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, b"\x04" + pk)
+        key.verify(encode_dss_signature(r, s), message, _VERIFY)
+    except (ValueError, InvalidSignature):
         return False
-    x1, _ = _jac_to_affine(acc)
-    return x1 % N == r
+    return True

@@ -104,6 +104,7 @@ class Ledger:
         off = len(LEDGER_MAGIC)
         blocks: list[Block] = []
         truncated_at = None
+        view = memoryview(data)  # frames are views; only payloads are copied
         while off < len(data):
             if off + 8 > len(data):
                 truncated_at = len(blocks)
@@ -113,7 +114,7 @@ class Ledger:
             if off + flen > len(data) or flen < _HEADER.size + 32:
                 truncated_at = len(blocks)
                 break
-            frame = data[off : off + flen]
+            frame = view[off : off + flen]
             off += flen
             height, prev, pdig, ts, plen = _HEADER.unpack_from(frame, 0)
             if _HEADER.size + plen + 32 != flen:
@@ -128,7 +129,7 @@ class Ledger:
                     prev_digest=prev,
                     payload_digest=pdig,
                     timestamp=ts,
-                    payload=frame[_HEADER.size : -32],
+                    payload=bytes(frame[_HEADER.size : -32]),
                 )
             )
         if not blocks and truncated_at is None:
@@ -157,7 +158,7 @@ class Ledger:
         except OSError as e:
             raise LedgerError(f"cannot append to {self.path}: {e}") from None
         self.blocks.append(block)
-        return block.digest()
+        return sha256(frame)
 
     def verify_chain(self) -> tuple[bool, int | None]:
         """Recompute every link; (True, None) or (False, first bad height)."""

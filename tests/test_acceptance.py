@@ -28,6 +28,7 @@ from util import (
     load_chain,
     make_dataset,
     republish,
+    server_dropping_in_threshold,
     server_skipping_benign,
     tamper_drop_mg2,
     tamper_flip_mg1,
@@ -169,6 +170,8 @@ class TestCriterion2TamperSoundness:
         rejected = {name: 0 for name in record_tampers}
         rejected["ledger-byte-flip"] = 0
         rejected["server-skip-benign"] = 0
+        rejected["clipping-drop-in-threshold"] = 0
+        clip_path = tmp_path / "clip.bin"
         seed = 0
         base_runs = []
         while len(base_runs) < 20:
@@ -220,6 +223,15 @@ class TestCriterion2TamperSoundness:
                 run_training(cfg, train, None, ledger_path=skip_path)
             if not full_audit(skip_path).ok:
                 rejected["server-skip-benign"] += 1
+            # under clipping: drop an in-threshold participant from both the
+            # published set and the aggregate, as if it had been clipped
+            with server_dropping_in_threshold() as dropped:
+                run_training(dataclasses.replace(cfg, clipping=True), train,
+                             None, ledger_path=clip_path)
+            report = full_audit(clip_path)
+            clip_path.unlink()
+            if dropped and report.failure_stage == "benign-set":
+                rejected["clipping-drop-in-threshold"] += 1
 
         ok = all(v == trials for v in rejected.values()) and trials >= 20
         _report(

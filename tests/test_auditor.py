@@ -24,8 +24,10 @@ from util import (
     first_round_with_benign,
     load_chain,
     make_dataset,
+    rebuild_ledger,
     republish,
     run_published,
+    server_dropping_in_threshold,
     server_skipping_benign,
     small_config,
     tamper_drop_mg2,
@@ -296,6 +298,28 @@ class TestClippingMode:
         assert not report.ok
         assert report.failure_stage in ("benign-set", "model-recovery")
 
+    @pytest.mark.parametrize("master_seed", [2003, 11, 7])
+    def test_server_dropping_in_threshold_participant_rejected(
+        self, tmp_path, master_seed
+    ):
+        # the lie looks like a clip, so only replaying the clip rule on the
+        # deflated products can tell it from an honest record
+        cfg = small_config(
+            participants=5,
+            rounds=3,
+            master_seed=master_seed,
+            clipping=True,
+            malicious={3: AdversarySpec("scale_amplify", factor=8)},
+        )
+        _, path = run_published(tmp_path / "honest", cfg, seed=9)
+        assert full_audit(path).ok
+        with server_dropping_in_threshold() as dropped:
+            _, lie_path = run_published(tmp_path / "lie", cfg, seed=9)
+        assert dropped, "no benign participant to drop; test is vacuous"
+        report = full_audit(lie_path)
+        assert not report.ok
+        assert report.failure_stage == "benign-set"
+
 
 class TestModuleBoundary:
     def test_auditor_never_imports_secret_modules(self):
@@ -342,6 +366,24 @@ class TestStructuredFailures:
         Ledger.create(p, genesis_bytes)
         report = full_audit(p)
         assert report.ok and report.n_records == 0
+
+    def test_flipped_scale_byte_in_server_mask_is_structure_rejection(
+        self, tmp_path
+    ):
+        # server detection masks are unsigned, so a flipped scale byte passes
+        # every signature and would otherwise reach the inner products
+        cfg = small_config(participants=3, rounds=1, master_seed=1013)
+        _, path = run_published(tmp_path, cfg, seed=9)
+        genesis_bytes, record, genesis = load_chain(path)
+        payload = bytearray(record.encode())
+        vec = record.rounds[0].server_detect[min(record.rounds[0].server_detect)]
+        at = payload.find(vec.encode())
+        assert at > 0 and payload[at + 8] == genesis.scale
+        payload[at + 8] ^= 0x80
+        rebuild_ledger(path, genesis_bytes, [bytes(payload)])
+        report = full_audit(path)
+        assert not report.ok
+        assert report.failure_stage == "structure"
 
     def test_nonpositive_deflation_rejected(self, honest_run, tmp_path):
         import dataclasses

@@ -1,8 +1,12 @@
 """Signatures and hashing, pinned to published test vectors."""
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from cryptography.hazmat.primitives.asymmetric import ec
 
 from auditfl import crypto
 from auditfl.fixedpoint import FpVector
@@ -13,6 +17,10 @@ RFC6979_PK = (
     0x60FED4BA255A9D31C961EB74C6356D68C049B8923B61FA6CE669622E60F29FB6,
     0x7903FE1008B8BC99A41AE9E95628BC64F2F1B20C2D7E9F5177A3C294D4462299,
 )
+# P-256 field prime (SEC 2), for building an off-curve point
+P256_P = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
+RFC6979_PK_BYTES = b"".join(c.to_bytes(32, "big") for c in RFC6979_PK)
+# (message, k, r, s) from RFC 6979 A.2.5; r = x(k*G) mod N pins the nonce
 RFC6979_VECTORS = [
     (
         b"sample",
@@ -28,19 +36,46 @@ RFC6979_VECTORS = [
     ),
 ]
 
+GOLDEN = json.loads((Path(__file__).parent / "data" / "ecdsa_golden.json").read_text())
+
+
+def _golden_message(i: int, length: int) -> bytes:
+    label = b"auditfl.ecdsa-golden.msg" + i.to_bytes(4, "little")
+    return hashlib.shake_256(label).digest(length)
+
+
+def _sig(r: int, s: int) -> bytes:
+    return r.to_bytes(32, "big") + s.to_bytes(32, "big")
+
 
 class TestRfc6979Vectors:
     def test_public_key_derivation(self):
-        kp_pk = crypto._jac_to_affine(crypto._table_mult(crypto._G_TABLE, RFC6979_SK))
-        assert kp_pk == RFC6979_PK
+        """sign(RFC6979_SK, .) verifies under the RFC's public-key bytes."""
+        for msg, _, r, s in RFC6979_VECTORS:
+            assert crypto.verify(RFC6979_PK_BYTES, msg, _sig(r, s))
+            assert not crypto.verify(RFC6979_PK_BYTES, msg + b"!", _sig(r, s))
 
     @pytest.mark.parametrize("msg,k,r,s", RFC6979_VECTORS)
     def test_nonce_and_signature(self, msg, k, r, s):
-        h1 = hashlib.sha256(msg).digest()
-        assert crypto._rfc6979_k(RFC6979_SK, h1) == k
-        sig = crypto.sign(RFC6979_SK, msg)
-        assert int.from_bytes(sig[:32], "big") == r
-        assert int.from_bytes(sig[32:], "big") == s
+        nonce_point = ec.derive_private_key(k, ec.SECP256R1()).public_key()
+        assert nonce_point.public_numbers().x % crypto.N == r
+        assert crypto.sign(RFC6979_SK, msg) == _sig(r, s)
+
+
+class TestGoldenFixture:
+    """Keys and signatures frozen from the earlier pure-Python P-256 code."""
+
+    @pytest.mark.parametrize("i", range(len(GOLDEN["entries"])))
+    def test_keys_and_signatures_unchanged(self, i):
+        entry = GOLDEN["entries"][i]
+        msg = _golden_message(i, entry["message_len"])
+        assert hashlib.sha256(msg).hexdigest() == entry["message_sha256"]
+        kp = crypto.keygen(bytes.fromhex(entry["entropy"]))
+        assert kp.sk == int(entry["sk"], 16)
+        assert kp.pk.hex() == entry["pk"]
+        sig = crypto.sign(kp.sk, msg)
+        assert sig.hex() == entry["signature"]
+        assert crypto.verify(kp.pk, msg, sig)
 
 
 class TestKeygen:
@@ -89,12 +124,22 @@ class TestSignVerify:
         assert not crypto.verify(kp.pk, b"msg", b"\xff" * 64)
         assert not crypto.verify(kp.pk, b"msg", b"short")
         assert not crypto.verify(kp.pk, b"msg", None)  # type: ignore[arg-type]
+        sig = crypto.sign(kp.sk, b"msg")
+        r = int.from_bytes(sig[:32], "big")
+        s = int.from_bytes(sig[32:], "big")
+        assert not crypto.verify(kp.pk, b"msg", _sig(crypto.N, s))
+        assert not crypto.verify(kp.pk, b"msg", _sig(r, crypto.N))
+        assert not crypto.verify(kp.pk, b"msg", _sig(r, 0))
 
     def test_malformed_public_key_rejects(self):
-        sig = crypto.sign(crypto.keygen(b"k" * 32).sk, b"msg")
+        kp = crypto.keygen(b"k" * 32)
+        sig = crypto.sign(kp.sk, b"msg")
         assert not crypto.verify(b"\x00" * 64, b"msg", sig)
         assert not crypto.verify(b"\xff" * 64, b"msg", sig)
         assert not crypto.verify(b"short", b"msg", sig)
+        y = int.from_bytes(kp.pk[32:], "big")
+        off_curve = kp.pk[:32] + ((y + 1) % P256_P).to_bytes(32, "big")
+        assert not crypto.verify(off_curve, b"msg", sig)
 
     def test_signature_determinism(self):
         kp = crypto.keygen(b"d" * 32)

@@ -188,6 +188,32 @@ def server_skipping_benign(r: int, pid: int):
 
 
 @contextlib.contextmanager
+def server_dropping_in_threshold():
+    """A misbehaving server under clipping: in the first round with a
+    non-empty benign set it drops the lowest-id benign participant from both
+    the benign set and the aggregate, as if that participant had been clipped.
+
+    Yields a list that receives the (round, id) it dropped.
+    """
+    honest = protocol.robust_aggregate
+    rounds = itertools.count(1)
+    dropped: list[tuple[int, int]] = []
+
+    def lying(g_s, gradients, clipping=False, clip_factor=3):
+        ag, benign, dots = honest(g_s, gradients, clipping, clip_factor)
+        r = next(rounds)
+        if benign and not dropped:
+            dropped.append((r, benign[0]))
+            benign = benign[1:]
+            ag = protocol.floor_average(g_s, [gradients[i] for i in benign])
+        return ag, benign, dots
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "robust_aggregate", lying)
+        yield dropped
+
+
+@contextlib.contextmanager
 def stale_mask_signer(pid: int, r: int):
     """Participant pid signs its round-r gradient with its round-(r-1) masks."""
     honest = protocol.Participant.compute_submission
