@@ -7,7 +7,6 @@ without learning a single gradient or model weight.
 """
 
 from .auditor import AuditReport, full_audit
-from .backend import active_backend
 from .config import ConfigError, DatasetConfig, RunConfig
 from .fixedpoint import (
     DEFAULT_SCALE,
@@ -15,6 +14,7 @@ from .fixedpoint import (
     FixedPointOverflowError,
     FpScalar,
     FpVector,
+    active_backend,
     dot,
     floor_div,
     hadamard,

@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import crypto
-from .fixedpoint import FpVector, dot, floor_div, scale_by_dyadic, sign_indicator
+from .fixedpoint import (
+    FixedPointOverflowError,
+    FpVector,
+    dot,
+    floor_average,
+    scale_by_dyadic,
+    sign_indicator,
+)
 from .ledger import Ledger
 from .records import (
     GenesisPayload,
@@ -145,16 +152,15 @@ def audit_detection(
 
 def audit_aggregate(rec: RoundRecord, benign: set[int]) -> FpVector:
     """Replay the masked aggregation over the derived benign set."""
-    total = rec.server_agg
-    for pid in sorted(benign):
+    ids = sorted(benign)
+    for pid in ids:
         if pid not in rec.local_agg:
             raise AuditFailure(
                 "structure",
                 f"round {rec.r}: benign participant {pid} has no published "
                 f"aggregation mask",
             )
-        total = total + rec.local_agg[pid][0]
-    return floor_div(total, len(benign) + 1)
+    return floor_average(rec.server_agg, [rec.local_agg[pid][0] for pid in ids])
 
 
 def deflated_products(
@@ -177,22 +183,6 @@ def ranking_of(products: dict[int, Fraction]) -> tuple[int, ...]:
     return tuple(pid for pid, _ in sorted(products.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
-def audit_clipping(
-    record: TrainingRecord,
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Per-round ranking of participants by deflated inner product."""
-    _check_deflation(record)
-    return [
-        (
-            rec.r,
-            ranking_of(
-                deflated_products(rec.r, masked_products(rec), record.deflation)
-            ),
-        )
-        for rec in record.rounds
-    ]
-
-
 def _check_deflation(record: TrainingRecord) -> None:
     for pid, (num, den) in sorted(record.deflation.items()):
         if den == 0:
@@ -208,15 +198,17 @@ def _check_deflation(record: TrainingRecord) -> None:
 
 
 def clipped_set(
-    positive: set[int], deflated: dict[int, Fraction], clip_factor: int
+    positive: set[int], products: dict[int, int | Fraction], clip_factor: int
 ) -> set[int]:
-    """The positives whose deflated product is at most clip_factor times the
-    lower median over the positives: robust_aggregate's clip rule."""
+    """The positives whose inner product is at most clip_factor times the
+    lower median over the positives: the clip rule of the server, which
+    applies it to plaintext inner products, and of the audit, which applies
+    it to deflated masked ones. The lower median keeps it exact."""
     if not positive:
         return set()
-    vals = sorted(deflated[pid] for pid in positive)
+    vals = sorted(products[pid] for pid in positive)
     threshold = clip_factor * vals[(len(vals) - 1) // 2]
-    return {pid for pid in positive if deflated[pid] <= threshold}
+    return {pid for pid in positive if products[pid] <= threshold}
 
 
 def _check_geometry(record: TrainingRecord, genesis: GenesisPayload) -> None:
@@ -326,6 +318,11 @@ def audit_record(record: TrainingRecord, genesis: GenesisPayload) -> AuditReport
     except AuditFailure as e:
         report.failure_stage = e.stage
         report.failure = str(e)
+    except FixedPointOverflowError as e:
+        # the unsigned server aggregate can hold any int64, so replaying it
+        # can leave the raw range; no honest record does
+        report.failure_stage = "structure"
+        report.failure = f"replay of the record overflows int64: {e}"
     return report
 
 

@@ -3,26 +3,27 @@
 Every gradient, mask, and model in the protocol is an `FpVector`: a vector of
 signed 64-bit integer raws sharing one power-of-two scale, value = raw * 2^-t.
 All protocol-path arithmetic is integer-only and deterministic, so the audit
-identities hold as bit-for-bit equalities rather than float tolerances.
+identities hold as bit-for-bit equalities rather than float tolerances. The
+server and the auditor run these same kernels.
+
+Every kernel is exact: it returns the true integer result or raises
+FixedPointOverflowError before an int64 raw would wrap. Each checked kernel
+bounds its result from the largest input magnitudes, taken as Python ints;
+only when that bound leaves int64 are the entries recomputed in Python
+integers to find the first one that overflows. Inner products are summed in
+Python integers and never overflow.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .backend import (
-    INT64_MAX,
-    KernelOverflow,
-    add_checked_i64,
-    dot_i64,
-    hadamard_i64,
-    scale_checked_i64,
-)
-
 DEFAULT_SCALE = 20
+
+INT64_MAX = (1 << 63) - 1
+INT64_MIN = -(1 << 63)
 
 _HALF_EXACT = float(1 << 52)  # below this, y + 0.5 is exact in float64
 
@@ -33,6 +34,35 @@ class FixedPointOverflowError(OverflowError):
 
 class DimensionMismatchError(ValueError):
     """Two vectors that must share a dimension do not."""
+
+
+def active_backend() -> str:
+    """Name of the kernel implementation in use; always 'numpy'."""
+    return "numpy"
+
+
+def _max_abs(a: np.ndarray) -> int:
+    """Largest |entry| of an int64 array, as a Python int (0 for empty)."""
+    if a.size == 0:
+        return 0
+    return max(int(a.max()), -int(a.min()))
+
+
+def _first_out_of_range(exact: np.ndarray, lo: int) -> int | None:
+    """Index of the first Python-int entry outside [lo, INT64_MAX], if any."""
+    bad = (exact > INT64_MAX) | (exact < lo)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _scale_i64(a: np.ndarray, c: int) -> np.ndarray:
+    """a * c for a plain integer c, with |a[k] * c| <= INT64_MAX."""
+    if _max_abs(a) * abs(c) > INT64_MAX:
+        k = _first_out_of_range(a.astype(object) * c, -INT64_MAX)
+        if k is not None:
+            raise FixedPointOverflowError(
+                f"scalar multiply overflows int64 at index {k}: {a[k]} * {c}"
+            )
+    return a * np.int64(c)
 
 
 class FpScalar(NamedTuple):
@@ -126,12 +156,15 @@ class FpVector:
 
     def __add__(self, other: "FpVector") -> "FpVector":
         self._check_compatible(other)
-        try:
-            return FpVector(add_checked_i64(self.raw, other.raw), self.scale)
-        except KernelOverflow as e:
-            raise FixedPointOverflowError(
-                f"add overflows int64 at index {e.index}: {e.x} + {e.y}"
-            ) from None
+        a, b = self.raw, other.raw
+        if _max_abs(a) + _max_abs(b) > INT64_MAX:
+            exact = a.astype(object) + b.astype(object)
+            k = _first_out_of_range(exact, INT64_MIN)
+            if k is not None:
+                raise FixedPointOverflowError(
+                    f"add overflows int64 at index {k}: {a[k]} + {b[k]}"
+                )
+        return FpVector(a + b, self.scale)
 
     def __sub__(self, other: "FpVector") -> "FpVector":
         return self + (-other)
@@ -139,24 +172,16 @@ class FpVector:
     def __neg__(self) -> "FpVector":
         # raws never reach INT64_MIN (quantize and masks bound them), so
         # negation cannot overflow; assert rather than silently wrap.
-        if self.raw.size and int(self.raw.min()) == -(1 << 63):
+        if self.raw.size and int(self.raw.min()) == INT64_MIN:
             raise FixedPointOverflowError("cannot negate INT64_MIN raw")
         return FpVector(-self.raw, self.scale)
 
     def scalar_mul(self, c: int) -> "FpVector":
         """Multiply every raw by a plain integer c (scale unchanged)."""
-        try:
-            return FpVector(scale_checked_i64(self.raw, int(c)), self.scale)
-        except KernelOverflow as e:
-            raise FixedPointOverflowError(
-                f"scalar multiply overflows int64 at index {e.index}: "
-                f"{e.x} * {c}"
-            ) from None
+        return FpVector(_scale_i64(self.raw, int(c)), self.scale)
 
     def max_abs_raw(self) -> int:
-        if self.raw.size == 0:
-            return 0
-        return max(int(self.raw.max()), -int(self.raw.min()))
+        return _max_abs(self.raw)
 
     # -- canonical byte encoding (the signing preimage format) --------------
 
@@ -184,25 +209,36 @@ class FpVector:
 
 
 def dot(a: FpVector, b: FpVector) -> int:
-    """Exact raw-level inner product: sum of raw_a[k]*raw_b[k] as a big int."""
+    """Exact raw-level inner product: sum of raw_a[k]*raw_b[k] as a big int.
+
+    Products of two int64 raws need up to 126 bits, so they are taken and
+    summed over object (Python int) arrays.
+    """
     a._check_compatible(b)
-    return dot_i64(a.raw, b.raw)
+    if a.dim == 0:
+        return 0
+    return int(np.dot(a.raw.astype(object), b.raw.astype(object)))
 
 
 def hadamard(a: FpVector, mask) -> FpVector:
-    """Entrywise product with a plain-integer mask vector; scale unchanged."""
+    """Entrywise product with a plain-integer mask vector; scale unchanged.
+
+    Products are bounded symmetrically, |a[k] * mask[k]| <= INT64_MAX.
+    """
     m = np.ascontiguousarray(mask, dtype=np.int64)
     if m.shape != a.raw.shape:
         raise DimensionMismatchError(
             f"dimension mismatch: {a.dim} vs {m.shape[0]}"
         )
-    try:
-        return FpVector(hadamard_i64(a.raw, m), a.scale)
-    except KernelOverflow as e:
-        raise FixedPointOverflowError(
-            f"mask product overflows int64 at index {e.index}: {e.x} * {e.y} "
-            f"(mask range too large for the gradient scale)"
-        ) from None
+    if _max_abs(a.raw) * _max_abs(m) > INT64_MAX:
+        exact = a.raw.astype(object) * m.astype(object)
+        k = _first_out_of_range(exact, -INT64_MAX)
+        if k is not None:
+            raise FixedPointOverflowError(
+                f"mask product overflows int64 at index {k}: {a.raw[k]} * "
+                f"{m[k]} (mask range too large for the gradient scale)"
+            )
+    return FpVector(a.raw * m, a.scale)
 
 
 def floor_div(v: FpVector, c: int) -> FpVector:
@@ -216,6 +252,18 @@ def floor_div(v: FpVector, c: int) -> FpVector:
     if c < 1:
         raise ValueError(f"divisor must be a positive count, got {c}")
     return FpVector(v.raw // np.int64(c), v.scale)
+
+
+def floor_average(first: FpVector, others: list[FpVector]) -> FpVector:
+    """floor((first + sum of others) / (count + 1)): a round's aggregate.
+
+    The server averages its gradient with the benign gradients; the auditor
+    replays the same rule on the masked aggregation vectors.
+    """
+    total = first
+    for v in others:
+        total = total + v
+    return floor_div(total, len(others) + 1)
 
 
 def sign_indicator(x: int) -> int:
@@ -233,5 +281,4 @@ def scale_by_dyadic(v: FpVector, num: int, exp: int) -> FpVector:
     exp = int(exp)
     if exp < 0:
         raise ValueError(f"dyadic exponent must be >= 0, got {exp}")
-    scaled = scale_checked_i64(v.raw, num)
-    return FpVector(scaled >> np.int64(exp), v.scale)
+    return FpVector(_scale_i64(v.raw, num) >> np.int64(exp), v.scale)

@@ -136,8 +136,8 @@ class Ledger:
             raise LedgerError(f"{path}: empty ledger (no genesis block)")
         return cls(path, blocks, truncated_at)
 
-    def append(self, payload: bytes, timestamp: int = 0) -> bytes:
-        """Append a block and persist it; returns the new block's digest."""
+    def append(self, payload: bytes, timestamp: int = 0) -> None:
+        """Append a block and persist it."""
         ok, bad = self.verify_chain()
         if not ok:
             raise LedgerError(
@@ -158,7 +158,6 @@ class Ledger:
         except OSError as e:
             raise LedgerError(f"cannot append to {self.path}: {e}") from None
         self.blocks.append(block)
-        return sha256(frame)
 
     def verify_chain(self) -> tuple[bool, int | None]:
         """Recompute every link; (True, None) or (False, first bad height)."""
@@ -178,15 +177,8 @@ class Ledger:
             return (False, self.truncated_at)
         return (True, None)
 
-    def get_record(self, height: int | None = None, digest: bytes | None = None) -> bytes:
-        """Payload by height or by block digest."""
-        if (height is None) == (digest is None):
-            raise ValueError("pass exactly one of height or digest")
-        if height is not None:
-            if not (0 <= height < len(self.blocks)):
-                raise LedgerError(f"no block at height {height}")
-            return self.blocks[height].payload
-        for block in self.blocks:
-            if block.digest() == digest:
-                return block.payload
-        raise LedgerError(f"no block with digest {digest.hex()}")
+    def get_record(self, height: int) -> bytes:
+        """Payload of the block at a height."""
+        if not (0 <= height < len(self.blocks)):
+            raise LedgerError(f"no block at height {height}")
+        return self.blocks[height].payload

@@ -27,11 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import crypto
+from .auditor import clipped_set
 from .config import ConfigError, RunConfig
 from .fixedpoint import (
     FpVector,
     dot,
-    floor_div,
+    floor_average,
     hadamard,
     scale_by_dyadic,
     sign_indicator,
@@ -238,14 +239,6 @@ def detect(g_s: FpVector, g_i: FpVector) -> int:
     return sign_indicator(dot(g_s, g_i))
 
 
-def floor_average(g_s: FpVector, gradients: list[FpVector]) -> FpVector:
-    """floor((g_S + sum of gradients) / (count + 1)): a round's aggregate."""
-    total = g_s
-    for g in gradients:
-        total = total + g
-    return floor_div(total, len(gradients) + 1)
-
-
 def robust_aggregate(
     g_s: FpVector,
     gradients: dict[int, FpVector],
@@ -259,12 +252,8 @@ def robust_aggregate(
     yields the server gradient itself.
     """
     dots = {i: dot(g_s, gradients[i]) for i in sorted(gradients)}
-    benign = [i for i in sorted(gradients) if sign_indicator(dots[i]) == 1]
-    if clipping and benign:
-        vals = sorted(dots[i] for i in benign)
-        median = vals[(len(vals) - 1) // 2]  # lower median: exact in integers
-        threshold = clip_factor * median
-        benign = [i for i in benign if dots[i] <= threshold]
+    positive = {i for i in dots if sign_indicator(dots[i]) == 1}
+    benign = sorted(clipped_set(positive, dots, clip_factor) if clipping else positive)
     ag = floor_average(g_s, [gradients[i] for i in benign])
     return ag, benign, dots
 

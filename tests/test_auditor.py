@@ -11,7 +11,6 @@ from auditfl import full_audit
 from auditfl.auditor import (
     AuditFailure,
     audit_aggregate,
-    audit_clipping,
     audit_detection,
     deflated_products,
     masked_products,
@@ -245,12 +244,11 @@ class TestClippingRanking:
             malicious={3: AdversarySpec("scale_amplify", factor=10)},
         )
         result, path = run_published(tmp_path, cfg, seed=9)
-        _, record, _ = load_chain(path)
-        rankings = audit_clipping(record)
-        assert len(rankings) == 2
-        for (r, order), info in zip(rankings, result.internals):
+        rounds = full_audit(path).rounds
+        assert len(rounds) == 2
+        for ra, info in zip(rounds, result.internals):
             assert 3 in info.benign
-            assert order[0] == 3
+            assert ra.ranking[0] == 3
 
     def test_tie_breaks_by_ascending_id(self):
         products = {5: Fraction(7), 2: Fraction(7), 9: Fraction(1)}
@@ -384,6 +382,36 @@ class TestStructuredFailures:
         report = full_audit(path)
         assert not report.ok
         assert report.failure_stage == "structure"
+
+    @pytest.mark.parametrize(
+        "overrides, raw0",
+        [
+            # the aggregation replay overflows in audit_aggregate
+            ({}, (1 << 63) - 1),
+            # the aggregates fit, but eta * aggregate does not in audit_trace
+            ({"eta": "7/8", "scale": 16}, (1 << 63) - 1 - (1 << 44)),
+        ],
+        ids=["aggregate", "trace"],
+    )
+    def test_overflowing_server_aggregate_is_structure_rejection(
+        self, tmp_path, overrides, raw0
+    ):
+        # the server aggregate is unsigned, so a republished record can put
+        # any int64 there; the replay must reject it, not raise
+        import dataclasses
+
+        _, path = run_published(tmp_path, small_config(**overrides))
+        _, record, _ = load_chain(path)
+        rec = record.rounds[0]
+        raw = rec.server_agg.raw.copy()
+        raw[0] = raw0
+        agg = FpVector(raw, rec.server_agg.scale)
+        rounds = (dataclasses.replace(rec, server_agg=agg),) + record.rounds[1:]
+        republish(path, dataclasses.replace(record, rounds=rounds))
+        report = full_audit(path)
+        assert not report.ok
+        assert report.failure_stage == "structure"
+        assert "overflows int64" in report.failure
 
     def test_nonpositive_deflation_rejected(self, honest_run, tmp_path):
         import dataclasses

@@ -1,4 +1,8 @@
-"""Fixed-point arithmetic: exactness, rounding rules, audit identities."""
+"""Fixed-point arithmetic: exactness, rounding rules, audit identities.
+
+The kernels must match exact Python-integer arithmetic bit for bit, and
+overflow must be reported, never wrapped.
+"""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from auditfl import (
     DimensionMismatchError,
     FixedPointOverflowError,
     FpVector,
+    active_backend,
     dot,
     floor_div,
     hadamard,
@@ -16,6 +21,18 @@ from auditfl import (
 )
 from auditfl.fixedpoint import scale_by_dyadic
 from auditfl.randomness import prg
+
+INT64_MIN = -(1 << 63)
+
+
+def _random_raws(seed: int, n: int, bits: int) -> np.ndarray:
+    """n raws drawn from [-2^bits, 2^bits] by the PRG."""
+    words = prg(seed, n)
+    return (words % np.uint64(1 << (bits + 1))).astype(np.int64) - (1 << bits)
+
+
+def _exact_products(a: np.ndarray, b: np.ndarray) -> list[int]:
+    return [int(x) * int(y) for x, y in zip(a.tolist(), b.tolist())]
 
 
 def round_half_away(num: int, den: int) -> int:
@@ -95,11 +112,32 @@ class TestDot:
         assert dot(FpVector(a, 20), FpVector(b, 20)) == expected
 
     def test_large_raws_beyond_fast_path(self):
-        # magnitudes near 2^62 force the arbitrary-precision fallback
+        # products near 2^122 are summed exactly in Python integers
         a = np.array([(1 << 62) - 3, -(1 << 61), 12345], dtype=np.int64)
         b = np.array([(1 << 60) + 1, (1 << 62) - 9, -7], dtype=np.int64)
         expected = sum(int(x) * int(y) for x, y in zip(a, b))
         assert dot(FpVector(a, 20), FpVector(b, 20)) == expected
+
+    @pytest.mark.parametrize("bits", [10, 30, 44])
+    def test_random_raws_match_bigint_oracle(self, bits):
+        a = _random_raws(1, 513, bits)
+        b = _random_raws(2, 513, bits)
+        expected = sum(_exact_products(a, b))
+        assert dot(FpVector(a, 20), FpVector(b, 20)) == expected
+
+    def test_inputs_at_protocol_bound_summed_exactly(self):
+        a = _random_raws(3, 10000, 44)
+        b = _random_raws(4, 10000, 44)
+        expected = sum(_exact_products(a, b))
+        assert dot(FpVector(a, 20), FpVector(b, 20)) == expected
+
+    def test_sum_past_2_127_exact(self):
+        a = FpVector(np.full(100, (1 << 62) - 1, dtype=np.int64), 20)
+        assert dot(a, a) == 100 * ((1 << 62) - 1) ** 2
+
+    def test_empty(self):
+        e = FpVector.zeros(0)
+        assert dot(e, e) == 0
 
     def test_sign_invariant_under_positive_scaling(self):
         words = prg(77, 400)
@@ -127,6 +165,50 @@ class TestHadamard:
         with pytest.raises(FixedPointOverflowError) as ei:
             hadamard(g, np.array([16]))
         assert "mask range" in str(ei.value)
+
+    def test_matches_bigint_oracle(self):
+        a = _random_raws(5, 777, 40)
+        m = _random_raws(6, 777, 15)
+        assert hadamard(FpVector(a, 20), m).raw.tolist() == _exact_products(a, m)
+
+    @pytest.mark.parametrize(
+        "raws, mask",
+        [
+            ([1, 1 << 60, 2], [1, 16, 3]),
+            ([0, 1 << 60, INT64_MIN], [1, 16, 0]),
+            ([0, 1 << 60, INT64_MIN], [1, 16, 1]),
+        ],
+        ids=["plain", "int64-min-zero-mask", "int64-min-also-bad"],
+    )
+    def test_overflow_reports_first_bad_index(self, raws, mask):
+        g = FpVector(np.array(raws, dtype=np.int64), 20)
+        with pytest.raises(FixedPointOverflowError, match=r"at index 1: "):
+            hadamard(g, np.array(mask))
+
+    def test_int64_min_input_handled(self):
+        # products are bounded symmetrically (|p| <= INT64_MAX), so the one
+        # unrepresentable-abs input only survives under a zero mask
+        g = FpVector(np.array([INT64_MIN, 5], dtype=np.int64), 20)
+        assert hadamard(g, np.array([0, 2])).raw.tolist() == [0, 10]
+        with pytest.raises(FixedPointOverflowError, match=r"at index 0: "):
+            hadamard(g, np.array([1, 2]))
+
+    def test_product_of_int64_min_rejected(self):
+        g = FpVector(np.array([-(1 << 62)]), 20)
+        with pytest.raises(FixedPointOverflowError):
+            hadamard(g, np.array([2]))
+
+    def test_zero_mask_never_overflows(self):
+        g = FpVector(np.array([(1 << 62), -(1 << 62)]), 20)
+        assert hadamard(g, np.zeros(2, dtype=np.int64)).raw.tolist() == [0, 0]
+
+    def test_mixed_magnitudes_past_scalar_bound_exact(self):
+        # max|g| * max|m| leaves int64, but no single product does
+        raws = np.array([1 << 40, 3, -(1 << 40)], dtype=np.int64)
+        mask = np.array([1 << 20, 1 << 40, -(1 << 21)], dtype=np.int64)
+        out = hadamard(FpVector(raws, 20), mask)
+        assert out.raw.tolist() == [1 << 60, 3 << 40, 1 << 61]
+        assert out.raw.tolist() == _exact_products(raws, mask)
 
     def test_paired_masks_recover_l_scaling(self):
         from auditfl.randomness import gen_correlated_pair, prvg
@@ -195,6 +277,11 @@ class TestScaleByDyadic:
             # python's >> on ints floors toward -inf: independent oracle
             assert out.raw.tolist() == expected
 
+    def test_overflow_raises_fixed_point_error(self):
+        v = FpVector(np.array([1, 1 << 60]), 20)
+        with pytest.raises(FixedPointOverflowError, match=r"at index 1: "):
+            scale_by_dyadic(v, 16, 4)
+
 
 class TestVectorOps:
     def test_add_sub_roundtrip(self):
@@ -206,6 +293,27 @@ class TestVectorOps:
         big = FpVector(np.array([(1 << 62) + (1 << 61)]), 20)
         with pytest.raises(FixedPointOverflowError):
             big + big
+
+    def test_add_overflow_reports_index_and_operands(self):
+        a = FpVector(np.array([1, -(1 << 62)]), 20)
+        b = FpVector(np.array([2, -(1 << 62) - 1]), 20)
+        with pytest.raises(FixedPointOverflowError) as ei:
+            a + b
+        assert f"at index 1: {-(1 << 62)} + {-(1 << 62) - 1}" in str(ei.value)
+
+    def test_add_landing_on_int64_min_accepted(self):
+        a = FpVector(np.array([-(1 << 62), 5]), 20)
+        assert (a + a).raw.tolist() == [INT64_MIN, 10]
+
+    def test_add_matches_numpy_in_range(self):
+        a = _random_raws(7, 100, 40)
+        b = _random_raws(8, 100, 40)
+        assert np.array_equal((FpVector(a, 20) + FpVector(b, 20)).raw, a + b)
+
+    def test_scalar_mul_matches_numpy(self):
+        a = _random_raws(9, 100, 40)
+        for c in (7, -7, 0):
+            assert np.array_equal(FpVector(a, 20).scalar_mul(c).raw, a * c)
 
     def test_scalar_mul_overflow_detected(self):
         big = FpVector(np.array([1 << 60]), 20)
@@ -247,3 +355,7 @@ class TestEncoding:
         a = FpVector.from_floats([0.25, -0.75], 20)
         b = FpVector(np.array([262144, -786432]), 20)
         assert a.encode() == b.encode()
+
+
+def test_active_backend_reports_selection():
+    assert active_backend() == "numpy"
