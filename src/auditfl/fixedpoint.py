@@ -10,8 +10,10 @@ Every kernel is exact: it returns the true integer result or raises
 FixedPointOverflowError before an int64 raw would wrap. Each checked kernel
 bounds its result from the largest input magnitudes, taken as Python ints;
 only when that bound leaves int64 are the entries recomputed in Python
-integers to find the first one that overflows. Inner products are summed in
-Python integers and never overflow.
+integers to find the first one that overflows. Inner products never
+overflow: `dot` splits each raw into three 22-bit limbs, sums the nine limb
+products in int64 over chunks short enough to stay exact, and combines the
+partial sums in Python integers.
 """
 from __future__ import annotations
 
@@ -26,6 +28,15 @@ INT64_MAX = (1 << 63) - 1
 INT64_MIN = -(1 << 63)
 
 _HALF_EXACT = float(1 << 52)  # below this, y + 0.5 is exact in float64
+
+# dot's limbs: a raw is l0 + l1 * 2^22 + l2 * 2^44 with l0, l1 in [0, 2^22)
+# and l2 in [-2^19, 2^19), so every limb product is below 2^44 in magnitude
+# and any 2^18 of them sum exactly in int64. The chunk is far below that
+# bound: at d=50890 on a 2-vCPU VM, 2^13-entry chunks ran about 3x faster
+# than 2^18-entry ones, whose limb temporaries are large fresh allocations.
+_LIMB_BITS = 22
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_DOT_CHUNK = 1 << 13
 
 
 class FixedPointOverflowError(OverflowError):
@@ -180,9 +191,6 @@ class FpVector:
         """Multiply every raw by a plain integer c (scale unchanged)."""
         return FpVector(_scale_i64(self.raw, int(c)), self.scale)
 
-    def max_abs_raw(self) -> int:
-        return _max_abs(self.raw)
-
     # -- canonical byte encoding (the signing preimage format) --------------
 
     def encode(self) -> bytes:
@@ -208,16 +216,28 @@ class FpVector:
         return 9 + 8 * self.dim
 
 
+def _limbs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split int64 raws into 22-bit limbs; the top limb carries the sign."""
+    return (a & _LIMB_MASK, (a >> _LIMB_BITS) & _LIMB_MASK, a >> 2 * _LIMB_BITS)
+
+
 def dot(a: FpVector, b: FpVector) -> int:
     """Exact raw-level inner product: sum of raw_a[k]*raw_b[k] as a big int.
 
-    Products of two int64 raws need up to 126 bits, so they are taken and
-    summed over object (Python int) arrays.
+    Products of two int64 raws need up to 126 bits. Each raw is split into
+    three 22-bit limbs, so the nine limb-pair dot products over a chunk are
+    exact int64 sums; they are shifted into place and added as Python ints.
+    Exact for every int64 input, INT64_MIN included.
     """
     a._check_compatible(b)
-    if a.dim == 0:
-        return 0
-    return int(np.dot(a.raw.astype(object), b.raw.astype(object)))
+    total = 0
+    for start in range(0, a.dim, _DOT_CHUNK):
+        xs = _limbs(a.raw[start : start + _DOT_CHUNK])
+        ys = _limbs(b.raw[start : start + _DOT_CHUNK])
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                total += int(np.dot(x, y)) << (_LIMB_BITS * (i + j))
+    return total
 
 
 def hadamard(a: FpVector, mask) -> FpVector:

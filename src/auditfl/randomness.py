@@ -18,8 +18,9 @@ import numpy as np
 from .fixedpoint import FpVector
 
 # Sign-magnitude bounds for the correlated random-number pairs; the product
-# l = rn_i * rn_s then stays below 2^30, leaving the masked inner products
-# far inside the wide accumulator's range.
+# l = rn_i * rn_s then stays below 2^30. The upper bound keeps the masked
+# gradients g * rn inside int64 at the budgeted gradient magnitude, which
+# config.check_overflow_budget checks before a run.
 RN_LO = 1 << 8
 RN_HI = 1 << 15
 

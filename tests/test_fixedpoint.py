@@ -19,10 +19,13 @@ from auditfl import (
     quantize,
     sign_indicator,
 )
-from auditfl.fixedpoint import scale_by_dyadic
+from auditfl.fixedpoint import _DOT_CHUNK, scale_by_dyadic
 from auditfl.randomness import prg
 
 INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
+# a length that makes dot sum more than one chunk
+PAST_CHUNK = pytest.param(_DOT_CHUNK + 3, id="past-chunk")
 
 
 def _random_raws(seed: int, n: int, bits: int) -> np.ndarray:
@@ -33,6 +36,11 @@ def _random_raws(seed: int, n: int, bits: int) -> np.ndarray:
 
 def _exact_products(a: np.ndarray, b: np.ndarray) -> list[int]:
     return [int(x) * int(y) for x, y in zip(a.tolist(), b.tolist())]
+
+
+def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
+    """Oracle for dot: the inner product summed over object (Python int) arrays."""
+    return int(np.dot(a.astype(object), b.astype(object)))
 
 
 def round_half_away(num: int, den: int) -> int:
@@ -108,28 +116,56 @@ class TestDot:
         words = prg(dim, 2 * dim)
         raws = (words % np.uint64(1 << 45)).astype(np.int64) - (1 << 44)
         a, b = raws[:dim], raws[dim:]
-        expected = sum(int(x) * int(y) for x, y in zip(a, b))
-        assert dot(FpVector(a, 20), FpVector(b, 20)) == expected
+        assert dot(FpVector(a, 20), FpVector(b, 20)) == _exact_dot(a, b)
 
-    def test_large_raws_beyond_fast_path(self):
-        # products near 2^122 are summed exactly in Python integers
+    def test_large_raws_need_every_limb_pair(self):
+        # products near 2^122, far past int64
         a = np.array([(1 << 62) - 3, -(1 << 61), 12345], dtype=np.int64)
         b = np.array([(1 << 60) + 1, (1 << 62) - 9, -7], dtype=np.int64)
-        expected = sum(int(x) * int(y) for x, y in zip(a, b))
-        assert dot(FpVector(a, 20), FpVector(b, 20)) == expected
+        assert dot(FpVector(a, 20), FpVector(b, 20)) == _exact_dot(a, b)
+
+    def test_int64_min_in_both_operands(self):
+        a = np.array([INT64_MIN, 5, INT64_MIN, INT64_MAX], dtype=np.int64)
+        b = np.array([INT64_MIN, INT64_MIN, -3, INT64_MIN], dtype=np.int64)
+        assert dot(FpVector(a, 20), FpVector(b, 20)) == _exact_dot(a, b)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 100, PAST_CHUNK])
+    @pytest.mark.parametrize(
+        "x, y",
+        [(INT64_MIN, INT64_MIN), (INT64_MAX, INT64_MIN), (INT64_MAX, INT64_MAX)],
+        ids=["min-min", "max-min", "max-max"],
+    )
+    def test_constant_extreme_vectors(self, x, y, dim):
+        a = FpVector(np.full(dim, x, dtype=np.int64), 20)
+        b = FpVector(np.full(dim, y, dtype=np.int64), 20)
+        assert dot(a, b) == dim * x * y
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 513, PAST_CHUNK])
+    def test_full_range_raws_match_bigint_oracle(self, dim):
+        # uniform over all of int64, with both endpoints planted in each operand
+        rng = np.random.default_rng(dim)
+        a = rng.integers(INT64_MIN, INT64_MAX, dim, dtype=np.int64, endpoint=True)
+        b = rng.integers(INT64_MIN, INT64_MAX, dim, dtype=np.int64, endpoint=True)
+        a[0], b[-1] = INT64_MIN, INT64_MIN
+        a[-1], b[0] = INT64_MAX, INT64_MAX
+        assert dot(FpVector(a, 20), FpVector(b, 20)) == _exact_dot(a, b)
+
+    def test_mixed_scales_rejected(self):
+        a = FpVector(np.array([1, 2]), 20)
+        b = FpVector(np.array([1, 2]), 21)
+        with pytest.raises(ValueError, match="mixed scales"):
+            dot(a, b)
 
     @pytest.mark.parametrize("bits", [10, 30, 44])
     def test_random_raws_match_bigint_oracle(self, bits):
         a = _random_raws(1, 513, bits)
         b = _random_raws(2, 513, bits)
-        expected = sum(_exact_products(a, b))
-        assert dot(FpVector(a, 20), FpVector(b, 20)) == expected
+        assert dot(FpVector(a, 20), FpVector(b, 20)) == _exact_dot(a, b)
 
     def test_inputs_at_protocol_bound_summed_exactly(self):
         a = _random_raws(3, 10000, 44)
         b = _random_raws(4, 10000, 44)
-        expected = sum(_exact_products(a, b))
-        assert dot(FpVector(a, 20), FpVector(b, 20)) == expected
+        assert dot(FpVector(a, 20), FpVector(b, 20)) == _exact_dot(a, b)
 
     def test_sum_past_2_127_exact(self):
         a = FpVector(np.full(100, (1 << 62) - 1, dtype=np.int64), 20)

@@ -236,7 +236,7 @@ class TestRoundIdentities:
         secrets, parts, _ = prep(cfg, arch.param_count, w0)
         server = Server(cfg, secrets, arch, shards[0], w0)
         g_s, _ = server.server_gradient(1)
-        assert g_s.max_abs_raw() > 0
+        assert g_s.raw.any()
         subs = [
             Participant(parts[0], arch, shards[1], cfg.batch_size).sign_gradient(-g_s, 1),
             Participant(parts[1], arch, shards[2], cfg.batch_size).sign_gradient(-g_s, 1),
