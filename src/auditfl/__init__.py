@@ -12,17 +12,15 @@ from .fixedpoint import (
     DEFAULT_SCALE,
     DimensionMismatchError,
     FixedPointOverflowError,
-    FpScalar,
     FpVector,
     active_backend,
     dot,
     floor_div,
     hadamard,
-    quantize,
     sign_indicator,
 )
 from .ledger import Ledger, LedgerError
-from .protocol import detect, preprocess, robust_aggregate, run_training
+from .protocol import preprocess, robust_aggregate, run_training
 from .records import GenesisPayload, RoundRecord, TrainingRecord
 from .training import AdversarySpec, Architecture, Dataset, load_idx, partition
 
@@ -38,7 +36,6 @@ __all__ = [
     "DEFAULT_SCALE",
     "DimensionMismatchError",
     "FixedPointOverflowError",
-    "FpScalar",
     "FpVector",
     "GenesisPayload",
     "Ledger",
@@ -47,7 +44,6 @@ __all__ = [
     "RunConfig",
     "TrainingRecord",
     "active_backend",
-    "detect",
     "dot",
     "floor_div",
     "full_audit",
@@ -55,7 +51,6 @@ __all__ = [
     "load_idx",
     "partition",
     "preprocess",
-    "quantize",
     "robust_aggregate",
     "run_training",
     "sign_indicator",

@@ -152,14 +152,9 @@ def cmd_run(args) -> int:
     print(f"final test accuracy {acc:.4f}, test loss {loss:.4f}")
     print(f"ledger: {ledger_path}")
     print(f"metrics: {out / 'metrics.csv'}")
-    r = cfg.rounds
-    n = cfg.participants
     t = result.timing
-    print("-- informational cost analogues (hardware dependent) --")
-    print(f"  participant mask+sign per round:  {t['sign_mask_s'] / r / n * 1e3:.3f} ms")
-    print(f"  server verify+aggregate per round: {t['server_verify_s'] / r * 1e3:.3f} ms")
-    print(f"  preprocessing bytes (genesis):     {t['preprocess_bytes']}")
-    print(f"  training record bytes per round:   {t['record_bytes'] // r}")
+    print(f"preprocessing bytes (genesis): {t['preprocess_bytes']}")
+    print(f"training record bytes per round: {t['record_bytes'] // cfg.rounds}")
 
     if args.with_baseline:
         base = run_training(cfg, train, test, detection=False, publish=False)
@@ -202,9 +197,8 @@ def cmd_verify_chain(args) -> int:
     return 1
 
 
-def _sweep_one(cfg_dict: dict, count: int, publish: bool, out_dir: str):
+def _sweep_one(cfg: RunConfig, count: int, publish: bool, out_dir: str):
     """One sweep entry: scheme and baseline accuracy at `count` flippers."""
-    cfg = cfgmod.from_dict(cfg_dict)
     cfg = cfgmod.with_overrides(
         cfg,
         malicious={i: AdversarySpec("label_flip") for i in range(1, count + 1)},
@@ -234,9 +228,8 @@ def cmd_sweep(args) -> int:
         return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg_dict = cfgmod.to_dict(cfg)
     rows = []
-    entries = [(cfg_dict, m, args.publish, str(out)) for m in counts]
+    entries = [(cfg, m, args.publish, str(out)) for m in counts]
     if args.parallel and len(entries) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -1,22 +1,20 @@
 """Run configuration: parameters, validation, and the overflow budget.
 
 A run that could overflow 64-bit raws anywhere on the protocol path is
-rejected here, before any computation, from (dimension, mask bounds, scale,
-learning rate, participant count) alone.
+rejected here, before any computation, from (mask bounds, scale, learning
+rate, participant count, round count) alone.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from pathlib import Path
 
 from . import randomness
 from .fixedpoint import DEFAULT_SCALE
 from .training import AdversarySpec
 
 INT64_BITS = 63
-WIDE_BITS = 127
 
 # Budgeted magnitude for quantized gradient entries: |g| <= 2^GRAD_VALUE_BITS
 # in value terms. Cross-entropy gradients on [0,1] features are O(1); the
@@ -66,9 +64,6 @@ class RunConfig:
     pretrain_steps: int = 10
     hidden: int = 0  # 0 = logistic regression
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    rn_lo: int = randomness.RN_LO
-    rn_hi: int = randomness.RN_HI
-    timestamp: int = 0  # ledger block timestamp; fixed for reproducibility
     metrics_every: int = 1  # 0 = only final evaluation
 
     def eta_fraction(self) -> Fraction:
@@ -110,8 +105,6 @@ def validate(config: RunConfig, dim: int | None = None) -> None:
         raise ConfigError(
             f"malicious ids {bad_ids} outside participant ids 1..{c.participants}"
         )
-    if not (0 < c.rn_lo <= c.rn_hi):
-        raise ConfigError(f"invalid rn bounds [{c.rn_lo}, {c.rn_hi}]")
     if eta_exp >= randomness.MASK_BITS:
         raise ConfigError(
             f"dyadic exponent {eta_exp} >= mask bits {randomness.MASK_BITS}; "
@@ -124,7 +117,11 @@ def validate(config: RunConfig, dim: int | None = None) -> None:
 
 
 def check_overflow_budget(config: RunConfig, dim: int) -> None:
-    """Static worst-case bound analysis over the whole protocol path."""
+    """Static worst-case bound analysis over the whole protocol path.
+
+    Every bound is per entry: inner products are exact for any length
+    (fixedpoint.dot), so `dim` only labels the diagnosis.
+    """
     c = config
     eta_num, _ = c.eta_parts()
     amp = max(
@@ -135,42 +132,30 @@ def check_overflow_budget(config: RunConfig, dim: int) -> None:
     n = c.participants
     mask = 1 << randomness.MASK_BITS
 
-    def need(name: str, value: int, bits: int):
-        if value >= (1 << bits):
+    def need(name: str, value: int):
+        if value >= (1 << INT64_BITS):
             raise ConfigError(
                 f"overflow budget exceeded for {name}: needs "
-                f"{value.bit_length()} bits, limit {bits} (dim={dim}, "
+                f"{value.bit_length()} bits, limit {INT64_BITS} (dim={dim}, "
                 f"scale={c.scale}, participants={n})"
             )
 
-    need("masked gradient mg1 raw", grad_raw * c.rn_hi, INT64_BITS)
-    need("detection inner product", dim * grad_raw * grad_raw, WIDE_BITS)
-    need(
-        "audit inner product",
-        dim * (grad_raw * c.rn_hi) ** 2,
-        WIDE_BITS,
-    )
-    need("additively masked gradient mg2 raw", grad_raw + mask, INT64_BITS)
-    need("aggregation numerator raw", (n + 1) * grad_raw, INT64_BITS)
-    need(
-        "masked server aggregate raw",
-        (n + 1) * mask + n * mask + grad_raw,
-        INT64_BITS,
-    )
+    need("masked gradient mg1 raw", grad_raw * randomness.RN_HI)
+    need("additively masked gradient mg2 raw", grad_raw + mask)
+    need("aggregation numerator raw", (n + 1) * grad_raw)
+    need("masked server aggregate raw", (n + 1) * mask + n * mask + grad_raw)
     need(
         "audit aggregation numerator raw",
         (n + 1) * mask + n * mask + grad_raw + n * (grad_raw + mask),
-        INT64_BITS,
     )
     rv_w = c.rounds * eta_num * mask
-    need("model mask total raw", rv_w, INT64_BITS)
+    need("model mask total raw", rv_w)
     w_raw = (1 << (c.scale + GRAD_VALUE_BITS)) + c.rounds * eta_num * grad_raw
-    need("model raw after R rounds", w_raw, INT64_BITS)
-    need("masked model raw", w_raw + rv_w, INT64_BITS)
+    need("model raw after R rounds", w_raw)
+    need("masked model raw", w_raw + rv_w)
     need(
         "recovered-model accumulator raw",
         w_raw + rv_w + c.rounds * eta_num * (mask + grad_raw),
-        INT64_BITS,
     )
 
 
@@ -203,17 +188,6 @@ def parse_malicious(entries) -> dict[int, AdversarySpec]:
     return out
 
 
-def malicious_to_strings(malicious: dict[int, AdversarySpec]) -> list[str]:
-    out = []
-    for pid in sorted(malicious):
-        spec = malicious[pid]
-        if spec.kind == "scale_amplify":
-            out.append(f"{pid}:{spec.kind}:{spec.factor}")
-        else:
-            out.append(f"{pid}:{spec.kind}")
-    return out
-
-
 def from_file(path) -> RunConfig:
     """Load a RunConfig from a JSON file."""
     with open(path) as f:
@@ -236,36 +210,6 @@ def from_dict(data: dict) -> RunConfig:
         raise ConfigError(f"bad config field: {e}") from None
     validate(cfg)
     return cfg
-
-
-def to_dict(config: RunConfig) -> dict:
-    d = {
-        "participants": config.participants,
-        "rounds": config.rounds,
-        "eta": config.eta,
-        "batch_size": config.batch_size,
-        "scale": config.scale,
-        "security_param": config.security_param,
-        "master_seed": config.master_seed,
-        "malicious": malicious_to_strings(config.malicious),
-        "clipping": config.clipping,
-        "clip_factor": config.clip_factor,
-        "pretrain_steps": config.pretrain_steps,
-        "hidden": config.hidden,
-        "dataset": {
-            "kind": config.dataset.kind,
-            "data_dir": config.dataset.data_dir,
-            "n_train": config.dataset.n_train,
-            "n_test": config.dataset.n_test,
-            "side": config.dataset.side,
-            "n_classes": config.dataset.n_classes,
-        },
-        "rn_lo": config.rn_lo,
-        "rn_hi": config.rn_hi,
-        "timestamp": config.timestamp,
-        "metrics_every": config.metrics_every,
-    }
-    return d
 
 
 def with_overrides(config: RunConfig, **overrides) -> RunConfig:

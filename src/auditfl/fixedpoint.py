@@ -18,7 +18,6 @@ partial sums in Python integers.
 from __future__ import annotations
 
 import struct
-from typing import NamedTuple
 
 import numpy as np
 
@@ -76,41 +75,6 @@ def _scale_i64(a: np.ndarray, c: int) -> np.ndarray:
     return a * np.int64(c)
 
 
-class FpScalar(NamedTuple):
-    """One fixed-point number: value = raw * 2^-scale."""
-
-    raw: int
-    scale: int
-
-    def to_float(self) -> float:
-        return self.raw / (1 << self.scale)
-
-
-def quantize(x: float, scale: int = DEFAULT_SCALE) -> FpScalar:
-    """Round a real number onto the 2^-scale lattice, half away from zero."""
-    raw = _quantize_array(np.asarray([x], dtype=np.float64), scale)
-    return FpScalar(int(raw[0]), scale)
-
-
-def _quantize_array(x: np.ndarray, scale: int) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        k = int(np.argmin(np.isfinite(x)))
-        raise FixedPointOverflowError(
-            f"non-finite value {x[k]!r} at index {k} cannot be quantized"
-        )
-    y = np.abs(x) * float(1 << scale)  # exact: multiplying by a power of two
-    if np.any(y >= float(1 << 63)):
-        k = int(np.argmax(y >= float(1 << 63)))
-        raise FixedPointOverflowError(
-            f"|{x[k]!r}| * 2^{scale} exceeds the signed 64-bit raw range"
-        )
-    # For y < 2^52 the +0.5 trick is exact half-away-from-zero rounding; at or
-    # above 2^52 every float64 is already an integer, so no rounding happens.
-    rounded = np.where(y < _HALF_EXACT, np.floor(y + 0.5), y)
-    raw = rounded.astype(np.int64)
-    return np.where(np.signbit(x), -raw, raw).astype(np.int64)
-
-
 class FpVector:
     """Immutable fixed-point vector: int64 raws plus one shared scale."""
 
@@ -135,8 +99,24 @@ class FpVector:
 
     @classmethod
     def from_floats(cls, xs, scale: int = DEFAULT_SCALE) -> "FpVector":
-        xs = np.asarray(xs, dtype=np.float64)
-        return cls(_quantize_array(xs, scale), scale)
+        """Round reals onto the 2^-scale lattice, half away from zero."""
+        x = np.asarray(xs, dtype=np.float64)
+        if not np.all(np.isfinite(x)):
+            k = int(np.argmin(np.isfinite(x)))
+            raise FixedPointOverflowError(
+                f"non-finite value {x[k]!r} at index {k} cannot be quantized"
+            )
+        y = np.abs(x) * float(1 << scale)  # exact: multiplying by a power of two
+        if np.any(y >= float(1 << 63)):
+            k = int(np.argmax(y >= float(1 << 63)))
+            raise FixedPointOverflowError(
+                f"|{x[k]!r}| * 2^{scale} exceeds the signed 64-bit raw range"
+            )
+        # For y < 2^52 the +0.5 trick is exact half-away-from-zero rounding; at
+        # or above 2^52 every float64 is already an integer, so none happens.
+        rounded = np.where(y < _HALF_EXACT, np.floor(y + 0.5), y)
+        raw = rounded.astype(np.int64)
+        return cls(np.where(np.signbit(x), -raw, raw), scale)
 
     def to_floats(self) -> np.ndarray:
         return self.raw.astype(np.float64) / float(1 << self.scale)
@@ -181,7 +161,7 @@ class FpVector:
         return self + (-other)
 
     def __neg__(self) -> "FpVector":
-        # raws never reach INT64_MIN (quantize and masks bound them), so
+        # raws never reach INT64_MIN (from_floats and masks bound them), so
         # negation cannot overflow; assert rather than silently wrap.
         if self.raw.size and int(self.raw.min()) == INT64_MIN:
             raise FixedPointOverflowError("cannot negate INT64_MIN raw")
@@ -211,9 +191,6 @@ class FpVector:
             )
         raw = np.frombuffer(data, dtype="<i8", count=dim, offset=9)
         return cls(raw.astype(np.int64), scale)
-
-    def encoded_size(self) -> int:
-        return 9 + 8 * self.dim
 
 
 def _limbs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

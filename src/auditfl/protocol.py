@@ -21,8 +21,7 @@ audit identities exactly:
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +44,6 @@ from .randomness import (
     gen_correlated_pair,
     gen_model_mask_shares,
     prg,
-    prvg,
     sign_vector,
 )
 from .records import GenesisPayload, RoundRecord, TrainingRecord
@@ -87,23 +85,6 @@ class ServerSecrets:
     keypair: crypto.KeyPair
 
 
-def round_mask_seed(mask_seed: int, r: int) -> int:
-    """Seed of one participant's round-r sign stream.
-
-    Both detection masks come from it: rv_r = prvg(seed, rn_i) and
-    rv_S = prvg(seed, rn_S_i). Since prvg(seed, rn) == sign_vector(seed) * rn,
-    the server draws the signs once and scales them for each mask.
-    """
-    return derive_seed(mask_seed, "prvg", r)
-
-
-def round_zero_share(zero_seed: int, r: int, dim: int, scale: int) -> FpVector:
-    """The round-r additive zero-share stream for one participant."""
-    return FpVector(
-        bounded_int_vector(derive_seed(zero_seed, "zero", r), dim), scale
-    )
-
-
 def preprocess(
     config: RunConfig, dim: int, w0: FpVector
 ) -> tuple[ServerSecrets, list[ParticipantSecrets], GenesisPayload]:
@@ -115,9 +96,7 @@ def preprocess(
     rn_server: dict[int, int] = {}
     l_values: dict[int, int] = {}
     for i in range(1, config.participants + 1):
-        pair = gen_correlated_pair(
-            derive_seed(master, "rn", i), lo=config.rn_lo, hi=config.rn_hi
-        )
+        pair = gen_correlated_pair(derive_seed(master, "rn", i))
         per[i] = ParticipantSecrets(
             id=i,
             mask_seed=derive_seed(master, "mask", i),
@@ -156,6 +135,25 @@ def preprocess(
         participant_pks={i: per[i].keypair.pk for i in sorted(per)},
     )
     return secrets, [per[i] for i in sorted(per)], genesis
+
+
+def masked_forms(
+    ps: ParticipantSecrets, g: FpVector, r: int
+) -> tuple[np.ndarray, FpVector, FpVector, FpVector]:
+    """Participant ps's round-r masked forms of g: (signs, mg1, zv, mg2).
+
+    The participant signs mg1 and mg2; the server recomputes them here to
+    check the signatures and publishes them. The round's sign stream scaled
+    by rn_i is the PRVG mask rv_r, so mg1 = rv_r (.) g; scaled by rn_S_i it
+    is the server's detection mask. zv is the round's zero share and
+    mg2 = zv + g.
+    """
+    # "prvg" is only the seed's domain tag; the ledger bytes depend on it
+    signs = sign_vector(derive_seed(ps.mask_seed, "prvg", r), g.dim)
+    mg1 = hadamard(g, signs * np.int64(ps.rn))
+    zero = bounded_int_vector(derive_seed(ps.zero_seed, "zero", r), g.dim)
+    zv = FpVector(zero, g.scale)
+    return signs, mg1, zv, zv + g
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +209,7 @@ class Participant:
 
     def sign_gradient(self, g: FpVector, r: int, loss: float = 0.0) -> Submission:
         """Mask + sign an already-computed gradient for round r."""
-        rv = prvg(round_mask_seed(self.secrets.mask_seed, r), self.secrets.rn, g.dim)
-        mg1 = hadamard(g, rv)
-        zv = round_zero_share(self.secrets.zero_seed, r, g.dim, g.scale)
-        mg2 = zv + g
+        _, mg1, _, mg2 = masked_forms(self.secrets, g, r)
         sk = self.secrets.keypair.sk
         return Submission(
             id=self.secrets.id,
@@ -230,15 +225,6 @@ class Participant:
 # ---------------------------------------------------------------------------
 
 
-def detect(g_s: FpVector, g_i: FpVector) -> int:
-    """1 iff the local gradient points with the server gradient.
-
-    Sign of the raw inner product equals the sign of the cosine similarity,
-    since norms are positive; zero similarity counts as bad.
-    """
-    return sign_indicator(dot(g_s, g_i))
-
-
 def robust_aggregate(
     g_s: FpVector,
     gradients: dict[int, FpVector],
@@ -246,6 +232,10 @@ def robust_aggregate(
     clip_factor: int = 3,
 ) -> tuple[FpVector, list[int], dict[int, int]]:
     """Filter by inner-product sign (optionally clip), then floor-average.
+
+    A gradient is kept iff its raw inner product with the server gradient
+    is positive: that sign is the sign of the cosine similarity, and zero
+    similarity counts as bad.
 
     Returns (aggregated gradient, sorted benign ids, per-id inner products).
     The aggregate starts from the server gradient, so an empty benign set
@@ -272,7 +262,7 @@ class VerifiedSubmission:
 
 @dataclass
 class RoundInternals:
-    """Secret-side view of one round, for white-box tests and diagnostics."""
+    """Secret-side view of one round; the run's metrics row reads it."""
 
     r: int
     benign: list[int]
@@ -293,8 +283,7 @@ class RunResult:
     record: TrainingRecord | None
     ledger_path: str | None
     metrics: list[dict]
-    timing: dict[str, float]
-    internals: list[RoundInternals] = field(default_factory=list)
+    timing: dict[str, int]  # published bytes: genesis and training record
 
 
 class Server:
@@ -330,14 +319,12 @@ class Server:
         Returns the recomputed masked forms, or None if a signature fails.
         """
         ps = self.secrets.per_participant[sub.id]
-        g = sub.gradient
-        signs = sign_vector(round_mask_seed(ps.mask_seed, r), g.dim)
-        mg1 = hadamard(g, signs * np.int64(ps.rn))
-        if not crypto.verify(ps.keypair.pk, mg1.encode(), sub.sig_detect):
-            return None
-        zv = round_zero_share(ps.zero_seed, r, g.dim, g.scale)
-        mg2 = zv + g
-        if not crypto.verify(ps.keypair.pk, mg2.encode(), sub.sig_agg):
+        signs, mg1, zv, mg2 = masked_forms(ps, sub.gradient, r)
+        pk = ps.keypair.pk
+        if not (
+            crypto.verify(pk, mg1.encode(), sub.sig_detect)
+            and crypto.verify(pk, mg2.encode(), sub.sig_agg)
+        ):
             return None
         return VerifiedSubmission(sub, signs, mg1, zv, mg2)
 
@@ -475,7 +462,6 @@ def run_training(
     ledger_path=None,
     detection: bool = True,
     publish: bool = True,
-    keep_internals: bool = False,
 ) -> RunResult:
     """Run the whole protocol: partition, preprocess, R rounds, publication.
 
@@ -505,20 +491,14 @@ def run_training(
     root_shard = shards[0]
     w0 = pretrain(config, arch, root_shard)
 
-    timing: dict[str, float] = {
-        "sign_mask_s": 0.0,
-        "server_verify_s": 0.0,
-        "record_bytes": 0,
-        "preprocess_bytes": 0,
-    }
+    timing = {"record_bytes": 0, "preprocess_bytes": 0}
 
     secrets, participant_secrets, genesis = preprocess(config, dim, w0)
     server_ledger = None
     if publishing:
-        server_ledger = Ledger.create(
-            ledger_path, genesis.encode(), timestamp=config.timestamp
-        )
-        timing["preprocess_bytes"] = len(genesis.encode())
+        genesis_bytes = genesis.encode()
+        server_ledger = Ledger.create(ledger_path, genesis_bytes)
+        timing["preprocess_bytes"] = len(genesis_bytes)
 
     participants = [
         Participant(
@@ -533,10 +513,8 @@ def run_training(
     server = Server(config, secrets, arch, root_shard, w0)
 
     metrics: list[dict] = []
-    internals_log: list[RoundInternals] = []
     round_records: list[RoundRecord] = []
     for r in range(1, config.rounds + 1):
-        t0 = time.perf_counter()
         if publishing:
             submissions = [p.compute_submission(server.w, r) for p in participants]
         else:
@@ -546,15 +524,9 @@ def run_training(
             for p in participants:
                 g, loss = p.local_update(server.w, r)
                 submissions.append(Submission(p.secrets.id, g, b"", b"", loss))
-        timing["sign_mask_s"] += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
         record, info = server.run_round(r, submissions, detection, publishing)
-        timing["server_verify_s"] += time.perf_counter() - t0
         if publishing:
             round_records.append(record)
-        if keep_internals:
-            internals_log.append(info)
 
         row = {
             "round": r,
@@ -576,7 +548,7 @@ def run_training(
         record_obj = server.finalize(round_records)
         payload = record_obj.encode()
         timing["record_bytes"] = len(payload)
-        server_ledger.append(payload, timestamp=config.timestamp)
+        server_ledger.append(payload)
 
     return RunResult(
         w0=w0,
@@ -586,5 +558,4 @@ def run_training(
         ledger_path=str(ledger_path) if publishing else None,
         metrics=metrics,
         timing=timing,
-        internals=internals_log,
     )

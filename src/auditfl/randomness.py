@@ -69,19 +69,12 @@ def prg(seed: int, count: int) -> np.ndarray:
 
 
 def sign_vector(seed: int, count: int) -> np.ndarray:
-    """int64 vector of +-1 signs, each uniform and indexed by position."""
+    """int64 vector of +-1 signs, each uniform and indexed by position.
+
+    Scaled by a nonzero rn it is the paper's PRVG vector, entries +-rn.
+    """
     words = prg(seed, count)
     return (1 - 2 * (words & _U64(1)).astype(np.int64)).astype(np.int64)
-
-
-def prvg(seed: int, rn: int, num: int) -> np.ndarray:
-    """Pseudo-random vector with entries +-rn and seed-determined signs."""
-    rn = int(rn)
-    if num <= 0:
-        raise ValueError(f"vector length must be positive, got {num}")
-    if rn == 0:
-        raise ValueError("rn must be nonzero")
-    return sign_vector(seed, num) * np.int64(rn)
 
 
 @dataclass(frozen=True)

@@ -190,10 +190,6 @@ class RoundRecord:
     server_detect: dict[int, FpVector]  # id -> mg_S1 (one per participant)
     server_agg: FpVector  # mg_S2
 
-    @property
-    def benign_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.local_agg))
-
     def encode(self) -> bytes:
         out = [ROUND_MAGIC, struct.pack("<I", self.r)]
         out.append(struct.pack("<I", len(self.local_detect)))

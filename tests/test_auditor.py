@@ -1,4 +1,5 @@
 """Audit completeness and soundness from public bytes only."""
+import ast
 import subprocess
 import sys
 from fractions import Fraction
@@ -34,6 +35,7 @@ from util import (
     tamper_ledger_byte,
     tamper_masked_model,
     tamper_swap_signatures,
+    zero_share_oracle,
 )
 
 
@@ -48,33 +50,33 @@ def honest_run(tmp_path_factory):
         master_seed=1009,
         malicious={2: AdversarySpec("sign_flip")},
     )
-    result, path = run_published(tmp, cfg, seed=9)
-    return cfg, result, path
+    result, internals, path = run_published(tmp, cfg, seed=9)
+    return cfg, result, internals, path
 
 
 class TestCompleteness:
     def test_honest_run_accepts(self, honest_run):
-        _, _, path = honest_run
+        _, _, _, path = honest_run
         report = full_audit(path)
         assert report.ok, report.failure
         assert report.chain_ok and report.model_recovery_ok
         assert report.n_records == 1
 
     def test_derived_sets_match_protocol_sets(self, honest_run):
-        _, result, path = honest_run
+        _, _, internals, path = honest_run
         report = full_audit(path)
-        for info, ra in zip(result.internals, report.rounds):
+        for info, ra in zip(internals, report.rounds):
             assert list(ra.detection_positive) == info.benign
             assert list(ra.published_benign) == info.benign
 
     def test_sign_flip_adversary_excluded(self, honest_run):
-        _, result, path = honest_run
+        _, result, _, path = honest_run
         report = full_audit(path)
         for ra in report.rounds:
             assert 2 not in ra.detection_positive
 
     def test_report_pure_function_of_bytes(self, honest_run):
-        _, _, path = honest_run
+        _, _, _, path = honest_run
         assert full_audit(path).to_json() == full_audit(path).to_json()
 
     def test_adversary_mixes_accept(self, tmp_path):
@@ -88,7 +90,7 @@ class TestCompleteness:
         for k, malicious in enumerate(mixes):
             cfg = small_config(participants=3, rounds=2, master_seed=200 + k,
                                malicious=malicious)
-            _, path = run_published(tmp_path, cfg, seed=30 + k)
+            _, _, path = run_published(tmp_path, cfg, seed=30 + k)
             report = full_audit(path)
             assert report.ok, report.failure
 
@@ -97,7 +99,7 @@ class TestAggregateReplay:
     def test_single_benign_white_box(self, tmp_path):
         # mag_r - m_r must equal the floor-average of server+benign gradients
         cfg = small_config(participants=1, rounds=1, master_seed=301)
-        result, path = run_published(tmp_path, cfg, seed=41)
+        result, internals, path = run_published(tmp_path, cfg, seed=41)
         from auditfl.protocol import preprocess as prep
 
         secrets, _, _ = prep(cfg, result.w0.dim, result.w0)
@@ -107,30 +109,28 @@ class TestAggregateReplay:
         )
         positive, derived, _ = audit_detection(rec, genesis)
         mag = audit_aggregate(rec, derived)
-        info = result.internals[0]
+        info = internals[0]
         m_1 = secrets.model_mask.per_round[0]
         assert mag - m_1 == info.ag
         # independent floor-average oracle over the plaintext gradients
         if info.benign:
             total = info.g_s
             # reconstruct benign plaintexts: mg2 - zv
-            from auditfl.protocol import round_zero_share
-
             for j in info.benign:
                 ps = secrets.per_participant[j]
-                zv = round_zero_share(ps.zero_seed, 1, result.w0.dim, cfg.scale)
+                zv = zero_share_oracle(ps.zero_seed, 1, result.w0.dim, cfg.scale)
                 total = total + (rec.local_agg[j][0] - zv)
             assert floor_div(total, len(info.benign) + 1) == info.ag
 
     def test_missing_benign_mask_is_structural_failure(self, honest_run):
-        _, result, path = honest_run
+        _, result, _, path = honest_run
         _, record, genesis = load_chain(path)
         rec = record.rounds[0]
         with pytest.raises(AuditFailure):
             audit_aggregate(rec, set(rec.local_agg) | {9999})
 
     def test_deterministic(self, honest_run):
-        _, _, path = honest_run
+        _, _, _, path = honest_run
         _, record, genesis = load_chain(path)
         rec = record.rounds[0]
         _, derived, _ = audit_detection(rec, genesis)
@@ -139,7 +139,7 @@ class TestAggregateReplay:
 
 class TestTamperSoundness:
     def test_mg1_entry_flip_rejected(self, honest_run, tmp_path):
-        cfg, result, path = honest_run
+        cfg, result, _, path = honest_run
         work = tmp_path / "flip.bin"
         work.write_bytes(path.read_bytes())
         _, record, _ = load_chain(work)
@@ -148,7 +148,7 @@ class TestTamperSoundness:
         assert not report.ok
 
     def test_mg2_drop_rejected(self, honest_run, tmp_path):
-        cfg, result, path = honest_run
+        cfg, result, _, path = honest_run
         work = tmp_path / "drop.bin"
         work.write_bytes(path.read_bytes())
         _, record, _ = load_chain(work)
@@ -158,7 +158,7 @@ class TestTamperSoundness:
         assert report.failure_stage in ("benign-set", "model-recovery")
 
     def test_masked_model_perturbation_rejected(self, honest_run, tmp_path):
-        cfg, result, path = honest_run
+        cfg, result, _, path = honest_run
         work = tmp_path / "mw.bin"
         work.write_bytes(path.read_bytes())
         _, record, _ = load_chain(work)
@@ -168,7 +168,7 @@ class TestTamperSoundness:
         assert report.failure_stage == "model-recovery"
 
     def test_signature_swap_rejected(self, honest_run, tmp_path):
-        cfg, result, path = honest_run
+        cfg, result, _, path = honest_run
         work = tmp_path / "sig.bin"
         work.write_bytes(path.read_bytes())
         _, record, _ = load_chain(work)
@@ -180,7 +180,7 @@ class TestTamperSoundness:
     def test_ledger_byte_flip_rejected_before_protocol_checks(
         self, honest_run, tmp_path
     ):
-        cfg, result, path = honest_run
+        cfg, result, _, path = honest_run
         work = tmp_path / "byte.bin"
         work.write_bytes(path.read_bytes())
         tamper_ledger_byte(work)
@@ -190,10 +190,10 @@ class TestTamperSoundness:
 
     def test_server_skipping_benign_gradient_rejected(self, tmp_path):
         cfg = small_config(participants=3, rounds=2, master_seed=1051)
-        honest, _ = run_published(tmp_path, cfg, seed=51)
-        r, pid = first_round_with_benign(honest)
+        _, internals, _ = run_published(tmp_path, cfg, seed=51)
+        r, pid = first_round_with_benign(internals)
         with server_skipping_benign(r, pid):
-            bad, path = run_published(tmp_path / "skip", cfg, seed=51)
+            bad, _, path = run_published(tmp_path / "skip", cfg, seed=51)
         # the record still lists the skipped participant as benign
         assert pid in bad.record.rounds[r - 1].local_agg
         report = full_audit(path)
@@ -203,7 +203,7 @@ class TestTamperSoundness:
     def test_stored_vector_negation_flips_membership_and_fails(
         self, honest_run, tmp_path
     ):
-        cfg, result, path = honest_run
+        cfg, result, _, path = honest_run
         work = tmp_path / "neg.bin"
         work.write_bytes(path.read_bytes())
         _, record, genesis = load_chain(work)
@@ -217,9 +217,9 @@ class TestTamperSoundness:
 
 class TestClippingRanking:
     def test_ranking_matches_plaintext_oracle(self, honest_run):
-        cfg, result, path = honest_run
+        cfg, result, internals, path = honest_run
         _, record, genesis = load_chain(path)
-        for info, rec in zip(result.internals, record.rounds):
+        for info, rec in zip(internals, record.rounds):
             products = deflated_products(
                 rec.r, masked_products(rec), record.deflation
             )
@@ -243,10 +243,10 @@ class TestClippingRanking:
             master_seed=1009,
             malicious={3: AdversarySpec("scale_amplify", factor=10)},
         )
-        result, path = run_published(tmp_path, cfg, seed=9)
+        result, internals, path = run_published(tmp_path, cfg, seed=9)
         rounds = full_audit(path).rounds
         assert len(rounds) == 2
-        for ra, info in zip(rounds, result.internals):
+        for ra, info in zip(rounds, internals):
             assert 3 in info.benign
             assert ra.ranking[0] == 3
 
@@ -268,14 +268,14 @@ class TestClippingMode:
             clip_factor=2,
             malicious={3: AdversarySpec("scale_amplify", factor=50)},
         )
-        result, path = run_published(tmp_path, cfg, seed=9)
+        result, internals, path = run_published(tmp_path, cfg, seed=9)
         clipped_rounds = [
-            info.r for info in result.internals if 3 not in info.benign
+            info.r for info in internals if 3 not in info.benign
         ]
         assert clipped_rounds, "amplifier was never clipped; test is vacuous"
         report = full_audit(path)
         assert report.ok, report.failure
-        for info, ra in zip(result.internals, report.rounds):
+        for info, ra in zip(internals, report.rounds):
             if info.r in clipped_rounds:
                 assert 3 in ra.detection_positive
                 assert 3 not in ra.published_benign
@@ -289,7 +289,7 @@ class TestClippingMode:
             master_seed=1009,
             malicious={3: AdversarySpec("scale_amplify", factor=50)},
         )
-        result, path = run_published(tmp_path, cfg, seed=9)
+        result, _, path = run_published(tmp_path, cfg, seed=9)
         _, record, _ = load_chain(path)
         republish(path, tamper_drop_mg2(record))
         report = full_audit(path)
@@ -309,10 +309,10 @@ class TestClippingMode:
             clipping=True,
             malicious={3: AdversarySpec("scale_amplify", factor=8)},
         )
-        _, path = run_published(tmp_path / "honest", cfg, seed=9)
+        _, _, path = run_published(tmp_path / "honest", cfg, seed=9)
         assert full_audit(path).ok
         with server_dropping_in_threshold() as dropped:
-            _, lie_path = run_published(tmp_path / "lie", cfg, seed=9)
+            _, _, lie_path = run_published(tmp_path / "lie", cfg, seed=9)
         assert dropped, "no benign participant to drop; test is vacuous"
         report = full_audit(lie_path)
         assert not report.ok
@@ -321,16 +321,41 @@ class TestClippingMode:
 
 class TestModuleBoundary:
     def test_auditor_never_imports_secret_modules(self):
-        import auditfl.auditor as aud
+        # walk every in-package import reachable from the auditor, including
+        # imports inside functions, so a helper module cannot carry one in
+        import auditfl
 
-        src = Path(aud.__file__).read_text()
+        pkg = Path(auditfl.__file__).parent
+        reached, todo = set(), ["auditor"]
+        while todo:
+            name = todo.pop()
+            if name in reached or not (pkg / f"{name}.py").exists():
+                continue  # seen, or a name imported from a module
+            reached.add(name)
+            tree = ast.parse((pkg / f"{name}.py").read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    mod = node.module or ""
+                    if node.level == 1 and mod:
+                        todo.append(mod.split(".")[0])
+                    elif node.level == 1:  # from . import x
+                        todo.extend(a.name for a in node.names)
+                    elif mod.startswith("auditfl."):
+                        todo.append(mod.split(".")[1])
+                    elif mod == "auditfl":
+                        todo.extend(a.name for a in node.names)
+                elif isinstance(node, ast.Import):
+                    todo.extend(
+                        a.name.split(".")[1]
+                        for a in node.names
+                        if a.name.startswith("auditfl.")
+                    )
+        assert "records" in reached and "fixedpoint" in reached
         for forbidden in ("protocol", "randomness", "training", "config"):
-            assert f"from .{forbidden}" not in src
-            assert f"from auditfl.{forbidden}" not in src
-            assert f"import auditfl.{forbidden}" not in src
+            assert forbidden not in reached, sorted(reached)
 
     def test_cross_process_audit_same_verdict(self, honest_run):
-        _, _, path = honest_run
+        _, _, _, path = honest_run
         in_process = full_audit(path)
         code = (
             "import sys; from auditfl import full_audit; "
@@ -358,7 +383,7 @@ class TestStructuredFailures:
     def test_genesis_only_ledger_accepts_vacuously(self, honest_run, tmp_path):
         from auditfl.ledger import Ledger
 
-        _, _, path = honest_run
+        _, _, _, path = honest_run
         genesis_bytes = Ledger.open(path).get_record(height=0)
         p = tmp_path / "only_genesis.bin"
         Ledger.create(p, genesis_bytes)
@@ -371,7 +396,7 @@ class TestStructuredFailures:
         # server detection masks are unsigned, so a flipped scale byte passes
         # every signature and would otherwise reach the inner products
         cfg = small_config(participants=3, rounds=1, master_seed=1013)
-        _, path = run_published(tmp_path, cfg, seed=9)
+        _, _, path = run_published(tmp_path, cfg, seed=9)
         genesis_bytes, record, genesis = load_chain(path)
         payload = bytearray(record.encode())
         vec = record.rounds[0].server_detect[min(record.rounds[0].server_detect)]
@@ -400,7 +425,7 @@ class TestStructuredFailures:
         # any int64 there; the replay must reject it, not raise
         import dataclasses
 
-        _, path = run_published(tmp_path, small_config(**overrides))
+        _, _, path = run_published(tmp_path, small_config(**overrides))
         _, record, _ = load_chain(path)
         rec = record.rounds[0]
         raw = rec.server_agg.raw.copy()
@@ -416,7 +441,7 @@ class TestStructuredFailures:
     def test_nonpositive_deflation_rejected(self, honest_run, tmp_path):
         import dataclasses
 
-        _, _, path = honest_run
+        _, _, _, path = honest_run
         work = tmp_path / "rt.bin"
         work.write_bytes(path.read_bytes())
         _, record, _ = load_chain(work)

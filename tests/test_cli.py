@@ -175,6 +175,21 @@ class TestSweep:
             assert 0.0 <= float(row[1]) <= 1.0
             assert 0.0 <= float(row[2]) <= 1.0
 
+    def test_parallel_sweep_matches_sequential(self, workspace):
+        # the pool path hands each worker the RunConfig itself
+        root, cfg_path = workspace
+        csvs = []
+        for name, extra in (("seq", []), ("par", ["--parallel", "2"])):
+            out = root / f"sweep_{name}"
+            code = main(["sweep", "--config", str(cfg_path),
+                         "--min-malicious", "0", "--max-malicious", "1",
+                         "--rounds", "2", "--publish", "--out", str(out), *extra])
+            assert code == 0
+            csvs.append((out / "sweep.csv").read_bytes())
+            assert (out / "ledger_m1.bin").exists()
+        assert b"error" not in csvs[1]
+        assert csvs[0] == csvs[1]
+
     def test_empty_range_rejected(self, workspace):
         root, cfg_path = workspace
         code = main(["sweep", "--config", str(cfg_path),

@@ -16,7 +16,6 @@ from auditfl import (
     dot,
     floor_div,
     hadamard,
-    quantize,
     sign_indicator,
 )
 from auditfl.fixedpoint import _DOT_CHUNK, scale_by_dyadic
@@ -43,6 +42,11 @@ def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.dot(a.astype(object), b.astype(object)))
 
 
+def quantize(x: float, scale: int) -> int:
+    """The raw of one real, rounded onto the 2^-scale lattice by from_floats."""
+    return int(FpVector.from_floats([x], scale).raw[0])
+
+
 def round_half_away(num: int, den: int) -> int:
     """Independent integer oracle for round-half-away-from-zero of num/den."""
     assert den > 0
@@ -53,21 +57,21 @@ def round_half_away(num: int, den: int) -> int:
 
 class TestQuantize:
     def test_zero(self):
-        assert quantize(0.0, 20).raw == 0
+        assert quantize(0.0, 20) == 0
 
     def test_half(self):
-        assert quantize(0.5, 20).raw == 524288
+        assert quantize(0.5, 20) == 524288
 
     def test_one_third(self):
         # 2^20 / 3 = 349525.33..., rounds down
         expected = round_half_away(1 << 20, 3)
         assert expected == 349525
-        assert quantize(1 / 3, 20).raw == expected
+        assert quantize(1 / 3, 20) == expected
 
     def test_negative_half_tie_rounds_away(self):
         # |x| * 2^t landing exactly on .5 rounds away from zero
-        assert quantize(1.5 / (1 << 20), 20).raw == 2
-        assert quantize(-1.5 / (1 << 20), 20).raw == -2
+        assert quantize(1.5 / (1 << 20), 20) == 2
+        assert quantize(-1.5 / (1 << 20), 20) == -2
 
     def test_matches_rational_oracle_on_dyadic_inputs(self):
         # dyadic inputs are exact in float64, so the oracle applies exactly
@@ -76,7 +80,7 @@ class TestQuantize:
         for num in nums[:200]:
             x = int(num) / (1 << 25)
             expected = round_half_away(int(num) * (1 << 20), 1 << 25)
-            assert quantize(x, 20).raw == expected
+            assert quantize(x, 20) == expected
 
     def test_overflow_rejected_with_magnitude(self):
         with pytest.raises(FixedPointOverflowError) as ei:
@@ -247,13 +251,14 @@ class TestHadamard:
         assert out.raw.tolist() == _exact_products(raws, mask)
 
     def test_paired_masks_recover_l_scaling(self):
-        from auditfl.randomness import gen_correlated_pair, prvg
+        from auditfl.randomness import gen_correlated_pair, sign_vector
 
         for seed in range(30):
             pair = gen_correlated_pair(seed)
             g = FpVector((prg(seed, 16) % np.uint64(4001)).astype(np.int64) - 2000, 20)
-            once = hadamard(g, prvg(seed, pair.rn_i, 16))
-            twice = hadamard(once, prvg(seed, pair.rn_s, 16))
+            signs = sign_vector(seed, 16)
+            once = hadamard(g, signs * pair.rn_i)
+            twice = hadamard(once, signs * pair.rn_s)
             assert twice == g.scalar_mul(pair.l)
 
 

@@ -3,20 +3,26 @@ import numpy as np
 import pytest
 
 from auditfl import ConfigError, crypto
-from auditfl.fixedpoint import FpVector, dot, floor_div, scale_by_dyadic
+from auditfl.fixedpoint import FpVector, dot, floor_div, hadamard, scale_by_dyadic
 from auditfl.ledger import Ledger
 from auditfl.protocol import (
     Participant,
     Server,
-    detect,
+    masked_forms,
     preprocess,
     robust_aggregate,
-    round_zero_share,
     run_training,
 )
-from auditfl.randomness import prg
+from auditfl.randomness import derive_seed, prg, sign_vector
 from auditfl.training import AdversarySpec, Architecture
-from util import make_dataset, run_published, small_config, stale_mask_signer
+from util import (
+    make_dataset,
+    run_published,
+    run_with_internals,
+    small_config,
+    stale_mask_signer,
+    zero_share_oracle,
+)
 
 
 def _vec(vals, scale=20):
@@ -56,15 +62,57 @@ class TestPreprocess:
             assert p.rn * secrets.rn_server[p.id] == secrets.l_values[p.id]
 
 
+class TestMaskedForms:
+    def _setup(self):
+        cfg = small_config(participants=2)
+        dim = 12
+        secrets, parts, _ = preprocess(cfg, dim, FpVector.zeros(dim, cfg.scale))
+        g = FpVector((prg(4, dim) % np.uint64(4001)).astype(np.int64) - 2000, cfg.scale)
+        return cfg, secrets, parts, g
+
+    def test_matches_prvg_and_zero_share_oracles(self):
+        _, _, parts, g = self._setup()
+        ps = parts[0]
+        for r in (1, 2):
+            signs, mg1, zv, mg2 = masked_forms(ps, g, r)
+            # PRVG: the round's sign stream scaled by rn_i
+            rv = sign_vector(derive_seed(ps.mask_seed, "prvg", r), g.dim) * ps.rn
+            assert np.array_equal(signs * ps.rn, rv)
+            assert mg1 == hadamard(g, rv)
+            assert zv == zero_share_oracle(ps.zero_seed, r, g.dim, g.scale)
+            assert mg2 == zv + g
+
+    def test_participant_signs_and_server_verifies_the_same_forms(self):
+        cfg, secrets, parts, g = self._setup()
+        arch = Architecture(3, 3)
+        w0 = FpVector.zeros(arch.param_count, cfg.scale)
+        server = Server(cfg, secrets, arch, make_dataset(1, 20, 3, 3), w0)
+        ps = parts[1]
+        sub = Participant(ps, arch, make_dataset(2, 20, 3, 3), 4).sign_gradient(g, 3)
+        _, mg1, zv, mg2 = masked_forms(ps, g, 3)
+        assert crypto.verify(ps.keypair.pk, mg1.encode(), sub.sig_detect)
+        assert crypto.verify(ps.keypair.pk, mg2.encode(), sub.sig_agg)
+        v = server.verify_submission(sub, 3)
+        assert v is not None
+        assert (v.mg1, v.zv, v.mg2) == (mg1, zv, mg2)
+        # signatures bind the round: the same submission fails in round 4
+        assert server.verify_submission(sub, 4) is None
+
+
 class TestDetect:
+    # the detection rule: a gradient is benign iff <g_S, g_i> > 0
+    def _benign(self, g_i):
+        _, benign, _ = robust_aggregate(_vec([1, 0]), {1: g_i})
+        return benign == [1]
+
     def test_parallel(self):
-        assert detect(_vec([1, 0]), _vec([1, 0])) == 1
+        assert self._benign(_vec([1, 0]))
 
     def test_antiparallel(self):
-        assert detect(_vec([1, 0]), _vec([-1, 0])) == 0
+        assert not self._benign(_vec([-1, 0]))
 
     def test_orthogonal_counts_as_bad(self):
-        assert detect(_vec([1, 0]), _vec([0, 1])) == 0
+        assert not self._benign(_vec([0, 1]))
 
 
 def oracle_aggregate(g_s_raw, gradients_raw, clipping=False, clip_factor=3):
@@ -155,15 +203,15 @@ def published_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("protorun")
     cfg = small_config(participants=3, rounds=3, master_seed=1009,
                        malicious={2: AdversarySpec("sign_flip")})
-    result, path = run_published(tmp, cfg, seed=9)
-    return cfg, result, path
+    result, internals, path = run_published(tmp, cfg, seed=9)
+    return cfg, result, internals, path
 
 
 class TestRoundMechanics:
     def test_server_recomputation_verifies_honest_signatures(self, published_run):
-        cfg, result, _ = published_run
+        cfg, result, internals, _ = published_run
         # every internals round ran with all signatures accepted
-        for info in result.internals:
+        for info in internals:
             assert info.rejected_sigs == []
 
     def test_stale_round_mask_fails_signature_check(self, tmp_path):
@@ -171,21 +219,17 @@ class TestRoundMechanics:
         cfg = small_config(participants=2, rounds=2, master_seed=31)
         train = make_dataset(8, 200, 5, 2)
         with stale_mask_signer(pid=1, r=2):
-            result = run_training(
-                cfg,
-                train,
-                None,
-                ledger_path=tmp_path / "l.bin",
-                keep_internals=True,
+            result, internals = run_with_internals(
+                cfg, train, None, ledger_path=tmp_path / "l.bin"
             )
-        assert result.internals[0].rejected_sigs == []
-        assert result.internals[1].rejected_sigs == [1]
+        assert internals[0].rejected_sigs == []
+        assert internals[1].rejected_sigs == [1]
         assert 1 not in result.record.rounds[1].local_detect
 
     def test_adversary_signatures_still_verify(self, published_run):
-        cfg, result, _ = published_run
+        cfg, result, internals, _ = published_run
         # the sign-flip adversary is excluded by detection, not by signing
-        for info in result.internals:
+        for info in internals:
             assert 2 not in info.benign
             assert 2 not in info.rejected_sigs
         for rec in result.record.rounds:
@@ -195,12 +239,12 @@ class TestRoundMechanics:
 class TestRoundIdentities:
     def test_aggregation_identity_every_round(self, published_run):
         # floor((mgS2 + sum mg2_j) / (|P_r|+1)) == m_r + ag_r, exactly
-        cfg, result, path = published_run
+        cfg, result, internals, path = published_run
         from auditfl.protocol import preprocess as prep
 
         arch_dim = result.w0.dim
         secrets, _, _ = prep(cfg, arch_dim, result.w0)
-        for info, rec in zip(result.internals, result.record.rounds):
+        for info, rec in zip(internals, result.record.rounds):
             total = rec.server_agg
             for j in sorted(rec.local_agg):
                 total = total + rec.local_agg[j][0]
@@ -210,10 +254,10 @@ class TestRoundIdentities:
 
     def test_detection_identity_every_round(self, published_run):
         # sign(<mg1_i, mgS1_i>) == detect(g_S, g_i) for every participant
-        cfg, result, path = published_run
+        cfg, result, internals, path = published_run
         from auditfl.fixedpoint import sign_indicator
 
-        for info, rec in zip(result.internals, result.record.rounds):
+        for info, rec in zip(internals, result.record.rounds):
             for pid in rec.local_detect:
                 masked = sign_indicator(
                     dot(rec.local_detect[pid][0], rec.server_detect[pid])
@@ -249,25 +293,25 @@ class TestRoundIdentities:
         assert info.ag == g_s
 
     def test_model_update_uses_floor(self, published_run):
-        cfg, result, _ = published_run
+        cfg, result, internals, _ = published_run
         # replay the trajectory from internals: w_r = w_{r-1} - floor(eta*ag)
         eta_num, eta_exp = cfg.eta_parts()
         w = result.w0
-        for info in result.internals:
+        for info in internals:
             w = w - scale_by_dyadic(info.ag, eta_num, eta_exp)
         assert w == result.w_final
 
 
 class TestFinalize:
     def test_masked_model_cancellation(self, published_run):
-        cfg, result, _ = published_run
+        cfg, result, _, _ = published_run
         from auditfl.protocol import preprocess as prep
 
         secrets, _, _ = prep(cfg, result.w0.dim, result.w0)
         assert result.record.masked_model + secrets.model_mask.total == result.w_final
 
     def test_deflation_products_all_equal(self, published_run):
-        cfg, result, _ = published_run
+        cfg, result, _, _ = published_run
         from auditfl.protocol import preprocess as prep
 
         secrets, _, _ = prep(cfg, result.w0.dim, result.w0)
@@ -309,19 +353,19 @@ class TestRunTrainingContract:
         assert not path.exists()
 
     def test_record_bytes_is_training_record_payload(self, published_run):
-        _, result, path = published_run
+        _, result, _, path = published_run
         payload = Ledger.open(path).get_record(height=1)
         assert result.timing["record_bytes"] == len(payload)
 
 
 class TestZeroShareServerCompensation:
     def test_published_shares_cancel_over_benign_set(self, published_run):
-        cfg, result, path = published_run
+        cfg, result, internals, path = published_run
         from auditfl.protocol import preprocess as prep
 
         secrets, parts, _ = prep(cfg, result.w0.dim, result.w0)
         dim, scale = result.w0.dim, cfg.scale
-        for info, rec in zip(result.internals, result.record.rounds):
+        for info, rec in zip(internals, result.record.rounds):
             # mg2_j - g_j summed over benign equals minus the server's part of
             # mgS2 beyond (|P_r|+1) m_r + g_S
             cnt = len(rec.local_agg) + 1
@@ -330,6 +374,6 @@ class TestZeroShareServerCompensation:
             total = zv_server
             for j in sorted(rec.local_agg):
                 ps = secrets.per_participant[j]
-                zv_j = round_zero_share(ps.zero_seed, info.r, dim, scale)
+                zv_j = zero_share_oracle(ps.zero_seed, info.r, dim, scale)
                 total = total + zv_j
             assert np.all(total.raw == 0)

@@ -9,7 +9,6 @@ from auditfl.randomness import (
     gen_correlated_pair,
     gen_model_mask_shares,
     prg,
-    prvg,
     sign_vector,
 )
 
@@ -86,33 +85,34 @@ class TestSigns:
 
 
 class TestPrvg:
+    # the paper's PRVG vector is sign_vector(seed, n) * rn
+    # (protocol.masked_forms draws it)
+
     def test_signs_match_sign_oracle(self):
         seed = derive_seed(3, "prvg")
-        out = prvg(seed, 3, 4)
+        out = sign_vector(seed, 4) * 3
         assert set(np.unique(np.abs(out))) == {3}
-        assert np.array_equal(out, 3 * sign_vector(seed, 4))
+        # sign k is 1 - 2 * (low bit of PRG word k)
+        low_bits = (prg(seed, 4) & np.uint64(1)).astype(np.int64)
+        assert np.array_equal(out, 3 * (1 - 2 * low_bits))
 
     def test_unit_magnitude(self):
-        out = prvg(17, 1, 64)
-        assert set(np.unique(out)) <= {-1, 1}
-
-    def test_nonpositive_length_rejected(self):
-        with pytest.raises(ValueError):
-            prvg(1, 3, 0)
-        with pytest.raises(ValueError):
-            prvg(1, 3, -4)
+        out = sign_vector(17, 64)
+        assert set(np.unique(out)) == {-1, 1}
 
     def test_zero_rn_rejected(self):
+        # rn comes only from correlated pairs, which never draw a zero
         with pytest.raises(ValueError):
-            prvg(1, 0, 4)
+            gen_correlated_pair(1, lo=0, hi=4)
+        with pytest.raises(ValueError):
+            CorrelatedPair(rn_i=0, rn_s=5, l=0)
 
     def test_mask_identity(self):
         # entrywise product of a correlated pair's two mask vectors == l
         for seed in range(50):
             pair = gen_correlated_pair(seed)
-            a = prvg(seed, pair.rn_i, 33)
-            b = prvg(seed, pair.rn_s, 33)
-            assert np.all(a * b == pair.l)
+            signs = sign_vector(seed, 33)
+            assert np.all((signs * pair.rn_i) * (signs * pair.rn_s) == pair.l)
 
 
 class TestCorrelatedPair:

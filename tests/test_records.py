@@ -102,7 +102,7 @@ class TestRound:
         assert decoded.r == 1
         assert decoded.local_detect[1][0] == r.local_detect[1][0]
         assert decoded.local_detect[2][1] == b"\x0b" * 64
-        assert decoded.benign_ids == (1,)
+        assert sorted(decoded.local_agg) == [1]
         assert decoded.server_agg == r.server_agg
 
     def test_duplicate_id_rejected(self):
@@ -111,7 +111,7 @@ class TestRound:
         r = _round()
         data = r.encode()
         # layout: magic(4) r(4) count(4), entry = id(4) + blob(4+41) + sig(64)
-        vec_bytes = r.local_detect[1][0].encoded_size()
+        vec_bytes = len(r.local_detect[1][0].encode())
         second_id_off = 12 + 4 + 4 + vec_bytes + 64
         assert data[second_id_off : second_id_off + 4] == _s.pack("<I", 2)
         broken = data[:second_id_off] + _s.pack("<I", 1) + data[second_id_off + 4 :]

@@ -11,7 +11,8 @@ import pytest
 
 from auditfl import RunConfig, protocol, run_training
 from auditfl.ledger import Ledger
-from auditfl.randomness import derive_seed, prg
+from auditfl.fixedpoint import FpVector
+from auditfl.randomness import bounded_int_vector, derive_seed, prg
 from auditfl.records import GenesisPayload, TrainingRecord
 from auditfl.training import AdversarySpec, Dataset
 
@@ -45,20 +46,43 @@ def small_config(**overrides) -> RunConfig:
     return RunConfig(**base)
 
 
+def run_with_internals(*args, **kwargs):
+    """run_training(*args, **kwargs) and the RoundInternals of its rounds,
+    collected in order by wrapping Server.run_round."""
+    honest = protocol.Server.run_round
+    log: list[protocol.RoundInternals] = []
+
+    def logged(self, *a, **kw):
+        record, info = honest(self, *a, **kw)
+        log.append(info)
+        return record, info
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol.Server, "run_round", logged)
+        result = run_training(*args, **kwargs)
+    return result, log
+
+
+def zero_share_oracle(zero_seed: int, r: int, dim: int, scale: int) -> FpVector:
+    """A participant's round-r zero share, drawn from its seed as the
+    protocol specifies, independently of protocol.masked_forms."""
+    return FpVector(bounded_int_vector(derive_seed(zero_seed, "zero", r), dim), scale)
+
+
 def run_published(tmp_path: Path, cfg: RunConfig, seed: int = 5,
-                  n: int = 600, features: int = 16, classes: int = 4,
-                  **run_kwargs):
-    """Run the protocol on a fresh tiny dataset and publish to a tmp ledger."""
+                  n: int = 600, features: int = 16, classes: int = 4):
+    """Run the protocol on a fresh tiny dataset and publish to a tmp ledger.
+
+    Returns (RunResult, the rounds' RoundInternals, ledger path).
+    """
     tmp_path.mkdir(parents=True, exist_ok=True)
     train = make_dataset(seed, n, features, classes)
     test = make_dataset(seed + 1, max(60, n // 4), features, classes)
     ledger_path = tmp_path / f"ledger_{seed}_{cfg.master_seed}.bin"
     if ledger_path.exists():
         ledger_path.unlink()
-    result = run_training(
-        cfg, train, test, ledger_path=ledger_path, keep_internals=True, **run_kwargs
-    )
-    return result, ledger_path
+    result, internals = run_with_internals(cfg, train, test, ledger_path=ledger_path)
+    return result, internals, ledger_path
 
 
 # ---------------------------------------------------------------------------
@@ -88,16 +112,12 @@ def republish(path: Path, record: TrainingRecord) -> None:
 
 
 def _negate_entry(vec, k: int):
-    from auditfl.fixedpoint import FpVector
-
     raw = vec.raw.copy()
     raw[k] = -raw[k] if raw[k] != 0 else 1
     return FpVector(raw, vec.scale)
 
 
 def _bump_entry(vec, k: int, delta: int = 1):
-    from auditfl.fixedpoint import FpVector
-
     raw = vec.raw.copy()
     raw[k] = raw[k] + delta
     return FpVector(raw, vec.scale)
@@ -229,9 +249,9 @@ def stale_mask_signer(pid: int, r: int):
         yield
 
 
-def first_round_with_benign(result) -> tuple[int, int]:
+def first_round_with_benign(internals) -> tuple[int, int]:
     """(round, participant id) of the first benign participant of a run."""
-    for info in result.internals:
+    for info in internals:
         if info.benign:
             return info.r, info.benign[0]
     raise AssertionError("run produced no benign participants to skip")
