@@ -1,10 +1,11 @@
 """Independent audit of a published training record.
 
 The auditor sees only the ledger bytes: the genesis payload (task, key
-roster, signed initial model) and the training record. It re-derives the
-benign set of every round from the masked detection identity, replays the
-masked aggregation, recovers the initial model by telescoping the masked
-updates, and checks the recovered model against the server's signature.
+roster, signed initial model) and the training record. It takes the record
+one round at a time: it re-derives the round's benign set from the masked
+detection identity, replays the masked aggregation, and folds the round's
+masked update into the recovered initial model. Once every round has
+telescoped, it checks that model against the server's signature.
 No secret (seed, mask, key, gradient) is ever consulted; this module must
 not import the protocol, randomness, or training machinery.
 
@@ -103,13 +104,11 @@ def masked_products(rec: RoundRecord) -> dict[int, int]:
 
 def audit_detection(
     rec: RoundRecord, genesis: GenesisPayload
-) -> tuple[set[int], set[int], dict[int, int]]:
-    """Verify the round's signatures and re-derive the benign set.
+) -> tuple[set[int], dict[int, int]]:
+    """Verify the round's signatures and run the detection sign test.
 
-    Returns (sign-test-positive ids, derived benign set, masked inner
-    products); the derived set intersects the positives with the ids whose
-    aggregation mask was published. Any bad signature or structural gap is
-    an AuditFailure.
+    Returns (sign-test-positive ids, masked inner products). Any bad
+    signature or structural gap is an AuditFailure.
     """
     present = sorted(rec.local_detect)
     roster = genesis.participant_pks
@@ -146,12 +145,11 @@ def audit_detection(
             )
     products = masked_products(rec)
     positive = {pid for pid, p in products.items() if sign_indicator(p) == 1}
-    derived = positive & set(rec.local_agg)
-    return positive, derived, products
+    return positive, products
 
 
 def audit_aggregate(rec: RoundRecord, benign: set[int]) -> FpVector:
-    """Replay the masked aggregation over the derived benign set."""
+    """Replay the masked aggregation over a benign set."""
     ids = sorted(benign)
     for pid in ids:
         if pid not in rec.local_agg:
@@ -197,62 +195,57 @@ def _check_deflation(record: TrainingRecord) -> None:
             )
 
 
-def clipped_set(
-    positive: set[int], products: dict[int, int | Fraction], clip_factor: int
+def benign_set(
+    products: dict[int, int | Fraction], clipping: bool, clip_factor: int
 ) -> set[int]:
-    """The positives whose inner product is at most clip_factor times the
-    lower median over the positives: the clip rule of the server, which
-    applies it to plaintext inner products, and of the audit, which applies
-    it to deflated masked ones. The lower median keeps it exact."""
-    if not positive:
-        return set()
+    """The ids whose inner product is positive; with clipping, only those
+    whose product is at most clip_factor times the lower median over the
+    positives. The lower median keeps the clip rule exact.
+
+    The one benign-set rule: the server applies it to plaintext inner
+    products, the audit to deflated masked ones, which have the same signs.
+    """
+    positive = {pid for pid, p in products.items() if sign_indicator(p) == 1}
+    if not clipping or not positive:
+        return positive
     vals = sorted(products[pid] for pid in positive)
     threshold = clip_factor * vals[(len(vals) - 1) // 2]
     return {pid for pid in positive if products[pid] <= threshold}
 
 
-def _check_geometry(record: TrainingRecord, genesis: GenesisPayload) -> None:
-    """Every published vector must have the genesis dimension and scale."""
-
-    def check(vec: FpVector, where: str) -> None:
-        if vec.dim != genesis.dim or vec.scale != genesis.scale:
-            raise AuditFailure(
-                "structure",
-                f"{where} has dim {vec.dim}, scale {vec.scale}; genesis "
-                f"declares dim {genesis.dim}, scale {genesis.scale}",
-            )
-
-    check(record.masked_model, "masked model")
-    for rec in record.rounds:
-        for pid, (vec, _) in rec.local_detect.items():
-            check(vec, f"round {rec.r}: detection mask of participant {pid}")
-        for pid, (vec, _) in rec.local_agg.items():
-            check(vec, f"round {rec.r}: aggregation mask of participant {pid}")
-        for pid, vec in rec.server_detect.items():
-            check(vec, f"round {rec.r}: server detection mask for {pid}")
-        check(rec.server_agg, f"round {rec.r}: server aggregate")
+def _check_geometry(vec: FpVector, genesis: GenesisPayload, where: str) -> None:
+    """A published vector must have the genesis dimension and scale."""
+    if vec.dim != genesis.dim or vec.scale != genesis.scale:
+        raise AuditFailure(
+            "structure",
+            f"{where} has dim {vec.dim}, scale {vec.scale}; genesis "
+            f"declares dim {genesis.dim}, scale {genesis.scale}",
+        )
 
 
-def audit_trace(
-    record: TrainingRecord,
-    genesis: GenesisPayload,
-    round_aggregates: list[FpVector],
-) -> FpVector:
-    """Recover the initial model and check it against the genesis signature.
+def _check_round_geometry(rec: RoundRecord, genesis: GenesisPayload) -> None:
+    r = rec.r
+    for pid, (vec, _) in rec.local_detect.items():
+        _check_geometry(vec, genesis, f"round {r}: detection mask of participant {pid}")
+    for pid, (vec, _) in rec.local_agg.items():
+        _check_geometry(vec, genesis, f"round {r}: aggregation mask of participant {pid}")
+    for pid, vec in rec.server_detect.items():
+        _check_geometry(vec, genesis, f"round {r}: server detection mask for {pid}")
+    _check_geometry(rec.server_agg, genesis, f"round {r}: server aggregate")
+
+
+def audit_trace(genesis: GenesisPayload, recovered: FpVector) -> None:
+    """Check the recovered initial model against the genesis signature.
 
     The recovery telescopes exactly: masked model plus the floored
     learning-rate steps of every replayed masked aggregate equals the
     initial model the server signed, bit for bit, iff the record is honest.
     """
-    w = record.masked_model
-    for masked_agg in round_aggregates:
-        w = w + scale_by_dyadic(masked_agg, record.eta_num, record.eta_exp)
-    if not crypto.verify(genesis.server_pk, w.encode(), genesis.w0_signature):
+    if not crypto.verify(genesis.server_pk, recovered.encode(), genesis.w0_signature):
         raise AuditFailure(
             "model-recovery",
             "recovered initial model does not match the signed initial model",
         )
-    return w
 
 
 def audit_record(record: TrainingRecord, genesis: GenesisPayload) -> AuditReport:
@@ -282,16 +275,15 @@ def audit_record(record: TrainingRecord, genesis: GenesisPayload) -> AuditReport
                 f"genesis roster has {len(genesis.participant_pks)}",
             )
         _check_deflation(record)
-        _check_geometry(record, genesis)
-        replayed: list[FpVector] = []
+        _check_geometry(record.masked_model, genesis, "masked model")
+        # the recovered initial model, one replayed round at a time
+        w = record.masked_model
         for rec in record.rounds:
-            positive, derived, products = audit_detection(rec, genesis)
+            _check_round_geometry(rec, genesis)
+            positive, products = audit_detection(rec, genesis)
             deflated = deflated_products(rec.r, products, record.deflation)
             published = set(rec.local_agg)
-            if genesis.clipping:
-                expected = clipped_set(positive, deflated, genesis.clip_factor)
-            else:
-                expected = positive
+            expected = benign_set(deflated, genesis.clipping, genesis.clip_factor)
             if published != expected:
                 raise AuditFailure(
                     "benign-set",
@@ -299,8 +291,8 @@ def audit_record(record: TrainingRecord, genesis: GenesisPayload) -> AuditReport
                     f"{sorted(published)} inconsistent with derived "
                     f"{sorted(expected)}",
                 )
-            replayed.append(audit_aggregate(rec, derived))
-            ranking = ranking_of(deflated)
+            agg = audit_aggregate(rec, published)
+            w = w + scale_by_dyadic(agg, record.eta_num, record.eta_exp)
             report.rounds.append(
                 RoundAudit(
                     r=rec.r,
@@ -309,10 +301,10 @@ def audit_record(record: TrainingRecord, genesis: GenesisPayload) -> AuditReport
                     published_benign=tuple(sorted(published)),
                     signatures_ok=True,
                     benign_set_ok=True,
-                    ranking=ranking,
+                    ranking=ranking_of(deflated),
                 )
             )
-        audit_trace(record, genesis, replayed)
+        audit_trace(genesis, w)
         report.model_recovery_ok = True
         report.ok = True
     except AuditFailure as e:

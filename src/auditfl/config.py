@@ -70,7 +70,7 @@ class RunConfig:
         return Fraction(self.eta)
 
     def eta_parts(self) -> tuple[int, int]:
-        """(odd numerator, power-of-two exponent) of the dyadic rate."""
+        """(numerator, power-of-two exponent) of the dyadic rate, in lowest terms."""
         fr = self.eta_fraction()
         den = fr.denominator
         if den & (den - 1) != 0:

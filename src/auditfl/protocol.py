@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crypto
-from .auditor import clipped_set
+from .auditor import benign_set
 from .config import ConfigError, RunConfig
 from .fixedpoint import (
     FpVector,
@@ -34,15 +34,13 @@ from .fixedpoint import (
     floor_average,
     hadamard,
     scale_by_dyadic,
-    sign_indicator,
 )
 from .ledger import Ledger
 from .randomness import (
-    ModelMaskShares,
     bounded_int_vector,
     derive_seed,
     gen_correlated_pair,
-    gen_model_mask_shares,
+    model_mask_share,
     prg,
     sign_vector,
 )
@@ -81,7 +79,7 @@ class ServerSecrets:
     per_participant: dict[int, ParticipantSecrets]
     rn_server: dict[int, int]  # id -> rn_S_i
     l_values: dict[int, int]  # id -> l_i = rn_i * rn_S_i > 0
-    model_mask: ModelMaskShares
+    model_mask_seed: int  # seeds m_r, drawn when round r is published
     keypair: crypto.KeyPair
 
 
@@ -106,19 +104,11 @@ def preprocess(
         )
         rn_server[i] = pair.rn_s
         l_values[i] = pair.l
-    model_mask = gen_model_mask_shares(
-        derive_seed(master, "model-mask"),
-        config.rounds,
-        dim,
-        config.scale,
-        eta_num,
-        eta_exp,
-    )
     secrets = ServerSecrets(
         per_participant=per,
         rn_server=rn_server,
         l_values=l_values,
-        model_mask=model_mask,
+        model_mask_seed=derive_seed(master, "model-mask"),
         keypair=server_kp,
     )
     genesis = GenesisPayload(
@@ -242,8 +232,7 @@ def robust_aggregate(
     yields the server gradient itself.
     """
     dots = {i: dot(g_s, gradients[i]) for i in sorted(gradients)}
-    positive = {i for i in dots if sign_indicator(dots[i]) == 1}
-    benign = sorted(clipped_set(positive, dots, clip_factor) if clipping else positive)
+    benign = sorted(benign_set(dots, clipping, clip_factor))
     ag = floor_average(g_s, [gradients[i] for i in benign])
     return ag, benign, dots
 
@@ -279,9 +268,7 @@ class RunResult:
 
     w0: FpVector
     w_final: FpVector
-    genesis: GenesisPayload | None
     record: TrainingRecord | None
-    ledger_path: str | None
     metrics: list[dict]
     timing: dict[str, int]  # published bytes: genesis and training record
 
@@ -303,6 +290,8 @@ class Server:
         self.root_shard = root_shard
         self.w = w0
         self.eta_num, self.eta_exp = config.eta_parts()
+        # eta * (m_1 + ... + m_r) over the rounds published so far
+        self.model_mask = FpVector.zeros(w0.dim, w0.scale)
 
     def server_gradient(self, r: int) -> tuple[FpVector, float]:
         return local_gradient(
@@ -390,7 +379,12 @@ class Server:
         """The published round: every valid participant's detection pair,
         the benign participants' aggregation masks, and the server's
         aggregation vector, whose zero share cancels the benign ones."""
-        m_r = self.secrets.model_mask.per_round[r - 1]
+        m_r = model_mask_share(
+            self.secrets.model_mask_seed, r, g_s.dim, g_s.scale, self.eta_exp
+        )
+        self.model_mask = self.model_mask + scale_by_dyadic(
+            m_r, self.eta_num, self.eta_exp
+        )
         zv_server = np.zeros(g_s.dim, dtype=np.int64)
         local_agg = {}
         for i in benign:
@@ -415,8 +409,9 @@ class Server:
         )
 
     def finalize(self, round_records: list[RoundRecord]) -> TrainingRecord:
-        """Mask the final model and attach the deflation values."""
-        masked_model = -self.secrets.model_mask.total + self.w
+        """Mask the final model with eta times the sum of the published
+        rounds' m_r and attach the deflation values."""
+        masked_model = -self.model_mask + self.w
         deflation = {
             i: (1, self.secrets.l_values[i])
             for i in sorted(self.secrets.l_values)
@@ -553,9 +548,7 @@ def run_training(
     return RunResult(
         w0=w0,
         w_final=server.w,
-        genesis=genesis,
         record=record_obj,
-        ledger_path=str(ledger_path) if publishing else None,
         metrics=metrics,
         timing=timing,
     )

@@ -90,15 +90,13 @@ class CorrelatedPair:
             raise ValueError("correlated pair must satisfy l == rn_i*rn_s > 0")
 
 
-def gen_correlated_pair(seed: int, lo: int = RN_LO, hi: int = RN_HI) -> CorrelatedPair:
-    """Draw (rn_i, rn_s) with one shared sign and magnitudes in [lo, hi]."""
-    if not (0 < lo <= hi):
-        raise ValueError(f"invalid magnitude bounds [{lo}, {hi}]")
+def gen_correlated_pair(seed: int) -> CorrelatedPair:
+    """Draw (rn_i, rn_s) with one shared sign and magnitudes in [RN_LO, RN_HI]."""
     words = prg(seed, 3)
-    span = hi - lo + 1
+    span = RN_HI - RN_LO + 1
     sign = -1 if int(words[0]) & 1 else 1
-    m_i = lo + int(words[1]) % span
-    m_s = lo + int(words[2]) % span
+    m_i = RN_LO + int(words[1]) % span
+    m_s = RN_LO + int(words[2]) % span
     return CorrelatedPair(rn_i=sign * m_i, rn_s=sign * m_s, l=m_i * m_s)
 
 
@@ -111,45 +109,13 @@ def bounded_int_vector(seed: int, dim: int, bits: int = MASK_BITS) -> np.ndarray
     return (words % span).astype(np.int64) - np.int64(1 << bits)
 
 
-@dataclass(frozen=True)
-class ModelMaskShares:
-    """R-way split of the model mask.
+def model_mask_share(seed: int, r: int, dim: int, scale: int, eta_exp: int) -> FpVector:
+    """m_r, round r's share of the model mask divided by the learning rate.
 
-    per_round[r] holds m_r, the quotient of the r-th mask share by the
-    learning rate, sampled on the lattice of multiples of 2^eta_exp so that
-    eta * m_r has exactly integer raws. total is rv_w = sum_r eta * m_r.
+    Its raws are multiples of 2^eta_exp, so eta * m_r has exact integer raws
+    for any dyadic eta = num / 2^eta_exp; the model mask is the sum over the
+    rounds of eta * m_r.
     """
-
-    per_round: tuple[FpVector, ...]
-    total: FpVector
-    eta_num: int
-    eta_exp: int
-
-
-def gen_model_mask_shares(
-    seed: int, rounds: int, dim: int, scale: int, eta_num: int, eta_exp: int
-) -> ModelMaskShares:
-    """Sample the per-round model-mask quotients and their exact eta-sum."""
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if eta_exp < 0 or eta_exp >= MASK_BITS:
-        raise ValueError(
-            f"dyadic exponent {eta_exp} outside [0, {MASK_BITS})"
-        )
-    if eta_num <= 0 or eta_num % 2 == 0:
-        # normalized dyadic rate: positive odd numerator over 2^eta_exp
-        raise ValueError(f"dyadic numerator must be positive odd, got {eta_num}")
-    per_round = []
-    total = np.zeros(dim, dtype=np.int64)
-    lattice_bits = MASK_BITS - eta_exp
-    for r in range(rounds):
-        q = bounded_int_vector(derive_seed(seed, "model-mask", r), dim, lattice_bits)
-        m_raw = q << np.int64(eta_exp)  # multiples of 2^eta_exp by construction
-        total += q * np.int64(eta_num)  # raw of eta * m_r, exactly
-        per_round.append(FpVector(m_raw, scale))
-    return ModelMaskShares(
-        per_round=tuple(per_round),
-        total=FpVector(total, scale),
-        eta_num=eta_num,
-        eta_exp=eta_exp,
-    )
+    seed_r = derive_seed(seed, "model-mask", r - 1)
+    q = bounded_int_vector(seed_r, dim, MASK_BITS - eta_exp)
+    return FpVector(q << np.int64(eta_exp), scale)

@@ -28,6 +28,7 @@ from util import (
     first_round_with_benign,
     load_chain,
     make_dataset,
+    model_mask_oracle,
     republish,
     run_with_internals,
     server_dropping_in_threshold,
@@ -143,7 +144,9 @@ class TestCriterion1AuditRoundTrip:
                 for j in sorted(rec.local_agg):
                     total = total + rec.local_agg[j][0]
                 mag = floor_div(total, len(rec.local_agg) + 1)
-                m_r = secrets.model_mask.per_round[info.r - 1]
+                m_r = model_mask_oracle(
+                    secrets.model_mask_seed, info.r, dim, cfg.scale, cfg.eta_parts()[1]
+                )
                 assert mag == m_r + info.ag
                 checked_rounds += 1
             path.unlink()  # keep the tmp footprint flat
@@ -298,7 +301,10 @@ class TestCriterion4ZeroShares:
                 lhs = record.server_agg
                 for i in info.benign:
                     lhs = lhs + record.local_agg[i][0]
-                rhs = secrets.model_mask.per_round[0].scalar_mul(n + 1) + g_s
+                m_1 = model_mask_oracle(
+                    secrets.model_mask_seed, 1, dim, cfg.scale, cfg.eta_parts()[1]
+                )
+                rhs = m_1.scalar_mul(n + 1) + g_s
                 for sub in subs:
                     rhs = rhs + sub.gradient
                 assert lhs == rhs, f"n={n} dim={dim}"

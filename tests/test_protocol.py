@@ -1,8 +1,10 @@
 """Protocol state machine: preprocessing, rounds, aggregation, publication."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from auditfl import ConfigError, crypto
+from auditfl import ConfigError, RunConfig, crypto, full_audit
 from auditfl.fixedpoint import FpVector, dot, floor_div, hadamard, scale_by_dyadic
 from auditfl.ledger import Ledger
 from auditfl.protocol import (
@@ -17,6 +19,7 @@ from auditfl.randomness import derive_seed, prg, sign_vector
 from auditfl.training import AdversarySpec, Architecture
 from util import (
     make_dataset,
+    model_mask_oracle,
     run_published,
     run_with_internals,
     small_config,
@@ -60,6 +63,19 @@ class TestPreprocess:
         secrets, parts, _ = preprocess(cfg, 4, FpVector.zeros(4, cfg.scale))
         for p in parts:
             assert p.rn * secrets.rn_server[p.id] == secrets.l_values[p.id]
+
+    def test_memory_does_not_grow_with_rounds(self):
+        # the model mask is drawn round by round, not at preprocessing
+        cfg = RunConfig(participants=3, rounds=2000)
+        w0 = FpVector.zeros(1000, cfg.scale)
+        preprocess(cfg, 1000, w0)  # warm-up: imports and per-process tables
+        tracemalloc.start()
+        try:
+            preprocess(cfg, 1000, w0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestMaskedForms:
@@ -249,7 +265,9 @@ class TestRoundIdentities:
             for j in sorted(rec.local_agg):
                 total = total + rec.local_agg[j][0]
             mag = floor_div(total, len(rec.local_agg) + 1)
-            m_r = secrets.model_mask.per_round[info.r - 1]
+            m_r = model_mask_oracle(
+                secrets.model_mask_seed, info.r, arch_dim, cfg.scale, cfg.eta_parts()[1]
+            )
             assert mag == m_r + info.ag
 
     def test_detection_identity_every_round(self, published_run):
@@ -288,7 +306,9 @@ class TestRoundIdentities:
         record, info = server.run_round(1, subs)
         assert info.benign == []
         assert record.local_agg == {}
-        m_1 = secrets.model_mask.per_round[0]
+        m_1 = model_mask_oracle(
+            secrets.model_mask_seed, 1, w0.dim, cfg.scale, cfg.eta_parts()[1]
+        )
         assert record.server_agg == m_1 + g_s
         assert info.ag == g_s
 
@@ -308,7 +328,18 @@ class TestFinalize:
         from auditfl.protocol import preprocess as prep
 
         secrets, _, _ = prep(cfg, result.w0.dim, result.w0)
-        assert result.record.masked_model + secrets.model_mask.total == result.w_final
+        eta_num, eta_exp = cfg.eta_parts()
+        # the model mask is eta * (m_1 + ... + m_R), each term exact
+        total = [0] * result.w0.dim
+        for r in range(1, cfg.rounds + 1):
+            m_r = model_mask_oracle(
+                secrets.model_mask_seed, r, result.w0.dim, cfg.scale, eta_exp
+            )
+            for k, raw in enumerate(m_r.raw.tolist()):
+                assert raw % (1 << eta_exp) == 0
+                total[k] += eta_num * raw // (1 << eta_exp)
+        mask = FpVector(np.array(total, dtype=np.int64), cfg.scale)
+        assert result.record.masked_model + mask == result.w_final
 
     def test_deflation_products_all_equal(self, published_run):
         cfg, result, _, _ = published_run
@@ -352,6 +383,14 @@ class TestRunTrainingContract:
                          ledger_path=path, detection=False)
         assert not path.exists()
 
+    @pytest.mark.parametrize("clipping", [False, True])
+    @pytest.mark.parametrize("eta", ["2", "4"])
+    def test_integer_learning_rate_publishes_and_audits(self, eta, clipping, tmp_path):
+        # an even numerator keeps eta * m_r exact: m_r's raws are integers
+        _, _, path = run_published(tmp_path, small_config(eta=eta, clipping=clipping))
+        report = full_audit(path)
+        assert report.ok, report.failure
+
     def test_record_bytes_is_training_record_payload(self, published_run):
         _, result, _, path = published_run
         payload = Ledger.open(path).get_record(height=1)
@@ -369,7 +408,9 @@ class TestZeroShareServerCompensation:
             # mg2_j - g_j summed over benign equals minus the server's part of
             # mgS2 beyond (|P_r|+1) m_r + g_S
             cnt = len(rec.local_agg) + 1
-            m_r = secrets.model_mask.per_round[info.r - 1]
+            m_r = model_mask_oracle(
+                secrets.model_mask_seed, info.r, dim, scale, cfg.eta_parts()[1]
+            )
             zv_server = rec.server_agg - m_r.scalar_mul(cnt) - info.g_s
             total = zv_server
             for j in sorted(rec.local_agg):

@@ -2,12 +2,16 @@
 import numpy as np
 import pytest
 
+from auditfl.fixedpoint import FpVector, scale_by_dyadic
 from auditfl.randomness import (
+    MASK_BITS,
+    RN_HI,
+    RN_LO,
     CorrelatedPair,
     bounded_int_vector,
     derive_seed,
     gen_correlated_pair,
-    gen_model_mask_shares,
+    model_mask_share,
     prg,
     sign_vector,
 )
@@ -101,9 +105,7 @@ class TestPrvg:
         assert set(np.unique(out)) == {-1, 1}
 
     def test_zero_rn_rejected(self):
-        # rn comes only from correlated pairs, which never draw a zero
-        with pytest.raises(ValueError):
-            gen_correlated_pair(1, lo=0, hi=4)
+        # rn comes only from correlated pairs, which never hold a zero
         with pytest.raises(ValueError):
             CorrelatedPair(rn_i=0, rn_s=5, l=0)
 
@@ -132,45 +134,41 @@ class TestCorrelatedPair:
 
     def test_bounds_hold_over_1000_samples(self):
         for seed in range(1000):
-            pair = gen_correlated_pair(seed, lo=256, hi=32768)
-            assert 256 <= abs(pair.rn_i) <= 32768
-            assert 256 <= abs(pair.rn_s) <= 32768
+            pair = gen_correlated_pair(seed)
+            assert RN_LO <= abs(pair.rn_i) <= RN_HI
+            assert RN_LO <= abs(pair.rn_s) <= RN_HI
             assert (pair.rn_i > 0) == (pair.rn_s > 0)
-
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            gen_correlated_pair(1, lo=10, hi=5)
 
 
 class TestModelMaskShares:
     def test_single_round_identity(self):
-        mm = gen_model_mask_shares(1, 1, 8, 20, eta_num=1, eta_exp=1)
-        # rv_w == eta * m_1 exactly: raw(eta*m) = num * (raw(m) >> exp)
-        expected = (mm.per_round[0].raw >> 1) * 1
-        assert np.array_equal(mm.total.raw, expected)
+        m = model_mask_share(1, 1, 8, 20, eta_exp=1)
+        # m_1 is drawn from round index 0 of the seed, on the 2^1 lattice
+        q = bounded_int_vector(derive_seed(1, "model-mask", 0), 8, MASK_BITS - 1)
+        assert m == FpVector(q * 2, 20)
+        # eta * m_1 is exact: raw(eta*m) = num * (raw(m) >> exp)
+        assert np.array_equal(scale_by_dyadic(m, 1, 1).raw, q)
 
     def test_half_eta_even_raws(self):
-        mm = gen_model_mask_shares(2, 10, 64, 20, eta_num=1, eta_exp=1)
-        for m in mm.per_round:
-            assert np.all(m.raw % 2 == 0)
+        for r in range(1, 11):
+            assert np.all(model_mask_share(2, r, 64, 20, eta_exp=1).raw % 2 == 0)
 
     def test_resummation_oracle_500_rounds(self):
-        mm = gen_model_mask_shares(3, 500, 16, 20, eta_num=1, eta_exp=1)
+        # the server's running total of eta * m_r against a big-int oracle
+        running = FpVector.zeros(16, 20)
         total = [0] * 16
-        for m in mm.per_round:
+        for r in range(1, 501):
+            m = model_mask_share(3, r, 16, 20, eta_exp=1)
+            running = running + scale_by_dyadic(m, 1, 1)
             for k in range(16):
-                # big-int oracle: eta * m_r computed in python arithmetic
                 total[k] += (1 * int(m.raw[k])) >> 1
-        assert mm.total.raw.tolist() == total
-
-    def test_odd_numerator_required(self):
-        with pytest.raises(ValueError):
-            gen_model_mask_shares(1, 2, 4, 20, eta_num=2, eta_exp=2)
+        assert running.raw.tolist() == total
 
     def test_lattice_makes_eta_product_exact(self):
-        mm = gen_model_mask_shares(4, 5, 32, 20, eta_num=3, eta_exp=3)
-        for m in mm.per_round:
+        for r in range(1, 6):
+            m = model_mask_share(4, r, 32, 20, eta_exp=3)
             assert np.all(m.raw % 8 == 0)
+            assert np.array_equal(scale_by_dyadic(m, 3, 3).raw * 8, m.raw * 3)
 
 
 class TestBoundedIntVector:

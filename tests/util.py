@@ -12,7 +12,7 @@ import pytest
 from auditfl import RunConfig, protocol, run_training
 from auditfl.ledger import Ledger
 from auditfl.fixedpoint import FpVector
-from auditfl.randomness import bounded_int_vector, derive_seed, prg
+from auditfl.randomness import MASK_BITS, bounded_int_vector, derive_seed, prg
 from auditfl.records import GenesisPayload, TrainingRecord
 from auditfl.training import AdversarySpec, Dataset
 
@@ -67,6 +67,15 @@ def zero_share_oracle(zero_seed: int, r: int, dim: int, scale: int) -> FpVector:
     """A participant's round-r zero share, drawn from its seed as the
     protocol specifies, independently of protocol.masked_forms."""
     return FpVector(bounded_int_vector(derive_seed(zero_seed, "zero", r), dim), scale)
+
+
+def model_mask_oracle(seed: int, r: int, dim: int, scale: int, eta_exp: int) -> FpVector:
+    """The server's round-r model-mask quotient m_r, drawn from its seed as
+    the protocol specifies, independently of randomness.model_mask_share:
+    a uniform vector on the lattice of multiples of 2^eta_exp."""
+    seed_r = derive_seed(seed, "model-mask", r - 1)
+    q = bounded_int_vector(seed_r, dim, MASK_BITS - eta_exp)
+    return FpVector(q * (1 << eta_exp), scale)
 
 
 def run_published(tmp_path: Path, cfg: RunConfig, seed: int = 5,
