@@ -2,14 +2,18 @@
 
 The auditor sees only the ledger bytes: the genesis payload (task, key
 roster, signed initial model) and the training record. It takes the record
-one round at a time: it re-derives the round's benign set from the masked
-detection identity, replays the masked aggregation, and folds the round's
-masked update into the recovered initial model. Once every round has
-telescoped, it checks that model against the server's signature.
+in one pass, one round at a time. For each round it checks the published
+vectors and signatures, computes the masked detection products once,
+re-derives the round's benign set from them, replays the masked
+aggregation, and folds the round's masked update into the recovered
+initial model. Once every round has telescoped, it checks that model
+against the server's signature.
 No secret (seed, mask, key, gradient) is ever consulted; this module must
 not import the protocol, randomness, or training machinery.
 
 All checks are exact integer equalities; there are no tolerances anywhere.
+Every failed check raises AuditFailure, and full_audit turns it into the
+one rejected report.
 """
 from __future__ import annotations
 
@@ -45,14 +49,12 @@ class AuditFailure(Exception):
 
 @dataclass
 class RoundAudit:
-    """Outcome of the per-round checks."""
+    """What the audit derived for one round that passed every check."""
 
     r: int
     present_ids: tuple[int, ...]
-    detection_positive: tuple[int, ...]  # re-derived from masked inner products
+    detection_positive: tuple[int, ...]  # sign-test positives of the masked products
     published_benign: tuple[int, ...]
-    signatures_ok: bool
-    benign_set_ok: bool
     ranking: tuple[int, ...]  # ids by deflated inner product, descending
 
 
@@ -81,10 +83,8 @@ class AuditReport:
                     {
                         "round": ra.r,
                         "participants": list(ra.present_ids),
-                        "derived_benign": list(ra.detection_positive),
+                        "detection_positive": list(ra.detection_positive),
                         "published_benign": list(ra.published_benign),
-                        "signatures_ok": ra.signatures_ok,
-                        "benign_set_ok": ra.benign_set_ok,
                         "deflated_ranking": list(ra.ranking),
                     }
                     for ra in self.rounds
@@ -94,33 +94,41 @@ class AuditReport:
         )
 
 
-def masked_products(rec: RoundRecord) -> dict[int, int]:
-    """<mg1_i, mgS1_i> == l_i * <g_i, g_S> for every participant of the round."""
-    return {
-        pid: dot(rec.local_detect[pid][0], rec.server_detect[pid])
-        for pid in sorted(rec.local_detect)
-    }
+def _check_geometry(vec: FpVector, genesis: GenesisPayload, where: str) -> None:
+    """A published vector must have the genesis dimension and scale."""
+    if vec.dim != genesis.dim or vec.scale != genesis.scale:
+        raise AuditFailure(
+            "structure",
+            f"{where} has dim {vec.dim}, scale {vec.scale}; genesis "
+            f"declares dim {genesis.dim}, scale {genesis.scale}",
+        )
 
 
-def audit_detection(
-    rec: RoundRecord, genesis: GenesisPayload
-) -> tuple[set[int], dict[int, int]]:
-    """Verify the round's signatures and run the detection sign test.
+def audit_detection(rec: RoundRecord, genesis: GenesisPayload) -> dict[int, int]:
+    """Check one round's published vectors and signatures.
 
-    Returns (sign-test-positive ids, masked inner products). Any bad
-    signature or structural gap is an AuditFailure.
+    In order: every vector's geometry, the participant ids against the
+    roster, the server detection masks' ids, the detection-mask signatures,
+    then the aggregation-mask ids and signatures. Returns the masked inner
+    products <mg1_i, mgS1_i> == l_i * <g_i, g_S>, one per participant.
     """
+    r = rec.r
+    for pid, (vec, _) in rec.local_detect.items():
+        _check_geometry(vec, genesis, f"round {r}: detection mask of participant {pid}")
+    for pid, (vec, _) in rec.local_agg.items():
+        _check_geometry(vec, genesis, f"round {r}: aggregation mask of participant {pid}")
+    for pid, vec in rec.server_detect.items():
+        _check_geometry(vec, genesis, f"round {r}: server detection mask for {pid}")
+    _check_geometry(rec.server_agg, genesis, f"round {r}: server aggregate")
     present = sorted(rec.local_detect)
     roster = genesis.participant_pks
     for pid in present:
         if pid not in roster:
-            raise AuditFailure(
-                "structure", f"round {rec.r}: unknown participant id {pid}"
-            )
+            raise AuditFailure("structure", f"round {r}: unknown participant id {pid}")
     if sorted(rec.server_detect) != present:
         raise AuditFailure(
             "structure",
-            f"round {rec.r}: server detection masks cover "
+            f"round {r}: server detection masks cover "
             f"{sorted(rec.server_detect)} but participants are {present}",
         )
     for pid in present:
@@ -128,37 +136,27 @@ def audit_detection(
         if not crypto.verify(roster[pid], vec.encode(), sig):
             raise AuditFailure(
                 "signature",
-                f"round {rec.r}: detection-mask signature of participant "
+                f"round {r}: detection-mask signature of participant "
                 f"{pid} does not verify",
             )
     for pid in sorted(rec.local_agg):
         if pid not in roster:
-            raise AuditFailure(
-                "structure", f"round {rec.r}: unknown benign id {pid}"
-            )
+            raise AuditFailure("structure", f"round {r}: unknown benign id {pid}")
         vec, sig = rec.local_agg[pid]
         if not crypto.verify(roster[pid], vec.encode(), sig):
             raise AuditFailure(
                 "signature",
-                f"round {rec.r}: aggregation-mask signature of participant "
+                f"round {r}: aggregation-mask signature of participant "
                 f"{pid} does not verify",
             )
-    products = masked_products(rec)
-    positive = {pid for pid, p in products.items() if sign_indicator(p) == 1}
-    return positive, products
+    return {pid: dot(rec.local_detect[pid][0], rec.server_detect[pid]) for pid in present}
 
 
-def audit_aggregate(rec: RoundRecord, benign: set[int]) -> FpVector:
-    """Replay the masked aggregation over a benign set."""
-    ids = sorted(benign)
-    for pid in ids:
-        if pid not in rec.local_agg:
-            raise AuditFailure(
-                "structure",
-                f"round {rec.r}: benign participant {pid} has no published "
-                f"aggregation mask",
-            )
-    return floor_average(rec.server_agg, [rec.local_agg[pid][0] for pid in ids])
+def audit_aggregate(rec: RoundRecord) -> FpVector:
+    """Replay the round's masked aggregation over its published benign set."""
+    return floor_average(
+        rec.server_agg, [rec.local_agg[pid][0] for pid in sorted(rec.local_agg)]
+    )
 
 
 def deflated_products(
@@ -181,25 +179,12 @@ def ranking_of(products: dict[int, Fraction]) -> tuple[int, ...]:
     return tuple(pid for pid, _ in sorted(products.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
-def _check_deflation(record: TrainingRecord) -> None:
-    for pid, (num, den) in sorted(record.deflation.items()):
-        if den == 0:
-            raise AuditFailure(
-                "structure", f"deflation value of id {pid} has zero denominator"
-            )
-        if num * den <= 0:
-            raise AuditFailure(
-                "structure",
-                f"deflation value of id {pid} is not positive; the masked "
-                f"products cannot be compared on a common scale",
-            )
-
-
 def benign_set(
     products: dict[int, int | Fraction], clipping: bool, clip_factor: int
-) -> set[int]:
-    """The ids whose inner product is positive; with clipping, only those
-    whose product is at most clip_factor times the lower median over the
+) -> tuple[set[int], set[int]]:
+    """(positive, benign): the ids whose inner product is positive, and of
+    those the benign ones: all of them, or with clipping only those whose
+    product is at most clip_factor times the lower median over the
     positives. The lower median keeps the clip rule exact.
 
     The one benign-set rule: the server applies it to plaintext inner
@@ -207,31 +192,10 @@ def benign_set(
     """
     positive = {pid for pid, p in products.items() if sign_indicator(p) == 1}
     if not clipping or not positive:
-        return positive
+        return positive, positive
     vals = sorted(products[pid] for pid in positive)
     threshold = clip_factor * vals[(len(vals) - 1) // 2]
-    return {pid for pid in positive if products[pid] <= threshold}
-
-
-def _check_geometry(vec: FpVector, genesis: GenesisPayload, where: str) -> None:
-    """A published vector must have the genesis dimension and scale."""
-    if vec.dim != genesis.dim or vec.scale != genesis.scale:
-        raise AuditFailure(
-            "structure",
-            f"{where} has dim {vec.dim}, scale {vec.scale}; genesis "
-            f"declares dim {genesis.dim}, scale {genesis.scale}",
-        )
-
-
-def _check_round_geometry(rec: RoundRecord, genesis: GenesisPayload) -> None:
-    r = rec.r
-    for pid, (vec, _) in rec.local_detect.items():
-        _check_geometry(vec, genesis, f"round {r}: detection mask of participant {pid}")
-    for pid, (vec, _) in rec.local_agg.items():
-        _check_geometry(vec, genesis, f"round {r}: aggregation mask of participant {pid}")
-    for pid, vec in rec.server_detect.items():
-        _check_geometry(vec, genesis, f"round {r}: server detection mask for {pid}")
-    _check_geometry(rec.server_agg, genesis, f"round {r}: server aggregate")
+    return positive, {pid for pid in positive if products[pid] <= threshold}
 
 
 def audit_trace(genesis: GenesisPayload, recovered: FpVector) -> None:
@@ -248,122 +212,102 @@ def audit_trace(genesis: GenesisPayload, recovered: FpVector) -> None:
         )
 
 
-def audit_record(record: TrainingRecord, genesis: GenesisPayload) -> AuditReport:
-    """All protocol checks for one training record against its genesis."""
-    report = AuditReport(ok=False, chain_ok=True)
+def audit_record(
+    record: TrainingRecord, genesis: GenesisPayload, rounds: list[RoundAudit]
+) -> None:
+    """All protocol checks for one training record against its genesis.
+
+    Appends each round's RoundAudit to `rounds` once the round has passed,
+    so a rejected report still lists the rounds before the failing one.
+    """
+    if record.dim != genesis.dim or record.scale != genesis.scale:
+        raise AuditFailure(
+            "metadata",
+            f"record geometry (dim {record.dim}, scale {record.scale}) "
+            f"differs from genesis (dim {genesis.dim}, scale {genesis.scale})",
+        )
+    if (record.eta_num, record.eta_exp) != (genesis.eta_num, genesis.eta_exp):
+        raise AuditFailure("metadata", "record learning rate differs from genesis")
+    if len(record.rounds) != genesis.rounds:
+        raise AuditFailure(
+            "metadata",
+            f"record holds {len(record.rounds)} rounds, task declared "
+            f"{genesis.rounds}",
+        )
+    if record.n_participants != len(genesis.participant_pks):
+        raise AuditFailure(
+            "metadata",
+            f"record declares {record.n_participants} participants, "
+            f"genesis roster has {len(genesis.participant_pks)}",
+        )
+    for pid, (num, den) in sorted(record.deflation.items()):
+        if num * den <= 0:  # a zero denominator included
+            raise AuditFailure(
+                "structure",
+                f"deflation value {num}/{den} of id {pid} is not positive; the "
+                f"masked products cannot be compared on a common scale",
+            )
+    _check_geometry(record.masked_model, genesis, "masked model")
+    # the recovered initial model, one replayed round at a time
+    w = record.masked_model
+    for rec in record.rounds:
+        products = audit_detection(rec, genesis)
+        deflated = deflated_products(rec.r, products, record.deflation)
+        positive, derived = benign_set(deflated, genesis.clipping, genesis.clip_factor)
+        published = set(rec.local_agg)
+        if published != derived:
+            raise AuditFailure(
+                "benign-set",
+                f"round {rec.r}: published benign set {sorted(published)} "
+                f"inconsistent with derived {sorted(derived)}",
+            )
+        try:
+            w = w + scale_by_dyadic(audit_aggregate(rec), record.eta_num, record.eta_exp)
+        except FixedPointOverflowError as e:
+            # the unsigned server aggregate can hold any int64, so replaying
+            # it can leave the raw range; no honest record does
+            raise AuditFailure(
+                "structure", f"round {rec.r}: replay of the record overflows int64: {e}"
+            ) from None
+        rounds.append(
+            RoundAudit(
+                r=rec.r,
+                present_ids=tuple(sorted(rec.local_detect)),
+                detection_positive=tuple(sorted(positive)),
+                published_benign=tuple(sorted(published)),
+                ranking=ranking_of(deflated),
+            )
+        )
+    audit_trace(genesis, w)
+
+
+def full_audit(path) -> AuditReport:
+    """Verify the chain, then every training record on it; pure in the bytes."""
+    report = AuditReport(ok=False)
     try:
-        if record.dim != genesis.dim or record.scale != genesis.scale:
-            raise AuditFailure(
-                "metadata",
-                f"record geometry (dim {record.dim}, scale {record.scale}) "
-                f"differs from genesis (dim {genesis.dim}, scale {genesis.scale})",
-            )
-        if (record.eta_num, record.eta_exp) != (genesis.eta_num, genesis.eta_exp):
-            raise AuditFailure(
-                "metadata", "record learning rate differs from genesis"
-            )
-        if len(record.rounds) != genesis.rounds:
-            raise AuditFailure(
-                "metadata",
-                f"record holds {len(record.rounds)} rounds, task declared "
-                f"{genesis.rounds}",
-            )
-        if record.n_participants != len(genesis.participant_pks):
-            raise AuditFailure(
-                "metadata",
-                f"record declares {record.n_participants} participants, "
-                f"genesis roster has {len(genesis.participant_pks)}",
-            )
-        _check_deflation(record)
-        _check_geometry(record.masked_model, genesis, "masked model")
-        # the recovered initial model, one replayed round at a time
-        w = record.masked_model
-        for rec in record.rounds:
-            _check_round_geometry(rec, genesis)
-            positive, products = audit_detection(rec, genesis)
-            deflated = deflated_products(rec.r, products, record.deflation)
-            published = set(rec.local_agg)
-            expected = benign_set(deflated, genesis.clipping, genesis.clip_factor)
-            if published != expected:
-                raise AuditFailure(
-                    "benign-set",
-                    f"round {rec.r}: published benign set "
-                    f"{sorted(published)} inconsistent with derived "
-                    f"{sorted(expected)}",
-                )
-            agg = audit_aggregate(rec, published)
-            w = w + scale_by_dyadic(agg, record.eta_num, record.eta_exp)
-            report.rounds.append(
-                RoundAudit(
-                    r=rec.r,
-                    present_ids=tuple(sorted(rec.local_detect)),
-                    detection_positive=tuple(sorted(positive)),
-                    published_benign=tuple(sorted(published)),
-                    signatures_ok=True,
-                    benign_set_ok=True,
-                    ranking=ranking_of(deflated),
-                )
-            )
-        audit_trace(genesis, w)
-        report.model_recovery_ok = True
-        report.ok = True
+        try:
+            chain = Ledger.open(path)
+        except Exception as e:
+            raise AuditFailure("ledger", str(e)) from None
+        ok, bad = chain.verify_chain()
+        if not ok:
+            raise AuditFailure("ledger", f"hash chain broken at height {bad}")
+        report.chain_ok = True
+        try:
+            genesis = GenesisPayload.decode(chain.get_record(height=0))
+        except Exception as e:
+            raise AuditFailure("genesis", f"genesis payload does not parse: {e}") from None
+        for height in range(1, len(chain)):
+            try:
+                record = TrainingRecord.decode(chain.get_record(height=height))
+            except RecordFormatError as e:
+                raise AuditFailure("record-format", f"block {height}: {e}") from None
+            report.n_records += 1
+            audit_record(record, genesis, report.rounds)
     except AuditFailure as e:
         report.failure_stage = e.stage
         report.failure = str(e)
-    except FixedPointOverflowError as e:
-        # the unsigned server aggregate can hold any int64, so replaying it
-        # can leave the raw range; no honest record does
-        report.failure_stage = "structure"
-        report.failure = f"replay of the record overflows int64: {e}"
-    return report
-
-
-def full_audit(ledger_or_path) -> AuditReport:
-    """Verify the chain, then every training record on it; pure in the bytes."""
-    try:
-        if isinstance(ledger_or_path, Ledger):
-            chain = ledger_or_path
-        else:
-            chain = Ledger.open(ledger_or_path)
-    except Exception as e:
-        return AuditReport(
-            ok=False, failure_stage="ledger", failure=str(e), chain_ok=False
-        )
-    ok, bad = chain.verify_chain()
-    if not ok:
-        return AuditReport(
-            ok=False,
-            failure_stage="ledger",
-            failure=f"hash chain broken at height {bad}",
-            chain_ok=False,
-        )
-    try:
-        genesis = GenesisPayload.decode(chain.get_record(height=0))
-    except Exception as e:
-        return AuditReport(
-            ok=False,
-            failure_stage="genesis",
-            failure=f"genesis payload does not parse: {e}",
-            chain_ok=True,
-        )
-    report = AuditReport(ok=True, chain_ok=True)
-    for height in range(1, len(chain)):
-        try:
-            record = TrainingRecord.decode(chain.get_record(height=height))
-        except RecordFormatError as e:
-            return AuditReport(
-                ok=False,
-                failure_stage="record-format",
-                failure=f"block {height}: {e}",
-                chain_ok=True,
-                n_records=report.n_records,
-            )
-        sub = audit_record(record, genesis)
-        sub.chain_ok = True
-        sub.n_records = report.n_records + 1
-        if not sub.ok:
-            return sub
-        report.n_records += 1
-        report.rounds.extend(sub.rounds)
-        report.model_recovery_ok = sub.model_recovery_ok
+        return report
+    report.ok = True
+    report.model_recovery_ok = report.n_records > 0
     return report

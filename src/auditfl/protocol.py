@@ -232,7 +232,7 @@ def robust_aggregate(
     yields the server gradient itself.
     """
     dots = {i: dot(g_s, gradients[i]) for i in sorted(gradients)}
-    benign = sorted(benign_set(dots, clipping, clip_factor))
+    benign = sorted(benign_set(dots, clipping, clip_factor)[1])
     ag = floor_average(g_s, [gradients[i] for i in benign])
     return ag, benign, dots
 

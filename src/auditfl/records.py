@@ -192,18 +192,13 @@ class RoundRecord:
 
     def encode(self) -> bytes:
         out = [ROUND_MAGIC, struct.pack("<I", self.r)]
-        out.append(struct.pack("<I", len(self.local_detect)))
-        for pid in sorted(self.local_detect):
-            vec, sig = self.local_detect[pid]
-            out.append(struct.pack("<I", pid))
-            out.append(_blob(vec.encode()))
-            out.append(sig)
-        out.append(struct.pack("<I", len(self.local_agg)))
-        for pid in sorted(self.local_agg):
-            vec, sig = self.local_agg[pid]
-            out.append(struct.pack("<I", pid))
-            out.append(_blob(vec.encode()))
-            out.append(sig)
+        for section in (self.local_detect, self.local_agg):
+            out.append(struct.pack("<I", len(section)))
+            for pid in sorted(section):
+                vec, sig = section[pid]
+                out.append(struct.pack("<I", pid))
+                out.append(_blob(vec.encode()))
+                out.append(sig)
         out.append(struct.pack("<I", len(self.server_detect)))
         for pid in sorted(self.server_detect):
             out.append(struct.pack("<I", pid))

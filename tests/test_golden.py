@@ -44,19 +44,19 @@ CONFIGS = {
 PUBLISHED = {
     "honest": (
         "b2d5af9ba693c39b80247d0ce8e798319e45a40b30c5e32a5797cb01497dc426",
-        "15e23918750b59890e431b95ac9078d4e2dd4d7300c1b3a2030a4f6768854bcf",
+        "8a5df1be66a91bfe6dfb2ba08d34734cbf0d8c3832f93a27708bd714a503e3de",
     ),
     "sign-flip-label-flip": (
         "9a53376591fd6a81ef1b37f6b19b22bad948142de03582594c3612307681205a",
-        "b10e3570eada06168bc215fc160ceaa198b6e82662d276525e4fb4b7b9245e8b",
+        "01768c4f93c553b09918242b29367ac92430bf35914e82616e682ffac140d59b",
     ),
     "clipping-amplifier": (
         "6e452a6c0e55fc6d415bc1686d57a08bbea21a62892a6498ac4050a25cbd2944",
-        "7e8b1f2f1af21d865a3260afe080102b788ef15204aead0041372cc5c85deb2a",
+        "5d187bfc801d6a36a92cb446605353dc8bcbf787fa3c9e8ffcab61b680355538",
     ),
     "mlp-hidden-8": (
         "c8c839c0f3955bbb6c7e5980042cee1d619422ba948013c7692298fe6439af26",
-        "06cd927a2e41a15c66823fb1e5c6079a989cd4d50b5248b05e5c3472e67c7638",
+        "fc8b361509b565777c0386511a50f0925db5c9880bc767f688e5bb2a4997a884",
     ),
 }
 

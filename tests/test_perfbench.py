@@ -37,3 +37,21 @@ def test_many_small_run_and_audit(tmp_path):
     audit = _child("audit", ledger, tampered)
     assert audit["honest_ok"], audit["honest_failure"]
     assert not audit["tampered_ok"]
+
+
+def test_trace_targets_present():
+    # a renamed or deleted traced callable would silently read 0 in its
+    # per-layer metric; only the two stages deleted on purpose may be absent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    code = (
+        "import json, tracer; t = tracer.Tracer(); tracer.install(t); "
+        "print(json.dumps(t.absent))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=PERFBENCH, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    absent = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert absent == ["randomness.prvg", "randomness.model_mask"]
