@@ -2,8 +2,11 @@
 
 Stands in for the blockchain: consensus is assumed, not simulated, so a
 single process appends blocks and anyone can re-verify the chain from the
-file alone. Every block's digest covers its exact frame bytes, so any
-single-bit mutation of the persisted file is detected.
+file alone. `Ledger.open` is the only reader and verifies every block while
+it parses it, so a `Ledger` is valid once built: by `create` and `append`,
+or by `open` after the whole file checked. Every block's digest covers its
+exact frame bytes, so any single-bit mutation of the persisted file is
+detected.
 
 File layout: 8-byte magic, then frames, each prefixed by its u64 length.
 Frame: height u64 | prev_digest 32B | payload_digest 32B | timestamp u64 |
@@ -27,7 +30,17 @@ ZERO_DIGEST = b"\x00" * 32
 
 
 class LedgerError(Exception):
-    """Storage-level failure or lookup miss."""
+    """The ledger cannot be read, written or trusted, or a lookup missed.
+
+    Every chain defect (a cut or mis-sized frame, a bad frame checksum, an
+    out-of-sequence height, a wrong `prev_digest` or `payload_digest`, or no
+    genesis block) reads `hash chain broken at height N`, N being the first
+    bad block.
+    """
+
+
+def _chain_break(height: int) -> LedgerError:
+    return LedgerError(f"hash chain broken at height {height}")
 
 
 @dataclass(frozen=True)
@@ -38,8 +51,8 @@ class Block:
     timestamp: int
     payload: bytes
 
-    def body(self) -> bytes:
-        return (
+    def frame(self) -> bytes:
+        body = (
             _HEADER.pack(
                 self.height,
                 self.prev_digest,
@@ -49,9 +62,6 @@ class Block:
             )
             + self.payload
         )
-
-    def frame(self) -> bytes:
-        body = self.body()
         return body + sha256(body)
 
     def digest(self) -> bytes:
@@ -59,13 +69,11 @@ class Block:
 
 
 class Ledger:
-    """Ordered block sequence bound to one backing file."""
+    """Ordered, verified block sequence bound to one backing file."""
 
-    def __init__(self, path, blocks: list[Block], truncated_at: int | None = None):
+    def __init__(self, path, blocks: list[Block]):
         self.path = Path(path)
         self.blocks = blocks
-        # height at which the persisted file stopped parsing, if it did
-        self.truncated_at = truncated_at
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -74,78 +82,62 @@ class Ledger:
     def create(cls, path, genesis_payload: bytes, timestamp: int = 0) -> "Ledger":
         """Start a new chain whose genesis block carries the given payload."""
         path = Path(path)
-        if path.exists():
-            raise LedgerError(f"{path} already exists; refusing to overwrite")
-        genesis = Block(
-            height=0,
-            prev_digest=ZERO_DIGEST,
-            payload_digest=sha256(genesis_payload),
-            timestamp=timestamp,
-            payload=genesis_payload,
-        )
-        ledger = cls(path, [genesis])
-        with open(path, "wb") as f:
-            f.write(LEDGER_MAGIC)
-            frame = genesis.frame()
-            f.write(struct.pack("<Q", len(frame)))
-            f.write(frame)
+        try:
+            with open(path, "xb") as f:
+                f.write(LEDGER_MAGIC)
+        except FileExistsError:
+            raise LedgerError(f"{path} already exists; refusing to overwrite") from None
+        ledger = cls(path, [])
+        ledger.append(genesis_payload, timestamp)
         return ledger
 
     @classmethod
     def open(cls, path) -> "Ledger":
-        """Parse a chain file; a malformed tail is kept as a truncation mark."""
+        """Parse a chain file, verifying each block; LedgerError at the first bad one."""
         path = Path(path)
         try:
             data = path.read_bytes()
         except OSError as e:
             raise LedgerError(f"cannot read ledger {path}: {e}") from None
-        if len(data) < len(LEDGER_MAGIC) or data[: len(LEDGER_MAGIC)] != LEDGER_MAGIC:
+        if data[: len(LEDGER_MAGIC)] != LEDGER_MAGIC:
             raise LedgerError(f"{path}: not a ledger file (bad magic)")
+        view = memoryview(data)  # frames are views; only payloads are copied
         off = len(LEDGER_MAGIC)
         blocks: list[Block] = []
-        truncated_at = None
-        view = memoryview(data)  # frames are views; only payloads are copied
+        prev_frame = None
         while off < len(data):
+            height = len(blocks)
             if off + 8 > len(data):
-                truncated_at = len(blocks)
-                break
+                raise _chain_break(height)
             (flen,) = struct.unpack_from("<Q", data, off)
             off += 8
-            if off + flen > len(data) or flen < _HEADER.size + 32:
-                truncated_at = len(blocks)
-                break
             frame = view[off : off + flen]
             off += flen
-            height, prev, pdig, ts, plen = _HEADER.unpack_from(frame, 0)
-            if _HEADER.size + plen + 32 != flen:
-                truncated_at = len(blocks)
-                break
-            if sha256(frame[:-32]) != frame[-32:]:
-                truncated_at = len(blocks)
-                break
-            blocks.append(
-                Block(
-                    height=height,
-                    prev_digest=prev,
-                    payload_digest=pdig,
-                    timestamp=ts,
-                    payload=bytes(frame[_HEADER.size : -32]),
-                )
-            )
-        if not blocks and truncated_at is None:
-            raise LedgerError(f"{path}: empty ledger (no genesis block)")
-        return cls(path, blocks, truncated_at)
+            if len(frame) != flen or flen < _HEADER.size + 32:
+                raise _chain_break(height)
+            h, prev, pdig, ts, plen = _HEADER.unpack_from(frame, 0)
+            payload = frame[_HEADER.size : -32]
+            # checked in order; the previous frame is hashed only here, so
+            # the last frame's digest is never computed
+            if (
+                len(payload) != plen
+                or sha256(frame[:-32]) != frame[-32:]
+                or h != height
+                or prev != (ZERO_DIGEST if prev_frame is None else sha256(prev_frame))
+                or sha256(payload) != pdig
+            ):
+                raise _chain_break(height)
+            blocks.append(Block(h, prev, pdig, ts, bytes(payload)))
+            prev_frame = frame
+        if not blocks:
+            raise _chain_break(0)
+        return cls(path, blocks)
 
     def append(self, payload: bytes, timestamp: int = 0) -> None:
         """Append a block and persist it."""
-        ok, bad = self.verify_chain()
-        if not ok:
-            raise LedgerError(
-                f"chain does not verify (first bad height {bad}); refusing append"
-            )
         block = Block(
             height=len(self.blocks),
-            prev_digest=self.blocks[-1].digest(),
+            prev_digest=self.blocks[-1].digest() if self.blocks else ZERO_DIGEST,
             payload_digest=sha256(payload),
             timestamp=timestamp,
             payload=payload,
@@ -158,24 +150,6 @@ class Ledger:
         except OSError as e:
             raise LedgerError(f"cannot append to {self.path}: {e}") from None
         self.blocks.append(block)
-
-    def verify_chain(self) -> tuple[bool, int | None]:
-        """Recompute every link; (True, None) or (False, first bad height)."""
-        if not self.blocks:
-            return (False, 0)
-        for i, block in enumerate(self.blocks):
-            if block.height != i:
-                return (False, i)
-            if block.payload_digest != sha256(block.payload):
-                return (False, i)
-            if i == 0:
-                if block.prev_digest != ZERO_DIGEST:
-                    return (False, 0)
-            elif block.prev_digest != self.blocks[i - 1].digest():
-                return (False, i)
-        if self.truncated_at is not None:
-            return (False, self.truncated_at)
-        return (True, None)
 
     def get_record(self, height: int) -> bytes:
         """Payload of the block at a height."""

@@ -44,19 +44,19 @@ CONFIGS = {
 PUBLISHED = {
     "honest": (
         "b2d5af9ba693c39b80247d0ce8e798319e45a40b30c5e32a5797cb01497dc426",
-        "8a5df1be66a91bfe6dfb2ba08d34734cbf0d8c3832f93a27708bd714a503e3de",
+        "fbc29e1b37b229be9c616b114b50e69a127a3ab223e0b668d5d5b56e7ae621f1",
     ),
     "sign-flip-label-flip": (
         "9a53376591fd6a81ef1b37f6b19b22bad948142de03582594c3612307681205a",
-        "01768c4f93c553b09918242b29367ac92430bf35914e82616e682ffac140d59b",
+        "abda40c9df032bb55895b76acef6ff577007cb11f7e4761292a289704b843851",
     ),
     "clipping-amplifier": (
         "6e452a6c0e55fc6d415bc1686d57a08bbea21a62892a6498ac4050a25cbd2944",
-        "5d187bfc801d6a36a92cb446605353dc8bcbf787fa3c9e8ffcab61b680355538",
+        "8d8d58bb1d0e244611bf8bc7303df60f4cf3cdc8e9fbd9469bf12376ffb8c48c",
     ),
     "mlp-hidden-8": (
         "c8c839c0f3955bbb6c7e5980042cee1d619422ba948013c7692298fe6439af26",
-        "fc8b361509b565777c0386511a50f0925db5c9880bc767f688e5bb2a4997a884",
+        "e85bfb8c662c13f4b7cb12b2665e48ee4234c7e7254594246694bb5ed9a9818e",
     ),
 }
 

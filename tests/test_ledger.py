@@ -1,7 +1,11 @@
 """Hash chain: append-only persistence and tamper evidence."""
+import dataclasses
+import struct
+
 import pytest
 
-from auditfl.ledger import Ledger, LedgerError
+from auditfl.crypto import sha256
+from auditfl.ledger import LEDGER_MAGIC, Ledger, LedgerError
 
 
 @pytest.fixture
@@ -28,7 +32,12 @@ class TestAppend:
         assert [b.payload for b in reloaded.blocks] == [
             b.payload for b in chain.blocks
         ]
-        assert reloaded.verify_chain() == (True, None)
+        reloaded.append(b"three")
+        again = Ledger.open(chain.path)
+        assert [b.payload for b in again.blocks] == [
+            b"genesis payload", b"one", b"two", b"three"
+        ]
+        assert again.blocks[3].prev_digest == again.blocks[2].digest()
 
     def test_create_refuses_overwrite(self, chain, tmp_path):
         with pytest.raises(LedgerError):
@@ -42,10 +51,20 @@ class TestAppend:
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
+def _write_frames(path, frames):
+    """Persist frames as a ledger file, whatever their links say."""
+    with open(path, "wb") as f:
+        f.write(LEDGER_MAGIC)
+        for frame in frames:
+            f.write(struct.pack("<Q", len(frame)) + frame)
+
+
 class TestVerifyChain:
+    """`Ledger.open` verifies the chain while it parses it."""
+
     def test_untouched_chain_accepts(self, chain):
         chain.append(b"x")
-        assert chain.verify_chain() == (True, None)
+        assert len(Ledger.open(chain.path)) == 2
 
     def test_payload_flip_detected_at_height(self, chain, tmp_path):
         chain.append(b"block-one")
@@ -55,29 +74,72 @@ class TestVerifyChain:
         idx = data.rindex(b"block-two"[:5])
         data[idx] ^= 0x01
         chain.path.write_bytes(bytes(data))
-        ok, bad = Ledger.open(chain.path).verify_chain()
-        assert not ok and bad == 2
+        with pytest.raises(LedgerError, match="height 2"):
+            Ledger.open(chain.path)
 
     def test_any_single_bit_flip_detected(self, chain):
         chain.append(b"abc")
         clean = chain.path.read_bytes()
-        for byte_idx in range(len(Ledger.open(chain.path).path.read_bytes())):
+        for byte_idx in range(len(clean)):
             data = bytearray(clean)
             data[byte_idx] ^= 0x01
             chain.path.write_bytes(bytes(data))
-            try:
-                ok, _ = Ledger.open(chain.path).verify_chain()
-            except LedgerError:
-                ok = False
-            assert not ok, f"bit flip at byte {byte_idx} went undetected"
+            with pytest.raises(LedgerError):
+                Ledger.open(chain.path)
+                pytest.fail(f"bit flip at byte {byte_idx} went undetected")
         chain.path.write_bytes(clean)
 
     def test_truncation_detected(self, chain):
         chain.append(b"will be cut")
         data = chain.path.read_bytes()
         chain.path.write_bytes(data[:-5])
-        ok, bad = Ledger.open(chain.path).verify_chain()
-        assert not ok and bad == 1
+        with pytest.raises(LedgerError, match="height 1"):
+            Ledger.open(chain.path)
+
+    def test_cut_length_prefix_detected(self, chain):
+        genesis_only = chain.path.stat().st_size
+        chain.append(b"prefix will be cut")
+        chain.path.write_bytes(chain.path.read_bytes()[: genesis_only + 5])
+        with pytest.raises(LedgerError, match="height 1"):
+            Ledger.open(chain.path)
+
+    def test_magic_only_has_no_genesis(self, tmp_path):
+        p = tmp_path / "empty.bin"
+        p.write_bytes(LEDGER_MAGIC)
+        with pytest.raises(LedgerError, match="height 0"):
+            Ledger.open(p)
+
+    @pytest.mark.parametrize(
+        "height, change",
+        [
+            (0, dict(prev_digest=b"\x01" * 32)),
+            (1, dict(prev_digest=sha256(b"not the genesis frame"))),
+            (2, dict(payload_digest=sha256(b"other payload"))),
+            (1, dict(height=2)),
+            (2, dict(height=1)),
+        ],
+        ids=["genesis-prev", "prev", "payload-digest", "height-skip", "height-repeat"],
+    )
+    def test_link_defect_behind_valid_checksum(self, chain, height, change):
+        # the frame checksum covers the re-framed block, so only the link
+        # checks can catch these
+        chain.append(b"one")
+        chain.append(b"two")
+        blocks = list(chain.blocks)
+        blocks[height] = dataclasses.replace(blocks[height], **change)
+        _write_frames(chain.path, [b.frame() for b in blocks])
+        with pytest.raises(LedgerError, match=f"hash chain broken at height {height}$"):
+            Ledger.open(chain.path)
+
+    def test_payload_len_disagreeing_with_frame_behind_valid_checksum(self, chain):
+        chain.append(b"one")
+        last = chain.blocks[1]
+        body = struct.pack(
+            "<Q32s32sQQ", 1, last.prev_digest, last.payload_digest, 0, 2
+        ) + last.payload
+        _write_frames(chain.path, [chain.blocks[0].frame(), body + sha256(body)])
+        with pytest.raises(LedgerError, match="height 1$"):
+            Ledger.open(chain.path)
 
 
 class TestGetRecord:

@@ -41,7 +41,7 @@ def test_many_small_run_and_audit(tmp_path):
 
 def test_trace_targets_present():
     # a renamed or deleted traced callable would silently read 0 in its
-    # per-layer metric; only the two stages deleted on purpose may be absent
+    # per-layer metric; only the stages deleted on purpose may be absent
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     code = (
@@ -54,4 +54,4 @@ def test_trace_targets_present():
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
     absent = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert absent == ["randomness.prvg", "randomness.model_mask"]
+    assert absent == ["randomness.prvg", "randomness.model_mask", "ledger.verify_chain"]
