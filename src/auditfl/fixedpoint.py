@@ -181,6 +181,7 @@ class FpVector:
 
     @classmethod
     def decode(cls, data: bytes) -> "FpVector":
+        """Inverse of `encode`; the raws are a read-only view of `data`, not a copy."""
         if len(data) < 9:
             raise ValueError(f"FpVector encoding too short: {len(data)} bytes")
         dim, scale = struct.unpack_from("<QB", data, 0)
@@ -189,8 +190,7 @@ class FpVector:
             raise ValueError(
                 f"FpVector encoding length {len(data)} != expected {expect}"
             )
-        raw = np.frombuffer(data, dtype="<i8", count=dim, offset=9)
-        return cls(raw.astype(np.int64), scale)
+        return cls(np.frombuffer(data, dtype="<i8", count=dim, offset=9), scale)
 
 
 def _limbs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -6,7 +6,8 @@ file alone. `Ledger.open` is the only reader and verifies every block while
 it parses it, so a `Ledger` is valid once built: by `create` and `append`,
 or by `open` after the whole file checked. Every block's digest covers its
 exact frame bytes, so any single-bit mutation of the persisted file is
-detected.
+detected. `open` reads the file once; its payloads, and all decoded from
+them, are read-only views of that one buffer, never copies.
 
 File layout: 8-byte magic, then frames, each prefixed by its u64 length.
 Frame: height u64 | prev_digest 32B | payload_digest 32B | timestamp u64 |
@@ -14,7 +15,8 @@ payload_len u64 | payload | frame_checksum 32B, where the checksum is
 SHA-256 of everything before it (it makes flips in the *last* block's
 header detectable; earlier blocks are already pinned by their successors).
 All integers little-endian. A block's digest is SHA-256 of its whole frame,
-checksum included.
+checksum included. Blocks are written with timestamp 0, so a ledger's bytes
+depend on its payloads alone.
 """
 from __future__ import annotations
 
@@ -35,7 +37,8 @@ class LedgerError(Exception):
     Every chain defect (a cut or mis-sized frame, a bad frame checksum, an
     out-of-sequence height, a wrong `prev_digest` or `payload_digest`, or no
     genesis block) reads `hash chain broken at height N`, N being the first
-    bad block.
+    bad block. No message that `open` raises names the file, so it depends
+    on the file's bytes alone.
     """
 
 
@@ -49,7 +52,7 @@ class Block:
     prev_digest: bytes
     payload_digest: bytes
     timestamp: int
-    payload: bytes
+    payload: bytes  # a read-only view of the file buffer after `open`
 
     def frame(self) -> bytes:
         body = (
@@ -64,9 +67,6 @@ class Block:
         )
         return body + sha256(body)
 
-    def digest(self) -> bytes:
-        return sha256(self.frame())
-
 
 class Ledger:
     """Ordered, verified block sequence bound to one backing file."""
@@ -74,12 +74,14 @@ class Ledger:
     def __init__(self, path, blocks: list[Block]):
         self.path = Path(path)
         self.blocks = blocks
+        # the newest frame, hashed once by `append` for its `prev_digest`
+        self._tip: bytes | None = None
 
     def __len__(self) -> int:
         return len(self.blocks)
 
     @classmethod
-    def create(cls, path, genesis_payload: bytes, timestamp: int = 0) -> "Ledger":
+    def create(cls, path, genesis_payload: bytes) -> "Ledger":
         """Start a new chain whose genesis block carries the given payload."""
         path = Path(path)
         try:
@@ -88,30 +90,31 @@ class Ledger:
         except FileExistsError:
             raise LedgerError(f"{path} already exists; refusing to overwrite") from None
         ledger = cls(path, [])
-        ledger.append(genesis_payload, timestamp)
+        ledger.append(genesis_payload)
         return ledger
 
     @classmethod
     def open(cls, path) -> "Ledger":
         """Parse a chain file, verifying each block; LedgerError at the first bad one."""
-        path = Path(path)
         try:
-            data = path.read_bytes()
+            data = Path(path).read_bytes()
         except OSError as e:
-            raise LedgerError(f"cannot read ledger {path}: {e}") from None
+            # not str(e), which names the file: the message depends on bytes alone
+            reason = e.strerror or type(e).__name__
+            raise LedgerError(f"cannot read ledger: {reason}") from None
         if data[: len(LEDGER_MAGIC)] != LEDGER_MAGIC:
-            raise LedgerError(f"{path}: not a ledger file (bad magic)")
-        view = memoryview(data)  # frames are views; only payloads are copied
+            raise LedgerError("not a ledger file (bad magic)")
+        view = memoryview(data)  # frames and payloads are views, never copies
         off = len(LEDGER_MAGIC)
         blocks: list[Block] = []
-        prev_frame = None
+        frame = None
         while off < len(data):
             height = len(blocks)
             if off + 8 > len(data):
                 raise _chain_break(height)
             (flen,) = struct.unpack_from("<Q", data, off)
             off += 8
-            frame = view[off : off + flen]
+            prev_frame, frame = frame, view[off : off + flen]
             off += flen
             if len(frame) != flen or flen < _HEADER.size + 32:
                 raise _chain_break(height)
@@ -127,19 +130,20 @@ class Ledger:
                 or sha256(payload) != pdig
             ):
                 raise _chain_break(height)
-            blocks.append(Block(h, prev, pdig, ts, bytes(payload)))
-            prev_frame = frame
+            blocks.append(Block(h, prev, pdig, ts, payload))
         if not blocks:
             raise _chain_break(0)
-        return cls(path, blocks)
+        ledger = cls(path, blocks)
+        ledger._tip = frame
+        return ledger
 
-    def append(self, payload: bytes, timestamp: int = 0) -> None:
+    def append(self, payload: bytes) -> None:
         """Append a block and persist it."""
         block = Block(
             height=len(self.blocks),
-            prev_digest=self.blocks[-1].digest() if self.blocks else ZERO_DIGEST,
+            prev_digest=sha256(self._tip) if self.blocks else ZERO_DIGEST,
             payload_digest=sha256(payload),
-            timestamp=timestamp,
+            timestamp=0,
             payload=payload,
         )
         frame = block.frame()
@@ -150,9 +154,10 @@ class Ledger:
         except OSError as e:
             raise LedgerError(f"cannot append to {self.path}: {e}") from None
         self.blocks.append(block)
+        self._tip = frame
 
     def get_record(self, height: int) -> bytes:
-        """Payload of the block at a height."""
+        """Payload of the block at a height (after `open`, a view of the file)."""
         if not (0 <= height < len(self.blocks)):
             raise LedgerError(f"no block at height {height}")
         return self.blocks[height].payload

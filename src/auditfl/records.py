@@ -2,8 +2,10 @@
 
 These are the only structures an external auditor needs to parse, so the
 encodings are fixed and self-describing: little-endian fixed-width framing,
-length-prefixed canonical FpVector payloads, and rationals as pairs of
+length-prefixed canonical FpVector payloads, id-keyed tables with strictly
+ascending ids (so each record has one encoding), and rationals as pairs of
 big-endian signed big integers. The full layout is documented in README.md.
+Decoding copies no vector: each is a read-only view of the decoded buffer.
 
 This module holds no secrets; the auditor imports it, the protocol fills it.
 """
@@ -26,12 +28,14 @@ class RecordFormatError(Exception):
 
 
 class _Reader:
+    """Parses a buffer in place: every blob it takes is a view, not a copy."""
+
     def __init__(self, data: bytes, what: str):
-        self.data = data
+        self.data = memoryview(data)
         self.off = 0
         self.what = what
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.off + n > len(self.data):
             raise RecordFormatError(
                 f"{self.what}: truncated at offset {self.off}, "
@@ -57,7 +61,7 @@ def _blob(data: bytes) -> bytes:
     return struct.pack("<I", len(data)) + data
 
 
-def _read_blob(r: _Reader) -> bytes:
+def _read_blob(r: _Reader) -> memoryview:
     (n,) = r.unpack("<I")
     return r.take(n)
 
@@ -77,6 +81,36 @@ def _read_fpvector(r: _Reader, what: str) -> FpVector:
         return FpVector.decode(_read_blob(r))
     except ValueError as e:
         raise RecordFormatError(f"{what}: {e}") from None
+
+
+def _table(table: dict, entry) -> list[bytes]:
+    """An id-keyed table: count u32, then id u32 | entry parts by ascending id."""
+    out = [struct.pack("<I", len(table))]
+    for pid in sorted(table):
+        out.append(struct.pack("<I", pid))
+        out += entry(table[pid])
+    return out
+
+
+def _read_table(r: _Reader, name: str, entry) -> dict:
+    """Inverse of `_table`; `entry(where)` reads the entry named by `where`.
+
+    Ids must ascend strictly: that rejects duplicates and leaves every
+    table, so every record, exactly one encoding.
+    """
+    (count,) = r.unpack("<I")
+    table = {}
+    last = -1
+    for _ in range(count):
+        (pid,) = r.unpack("<I")
+        if pid <= last:
+            raise RecordFormatError(
+                f"{r.what}: {name} id {pid} after id {last} is a duplicate "
+                "or out of order (ids must ascend strictly)"
+            )
+        table[pid] = entry(f"{name} id {pid}")
+        last = pid
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +151,9 @@ class GenesisPayload:
         return sha256(self.task_bytes())
 
     def encode(self) -> bytes:
-        out = [GENESIS_MAGIC, struct.pack("<H", WIRE_VERSION)]
-        task = self.task_bytes()
-        out.append(self.task_hash())
-        out.append(task)
-        out.append(self.server_pk)
-        out.append(self.w0_signature)
-        out.append(struct.pack("<I", len(self.participant_pks)))
-        for pid in sorted(self.participant_pks):
-            out.append(struct.pack("<I", pid))
-            out.append(self.participant_pks[pid])
+        out = [GENESIS_MAGIC, struct.pack("<H", WIRE_VERSION), self.task_hash(),
+               self.task_bytes(), self.server_pk, self.w0_signature]
+        out += _table(self.participant_pks, lambda pk: (pk,))
         return b"".join(out)
 
     @classmethod
@@ -141,15 +168,10 @@ class GenesisPayload:
         rounds, eta_num, eta_exp, dim, scale, clipping, clip_factor, k = r.unpack(
             "<IqBQBBII"
         )
-        server_pk = r.take(PUBLIC_KEY_SIZE)
-        w0_sig = r.take(SIGNATURE_SIZE)
-        (n,) = r.unpack("<I")
-        pks: dict[int, bytes] = {}
-        for _ in range(n):
-            (pid,) = r.unpack("<I")
-            if pid in pks:
-                raise RecordFormatError(f"genesis payload: duplicate id {pid}")
-            pks[pid] = r.take(PUBLIC_KEY_SIZE)
+        # fixed fields are bytes: `crypto.verify` takes nothing else
+        server_pk = bytes(r.take(PUBLIC_KEY_SIZE))
+        w0_sig = bytes(r.take(SIGNATURE_SIZE))
+        pks = _read_table(r, "roster", lambda _: bytes(r.take(PUBLIC_KEY_SIZE)))
         r.expect_end()
         obj = cls(
             rounds=rounds,
@@ -191,18 +213,14 @@ class RoundRecord:
     server_agg: FpVector  # mg_S2
 
     def encode(self) -> bytes:
+        def signed(entry):
+            vec, sig = entry
+            return _blob(vec.encode()), sig
+
         out = [ROUND_MAGIC, struct.pack("<I", self.r)]
-        for section in (self.local_detect, self.local_agg):
-            out.append(struct.pack("<I", len(section)))
-            for pid in sorted(section):
-                vec, sig = section[pid]
-                out.append(struct.pack("<I", pid))
-                out.append(_blob(vec.encode()))
-                out.append(sig)
-        out.append(struct.pack("<I", len(self.server_detect)))
-        for pid in sorted(self.server_detect):
-            out.append(struct.pack("<I", pid))
-            out.append(_blob(self.server_detect[pid].encode()))
+        out += _table(self.local_detect, signed)
+        out += _table(self.local_agg, signed)
+        out += _table(self.server_detect, lambda vec: (_blob(vec.encode()),))
         out.append(_blob(self.server_agg.encode()))
         return b"".join(out)
 
@@ -213,31 +231,15 @@ class RoundRecord:
             raise RecordFormatError("round record: bad magic")
         (rnd,) = r.unpack("<I")
 
-        def read_signed_section(name: str) -> dict[int, tuple[FpVector, bytes]]:
-            (count,) = r.unpack("<I")
-            section: dict[int, tuple[FpVector, bytes]] = {}
-            for _ in range(count):
-                (pid,) = r.unpack("<I")
-                if pid in section:
-                    raise RecordFormatError(
-                        f"round record: duplicate id {pid} in {name}"
-                    )
-                vec = _read_fpvector(r, f"round {rnd} {name} id {pid}")
-                sig = r.take(SIGNATURE_SIZE)
-                section[pid] = (vec, sig)
-            return section
+        def vector(where: str) -> FpVector:
+            return _read_fpvector(r, f"round {rnd} {where}")
 
-        local_detect = read_signed_section("detect masks")
-        local_agg = read_signed_section("aggregation masks")
-        (count,) = r.unpack("<I")
-        server_detect: dict[int, FpVector] = {}
-        for _ in range(count):
-            (pid,) = r.unpack("<I")
-            if pid in server_detect:
-                raise RecordFormatError(
-                    f"round record: duplicate id {pid} in server masks"
-                )
-            server_detect[pid] = _read_fpvector(r, f"round {rnd} server mask {pid}")
+        def signed(where: str) -> tuple[FpVector, bytes]:
+            return vector(where), bytes(r.take(SIGNATURE_SIZE))
+
+        local_detect = _read_table(r, "detect masks", signed)
+        local_agg = _read_table(r, "aggregation masks", signed)
+        server_detect = _read_table(r, "server masks", vector)
         server_agg = _read_fpvector(r, f"round {rnd} server aggregate")
         r.expect_end()
         return cls(
@@ -284,12 +286,9 @@ class TrainingRecord:
         for rec in self.rounds:
             out.append(_blob(rec.encode()))
         out.append(_blob(self.masked_model.encode()))
-        out.append(struct.pack("<I", len(self.deflation)))
-        for pid in sorted(self.deflation):
-            num, den = self.deflation[pid]
-            out.append(struct.pack("<I", pid))
-            out.append(encode_bigint(num))
-            out.append(encode_bigint(den))
+        out += _table(
+            self.deflation, lambda q: (encode_bigint(q[0]), encode_bigint(q[1]))
+        )
         return b"".join(out)
 
     @classmethod
@@ -311,17 +310,9 @@ class TrainingRecord:
                     f"expected {k + 1}"
                 )
         masked_model = _read_fpvector(r, "masked final model")
-        (count,) = r.unpack("<I")
-        deflation: dict[int, tuple[int, int]] = {}
-        for _ in range(count):
-            (pid,) = r.unpack("<I")
-            if pid in deflation:
-                raise RecordFormatError(
-                    f"training record: duplicate deflation id {pid}"
-                )
-            num = _read_bigint(r)
-            den = _read_bigint(r)
-            deflation[pid] = (num, den)
+        deflation = _read_table(
+            r, "deflation", lambda _: (_read_bigint(r), _read_bigint(r))
+        )
         r.expect_end()
         return cls(
             rounds=tuple(rounds),

@@ -2,6 +2,7 @@
 import ast
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -512,3 +513,32 @@ class TestFailureReports:
         assert report.failure_stage == stage, report.failure
         assert report.n_records == n_records
         assert [ra.r for ra in report.rounds] == rounds
+
+    def test_report_does_not_depend_on_the_path(self, tmp_path):
+        (tmp_path / "elsewhere").mkdir()
+        a, b = tmp_path / "a.bin", tmp_path / "elsewhere" / "b.bin"
+        for p in (a, b):
+            p.write_bytes(b"not a ledger at all")
+        assert full_audit(a).to_json() == full_audit(b).to_json()
+        assert "bin" not in full_audit(a).failure
+        missing_a = full_audit(tmp_path / "absent-a.bin")
+        missing_b = full_audit(tmp_path / "elsewhere" / "absent-b.bin")
+        assert missing_a.failure_stage == "ledger"
+        assert missing_a.to_json() == missing_b.to_json()
+
+
+class TestReadInPlace:
+    def test_audit_peak_stays_near_the_ledger_size(self, tmp_path):
+        # the audit reads the file once and decodes views of that buffer, so
+        # its peak is the file plus a few d-sized temporaries (d=2056 here)
+        cfg = small_config(participants=4, rounds=3)
+        _, _, path = run_published(tmp_path, cfg, seed=5, features=256, classes=8)
+        assert full_audit(path).ok  # warm-up: imports and per-process tables
+        tracemalloc.start()
+        try:
+            report = full_audit(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 1.6 * path.stat().st_size

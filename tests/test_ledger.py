@@ -22,7 +22,7 @@ class TestAppend:
     def test_identical_payloads_distinct_digests(self, chain):
         chain.append(b"same")
         chain.append(b"same")
-        assert chain.blocks[1].digest() != chain.blocks[2].digest()
+        assert sha256(chain.blocks[1].frame()) != sha256(chain.blocks[2].frame())
 
     def test_reload_roundtrip(self, chain):
         chain.append(b"one")
@@ -37,17 +37,36 @@ class TestAppend:
         assert [b.payload for b in again.blocks] == [
             b"genesis payload", b"one", b"two", b"three"
         ]
-        assert again.blocks[3].prev_digest == again.blocks[2].digest()
+        assert again.blocks[3].prev_digest == sha256(again.blocks[2].frame())
 
     def test_create_refuses_overwrite(self, chain, tmp_path):
         with pytest.raises(LedgerError):
             Ledger.create(chain.path, b"x")
 
+    def test_append_hashes_the_newest_frame_once(self, tmp_path, monkeypatch):
+        import auditfl.ledger
+
+        hashed = []
+
+        def counting_sha256(data):
+            hashed.append(len(data))
+            return sha256(data)
+
+        monkeypatch.setattr(auditfl.ledger, "sha256", counting_sha256)
+        chain = Ledger.create(tmp_path / "c.bin", b"g")
+        per_payload_byte = []
+        for _ in range(4):
+            hashed.clear()
+            chain.append(bytes(100_000))
+            per_payload_byte.append(round(sum(hashed) / 100_000, 1))
+        # payload digest and frame checksum, plus the previous frame's digest
+        assert per_payload_byte == [2.0, 3.0, 3.0, 3.0]
+
     def test_deterministic_bytes(self, tmp_path):
-        a = Ledger.create(tmp_path / "a.bin", b"g", timestamp=4)
-        a.append(b"p", timestamp=4)
-        b = Ledger.create(tmp_path / "b.bin", b"g", timestamp=4)
-        b.append(b"p", timestamp=4)
+        a = Ledger.create(tmp_path / "a.bin", b"g")
+        a.append(b"p")
+        b = Ledger.create(tmp_path / "b.bin", b"g")
+        b.append(b"p")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
@@ -155,3 +174,11 @@ class TestGetRecord:
         p.write_bytes(b"not a ledger at all")
         with pytest.raises(LedgerError):
             Ledger.open(p)
+
+    def test_payloads_are_read_only_views_of_one_buffer(self, chain):
+        chain.append(b"one")
+        reopened = Ledger.open(chain.path)
+        genesis, one = reopened.get_record(height=0), reopened.get_record(height=1)
+        assert genesis.readonly and one.readonly
+        assert genesis.obj is one.obj
+        assert (bytes(genesis), bytes(one)) == (b"genesis payload", b"one")

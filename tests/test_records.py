@@ -1,8 +1,12 @@
 """Wire-format round trips and structured parse failures."""
+import dataclasses
+
 import numpy as np
 import pytest
 
+from auditfl import records
 from auditfl.fixedpoint import FpVector
+from auditfl.ledger import Ledger
 from auditfl.records import (
     GenesisPayload,
     RecordFormatError,
@@ -156,3 +160,71 @@ class TestTrainingRecord:
     def test_garbage_rejected_structured(self):
         with pytest.raises(RecordFormatError):
             TrainingRecord.decode(b"TRCD" + b"\x01\x02" * 3)
+
+
+def _two_ids_in(table):
+    """The record type and a record whose only table with two ids is `table`."""
+    if table == "roster":
+        return GenesisPayload, _genesis(n=2)
+    full = _round()
+    one = dataclasses.replace(
+        full,
+        local_detect={1: full.local_detect[1]},
+        server_detect={1: full.server_detect[1]},
+    )
+    if table == "deflation":
+        return TrainingRecord, dataclasses.replace(_record(), rounds=(one,))
+    two = {
+        "local_detect": full.local_detect,
+        "local_agg": {**full.local_agg, 2: (_vec([0, 0, 0, 1]), b"\x0d" * 64)},
+        "server_detect": full.server_detect,
+    }[table]
+    return RoundRecord, dataclasses.replace(one, **{table: two})
+
+
+class TestTableOrder:
+    """Every id-keyed table lists its ids strictly ascending, so each record
+    has one encoding; a duplicate or an out-of-order id is a format error."""
+
+    TABLES = {
+        "roster": "roster",
+        "local_detect": "detect masks",
+        "local_agg": "aggregation masks",
+        "server_detect": "server masks",
+        "deflation": "deflation",
+    }
+
+    @pytest.mark.parametrize("table", TABLES)
+    @pytest.mark.parametrize(
+        "order, message",
+        [(lambda ids: sorted(ids, reverse=True), "id 1 after id 2 is a"),
+         (lambda ids: [min(ids)] * len(ids), "id 1 after id 1 is a duplicate")],
+        ids=["out-of-order", "duplicate"],
+    )
+    def test_rejected(self, monkeypatch, table, order, message):
+        cls, rec = _two_ids_in(table)
+        # the table writer takes its id order from `sorted`
+        monkeypatch.setattr(records, "sorted", order, raising=False)
+        data = rec.encode()
+        monkeypatch.undo()
+        with pytest.raises(RecordFormatError, match=f"{self.TABLES[table]} {message}"):
+            cls.decode(data)
+
+
+class TestDecodedViews:
+    def test_vectors_are_read_only_views_of_the_payload(self, tmp_path):
+        chain = Ledger.create(tmp_path / "chain.bin", b"genesis payload")
+        chain.append(_record().encode())
+        payload = Ledger.open(chain.path).get_record(height=1)
+        decoded = TrainingRecord.decode(payload)
+        buffer = np.frombuffer(payload, dtype=np.uint8)
+        vectors = [decoded.masked_model]
+        for rec in decoded.rounds:
+            vectors += [vec for vec, _ in rec.local_detect.values()]
+            vectors += [vec for vec, _ in rec.local_agg.values()]
+            vectors += [*rec.server_detect.values(), rec.server_agg]
+        assert len(vectors) == 1 + 2 * 6
+        for vec in vectors:
+            assert np.shares_memory(vec.raw, buffer)
+            assert not vec.raw.flags.writeable
+        assert decoded == TrainingRecord.decode(_record().encode())
