@@ -9,6 +9,11 @@ import with `UnsupportedAlgorithm` rather than producing different ledgers.
 Signing keys are plain scalars derived from entropy by a SHA-256
 hash-to-scalar loop, so a key depends only on its entropy.
 
+Messages are passed as lists of buffers (bytes, memoryviews) whose
+concatenation is the signed byte string: they are hashed where they lie and
+the digest is signed, so a message is never joined into one copy. The
+signature is the same as over the joined bytes.
+
 Encodings are fixed length: public key = x||y (64 bytes, big-endian),
 signature = r||s (64 bytes, big-endian). Malformed encodings verify as
 False, they never raise.
@@ -23,6 +28,7 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.asymmetric.utils import (
+    Prehashed,
     decode_dss_signature,
     encode_dss_signature,
 )
@@ -34,13 +40,16 @@ SIGNATURE_SIZE = 64
 PUBLIC_KEY_SIZE = 64
 
 _CURVE = ec.SECP256R1()
-_SIGN = ec.ECDSA(hashes.SHA256(), deterministic_signing=True)
-_VERIFY = ec.ECDSA(hashes.SHA256())
+_SIGN = ec.ECDSA(Prehashed(hashes.SHA256()), deterministic_signing=True)
+_VERIFY = ec.ECDSA(Prehashed(hashes.SHA256()))
 
 
-def sha256(data: bytes) -> bytes:
-    """32-byte collision-resistant digest."""
-    return hashlib.sha256(data).digest()
+def sha256(*parts) -> bytes:
+    """32-byte collision-resistant digest of the concatenated buffers."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+    return h.digest()
 
 
 @dataclass(frozen=True)
@@ -71,17 +80,17 @@ def keygen(entropy: bytes | None = None) -> KeyPair:
     return KeyPair(sk=cand, pk=pk)
 
 
-def sign(sk: int, message: bytes) -> bytes:
-    """ECDSA signature over SHA-256(message), encoded as r||s (64 bytes)."""
+def sign(sk: int, message: list) -> bytes:
+    """ECDSA signature over SHA-256 of the message buffers, as r||s (64 bytes)."""
     if not (1 <= sk <= N - 1):
         raise ValueError("signing key out of range")
-    der = ec.derive_private_key(sk, _CURVE).sign(message, _SIGN)
+    der = ec.derive_private_key(sk, _CURVE).sign(sha256(*message), _SIGN)
     r, s = decode_dss_signature(der)
     return r.to_bytes(32, "big") + s.to_bytes(32, "big")
 
 
-def verify(pk: bytes, message: bytes, signature: bytes) -> bool:
-    """True iff signature is a valid ECDSA signature of message under pk."""
+def verify(pk: bytes, message: list, signature: bytes) -> bool:
+    """True iff signature is a valid ECDSA signature of the message buffers under pk."""
     if not isinstance(pk, bytes) or len(pk) != PUBLIC_KEY_SIZE:
         return False
     if not isinstance(signature, bytes) or len(signature) != SIGNATURE_SIZE:
@@ -92,7 +101,7 @@ def verify(pk: bytes, message: bytes, signature: bytes) -> bool:
         return False
     try:
         key = ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, b"\x04" + pk)
-        key.verify(encode_dss_signature(r, s), message, _VERIFY)
+        key.verify(encode_dss_signature(r, s), sha256(*message), _VERIFY)
     except (ValueError, InvalidSignature):
         return False
     return True

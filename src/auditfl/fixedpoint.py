@@ -173,11 +173,14 @@ class FpVector:
 
     # -- canonical byte encoding (the signing preimage format) --------------
 
-    def encode(self) -> bytes:
-        """dim (u64 LE) + scale (u8) + raws as little-endian two's-complement."""
-        return struct.pack("<QB", self.dim, self.scale) + self.raw.astype(
-            "<i8"
-        ).tobytes()
+    def encode(self) -> list:
+        """dim (u64 LE) + scale (u8) + raws as little-endian two's-complement.
+
+        Returned as two buffers, the 9-byte header and a byte view of the
+        raws, which on a little-endian host is the raws' own memory.
+        """
+        raw = self.raw.astype("<i8", copy=False)
+        return [struct.pack("<QB", self.dim, self.scale), memoryview(raw).cast("B")]
 
     @classmethod
     def decode(cls, data: bytes) -> "FpVector":

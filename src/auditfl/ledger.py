@@ -7,7 +7,9 @@ it parses it, so a `Ledger` is valid once built: by `create` and `append`,
 or by `open` after the whole file checked. Every block's digest covers its
 exact frame bytes, so any single-bit mutation of the persisted file is
 detected. `open` reads the file once; its payloads, and all decoded from
-them, are read-only views of that one buffer, never copies.
+them, are read-only views of that one buffer, never copies. `append` takes
+a payload as a list of buffers and hashes and writes them where they lie,
+so publishing a record copies none of it either.
 
 File layout: 8-byte magic, then frames, each prefixed by its u64 length.
 Frame: height u64 | prev_digest 32B | payload_digest 32B | timestamp u64 |
@@ -52,45 +54,38 @@ class Block:
     prev_digest: bytes
     payload_digest: bytes
     timestamp: int
-    payload: bytes  # a read-only view of the file buffer after `open`
-
-    def frame(self) -> bytes:
-        body = (
-            _HEADER.pack(
-                self.height,
-                self.prev_digest,
-                self.payload_digest,
-                self.timestamp,
-                len(self.payload),
-            )
-            + self.payload
-        )
-        return body + sha256(body)
+    payload: memoryview  # a read-only view of the file buffer
 
 
 class Ledger:
-    """Ordered, verified block sequence bound to one backing file."""
+    """Ordered, verified block sequence bound to one backing file.
 
-    def __init__(self, path, blocks: list[Block]):
+    `blocks` holds the blocks `open` parsed. `append` keeps no block: it
+    writes the frame and keeps only the height and the newest frame's
+    buffers, which the next `append` hashes for its `prev_digest`. Read
+    appended blocks back with `open`.
+    """
+
+    def __init__(self, path, blocks: list[Block], tip: tuple):
         self.path = Path(path)
         self.blocks = blocks
-        # the newest frame, hashed once by `append` for its `prev_digest`
-        self._tip: bytes | None = None
+        self._height = len(blocks)
+        self._tip = tip  # the newest frame as buffers; () before the genesis
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return self._height
 
     @classmethod
-    def create(cls, path, genesis_payload: bytes) -> "Ledger":
-        """Start a new chain whose genesis block carries the given payload."""
+    def create(cls, path, *genesis_parts) -> "Ledger":
+        """Start a new chain whose genesis payload is the concatenated parts."""
         path = Path(path)
         try:
             with open(path, "xb") as f:
                 f.write(LEDGER_MAGIC)
         except FileExistsError:
             raise LedgerError(f"{path} already exists; refusing to overwrite") from None
-        ledger = cls(path, [])
-        ledger.append(genesis_payload)
+        ledger = cls(path, [], ())
+        ledger.append(*genesis_parts)
         return ledger
 
     @classmethod
@@ -133,31 +128,36 @@ class Ledger:
             blocks.append(Block(h, prev, pdig, ts, payload))
         if not blocks:
             raise _chain_break(0)
-        ledger = cls(path, blocks)
-        ledger._tip = frame
-        return ledger
+        return cls(path, blocks, (frame,))
 
-    def append(self, payload: bytes) -> None:
-        """Append a block and persist it."""
-        block = Block(
-            height=len(self.blocks),
-            prev_digest=sha256(self._tip) if self.blocks else ZERO_DIGEST,
-            payload_digest=sha256(payload),
-            timestamp=0,
-            payload=payload,
+    def append(self, *parts) -> None:
+        """Append a block whose payload is the concatenated parts, and persist it.
+
+        The parts (any buffers) are hashed and written in place, never
+        joined; they stay referenced as the tip until the next append.
+        """
+        plen = sum(memoryview(part).nbytes for part in parts)
+        header = _HEADER.pack(
+            self._height,
+            sha256(*self._tip) if self._tip else ZERO_DIGEST,
+            sha256(*parts),
+            0,
+            plen,
         )
-        frame = block.frame()
+        checksum = sha256(header, *parts)
         try:
             with open(self.path, "ab") as f:
-                f.write(struct.pack("<Q", len(frame)))
-                f.write(frame)
+                f.write(struct.pack("<Q", len(header) + plen + len(checksum)))
+                f.write(header)
+                f.writelines(parts)
+                f.write(checksum)
         except OSError as e:
             raise LedgerError(f"cannot append to {self.path}: {e}") from None
-        self.blocks.append(block)
-        self._tip = frame
+        self._height += 1
+        self._tip = (header, *parts, checksum)
 
-    def get_record(self, height: int) -> bytes:
-        """Payload of the block at a height (after `open`, a view of the file)."""
+    def get_record(self, height: int) -> memoryview:
+        """Payload of a block `open` parsed: a read-only view of the file."""
         if not (0 <= height < len(self.blocks)):
             raise LedgerError(f"no block at height {height}")
         return self.blocks[height].payload

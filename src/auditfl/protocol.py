@@ -491,9 +491,9 @@ def run_training(
     secrets, participant_secrets, genesis = preprocess(config, dim, w0)
     server_ledger = None
     if publishing:
-        genesis_bytes = genesis.encode()
-        server_ledger = Ledger.create(ledger_path, genesis_bytes)
-        timing["preprocess_bytes"] = len(genesis_bytes)
+        genesis_parts = genesis.encode()
+        server_ledger = Ledger.create(ledger_path, *genesis_parts)
+        timing["preprocess_bytes"] = sum(map(len, genesis_parts))
 
     participants = [
         Participant(
@@ -541,9 +541,9 @@ def run_training(
     record_obj = None
     if publishing:
         record_obj = server.finalize(round_records)
-        payload = record_obj.encode()
-        timing["record_bytes"] = len(payload)
-        server_ledger.append(payload)
+        parts = record_obj.encode()
+        timing["record_bytes"] = sum(map(len, parts))
+        server_ledger.append(*parts)
 
     return RunResult(
         w0=w0,

@@ -4,8 +4,11 @@ These are the only structures an external auditor needs to parse, so the
 encodings are fixed and self-describing: little-endian fixed-width framing,
 length-prefixed canonical FpVector payloads, id-keyed tables with strictly
 ascending ids (so each record has one encoding), and rationals as pairs of
-big-endian signed big integers. The full layout is documented in README.md.
-Decoding copies no vector: each is a read-only view of the decoded buffer.
+minimal big-endian signed big integers. The full layout is documented in
+README.md. Encoding copies no vector: every `encode` returns a list of
+buffers whose concatenation is the record's bytes, each vector contributing
+a view of its raws. Decoding copies none either: each vector is a read-only
+view of the decoded buffer.
 
 This module holds no secrets; the auditor imports it, the protocol fills it.
 """
@@ -57,8 +60,9 @@ class _Reader:
             )
 
 
-def _blob(data: bytes) -> bytes:
-    return struct.pack("<I", len(data)) + data
+def _blob(parts: list) -> list:
+    """Length-prefixed blob: u32 byte count, then the parts (byte buffers)."""
+    return [struct.pack("<I", sum(map(len, parts))), *parts]
 
 
 def _read_blob(r: _Reader) -> memoryview:
@@ -66,14 +70,27 @@ def _read_blob(r: _Reader) -> memoryview:
     return r.take(n)
 
 
+def _bigint_size(x: int) -> int:
+    """Bytes of x's minimal two's-complement encoding; zero takes none."""
+    return ((x if x >= 0 else ~x).bit_length() + 8) // 8 if x else 0
+
+
 def encode_bigint(x: int) -> bytes:
     """Signed big integer: length-prefixed minimal two's-complement, big-endian."""
-    n = (x.bit_length() + 8) // 8 if x != 0 else 0
-    return _blob(x.to_bytes(n, "big", signed=True))
+    n = _bigint_size(x)
+    return struct.pack("<I", n) + x.to_bytes(n, "big", signed=True)
 
 
 def _read_bigint(r: _Reader) -> int:
-    return int.from_bytes(_read_blob(r), "big", signed=True)
+    """Inverse of `encode_bigint`; a blob longer than minimal is rejected."""
+    blob = _read_blob(r)
+    x = int.from_bytes(blob, "big", signed=True)
+    if len(blob) != _bigint_size(x):
+        raise RecordFormatError(
+            f"{r.what}: big integer {x} takes {len(blob)} bytes, "
+            f"its minimal encoding {_bigint_size(x)}"
+        )
+    return x
 
 
 def _read_fpvector(r: _Reader, what: str) -> FpVector:
@@ -83,7 +100,7 @@ def _read_fpvector(r: _Reader, what: str) -> FpVector:
         raise RecordFormatError(f"{what}: {e}") from None
 
 
-def _table(table: dict, entry) -> list[bytes]:
+def _table(table: dict, entry) -> list:
     """An id-keyed table: count u32, then id u32 | entry parts by ascending id."""
     out = [struct.pack("<I", len(table))]
     for pid in sorted(table):
@@ -150,11 +167,11 @@ class GenesisPayload:
     def task_hash(self) -> bytes:
         return sha256(self.task_bytes())
 
-    def encode(self) -> bytes:
+    def encode(self) -> list:
         out = [GENESIS_MAGIC, struct.pack("<H", WIRE_VERSION), self.task_hash(),
                self.task_bytes(), self.server_pk, self.w0_signature]
         out += _table(self.participant_pks, lambda pk: (pk,))
-        return b"".join(out)
+        return out
 
     @classmethod
     def decode(cls, data: bytes) -> "GenesisPayload":
@@ -212,17 +229,17 @@ class RoundRecord:
     server_detect: dict[int, FpVector]  # id -> mg_S1 (one per participant)
     server_agg: FpVector  # mg_S2
 
-    def encode(self) -> bytes:
+    def encode(self) -> list:
         def signed(entry):
             vec, sig = entry
-            return _blob(vec.encode()), sig
+            return [*_blob(vec.encode()), sig]
 
         out = [ROUND_MAGIC, struct.pack("<I", self.r)]
         out += _table(self.local_detect, signed)
         out += _table(self.local_agg, signed)
-        out += _table(self.server_detect, lambda vec: (_blob(vec.encode()),))
-        out.append(_blob(self.server_agg.encode()))
-        return b"".join(out)
+        out += _table(self.server_detect, lambda vec: _blob(vec.encode()))
+        out += _blob(self.server_agg.encode())
+        return out
 
     @classmethod
     def decode(cls, data: bytes) -> "RoundRecord":
@@ -269,7 +286,7 @@ class TrainingRecord:
     eta_exp: int
     n_participants: int
 
-    def encode(self) -> bytes:
+    def encode(self) -> list:
         out = [
             TRCD_MAGIC,
             struct.pack(
@@ -284,12 +301,12 @@ class TrainingRecord:
             ),
         ]
         for rec in self.rounds:
-            out.append(_blob(rec.encode()))
-        out.append(_blob(self.masked_model.encode()))
+            out += _blob(rec.encode())
+        out += _blob(self.masked_model.encode())
         out += _table(
             self.deflation, lambda q: (encode_bigint(q[0]), encode_bigint(q[1]))
         )
-        return b"".join(out)
+        return out
 
     @classmethod
     def decode(cls, data: bytes) -> "TrainingRecord":

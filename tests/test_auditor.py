@@ -1,5 +1,6 @@
 """Audit completeness and soundness from public bytes only."""
 import ast
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -388,9 +389,9 @@ class TestStructuredFailures:
         cfg = small_config(participants=3, rounds=1, master_seed=1013)
         _, _, path = run_published(tmp_path, cfg, seed=9)
         genesis_bytes, record, genesis = load_chain(path)
-        payload = bytearray(record.encode())
+        payload = bytearray(b"".join(record.encode()))
         vec = record.rounds[0].server_detect[min(record.rounds[0].server_detect)]
-        at = payload.find(vec.encode())
+        at = payload.find(b"".join(vec.encode()))
         assert at > 0 and payload[at + 8] == genesis.scale
         payload[at + 8] ^= 0x80
         rebuild_ledger(path, genesis_bytes, [bytes(payload)])
@@ -441,6 +442,26 @@ class TestStructuredFailures:
         republish(work, dataclasses.replace(record, deflation=bad_rt))
         report = full_audit(work)
         assert not report.ok and report.failure_stage == "structure"
+
+    def test_padded_deflation_value_rejected(self, honest_run, tmp_path):
+        # a numerator written `00 01` in place of `01` decodes to the same
+        # value; accepting it would give the record a second encoding
+        import dataclasses
+
+        _, _, _, path = honest_run
+        work = tmp_path / "padded.bin"
+        work.write_bytes(path.read_bytes())
+        genesis_bytes, record, _ = load_chain(work)
+        data = b"".join(record.encode())
+        # the deflation table ends the record: count, then id | num | den
+        table = len(b"".join(dataclasses.replace(record, deflation={}).encode())) - 4
+        num = table + 8  # past the count and the first id
+        assert data[num : num + 5] == struct.pack("<I", 1) + b"\x01"
+        padded = data[:num] + struct.pack("<I", 2) + b"\x00\x01" + data[num + 5 :]
+        rebuild_ledger(work, genesis_bytes, [padded])
+        report = full_audit(work)
+        assert not report.ok and report.failure_stage == "record-format"
+        assert "minimal encoding" in report.failure
 
     def test_zero_denominator_deflation_rejected(self, honest_run, tmp_path):
         import dataclasses

@@ -378,11 +378,11 @@ class TestVectorOps:
 class TestEncoding:
     def test_roundtrip(self):
         v = FpVector(np.array([0, 1, -1, (1 << 62), -(1 << 62)]), 20)
-        assert FpVector.decode(v.encode()) == v
+        assert FpVector.decode(b"".join(v.encode())) == v
 
     def test_layout(self):
         v = FpVector(np.array([1], dtype=np.int64), 7)
-        enc = v.encode()
+        enc = b"".join(v.encode())
         assert enc[:8] == (1).to_bytes(8, "little")
         assert enc[8] == 7
         assert enc[9:] == (1).to_bytes(8, "little", signed=True)
@@ -390,12 +390,12 @@ class TestEncoding:
     def test_truncated_rejected(self):
         v = FpVector(np.array([1, 2, 3]), 20)
         with pytest.raises(ValueError):
-            FpVector.decode(v.encode()[:-1])
+            FpVector.decode(b"".join(v.encode())[:-1])
 
     def test_determinism_across_construction_paths(self):
         a = FpVector.from_floats([0.25, -0.75], 20)
         b = FpVector(np.array([262144, -786432]), 20)
-        assert a.encode() == b.encode()
+        assert b"".join(a.encode()) == b"".join(b.encode())
 
 
 def test_active_backend_reports_selection():

@@ -87,4 +87,4 @@ def test_unpublished_model_bytes(name, detection):
     result = run_training(
         small_config(**CONFIGS[name]), train, test, detection=detection, publish=False
     )
-    assert _sha(result.w_final.encode()) == UNPUBLISHED[(name, detection)]
+    assert _sha(b"".join(result.w_final.encode())) == UNPUBLISHED[(name, detection)]

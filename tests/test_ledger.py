@@ -1,11 +1,14 @@
 """Hash chain: append-only persistence and tamper evidence."""
 import dataclasses
 import struct
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from auditfl.crypto import sha256
-from auditfl.ledger import LEDGER_MAGIC, Ledger, LedgerError
+from auditfl.ledger import _HEADER, LEDGER_MAGIC, Ledger, LedgerError
+from util import run_published, small_config
 
 
 @pytest.fixture
@@ -13,16 +16,29 @@ def chain(tmp_path):
     return Ledger.create(tmp_path / "chain.bin", b"genesis payload")
 
 
+def _frame(block) -> bytes:
+    """A block's frame bytes, rebuilt from its fields (whatever they say)."""
+    body = _HEADER.pack(
+        block.height,
+        block.prev_digest,
+        block.payload_digest,
+        block.timestamp,
+        len(block.payload),
+    ) + block.payload
+    return body + sha256(body)
+
+
 class TestAppend:
     def test_first_append_is_height_one(self, chain):
         chain.append(b"payload")
         assert len(chain) == 2
-        assert chain.blocks[1].height == 1
+        assert Ledger.open(chain.path).blocks[1].height == 1
 
     def test_identical_payloads_distinct_digests(self, chain):
         chain.append(b"same")
         chain.append(b"same")
-        assert sha256(chain.blocks[1].frame()) != sha256(chain.blocks[2].frame())
+        blocks = Ledger.open(chain.path).blocks
+        assert sha256(_frame(blocks[1])) != sha256(_frame(blocks[2]))
 
     def test_reload_roundtrip(self, chain):
         chain.append(b"one")
@@ -30,14 +46,29 @@ class TestAppend:
         reloaded = Ledger.open(chain.path)
         assert len(reloaded) == 3
         assert [b.payload for b in reloaded.blocks] == [
-            b.payload for b in chain.blocks
+            b"genesis payload", b"one", b"two"
         ]
         reloaded.append(b"three")
         again = Ledger.open(chain.path)
         assert [b.payload for b in again.blocks] == [
             b"genesis payload", b"one", b"two", b"three"
         ]
-        assert again.blocks[3].prev_digest == sha256(again.blocks[2].frame())
+        assert again.blocks[3].prev_digest == sha256(_frame(again.blocks[2]))
+
+    def test_parts_write_the_bytes_of_their_concatenation(self, tmp_path):
+        # any buffers, byte-formatted or not, split anywhere: the file holds
+        # the same bytes as for the one joined payload
+        raws = np.arange(-3, 3, dtype="<i8")
+        parts = [b"", b"pay", memoryview(b"load"), raws, memoryview(raws)]
+        joined = b"payload" + raws.tobytes() * 2
+        a = Ledger.create(tmp_path / "a.bin", b"gen", memoryview(b"esis"))
+        a.append(*parts)
+        a.append(*parts)
+        b = Ledger.create(tmp_path / "b.bin", b"genesis")
+        b.append(joined)
+        b.append(joined)
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+        assert Ledger.open(tmp_path / "a.bin").get_record(height=2) == joined
 
     def test_create_refuses_overwrite(self, chain, tmp_path):
         with pytest.raises(LedgerError):
@@ -48,9 +79,9 @@ class TestAppend:
 
         hashed = []
 
-        def counting_sha256(data):
-            hashed.append(len(data))
-            return sha256(data)
+        def counting_sha256(*parts):
+            hashed.append(sum(map(len, parts)))
+            return sha256(*parts)
 
         monkeypatch.setattr(auditfl.ledger, "sha256", counting_sha256)
         chain = Ledger.create(tmp_path / "c.bin", b"g")
@@ -144,26 +175,26 @@ class TestVerifyChain:
         # checks can catch these
         chain.append(b"one")
         chain.append(b"two")
-        blocks = list(chain.blocks)
+        blocks = list(Ledger.open(chain.path).blocks)
         blocks[height] = dataclasses.replace(blocks[height], **change)
-        _write_frames(chain.path, [b.frame() for b in blocks])
+        _write_frames(chain.path, [_frame(b) for b in blocks])
         with pytest.raises(LedgerError, match=f"hash chain broken at height {height}$"):
             Ledger.open(chain.path)
 
     def test_payload_len_disagreeing_with_frame_behind_valid_checksum(self, chain):
         chain.append(b"one")
-        last = chain.blocks[1]
+        genesis, last = Ledger.open(chain.path).blocks
         body = struct.pack(
             "<Q32s32sQQ", 1, last.prev_digest, last.payload_digest, 0, 2
         ) + last.payload
-        _write_frames(chain.path, [chain.blocks[0].frame(), body + sha256(body)])
+        _write_frames(chain.path, [_frame(genesis), body + sha256(body)])
         with pytest.raises(LedgerError, match="height 1$"):
             Ledger.open(chain.path)
 
 
 class TestGetRecord:
     def test_genesis_payload(self, chain):
-        assert chain.get_record(height=0) == b"genesis payload"
+        assert Ledger.open(chain.path).get_record(height=0) == b"genesis payload"
 
     def test_missing_height(self, chain):
         with pytest.raises(LedgerError):
@@ -182,3 +213,23 @@ class TestGetRecord:
         assert genesis.readonly and one.readonly
         assert genesis.obj is one.obj
         assert (bytes(genesis), bytes(one)) == (b"genesis payload", b"one")
+
+
+class TestPublishInPlace:
+    def test_append_copies_no_part_of_the_record(self, tmp_path):
+        # the record's parts are hashed and written where they lie, so
+        # publishing adds a few small headers, not a copy of the record
+        cfg = small_config(participants=4, rounds=3)
+        result, _, path = run_published(tmp_path, cfg, seed=5, features=256, classes=8)
+        size = result.timing["record_bytes"]
+        chain = Ledger.create(tmp_path / "again.bin", b"genesis")
+        tracemalloc.start()
+        try:
+            chain.append(*result.record.encode())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * size
+        published = Ledger.open(path).get_record(height=1)
+        assert Ledger.open(chain.path).get_record(height=1) == published
+        assert len(published) == size

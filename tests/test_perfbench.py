@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
@@ -24,19 +26,48 @@ def _child(*args) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_many_small_run_and_audit(tmp_path):
-    data = tmp_path / "data"
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    data = tmp_path_factory.mktemp("corpus")
+    _child("corpus", data, "many-small", 3)
+    return data
+
+
+def _run_and_audit(corpus, tmp_path, *spans) -> dict:
+    """A many-small run and audit, traced into `spans` (run, audit) if given;
+    returns the run's output."""
     ledger = tmp_path / "ledger.bin"
     tampered = tmp_path / "tampered.bin"
-    _child("corpus", data, "many-small", 3)
-    run = _child("run", data, "many-small", 3, ledger)
-    assert run["reported_record_bytes"] > 0
+    run = _child("run", corpus, "many-small", 3, ledger, *spans[:1])
     blob = bytearray(ledger.read_bytes())
     blob[len(blob) // 2] ^= 0x01
     tampered.write_bytes(bytes(blob))
-    audit = _child("audit", ledger, tampered)
+    audit = _child("audit", ledger, tampered, *spans[1:])
     assert audit["honest_ok"], audit["honest_failure"]
     assert not audit["tampered_ok"]
+    return run
+
+
+def test_many_small_run_and_audit(corpus, tmp_path):
+    run = _run_and_audit(corpus, tmp_path)
+    assert run["reported_record_bytes"] > 0
+
+
+def test_many_small_traced_run_and_audit(corpus, tmp_path):
+    # the tracer counts units with len() of an argument or of the result,
+    # so the encoders' buffer lists and the ledger's and hash's buffer
+    # arguments must still give it something to count
+    spans = [tmp_path / "run.jsonl", tmp_path / "audit.jsonl"]
+    _run_and_audit(corpus, tmp_path, *spans)
+    counted = {}
+    for path in spans:
+        for line in path.read_text().splitlines():
+            span = json.loads(line)
+            if "name" in span:
+                counted[span["name"]] = counted.get(span["name"], 0) + span["units"]
+    for name in ("fixedpoint.encode", "crypto.sha256", "records.round_encode",
+                 "records.training_encode", "ledger.append", "fixedpoint.decode"):
+        assert counted.get(name, 0) > 0, name
 
 
 def test_trace_targets_present():

@@ -1,5 +1,6 @@
 """Wire-format round trips and structured parse failures."""
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -61,7 +62,9 @@ def _record():
 
 
 class TestBigint:
-    @pytest.mark.parametrize("x", [0, 1, -1, 255, -255, 2**70, -(2**70), 150000])
+    @pytest.mark.parametrize(
+        "x", [0, 1, -1, 127, 128, -128, -129, 255, -255, 2**70, -(2**70), 150000]
+    )
     def test_roundtrip(self, x):
         from auditfl.records import _Reader, _read_bigint
 
@@ -70,15 +73,44 @@ class TestBigint:
         assert _read_bigint(r) == x
         r.expect_end()
 
+    @pytest.mark.parametrize(
+        "x, size", [(0, 0), (1, 1), (127, 1), (128, 2), (-1, 1), (-128, 1), (-129, 2)]
+    )
+    def test_minimal_size(self, x, size):
+        assert encode_bigint(x) == struct.pack("<I", size) + x.to_bytes(
+            size, "big", signed=True
+        )
+
+    @pytest.mark.parametrize(
+        "blob", [b"\x00", b"\x00\x01", b"\x00\x7f", b"\xff\xff", b"\xff\x80"]
+    )
+    def test_non_minimal_rejected(self, blob):
+        # each decodes to a value whose minimal encoding is shorter, so it
+        # would give the record a second encoding
+        from auditfl.records import _Reader, _read_bigint
+
+        with pytest.raises(RecordFormatError, match="minimal encoding"):
+            _read_bigint(_Reader(struct.pack("<I", len(blob)) + blob, "t"))
+
+    def test_padded_deflation_value_rejected(self):
+        # the last deflation entry's numerator 1 (`01`) rewritten as `00 01`
+        rec = dataclasses.replace(_record(), deflation={1: (1, 2)})
+        data = b"".join(rec.encode())
+        tail = struct.pack("<I", 1) + b"\x01" + struct.pack("<I", 1) + b"\x02"
+        assert data.endswith(tail)
+        padded = struct.pack("<I", 2) + b"\x00\x01" + tail[5:]
+        with pytest.raises(RecordFormatError, match="training record: big integer 1"):
+            TrainingRecord.decode(data[: -len(tail)] + padded)
+
 
 class TestGenesis:
     def test_roundtrip(self):
         g = _genesis()
-        assert GenesisPayload.decode(g.encode()) == g
+        assert GenesisPayload.decode(b"".join(g.encode())) == g
 
     def test_task_hash_binds_parameters(self):
         g = _genesis()
-        data = bytearray(g.encode())
+        data = bytearray(b"".join(g.encode()))
         # flip a byte inside the task parameter region (after magic+ver+hash)
         data[4 + 2 + 32] ^= 0x01
         with pytest.raises(RecordFormatError, match="hash"):
@@ -87,22 +119,22 @@ class TestGenesis:
     def test_truncated(self):
         g = _genesis()
         with pytest.raises(RecordFormatError, match="truncated"):
-            GenesisPayload.decode(g.encode()[:-3])
+            GenesisPayload.decode(b"".join(g.encode())[:-3])
 
     def test_trailing_bytes(self):
         g = _genesis()
         with pytest.raises(RecordFormatError, match="trailing"):
-            GenesisPayload.decode(g.encode() + b"\x00")
+            GenesisPayload.decode(b"".join(g.encode()) + b"\x00")
 
     def test_bad_magic(self):
         with pytest.raises(RecordFormatError, match="magic"):
-            GenesisPayload.decode(b"XXXX" + _genesis().encode()[4:])
+            GenesisPayload.decode(b"XXXX" + b"".join(_genesis().encode())[4:])
 
 
 class TestRound:
     def test_roundtrip(self):
         r = _round()
-        decoded = RoundRecord.decode(r.encode())
+        decoded = RoundRecord.decode(b"".join(r.encode()))
         assert decoded.r == 1
         assert decoded.local_detect[1][0] == r.local_detect[1][0]
         assert decoded.local_detect[2][1] == b"\x0b" * 64
@@ -113,9 +145,9 @@ class TestRound:
         import struct as _s
 
         r = _round()
-        data = r.encode()
+        data = b"".join(r.encode())
         # layout: magic(4) r(4) count(4), entry = id(4) + blob(4+41) + sig(64)
-        vec_bytes = len(r.local_detect[1][0].encode())
+        vec_bytes = len(b"".join(r.local_detect[1][0].encode()))
         second_id_off = 12 + 4 + 4 + vec_bytes + 64
         assert data[second_id_off : second_id_off + 4] == _s.pack("<I", 2)
         broken = data[:second_id_off] + _s.pack("<I", 1) + data[second_id_off + 4 :]
@@ -124,7 +156,7 @@ class TestRound:
 
     def test_bad_vector_payload(self):
         r = _round()
-        data = bytearray(r.encode())
+        data = bytearray(b"".join(r.encode()))
         # corrupt the length prefix of the first vector blob (magic+r+count+id)
         data[16] = 0xFF
         with pytest.raises(RecordFormatError):
@@ -134,7 +166,7 @@ class TestRound:
 class TestTrainingRecord:
     def test_roundtrip(self):
         rec = _record()
-        decoded = TrainingRecord.decode(rec.encode())
+        decoded = TrainingRecord.decode(b"".join(rec.encode()))
         assert decoded.masked_model == rec.masked_model
         assert decoded.deflation == rec.deflation
         assert len(decoded.rounds) == 2
@@ -152,10 +184,10 @@ class TestTrainingRecord:
             n_participants=2,
         )
         with pytest.raises(RecordFormatError, match="round"):
-            TrainingRecord.decode(rec.encode())
+            TrainingRecord.decode(b"".join(rec.encode()))
 
     def test_deterministic_encoding(self):
-        assert _record().encode() == _record().encode()
+        assert b"".join(_record().encode()) == b"".join(_record().encode())
 
     def test_garbage_rejected_structured(self):
         with pytest.raises(RecordFormatError):
@@ -205,7 +237,7 @@ class TestTableOrder:
         cls, rec = _two_ids_in(table)
         # the table writer takes its id order from `sorted`
         monkeypatch.setattr(records, "sorted", order, raising=False)
-        data = rec.encode()
+        data = b"".join(rec.encode())
         monkeypatch.undo()
         with pytest.raises(RecordFormatError, match=f"{self.TABLES[table]} {message}"):
             cls.decode(data)
@@ -214,7 +246,7 @@ class TestTableOrder:
 class TestDecodedViews:
     def test_vectors_are_read_only_views_of_the_payload(self, tmp_path):
         chain = Ledger.create(tmp_path / "chain.bin", b"genesis payload")
-        chain.append(_record().encode())
+        chain.append(*_record().encode())
         payload = Ledger.open(chain.path).get_record(height=1)
         decoded = TrainingRecord.decode(payload)
         buffer = np.frombuffer(payload, dtype=np.uint8)
@@ -227,4 +259,4 @@ class TestDecodedViews:
         for vec in vectors:
             assert np.shares_memory(vec.raw, buffer)
             assert not vec.raw.flags.writeable
-        assert decoded == TrainingRecord.decode(_record().encode())
+        assert decoded == TrainingRecord.decode(b"".join(_record().encode()))

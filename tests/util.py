@@ -117,7 +117,7 @@ def load_chain(path: Path) -> tuple[bytes, TrainingRecord, GenesisPayload]:
 def republish(path: Path, record: TrainingRecord) -> None:
     led = Ledger.open(path)
     genesis_bytes = led.get_record(height=0)
-    rebuild_ledger(path, genesis_bytes, [record.encode()])
+    rebuild_ledger(path, genesis_bytes, [b"".join(record.encode())])
 
 
 def _negate_entry(vec, k: int):
