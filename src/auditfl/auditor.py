@@ -117,7 +117,7 @@ def audit_detection(rec: RoundRecord, genesis: GenesisPayload) -> dict[int, int]
         _check_geometry(vec, genesis, f"round {r}: server detection mask for {pid}")
     _check_geometry(rec.server_agg, genesis, f"round {r}: server aggregate")
     present = sorted(rec.local_detect)
-    roster = genesis.participant_pks
+    roster = genesis.roster
     for pid in present:
         if pid not in roster:
             raise AuditFailure("structure", f"round {r}: unknown participant id {pid}")
@@ -129,7 +129,7 @@ def audit_detection(rec: RoundRecord, genesis: GenesisPayload) -> dict[int, int]
         )
     for pid in present:
         vec, sig = rec.local_detect[pid]
-        if not crypto.verify(roster[pid], vec.encode(), sig):
+        if not crypto.verify(roster[pid][0], vec.encode(), sig):
             raise AuditFailure(
                 "signature",
                 f"round {r}: detection-mask signature of participant "
@@ -139,7 +139,7 @@ def audit_detection(rec: RoundRecord, genesis: GenesisPayload) -> dict[int, int]
         if pid not in roster:
             raise AuditFailure("structure", f"round {r}: unknown benign id {pid}")
         vec, sig = rec.local_agg[pid]
-        if not crypto.verify(roster[pid], vec.encode(), sig):
+        if not crypto.verify(roster[pid][0], vec.encode(), sig):
             raise AuditFailure(
                 "signature",
                 f"round {r}: aggregation-mask signature of participant "
@@ -156,18 +156,11 @@ def audit_aggregate(rec: RoundRecord) -> FpVector:
 
 
 def deflated_products(
-    r: int, products: dict[int, int], deflation: dict[int, tuple[int, int]]
+    products: dict[int, int], genesis: GenesisPayload
 ) -> dict[int, Fraction]:
-    """Round r's masked inner products scaled back to a common basis by rt_i."""
-    out: dict[int, Fraction] = {}
-    for pid in sorted(products):
-        if pid not in deflation:
-            raise AuditFailure(
-                "structure", f"round {r}: no deflation value for id {pid}"
-            )
-        num, den = deflation[pid]
-        out[pid] = Fraction(num, den) * products[pid]
-    return out
+    """Masked inner products scaled back to a common basis by rt_i = 1/l_i,
+    with each l_i from the genesis roster."""
+    return {pid: Fraction(p, genesis.roster[pid][1]) for pid, p in products.items()}
 
 
 def ranking_of(products: dict[int, Fraction]) -> tuple[int, ...]:
@@ -230,25 +223,18 @@ def audit_record(
             f"record holds {len(record.rounds)} rounds, task declared "
             f"{genesis.rounds}",
         )
-    if record.n_participants != len(genesis.participant_pks):
+    if record.n_participants != len(genesis.roster):
         raise AuditFailure(
             "metadata",
             f"record declares {record.n_participants} participants, "
-            f"genesis roster has {len(genesis.participant_pks)}",
+            f"genesis roster has {len(genesis.roster)}",
         )
-    for pid, (num, den) in sorted(record.deflation.items()):
-        if num * den <= 0:  # a zero denominator included
-            raise AuditFailure(
-                "structure",
-                f"deflation value {num}/{den} of id {pid} is not positive; the "
-                f"masked products cannot be compared on a common scale",
-            )
     _check_geometry(record.masked_model, genesis, "masked model")
     # the recovered initial model, one replayed round at a time
     w = record.masked_model
     for rec in record.rounds:
         products = audit_detection(rec, genesis)
-        deflated = deflated_products(rec.r, products, record.deflation)
+        deflated = deflated_products(products, genesis)
         positive, derived = benign_set(deflated, genesis.clipping, genesis.clip_factor)
         published = set(rec.local_agg)
         if published != derived:

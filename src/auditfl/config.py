@@ -56,7 +56,6 @@ class RunConfig:
     eta: str = "0.5"  # dyadic rational, e.g. "0.5", "0.25", "3/8"
     batch_size: int = 64
     scale: int = DEFAULT_SCALE
-    security_param: int = 48
     master_seed: int = 1
     malicious: dict[int, AdversarySpec] = field(default_factory=dict)
     clipping: bool = False

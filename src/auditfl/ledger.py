@@ -5,20 +5,22 @@ single process appends blocks and anyone can re-verify the chain from the
 file alone. `Ledger.open` is the only reader and verifies every block while
 it parses it, so a `Ledger` is valid once built: by `create` and `append`,
 or by `open` after the whole file checked. Every block's digest covers its
-exact frame bytes, so any single-bit mutation of the persisted file is
-detected. `open` reads the file once; its payloads, and all decoded from
-them, are read-only views of that one buffer, never copies. `append` takes
-a payload as a list of buffers and hashes and writes them where they lie,
-so publishing a record copies none of it either.
+header, which pins its payload by digest, so any single-bit mutation of
+the persisted file is detected. `open` reads the file once; its payloads,
+and all decoded from them, are read-only views of that one buffer, never
+copies. `append` takes a payload as a list of buffers and hashes and
+writes them where they lie, so publishing a record copies none of it
+either.
 
 File layout: 8-byte magic, then frames, each prefixed by its u64 length.
 Frame: height u64 | prev_digest 32B | payload_digest 32B | timestamp u64 |
 payload_len u64 | payload | frame_checksum 32B, where the checksum is
-SHA-256 of everything before it (it makes flips in the *last* block's
-header detectable; earlier blocks are already pinned by their successors).
-All integers little-endian. A block's digest is SHA-256 of its whole frame,
-checksum included. Blocks are written with timestamp 0, so a ledger's bytes
-depend on its payloads alone.
+SHA-256 of the 88-byte header alone. The header holds `payload_digest`, so
+the checksum covers the payload through it, and a block's chain digest is
+its checksum: the next block's `prev_digest` equals it. Every payload byte
+is thus hashed once on write and once on read. All integers little-endian.
+Blocks are written with timestamp 0, so a ledger's bytes depend on their
+payloads alone.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from pathlib import Path
 
 from .crypto import sha256
 
-LEDGER_MAGIC = b"AFLCHN\x00\x01"
+LEDGER_MAGIC = b"AFLCHN\x00\x02"
 _HEADER = struct.Struct("<Q32s32sQQ")
 ZERO_DIGEST = b"\x00" * 32
 
@@ -61,16 +63,16 @@ class Ledger:
     """Ordered, verified block sequence bound to one backing file.
 
     `blocks` holds the blocks `open` parsed. `append` keeps no block: it
-    writes the frame and keeps only the height and the newest frame's
-    buffers, which the next `append` hashes for its `prev_digest`. Read
-    appended blocks back with `open`.
+    writes the frame and keeps only the height and the newest block's
+    digest, the next `append`'s `prev_digest`. Read appended blocks back
+    with `open`.
     """
 
-    def __init__(self, path, blocks: list[Block], tip: tuple):
+    def __init__(self, path, blocks: list[Block], tip: bytes):
         self.path = Path(path)
         self.blocks = blocks
         self._height = len(blocks)
-        self._tip = tip  # the newest frame as buffers; () before the genesis
+        self._tip = tip  # the newest block's digest; ZERO_DIGEST before the genesis
 
     def __len__(self) -> int:
         return self._height
@@ -84,7 +86,7 @@ class Ledger:
                 f.write(LEDGER_MAGIC)
         except FileExistsError:
             raise LedgerError(f"{path} already exists; refusing to overwrite") from None
-        ledger = cls(path, [], ())
+        ledger = cls(path, [], ZERO_DIGEST)
         ledger.append(*genesis_parts)
         return ledger
 
@@ -102,49 +104,46 @@ class Ledger:
         view = memoryview(data)  # frames and payloads are views, never copies
         off = len(LEDGER_MAGIC)
         blocks: list[Block] = []
-        frame = None
+        digest = ZERO_DIGEST
         while off < len(data):
             height = len(blocks)
             if off + 8 > len(data):
                 raise _chain_break(height)
             (flen,) = struct.unpack_from("<Q", data, off)
             off += 8
-            prev_frame, frame = frame, view[off : off + flen]
+            frame = view[off : off + flen]
             off += flen
             if len(frame) != flen or flen < _HEADER.size + 32:
                 raise _chain_break(height)
-            h, prev, pdig, ts, plen = _HEADER.unpack_from(frame, 0)
-            payload = frame[_HEADER.size : -32]
-            # checked in order; the previous frame is hashed only here, so
-            # the last frame's digest is never computed
+            header, payload, checksum = (
+                frame[: _HEADER.size], frame[_HEADER.size : -32], frame[-32:]
+            )
+            h, prev, pdig, ts, plen = _HEADER.unpack(header)
+            # checked in order; each payload byte is hashed once, and no
+            # earlier frame is hashed again
             if (
                 len(payload) != plen
-                or sha256(frame[:-32]) != frame[-32:]
                 or h != height
-                or prev != (ZERO_DIGEST if prev_frame is None else sha256(prev_frame))
+                or prev != digest
+                or sha256(header) != checksum
                 or sha256(payload) != pdig
             ):
                 raise _chain_break(height)
             blocks.append(Block(h, prev, pdig, ts, payload))
+            digest = bytes(checksum)
         if not blocks:
             raise _chain_break(0)
-        return cls(path, blocks, (frame,))
+        return cls(path, blocks, digest)
 
     def append(self, *parts) -> None:
         """Append a block whose payload is the concatenated parts, and persist it.
 
-        The parts (any buffers) are hashed and written in place, never
-        joined; they stay referenced as the tip until the next append.
+        The parts (any buffers) are hashed once and written in place, never
+        joined.
         """
         plen = sum(memoryview(part).nbytes for part in parts)
-        header = _HEADER.pack(
-            self._height,
-            sha256(*self._tip) if self._tip else ZERO_DIGEST,
-            sha256(*parts),
-            0,
-            plen,
-        )
-        checksum = sha256(header, *parts)
+        header = _HEADER.pack(self._height, self._tip, sha256(*parts), 0, plen)
+        checksum = sha256(header)
         try:
             with open(self.path, "ab") as f:
                 f.write(struct.pack("<Q", len(header) + plen + len(checksum)))
@@ -154,7 +153,7 @@ class Ledger:
         except OSError as e:
             raise LedgerError(f"cannot append to {self.path}: {e}") from None
         self._height += 1
-        self._tip = (header, *parts, checksum)
+        self._tip = checksum
 
     def get_record(self, height: int) -> memoryview:
         """Payload of a block `open` parsed: a read-only view of the file."""

@@ -78,7 +78,6 @@ class ServerSecrets:
 
     per_participant: dict[int, ParticipantSecrets]
     rn_server: dict[int, int]  # id -> rn_S_i
-    l_values: dict[int, int]  # id -> l_i = rn_i * rn_S_i > 0
     model_mask_seed: int  # seeds m_r, drawn when round r is published
     keypair: crypto.KeyPair
 
@@ -92,7 +91,7 @@ def preprocess(
     server_kp = crypto.keygen(_seed_bytes(derive_seed(master, "key", "server")))
     per: dict[int, ParticipantSecrets] = {}
     rn_server: dict[int, int] = {}
-    l_values: dict[int, int] = {}
+    roster: dict[int, tuple[bytes, int]] = {}  # id -> (pk, l_i = rn_i * rn_S_i)
     for i in range(1, config.participants + 1):
         pair = gen_correlated_pair(derive_seed(master, "rn", i))
         per[i] = ParticipantSecrets(
@@ -103,11 +102,10 @@ def preprocess(
             keypair=crypto.keygen(_seed_bytes(derive_seed(master, "key", i))),
         )
         rn_server[i] = pair.rn_s
-        l_values[i] = pair.l
+        roster[i] = (per[i].keypair.pk, pair.l)
     secrets = ServerSecrets(
         per_participant=per,
         rn_server=rn_server,
-        l_values=l_values,
         model_mask_seed=derive_seed(master, "model-mask"),
         keypair=server_kp,
     )
@@ -119,10 +117,9 @@ def preprocess(
         scale=config.scale,
         clipping=config.clipping,
         clip_factor=config.clip_factor,
-        security_param=config.security_param,
         server_pk=server_kp.pk,
         w0_signature=crypto.sign(server_kp.sk, w0.encode()),
-        participant_pks={i: per[i].keypair.pk for i in sorted(per)},
+        roster=roster,
     )
     return secrets, [per[i] for i in sorted(per)], genesis
 
@@ -410,18 +407,11 @@ class Server:
 
     def finalize(self, round_records: list[RoundRecord]) -> TrainingRecord:
         """Mask the final model with eta times the sum of the published
-        rounds' m_r and attach the deflation values."""
-        masked_model = -self.model_mask + self.w
-        deflation = {
-            i: (1, self.secrets.l_values[i])
-            for i in sorted(self.secrets.l_values)
-        }
-        dim = self.w.dim
+        rounds' m_r."""
         return TrainingRecord(
             rounds=tuple(round_records),
-            masked_model=masked_model,
-            deflation=deflation,
-            dim=dim,
+            masked_model=-self.model_mask + self.w,
+            dim=self.w.dim,
             scale=self.config.scale,
             eta_num=self.eta_num,
             eta_exp=self.eta_exp,

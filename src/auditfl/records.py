@@ -2,13 +2,14 @@
 
 These are the only structures an external auditor needs to parse, so the
 encodings are fixed and self-describing: little-endian fixed-width framing,
-length-prefixed canonical FpVector payloads, id-keyed tables with strictly
-ascending ids (so each record has one encoding), and rationals as pairs of
-minimal big-endian signed big integers. The full layout is documented in
-README.md. Encoding copies no vector: every `encode` returns a list of
-buffers whose concatenation is the record's bytes, each vector contributing
-a view of its raws. Decoding copies none either: each vector is a read-only
-view of the decoded buffer.
+length-prefixed canonical FpVector payloads, and id-keyed tables with
+strictly ascending ids (so each record has one encoding). No rational is on
+the wire: the genesis roster carries each participant's deflation factor
+l_i as a nonzero u32, and the auditor deflates by Fraction(product, l_i).
+The full layout is documented in README.md. Encoding copies no vector:
+every `encode` returns a list of buffers whose concatenation is the
+record's bytes, each vector contributing a view of its raws. Decoding
+copies none either: each vector is a read-only view of the decoded buffer.
 
 This module holds no secrets; the auditor imports it, the protocol fills it.
 """
@@ -17,13 +18,13 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .crypto import PUBLIC_KEY_SIZE, SIGNATURE_SIZE, sha256
+from .crypto import PUBLIC_KEY_SIZE, SIGNATURE_SIZE
 from .fixedpoint import FpVector
 
 GENESIS_MAGIC = b"GEN1"
 ROUND_MAGIC = b"RND1"
 TRCD_MAGIC = b"TRCD"
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 
 class RecordFormatError(Exception):
@@ -70,29 +71,6 @@ def _read_blob(r: _Reader) -> memoryview:
     return r.take(n)
 
 
-def _bigint_size(x: int) -> int:
-    """Bytes of x's minimal two's-complement encoding; zero takes none."""
-    return ((x if x >= 0 else ~x).bit_length() + 8) // 8 if x else 0
-
-
-def encode_bigint(x: int) -> bytes:
-    """Signed big integer: length-prefixed minimal two's-complement, big-endian."""
-    n = _bigint_size(x)
-    return struct.pack("<I", n) + x.to_bytes(n, "big", signed=True)
-
-
-def _read_bigint(r: _Reader) -> int:
-    """Inverse of `encode_bigint`; a blob longer than minimal is rejected."""
-    blob = _read_blob(r)
-    x = int.from_bytes(blob, "big", signed=True)
-    if len(blob) != _bigint_size(x):
-        raise RecordFormatError(
-            f"{r.what}: big integer {x} takes {len(blob)} bytes, "
-            f"its minimal encoding {_bigint_size(x)}"
-        )
-    return x
-
-
 def _read_fpvector(r: _Reader, what: str) -> FpVector:
     try:
         return FpVector.decode(_read_blob(r))
@@ -137,7 +115,7 @@ def _read_table(r: _Reader, name: str, entry) -> dict:
 
 @dataclass(frozen=True)
 class GenesisPayload:
-    """Task definition, signed initial model, and the public-key roster."""
+    """Task definition, signed initial model, and the participant roster."""
 
     rounds: int
     eta_num: int
@@ -146,14 +124,14 @@ class GenesisPayload:
     scale: int
     clipping: bool
     clip_factor: int
-    security_param: int
     server_pk: bytes
     w0_signature: bytes
-    participant_pks: dict[int, bytes]  # id -> verification key
+    roster: dict[int, tuple[bytes, int]]  # id -> (verification key, l_i > 0)
 
-    def task_bytes(self) -> bytes:
-        return struct.pack(
-            "<IqBQBBII",
+    def encode(self) -> list:
+        fields = struct.pack(
+            "<HIqBQBBI",
+            WIRE_VERSION,
             self.rounds,
             self.eta_num,
             self.eta_exp,
@@ -161,16 +139,9 @@ class GenesisPayload:
             self.scale,
             1 if self.clipping else 0,
             self.clip_factor,
-            self.security_param,
         )
-
-    def task_hash(self) -> bytes:
-        return sha256(self.task_bytes())
-
-    def encode(self) -> list:
-        out = [GENESIS_MAGIC, struct.pack("<H", WIRE_VERSION), self.task_hash(),
-               self.task_bytes(), self.server_pk, self.w0_signature]
-        out += _table(self.participant_pks, lambda pk: (pk,))
+        out = [GENESIS_MAGIC, fields, self.server_pk, self.w0_signature]
+        out += _table(self.roster, lambda e: (e[0], struct.pack("<I", e[1])))
         return out
 
     @classmethod
@@ -178,19 +149,27 @@ class GenesisPayload:
         r = _Reader(data, "genesis payload")
         if r.take(4) != GENESIS_MAGIC:
             raise RecordFormatError("genesis payload: bad magic")
-        (version,) = r.unpack("<H")
+        version, rounds, eta_num, eta_exp, dim, scale, clipping, clip_factor = (
+            r.unpack("<HIqBQBBI")
+        )
         if version != WIRE_VERSION:
             raise RecordFormatError(f"genesis payload: unknown version {version}")
-        stored_hash = r.take(32)
-        rounds, eta_num, eta_exp, dim, scale, clipping, clip_factor, k = r.unpack(
-            "<IqBQBBII"
-        )
         # fixed fields are bytes: `crypto.verify` takes nothing else
         server_pk = bytes(r.take(PUBLIC_KEY_SIZE))
         w0_sig = bytes(r.take(SIGNATURE_SIZE))
-        pks = _read_table(r, "roster", lambda _: bytes(r.take(PUBLIC_KEY_SIZE)))
+
+        def entry(where: str) -> tuple[bytes, int]:
+            pk = bytes(r.take(PUBLIC_KEY_SIZE))
+            (l,) = r.unpack("<I")
+            if l == 0:
+                raise RecordFormatError(
+                    f"genesis payload: {where} has deflation factor l = 0"
+                )
+            return pk, l
+
+        roster = _read_table(r, "roster", entry)
         r.expect_end()
-        obj = cls(
+        return cls(
             rounds=rounds,
             eta_num=eta_num,
             eta_exp=eta_exp,
@@ -198,14 +177,10 @@ class GenesisPayload:
             scale=scale,
             clipping=bool(clipping),
             clip_factor=clip_factor,
-            security_param=k,
             server_pk=server_pk,
             w0_signature=w0_sig,
-            participant_pks=pks,
+            roster=roster,
         )
-        if obj.task_hash() != stored_hash:
-            raise RecordFormatError("genesis payload: task hash mismatch")
-        return obj
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +250,10 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class TrainingRecord:
-    """All round records, the masked final model, and the deflation values."""
+    """All round records and the masked final model."""
 
     rounds: tuple[RoundRecord, ...]
     masked_model: FpVector
-    deflation: dict[int, tuple[int, int]]  # id -> exact rational (num, den)
     dim: int
     scale: int
     eta_num: int
@@ -303,9 +277,6 @@ class TrainingRecord:
         for rec in self.rounds:
             out += _blob(rec.encode())
         out += _blob(self.masked_model.encode())
-        out += _table(
-            self.deflation, lambda q: (encode_bigint(q[0]), encode_bigint(q[1]))
-        )
         return out
 
     @classmethod
@@ -327,14 +298,10 @@ class TrainingRecord:
                     f"expected {k + 1}"
                 )
         masked_model = _read_fpvector(r, "masked final model")
-        deflation = _read_table(
-            r, "deflation", lambda _: (_read_bigint(r), _read_bigint(r))
-        )
         r.expect_end()
         return cls(
             rounds=tuple(rounds),
             masked_model=masked_model,
-            deflation=deflation,
             dim=dim,
             scale=scale,
             eta_num=eta_num,

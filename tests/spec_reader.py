@@ -1,0 +1,193 @@
+"""A reader of the ledger's wire format written from README's "Wire formats" alone.
+
+It shares no code with `auditfl`: it imports only `struct`, `hashlib` and
+`cryptography`, so a test that runs it next to `full_audit` checks the
+documented layout, not the package against itself. `read_ledger` walks the
+frames (length, height, link, header checksum, payload digest), parses the
+genesis, every training record and round record, checks every vector's
+dimension and scale against the genesis, verifies every participant
+signature and demands that every byte is consumed. It does not replay the
+aggregation or recover the initial model. Any defect raises `SpecError`.
+"""
+from __future__ import annotations
+
+import hashlib
+import struct
+
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec
+
+MAGIC = b"AFLCHN\x00\x02"
+VERSION = 2
+FRAME_HEADER = struct.Struct("<Q32s32sQQ")  # height, prev, payload digest, ts, len
+
+
+class SpecError(Exception):
+    """The bytes break a rule of the documented wire format."""
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise SpecError(what)
+
+
+class _Cursor:
+    def __init__(self, data: bytes, what: str):
+        self.data, self.off, self.what = data, 0, what
+
+    def take(self, n: int) -> bytes:
+        _require(self.off + n <= len(self.data), f"{self.what}: truncated")
+        out = self.data[self.off : self.off + n]
+        self.off += n
+        return out
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def blob(self) -> bytes:
+        (n,) = self.unpack("<I")
+        return self.take(n)
+
+    def table(self, entry) -> dict:
+        (count,) = self.unpack("<I")
+        out, last = {}, -1
+        for _ in range(count):
+            (pid,) = self.unpack("<I")
+            _require(pid > last, f"{self.what}: ids do not ascend")
+            out[pid], last = entry(), pid
+        return out
+
+    def end(self) -> None:
+        _require(self.off == len(self.data), f"{self.what}: trailing bytes")
+
+
+def _der_integer(x: int) -> bytes:
+    body = x.to_bytes(33, "big").lstrip(b"\x00")
+    if not body or body[0] & 0x80:
+        body = b"\x00" + body
+    return b"\x02" + bytes([len(body)]) + body
+
+
+def _der_signature(sig: bytes) -> bytes:
+    """An `r || s` signature (32 bytes each, big-endian) as DER."""
+    seq = _der_integer(int.from_bytes(sig[:32], "big")) + _der_integer(
+        int.from_bytes(sig[32:], "big")
+    )
+    return b"\x30" + bytes([len(seq)]) + seq
+
+
+def _verify(pk: bytes, message: bytes, sig: bytes, what: str) -> None:
+    try:
+        point = b"\x04" + pk  # SEC 1 uncompressed
+        key = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), point)
+        key.verify(_der_signature(sig), message, ec.ECDSA(hashes.SHA256()))
+    except (ValueError, InvalidSignature):
+        raise SpecError(f"{what}: signature does not verify") from None
+
+
+def read_frames(data: bytes) -> list[bytes]:
+    """The payloads of a ledger file, each block's links checked."""
+    _require(data[:8] == MAGIC, "bad ledger magic")
+    off, payloads, digest = 8, [], b"\x00" * 32
+    while off < len(data):
+        height = len(payloads)
+        _require(off + 8 <= len(data), f"block {height}: length prefix")
+        (flen,) = struct.unpack("<Q", data[off : off + 8])
+        frame = data[off + 8 : off + 8 + flen]
+        off += 8 + flen
+        where = f"block {height}"
+        _require(len(frame) == flen >= FRAME_HEADER.size + 32, f"{where}: length")
+        header = frame[: FRAME_HEADER.size]
+        payload, checksum = frame[FRAME_HEADER.size : -32], frame[-32:]
+        h, prev, pdig, _, plen = FRAME_HEADER.unpack(header)
+        _require(plen == len(payload), f"{where}: payload length")
+        _require(h == height, f"{where}: height {h}")
+        _require(prev == digest, f"{where}: prev_digest")
+        _require(hashlib.sha256(header).digest() == checksum, f"{where}: checksum")
+        _require(hashlib.sha256(payload).digest() == pdig, f"{where}: payload digest")
+        payloads.append(payload)
+        digest = checksum
+    _require(bool(payloads), "no genesis")
+    return payloads
+
+
+def read_genesis(payload: bytes) -> dict:
+    c = _Cursor(payload, "genesis")
+    _require(c.take(4) == b"GEN1", "genesis: magic")
+    (version, rounds, eta_num, eta_exp, dim, scale, clipping, clip_factor) = c.unpack(
+        "<HIqBQBBI"
+    )
+    _require(version == VERSION, f"genesis: version {version}")
+    server_pk, w0_sig = c.take(64), c.take(64)
+
+    def entry():
+        pk, (l,) = c.take(64), c.unpack("<I")
+        _require(l != 0, "genesis: deflation factor l = 0")
+        return pk, l
+
+    roster = c.table(entry)
+    c.end()
+    return dict(rounds=rounds, eta=(eta_num, eta_exp), dim=dim, scale=scale,
+                clipping=clipping, clip_factor=clip_factor, server_pk=server_pk,
+                w0_sig=w0_sig, roster=roster)
+
+
+def _vector(blob: bytes, genesis: dict, what: str) -> bytes:
+    """Check one vector's geometry; return it, the bytes its signature covers."""
+    _require(len(blob) >= 9, f"{what}: short vector")
+    dim, scale = struct.unpack("<QB", blob[:9])
+    _require(len(blob) == 9 + 8 * dim, f"{what}: vector length")
+    _require((dim, scale) == (genesis["dim"], genesis["scale"]), f"{what}: geometry")
+    return blob
+
+
+def read_round(payload: bytes, genesis: dict) -> dict:
+    c = _Cursor(payload, "round record")
+    _require(c.take(4) == b"RND1", "round: magic")
+    (r,) = c.unpack("<I")
+    roster = genesis["roster"]
+
+    def signed(kind: str):
+        def entry():
+            return _vector(c.blob(), genesis, f"round {r} {kind}"), c.take(64)
+        return c.table(entry)
+
+    detect = signed("detection mask")
+    agg = signed("aggregation mask")
+    server = c.table(lambda: _vector(c.blob(), genesis, f"round {r} server mask"))
+    _vector(c.blob(), genesis, f"round {r} server aggregate")
+    c.end()
+    _require(sorted(server) == sorted(detect), f"round {r}: server masks' ids")
+    for table in (detect, agg):
+        for pid, (vec, sig) in table.items():
+            _require(pid in roster, f"round {r}: id {pid} not on the roster")
+            _verify(roster[pid][0], vec, sig, f"round {r} participant {pid}")
+    return dict(round=r, participants=sorted(detect), benign=sorted(agg))
+
+
+def read_training(payload: bytes, genesis: dict) -> list[dict]:
+    c = _Cursor(payload, "training record")
+    _require(c.take(4) == b"TRCD", "training record: magic")
+    version, n_rounds, dim, scale, eta_num, eta_exp, n_parts = c.unpack("<HIQBqBI")
+    _require(version == VERSION, f"training record: version {version}")
+    _require(
+        (n_rounds, dim, scale, (eta_num, eta_exp), n_parts)
+        == (genesis["rounds"], genesis["dim"], genesis["scale"], genesis["eta"],
+            len(genesis["roster"])),
+        "training record: metadata differs from the genesis",
+    )
+    rounds = [read_round(c.blob(), genesis) for _ in range(n_rounds)]
+    _require([rd["round"] for rd in rounds] == list(range(1, n_rounds + 1)),
+             "training record: round indices")
+    _vector(c.blob(), genesis, "masked model")
+    c.end()
+    return rounds
+
+
+def read_ledger(data: bytes) -> list[dict]:
+    """Every round of every training record: its round, participants, benign ids."""
+    genesis, *records = read_frames(data)
+    genesis = read_genesis(genesis)
+    return [rd for payload in records for rd in read_training(payload, genesis)]
+

@@ -1,6 +1,5 @@
 """Audit completeness and soundness from public bytes only."""
 import ast
-import struct
 import subprocess
 import sys
 import tracemalloc
@@ -211,9 +210,7 @@ class TestClippingRanking:
         cfg, result, internals, path = honest_run
         _, record, genesis = load_chain(path)
         for info, rec in zip(internals, record.rounds):
-            products = deflated_products(
-                rec.r, audit_detection(rec, genesis), record.deflation
-            )
+            products = deflated_products(audit_detection(rec, genesis), genesis)
             # white-box oracle: exact plaintext inner products
             for pid, frac in products.items():
                 assert frac == Fraction(info.dots[pid])
@@ -429,53 +426,22 @@ class TestStructuredFailures:
         assert report.failure_stage == "structure"
         assert "overflows int64" in report.failure
 
-    def test_nonpositive_deflation_rejected(self, honest_run, tmp_path):
+    def test_zero_deflation_factor_rejected(self, honest_run, tmp_path):
+        # l_i is a u32, so zero is its one non-positive value; the genesis
+        # decoder rejects it before any round is read
         import dataclasses
 
         _, _, _, path = honest_run
-        work = tmp_path / "rt.bin"
+        work = tmp_path / "l0.bin"
         work.write_bytes(path.read_bytes())
-        _, record, _ = load_chain(work)
-        bad_rt = dict(record.deflation)
-        first = sorted(bad_rt)[0]
-        bad_rt[first] = (-1, bad_rt[first][1])
-        republish(work, dataclasses.replace(record, deflation=bad_rt))
+        _, record, genesis = load_chain(work)
+        first = min(genesis.roster)
+        roster = {**genesis.roster, first: (genesis.roster[first][0], 0)}
+        bad = b"".join(dataclasses.replace(genesis, roster=roster).encode())
+        rebuild_ledger(work, bad, [b"".join(record.encode())])
         report = full_audit(work)
-        assert not report.ok and report.failure_stage == "structure"
-
-    def test_padded_deflation_value_rejected(self, honest_run, tmp_path):
-        # a numerator written `00 01` in place of `01` decodes to the same
-        # value; accepting it would give the record a second encoding
-        import dataclasses
-
-        _, _, _, path = honest_run
-        work = tmp_path / "padded.bin"
-        work.write_bytes(path.read_bytes())
-        genesis_bytes, record, _ = load_chain(work)
-        data = b"".join(record.encode())
-        # the deflation table ends the record: count, then id | num | den
-        table = len(b"".join(dataclasses.replace(record, deflation={}).encode())) - 4
-        num = table + 8  # past the count and the first id
-        assert data[num : num + 5] == struct.pack("<I", 1) + b"\x01"
-        padded = data[:num] + struct.pack("<I", 2) + b"\x00\x01" + data[num + 5 :]
-        rebuild_ledger(work, genesis_bytes, [padded])
-        report = full_audit(work)
-        assert not report.ok and report.failure_stage == "record-format"
-        assert "minimal encoding" in report.failure
-
-    def test_zero_denominator_deflation_rejected(self, honest_run, tmp_path):
-        import dataclasses
-
-        _, _, _, path = honest_run
-        work = tmp_path / "rt0.bin"
-        work.write_bytes(path.read_bytes())
-        _, record, _ = load_chain(work)
-        bad_rt = dict(record.deflation)
-        first = sorted(bad_rt)[0]
-        bad_rt[first] = (bad_rt[first][0], 0)
-        republish(work, dataclasses.replace(record, deflation=bad_rt))
-        report = full_audit(work)
-        assert not report.ok and report.failure_stage == "structure"
+        assert not report.ok and report.failure_stage == "genesis"
+        assert f"roster id {first} has deflation factor l = 0" in report.failure
 
 
 @pytest.fixture(scope="module")

@@ -155,7 +155,6 @@ def test_reference_defaults():
     assert cfg.rounds == 500
     assert cfg.eta == "0.5"
     assert cfg.batch_size == 64
-    assert cfg.security_param == 48
     assert cfg.clipping is False
 
 

@@ -43,19 +43,19 @@ CONFIGS = {
 # (ledger sha256, audit.json sha256)
 PUBLISHED = {
     "honest": (
-        "b2d5af9ba693c39b80247d0ce8e798319e45a40b30c5e32a5797cb01497dc426",
+        "17428d4115d99fdc9ee4581dba0706659015ef2733848850fee8191efdcd4b89",
         "fbc29e1b37b229be9c616b114b50e69a127a3ab223e0b668d5d5b56e7ae621f1",
     ),
     "sign-flip-label-flip": (
-        "9a53376591fd6a81ef1b37f6b19b22bad948142de03582594c3612307681205a",
+        "55af037cf0ea581881cd29178313f5b1679eab6de64849bb498512d1760393ec",
         "abda40c9df032bb55895b76acef6ff577007cb11f7e4761292a289704b843851",
     ),
     "clipping-amplifier": (
-        "6e452a6c0e55fc6d415bc1686d57a08bbea21a62892a6498ac4050a25cbd2944",
+        "bb528cf9ec5ce9c8fb53e17569bcf688295b0410177cfefd13c4f592069ff730",
         "8d8d58bb1d0e244611bf8bc7303df60f4cf3cdc8e9fbd9469bf12376ffb8c48c",
     ),
     "mlp-hidden-8": (
-        "c8c839c0f3955bbb6c7e5980042cee1d619422ba948013c7692298fe6439af26",
+        "cfe952db2e43d6d27985fd8e2d59ec5c7847b6482e12fb35a1726f9727de378e",
         "e85bfb8c662c13f4b7cb12b2665e48ee4234c7e7254594246694bb5ed9a9818e",
     ),
 }

@@ -16,16 +16,21 @@ def chain(tmp_path):
     return Ledger.create(tmp_path / "chain.bin", b"genesis payload")
 
 
-def _frame(block) -> bytes:
-    """A block's frame bytes, rebuilt from its fields (whatever they say)."""
-    body = _HEADER.pack(
+def _header(block) -> bytes:
+    """A block's header bytes, rebuilt from its fields (whatever they say)."""
+    return _HEADER.pack(
         block.height,
         block.prev_digest,
         block.payload_digest,
         block.timestamp,
         len(block.payload),
-    ) + block.payload
-    return body + sha256(body)
+    )
+
+
+def _frame(block) -> bytes:
+    """A block's frame: header, payload, then the checksum over the header."""
+    header = _header(block)
+    return header + block.payload + sha256(header)
 
 
 class TestAppend:
@@ -38,7 +43,7 @@ class TestAppend:
         chain.append(b"same")
         chain.append(b"same")
         blocks = Ledger.open(chain.path).blocks
-        assert sha256(_frame(blocks[1])) != sha256(_frame(blocks[2]))
+        assert sha256(_header(blocks[1])) != sha256(_header(blocks[2]))
 
     def test_reload_roundtrip(self, chain):
         chain.append(b"one")
@@ -53,7 +58,7 @@ class TestAppend:
         assert [b.payload for b in again.blocks] == [
             b"genesis payload", b"one", b"two", b"three"
         ]
-        assert again.blocks[3].prev_digest == sha256(_frame(again.blocks[2]))
+        assert again.blocks[3].prev_digest == sha256(_header(again.blocks[2]))
 
     def test_parts_write_the_bytes_of_their_concatenation(self, tmp_path):
         # any buffers, byte-formatted or not, split anywhere: the file holds
@@ -74,7 +79,7 @@ class TestAppend:
         with pytest.raises(LedgerError):
             Ledger.create(chain.path, b"x")
 
-    def test_append_hashes_the_newest_frame_once(self, tmp_path, monkeypatch):
+    def test_append_hashes_each_payload_byte_once(self, tmp_path, monkeypatch):
         import auditfl.ledger
 
         hashed = []
@@ -90,8 +95,9 @@ class TestAppend:
             hashed.clear()
             chain.append(bytes(100_000))
             per_payload_byte.append(round(sum(hashed) / 100_000, 1))
-        # payload digest and frame checksum, plus the previous frame's digest
-        assert per_payload_byte == [2.0, 3.0, 3.0, 3.0]
+        # the payload digest alone: the checksum covers only the header,
+        # and the previous block's digest is its checksum, kept, not rehashed
+        assert per_payload_byte == [1.0, 1.0, 1.0, 1.0]
 
     def test_deterministic_bytes(self, tmp_path):
         a = Ledger.create(tmp_path / "a.bin", b"g")
@@ -184,10 +190,11 @@ class TestVerifyChain:
     def test_payload_len_disagreeing_with_frame_behind_valid_checksum(self, chain):
         chain.append(b"one")
         genesis, last = Ledger.open(chain.path).blocks
-        body = struct.pack(
+        header = struct.pack(
             "<Q32s32sQQ", 1, last.prev_digest, last.payload_digest, 0, 2
-        ) + last.payload
-        _write_frames(chain.path, [_frame(genesis), body + sha256(body)])
+        )
+        frame = header + last.payload + sha256(header)
+        _write_frames(chain.path, [_frame(genesis), frame])
         with pytest.raises(LedgerError, match="height 1$"):
             Ledger.open(chain.path)
 
@@ -205,6 +212,13 @@ class TestGetRecord:
         p.write_bytes(b"not a ledger at all")
         with pytest.raises(LedgerError):
             Ledger.open(p)
+
+    def test_version_1_file_rejected(self, chain):
+        # format 1 hashed whole frames; no reader for it is kept
+        v1 = b"AFLCHN\x00\x01" + chain.path.read_bytes()[len(LEDGER_MAGIC) :]
+        chain.path.write_bytes(v1)
+        with pytest.raises(LedgerError, match=r"^not a ledger file \(bad magic\)$"):
+            Ledger.open(chain.path)
 
     def test_payloads_are_read_only_views_of_one_buffer(self, chain):
         chain.append(b"one")

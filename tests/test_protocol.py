@@ -1,5 +1,6 @@
 """Protocol state machine: preprocessing, rounds, aggregation, publication."""
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,8 +41,8 @@ class TestPreprocess:
         assert len(parts) == 20
         assert len({p.mask_seed for p in parts}) == 20
         assert len({(p.id, p.rn) for p in parts}) == 20
-        assert all(l > 0 for l in secrets.l_values.values())
-        assert len(secrets.l_values) == 20
+        assert all(l > 0 for _, l in genesis.roster.values())
+        assert len(genesis.roster) == 20
 
     def test_genesis_signature_verifies(self):
         cfg = small_config()
@@ -55,14 +56,14 @@ class TestPreprocess:
         s1, p1, g1 = preprocess(cfg, 4, w0)
         s2, p2, g2 = preprocess(cfg, 4, w0)
         assert p1 == p2
-        assert s1.l_values == s2.l_values
+        assert s1 == s2
         assert g1.encode() == g2.encode()
 
     def test_l_consistency(self):
         cfg = small_config(participants=8)
-        secrets, parts, _ = preprocess(cfg, 4, FpVector.zeros(4, cfg.scale))
+        secrets, parts, genesis = preprocess(cfg, 4, FpVector.zeros(4, cfg.scale))
         for p in parts:
-            assert p.rn * secrets.rn_server[p.id] == secrets.l_values[p.id]
+            assert p.rn * secrets.rn_server[p.id] == genesis.roster[p.id][1]
 
     def test_memory_does_not_grow_with_rounds(self):
         # the model mask is drawn round by round, not at preprocessing
@@ -342,21 +343,17 @@ class TestFinalize:
         assert result.record.masked_model + mask == result.w_final
 
     def test_deflation_products_all_equal(self, published_run):
-        cfg, result, _, _ = published_run
+        cfg, result, _, path = published_run
         from auditfl.protocol import preprocess as prep
+        from auditfl.records import GenesisPayload
 
-        secrets, _, _ = prep(cfg, result.w0.dim, result.w0)
-        rts = result.record.deflation
-        # rt_i * l_i == rt_j * l_j as cross-multiplied integers (all equal 1)
-        for i, (ni, di) in rts.items():
-            assert ni * secrets.l_values[i] == di
-        ids = sorted(rts)
-        for a in ids:
-            for b in ids:
-                na, da = rts[a]
-                nb, db = rts[b]
-                la, lb = secrets.l_values[a], secrets.l_values[b]
-                assert na * la * db == nb * lb * da
+        secrets, parts, _ = prep(cfg, result.w0.dim, result.w0)
+        roster = GenesisPayload.decode(Ledger.open(path).get_record(height=0)).roster
+        assert sorted(roster) == [p.id for p in parts]
+        # rt_i = 1/l_i from the published genesis undoes each participant's
+        # mask scalar rn_i * rn_S_i: rt_i * l_i == 1 for every i
+        for p in parts:
+            assert Fraction(p.rn * secrets.rn_server[p.id], roster[p.id][1]) == 1
 
 
 class TestTrajectoryInvariance:

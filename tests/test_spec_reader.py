@@ -1,0 +1,76 @@
+"""The README-only reader (`spec_reader.py`) against the package's own audit."""
+import ast
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from auditfl import full_audit, run_training
+from auditfl.records import GenesisPayload, RecordFormatError
+from spec_reader import SpecError, read_ledger
+from test_golden import CONFIGS, _data
+from util import load_chain, rebuild_ledger, small_config
+
+
+@pytest.fixture(scope="module")
+def golden_ledgers(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("golden")
+    train, test = _data()
+    paths = {}
+    for name, overrides in CONFIGS.items():
+        paths[name] = tmp / f"{name}.bin"
+        run_training(small_config(**overrides), train, test, ledger_path=paths[name])
+    return paths
+
+
+def test_reader_imports_nothing_from_the_package():
+    tree = ast.parse((Path(__file__).parent / "spec_reader.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module.split(".")[0])
+    assert imported <= {"__future__", "struct", "hashlib", "cryptography"}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_reader_agrees_with_full_audit(golden_ledgers, name):
+    path = golden_ledgers[name]
+    report = full_audit(path)
+    assert report.ok, report.failure
+    rounds = read_ledger(path.read_bytes())
+    assert [(rd["round"], rd["participants"], rd["benign"]) for rd in rounds] == [
+        (ra.r, list(ra.present_ids), list(ra.published_benign)) for ra in report.rounds
+    ]
+
+
+def _reframed(golden_ledgers, tmp_path, genesis_bytes: bytes) -> bytes:
+    """The honest golden ledger with its genesis payload replaced."""
+    work = tmp_path / "reframed.bin"
+    work.write_bytes(golden_ledgers["honest"].read_bytes())
+    _, record, _ = load_chain(work)
+    rebuild_ledger(work, genesis_bytes, [b"".join(record.encode())])
+    return work.read_bytes()
+
+
+def test_zero_deflation_factor_rejected(golden_ledgers, tmp_path):
+    _, _, genesis = load_chain(golden_ledgers["honest"])
+    roster = {**genesis.roster, 2: (genesis.roster[2][0], 0)}
+    bad = b"".join(dataclasses.replace(genesis, roster=roster).encode())
+    with pytest.raises(SpecError, match="l = 0"):
+        read_ledger(_reframed(golden_ledgers, tmp_path, bad))
+
+
+def test_roster_out_of_order_rejected(golden_ledgers, tmp_path):
+    genesis_bytes, _, genesis = load_chain(golden_ledgers["honest"])
+    data = bytes(genesis_bytes)
+    # the roster ends the genesis: count u32, then id u32 | pk 64B | l u32;
+    # swap its first two entries
+    n = 4 + 64 + 4
+    a = len(data) - n * len(genesis.roster)
+    swapped = data[:a] + data[a + n : a + 2 * n] + data[a : a + n] + data[a + 2 * n :]
+    with pytest.raises(SpecError, match="ids do not ascend"):
+        read_ledger(_reframed(golden_ledgers, tmp_path, swapped))
+    with pytest.raises(RecordFormatError, match="out of order"):
+        GenesisPayload.decode(swapped)
