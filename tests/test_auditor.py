@@ -1,5 +1,6 @@
 """Audit completeness and soundness from public bytes only."""
 import ast
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +19,7 @@ from auditfl.auditor import (
     ranking_of,
 )
 from auditfl.fixedpoint import FpVector, dot, floor_div
-from auditfl.records import TrainingRecord
+from auditfl.records import GenesisPayload, RecordFormatError, TrainingRecord
 from auditfl.training import AdversarySpec
 from util import (
     first_round_with_benign,
@@ -426,9 +427,25 @@ class TestStructuredFailures:
         assert report.failure_stage == "structure"
         assert "overflows int64" in report.failure
 
-    def test_zero_deflation_factor_rejected(self, honest_run, tmp_path):
-        # l_i is a u32, so zero is its one non-positive value; the genesis
-        # decoder rejects it before any round is read
+    def test_nonpositive_deflation_rejected(self, honest_run):
+        # l_i is a u32 in the genesis roster: a negative factor has no
+        # encoding, and zero, its one non-positive value, does not decode
+        import dataclasses
+
+        _, _, _, path = honest_run
+        _, _, genesis = load_chain(path)
+        first = min(genesis.roster)
+        pk = genesis.roster[first][0]
+        negative = {**genesis.roster, first: (pk, -1)}
+        with pytest.raises(struct.error):
+            dataclasses.replace(genesis, roster=negative).encode()
+        zero = dataclasses.replace(genesis, roster={**genesis.roster, first: (pk, 0)})
+        with pytest.raises(RecordFormatError, match="deflation factor l = 0"):
+            GenesisPayload.decode(b"".join(zero.encode()))
+
+    def test_zero_denominator_deflation_rejected(self, honest_run, tmp_path):
+        # l_i is the denominator of Fraction(product, l_i); a zero l_i is
+        # rejected at stage genesis, before any round is read
         import dataclasses
 
         _, _, _, path = honest_run
