@@ -264,7 +264,11 @@ def audit_record(
 
 
 def full_audit(path) -> AuditReport:
-    """Verify the chain, then every training record on it; pure in the bytes."""
+    """Verify the chain, then its one training record; pure in the bytes.
+
+    A ledger holds the genesis and exactly one training record; any other
+    block count is a `metadata` rejection.
+    """
     report = AuditReport(ok=False)
     try:
         try:
@@ -275,13 +279,18 @@ def full_audit(path) -> AuditReport:
             genesis = GenesisPayload.decode(chain.get_record(height=0))
         except Exception as e:
             raise AuditFailure("genesis", f"genesis payload does not parse: {e}") from None
-        for height in range(1, len(chain)):
-            try:
-                record = TrainingRecord.decode(chain.get_record(height=height))
-            except RecordFormatError as e:
-                raise AuditFailure("record-format", f"block {height}: {e}") from None
-            report.n_records += 1
-            audit_record(record, genesis, report.rounds)
+        if len(chain) != 2:
+            raise AuditFailure(
+                "metadata",
+                f"ledger holds {len(chain) - 1} blocks after the genesis, "
+                f"expected 1 training record",
+            )
+        try:
+            record = TrainingRecord.decode(chain.get_record(height=1))
+        except RecordFormatError as e:
+            raise AuditFailure("record-format", f"block 1: {e}") from None
+        report.n_records = 1
+        audit_record(record, genesis, report.rounds)
     except AuditFailure as e:
         report.failure_stage = e.stage
         report.failure = str(e)

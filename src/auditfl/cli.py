@@ -12,14 +12,16 @@ import argparse
 import csv
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import config as cfgmod
 from .auditor import full_audit
-from .config import ConfigError, DatasetConfig, RunConfig
+from .config import ConfigError, RunConfig
 from .ledger import Ledger, LedgerError
 from .protocol import run_training
 from .training import (
+    IDX_FILES,
     AdversarySpec,
     Architecture,
     Dataset,
@@ -30,19 +32,12 @@ from .training import (
 
 SYNTH_CORPUS_SEED = 7  # corpus identity is part of the experiment definition
 
-_IDX_NAMES = {
-    "train_images": "train-images-idx3-ubyte",
-    "train_labels": "train-labels-idx1-ubyte",
-    "test_images": "t10k-images-idx3-ubyte",
-    "test_labels": "t10k-labels-idx1-ubyte",
-}
-
 
 def prepare_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     """Resolve the configured data source to (train, test) datasets."""
     ds = cfg.dataset
     root = Path(ds.data_dir)
-    paths = {k: root / v for k, v in _IDX_NAMES.items()}
+    paths = {k: root / name for k, name in IDX_FILES.items()}
     if ds.kind == "synthetic":
         if not all(p.exists() for p in paths.values()):
             make_synthetic_corpus(
@@ -81,29 +76,22 @@ def write_metrics_csv(path, rows: list[dict]) -> None:
 
 
 def _load_config(args) -> RunConfig:
-    if args.config:
-        cfg = cfgmod.from_file(args.config)
-    else:
-        cfg = RunConfig()
-    overrides = {}
-    for name in ("participants", "rounds", "eta", "batch_size", "scale",
-                 "master_seed", "clip_factor", "metrics_every", "hidden"):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
+    cfg = cfgmod.from_file(args.config) if args.config else RunConfig()
+    # with_overrides drops the flags left unset (None)
+    overrides = {
+        name: getattr(args, name, None)
+        for name in ("participants", "rounds", "eta", "batch_size", "scale",
+                     "master_seed", "clip_factor", "metrics_every", "hidden")
+    }
     if getattr(args, "clipping", None):
         overrides["clipping"] = True
     if getattr(args, "malicious", None):
         overrides["malicious"] = cfgmod.parse_malicious(args.malicious)
     if getattr(args, "data_dir", None) or getattr(args, "dataset_kind", None):
-        base = cfg.dataset
-        overrides["dataset"] = DatasetConfig(
-            kind=args.dataset_kind or base.kind,
-            data_dir=args.data_dir or base.data_dir,
-            n_train=base.n_train,
-            n_test=base.n_test,
-            side=base.side,
-            n_classes=base.n_classes,
+        overrides["dataset"] = replace(
+            cfg.dataset,
+            kind=args.dataset_kind or cfg.dataset.kind,
+            data_dir=args.data_dir or cfg.dataset.data_dir,
         )
     return cfgmod.with_overrides(cfg, **overrides)
 

@@ -19,13 +19,13 @@ SHA-256 of the 88-byte header alone. The header holds `payload_digest`, so
 the checksum covers the payload through it, and a block's chain digest is
 its checksum: the next block's `prev_digest` equals it. Every payload byte
 is thus hashed once on write and once on read. All integers little-endian.
-Blocks are written with timestamp 0, so a ledger's bytes depend on their
-payloads alone.
+Blocks are written with timestamp 0, and `open` rejects any other value,
+so a ledger's bytes depend on their payloads alone and each sequence of
+payloads has one encoding.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 from .crypto import sha256
@@ -39,10 +39,10 @@ class LedgerError(Exception):
     """The ledger cannot be read, written or trusted, or a lookup missed.
 
     Every chain defect (a cut or mis-sized frame, a bad frame checksum, an
-    out-of-sequence height, a wrong `prev_digest` or `payload_digest`, or no
-    genesis block) reads `hash chain broken at height N`, N being the first
-    bad block. No message that `open` raises names the file, so it depends
-    on the file's bytes alone.
+    out-of-sequence height, a wrong `prev_digest` or `payload_digest`, a
+    nonzero timestamp, or no genesis block) reads `hash chain broken at
+    height N`, N being the first bad block. No message that `open` raises
+    names the file, so it depends on the file's bytes alone.
     """
 
 
@@ -50,28 +50,19 @@ def _chain_break(height: int) -> LedgerError:
     return LedgerError(f"hash chain broken at height {height}")
 
 
-@dataclass(frozen=True)
-class Block:
-    height: int
-    prev_digest: bytes
-    payload_digest: bytes
-    timestamp: int
-    payload: memoryview  # a read-only view of the file buffer
-
-
 class Ledger:
     """Ordered, verified block sequence bound to one backing file.
 
-    `blocks` holds the blocks `open` parsed. `append` keeps no block: it
-    writes the frame and keeps only the height and the newest block's
-    digest, the next `append`'s `prev_digest`. Read appended blocks back
-    with `open`.
+    It keeps the payloads `open` parsed, nothing else of their frames.
+    `append` keeps no payload: it writes the frame and keeps only the
+    height and the newest block's digest, the next `append`'s
+    `prev_digest`. Read appended blocks back with `open`.
     """
 
-    def __init__(self, path, blocks: list[Block], tip: bytes):
+    def __init__(self, path, payloads: list[memoryview], tip: bytes):
         self.path = Path(path)
-        self.blocks = blocks
-        self._height = len(blocks)
+        self._payloads = payloads
+        self._height = len(payloads)
         self._tip = tip  # the newest block's digest; ZERO_DIGEST before the genesis
 
     def __len__(self) -> int:
@@ -103,10 +94,10 @@ class Ledger:
             raise LedgerError("not a ledger file (bad magic)")
         view = memoryview(data)  # frames and payloads are views, never copies
         off = len(LEDGER_MAGIC)
-        blocks: list[Block] = []
+        payloads: list[memoryview] = []
         digest = ZERO_DIGEST
         while off < len(data):
-            height = len(blocks)
+            height = len(payloads)
             if off + 8 > len(data):
                 raise _chain_break(height)
             (flen,) = struct.unpack_from("<Q", data, off)
@@ -125,15 +116,16 @@ class Ledger:
                 len(payload) != plen
                 or h != height
                 or prev != digest
+                or ts != 0
                 or sha256(header) != checksum
                 or sha256(payload) != pdig
             ):
                 raise _chain_break(height)
-            blocks.append(Block(h, prev, pdig, ts, payload))
+            payloads.append(payload)
             digest = bytes(checksum)
-        if not blocks:
+        if not payloads:
             raise _chain_break(0)
-        return cls(path, blocks, digest)
+        return cls(path, payloads, digest)
 
     def append(self, *parts) -> None:
         """Append a block whose payload is the concatenated parts, and persist it.
@@ -157,6 +149,6 @@ class Ledger:
 
     def get_record(self, height: int) -> memoryview:
         """Payload of a block `open` parsed: a read-only view of the file."""
-        if not (0 <= height < len(self.blocks)):
+        if not (0 <= height < len(self._payloads)):
             raise LedgerError(f"no block at height {height}")
-        return self.blocks[height].payload
+        return self._payloads[height]

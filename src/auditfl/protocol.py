@@ -217,21 +217,20 @@ def robust_aggregate(
     gradients: dict[int, FpVector],
     clipping: bool = False,
     clip_factor: int = 3,
-) -> tuple[FpVector, list[int], dict[int, int]]:
+) -> tuple[FpVector, list[int]]:
     """Filter by inner-product sign (optionally clip), then floor-average.
 
     A gradient is kept iff its raw inner product with the server gradient
     is positive: that sign is the sign of the cosine similarity, and zero
     similarity counts as bad.
 
-    Returns (aggregated gradient, sorted benign ids, per-id inner products).
-    The aggregate starts from the server gradient, so an empty benign set
-    yields the server gradient itself.
+    Returns (aggregated gradient, sorted benign ids). The aggregate starts
+    from the server gradient, so an empty benign set yields the server
+    gradient itself.
     """
     dots = {i: dot(g_s, gradients[i]) for i in sorted(gradients)}
     benign = sorted(benign_set(dots, clipping, clip_factor)[1])
-    ag = floor_average(g_s, [gradients[i] for i in benign])
-    return ag, benign, dots
+    return floor_average(g_s, [gradients[i] for i in benign]), benign
 
 
 @dataclass(frozen=True)
@@ -244,19 +243,6 @@ class VerifiedSubmission:
     mg1: FpVector  # rv_r (.) g_i
     zv: FpVector  # zero share zv_r
     mg2: FpVector  # zv_r + g_i
-
-
-@dataclass
-class RoundInternals:
-    """Secret-side view of one round; the run's metrics row reads it."""
-
-    r: int
-    benign: list[int]
-    rejected_sigs: list[int]
-    dots: dict[int, int]
-    ag: FpVector
-    g_s: FpVector
-    losses: dict[int, float]
 
 
 @dataclass
@@ -320,51 +306,43 @@ class Server:
         submissions: list[Submission],
         detection: bool = True,
         publish: bool = True,
-    ) -> tuple[RoundRecord | None, RoundInternals]:
+    ) -> tuple[RoundRecord | None, list[int], float]:
         """Verify, detect, aggregate and update the model; build the record
         when publishing.
 
         Without detection every valid gradient is averaged. Without
         publishing nothing was signed: every submission counts as valid and
         no mask, signature or record is computed.
+
+        Returns (the round record, or None when not publishing; the sorted
+        benign ids; the mean loss of the valid participants and the server).
         """
         g_s, server_loss = self.server_gradient(r)
         valid = sorted(submissions, key=lambda s: s.id)
         verified: dict[int, VerifiedSubmission] = {}
-        rejected: list[int] = []
         if publish:
+            # a submission whose signature fails is malicious for this round
+            # and left out of the record (stored signatures must all verify)
             for sub in valid:
                 v = self.verify_submission(sub, r)
-                if v is None:
-                    # invalid signature: malicious for this round, excluded
-                    # from the record (stored signatures must all verify)
-                    rejected.append(sub.id)
-                else:
+                if v is not None:
                     verified[sub.id] = v
             valid = [v.sub for v in verified.values()]
         gradients = {sub.id: sub.gradient for sub in valid}
         if detection:
-            ag, benign, dots = robust_aggregate(
+            ag, benign = robust_aggregate(
                 g_s, gradients, self.config.clipping, self.config.clip_factor
             )
         else:
-            benign, dots = sorted(gradients), {}
+            benign = sorted(gradients)
             ag = floor_average(g_s, [gradients[i] for i in benign])
         self.w = self.w - scale_by_dyadic(ag, self.eta_num, self.eta_exp)
 
-        losses = {sub.id: sub.loss for sub in valid}
-        losses[0] = server_loss
-        internals = RoundInternals(
-            r=r,
-            benign=list(benign),
-            rejected_sigs=rejected,
-            dots=dots,
-            ag=ag,
-            g_s=g_s,
-            losses=losses,
-        )
+        # participants by ascending id, then the server: the float sum, and
+        # so the metrics CSV, depends on this order
+        losses = [sub.loss for sub in valid] + [server_loss]
         record = self.round_record(r, g_s, verified, benign) if publish else None
-        return record, internals
+        return record, benign, sum(losses) / len(losses)
 
     def round_record(
         self,
@@ -509,15 +487,17 @@ def run_training(
             for p in participants:
                 g, loss = p.local_update(server.w, r)
                 submissions.append(Submission(p.secrets.id, g, b"", b"", loss))
-        record, info = server.run_round(r, submissions, detection, publishing)
+        record, benign, train_loss = server.run_round(
+            r, submissions, detection, publishing
+        )
         if publishing:
             round_records.append(record)
 
         row = {
             "round": r,
-            "train_loss": sum(info.losses.values()) / len(info.losses),
+            "train_loss": train_loss,
             "test_accuracy": "",
-            "benign_count": len(info.benign),
+            "benign_count": len(benign),
         }
         want_eval = test is not None and (
             (config.metrics_every > 0 and r % config.metrics_every == 0)

@@ -121,6 +121,15 @@ def write_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) 
         f.write(labels.tobytes())
 
 
+# the four files of an MNIST-layout directory
+IDX_FILES = {
+    "train_images": "train-images-idx3-ubyte",
+    "train_labels": "train-labels-idx1-ubyte",
+    "test_images": "t10k-images-idx3-ubyte",
+    "test_labels": "t10k-labels-idx1-ubyte",
+}
+
+
 def make_synthetic_corpus(
     out_dir,
     seed: int,
@@ -180,12 +189,7 @@ def make_synthetic_corpus(
             )
         return np.round(X * 255.0).astype(np.uint8).reshape(n, side, side), labels
 
-    paths = {
-        "train_images": out_dir / "train-images-idx3-ubyte",
-        "train_labels": out_dir / "train-labels-idx1-ubyte",
-        "test_images": out_dir / "t10k-images-idx3-ubyte",
-        "test_labels": out_dir / "t10k-labels-idx1-ubyte",
-    }
+    paths = {k: out_dir / name for k, name in IDX_FILES.items()}
     imgs, labs = render("train", n_train)
     write_idx(imgs, labs, paths["train_images"], paths["train_labels"])
     imgs, labs = render("test", n_test)

@@ -3,10 +3,11 @@
 It shares no code with `auditfl`: it imports only `struct`, `hashlib` and
 `cryptography`, so a test that runs it next to `full_audit` checks the
 documented layout, not the package against itself. `read_ledger` walks the
-frames (length, height, link, header checksum, payload digest), parses the
-genesis, every training record and round record, checks every vector's
-dimension and scale against the genesis, verifies every participant
-signature and demands that every byte is consumed. It does not replay the
+frames (length, height, link, zero timestamp, header checksum, payload
+digest), requires a genesis and exactly one training record, parses them
+and every round record, checks every vector's dimension and scale against
+the genesis, verifies every participant signature and demands that every
+byte is consumed. It does not replay the
 aggregation or recover the initial model. Any defect raises `SpecError`.
 """
 from __future__ import annotations
@@ -100,10 +101,11 @@ def read_frames(data: bytes) -> list[bytes]:
         _require(len(frame) == flen >= FRAME_HEADER.size + 32, f"{where}: length")
         header = frame[: FRAME_HEADER.size]
         payload, checksum = frame[FRAME_HEADER.size : -32], frame[-32:]
-        h, prev, pdig, _, plen = FRAME_HEADER.unpack(header)
+        h, prev, pdig, ts, plen = FRAME_HEADER.unpack(header)
         _require(plen == len(payload), f"{where}: payload length")
         _require(h == height, f"{where}: height {h}")
         _require(prev == digest, f"{where}: prev_digest")
+        _require(ts == 0, f"{where}: timestamp {ts}")
         _require(hashlib.sha256(header).digest() == checksum, f"{where}: checksum")
         _require(hashlib.sha256(payload).digest() == pdig, f"{where}: payload digest")
         payloads.append(payload)
@@ -186,8 +188,9 @@ def read_training(payload: bytes, genesis: dict) -> list[dict]:
 
 
 def read_ledger(data: bytes) -> list[dict]:
-    """Every round of every training record: its round, participants, benign ids."""
+    """Every round of the training record: its round, participants, benign ids."""
     genesis, *records = read_frames(data)
     genesis = read_genesis(genesis)
-    return [rd for payload in records for rd in read_training(payload, genesis)]
+    _require(len(records) == 1, f"{len(records)} training records, not 1")
+    return read_training(records[0], genesis)
 

@@ -29,6 +29,7 @@ from util import (
     load_chain,
     make_dataset,
     model_mask_oracle,
+    observed_rounds,
     republish,
     run_with_internals,
     server_dropping_in_threshold,
@@ -296,10 +297,11 @@ class TestCriterion4ZeroShares:
                     Participant(ps, arch, data, cfg.batch_size).sign_gradient(g_s, 1)
                     for ps in parts
                 ]
-                record, info = server.run_round(1, subs)
-                assert info.rejected_sigs == [] and info.benign == list(range(1, n + 1))
+                with observed_rounds() as views:
+                    record, benign, _ = server.run_round(1, subs)
+                assert views[0].rejected_sigs == [] and benign == list(range(1, n + 1))
                 lhs = record.server_agg
-                for i in info.benign:
+                for i in benign:
                     lhs = lhs + record.local_agg[i][0]
                 m_1 = model_mask_oracle(
                     secrets.model_mask_seed, 1, dim, cfg.scale, cfg.eta_parts()[1]
@@ -328,7 +330,7 @@ class TestCriterion5AggregationOracle:
             dim = 1 + k % 8  # up to dim 8
             g_s = vals[:dim]
             grads = {i + 1: vals[dim * (i + 1) : dim * (i + 2)] for i in range(n)}
-            ag, benign, _ = robust_aggregate(
+            ag, benign = robust_aggregate(
                 FpVector(g_s, 20), {i: FpVector(g, 20) for i, g in grads.items()}
             )
             expected, expected_benign = oracle_aggregate(g_s, grads)
@@ -347,19 +349,19 @@ def trend_data(tmp_path_factory):
     deterministic synthetic corpus with the same shape."""
     import os
 
-    from auditfl.cli import SYNTH_CORPUS_SEED, _IDX_NAMES
-    from auditfl.training import load_idx, make_synthetic_corpus
+    from auditfl.cli import SYNTH_CORPUS_SEED
+    from auditfl.training import IDX_FILES, load_idx, make_synthetic_corpus
 
     mnist_dir = Path(os.environ.get("AUDITFL_MNIST_DIR", "data/mnist"))
-    if all((mnist_dir / name).exists() for name in _IDX_NAMES.values()):
+    if all((mnist_dir / name).exists() for name in IDX_FILES.values()):
         root = mnist_dir
         source = "mnist"
     else:
         root = tmp_path_factory.mktemp("trendcorpus")
         make_synthetic_corpus(root, SYNTH_CORPUS_SEED)
         source = "synthetic"
-    train = load_idx(root / _IDX_NAMES["train_images"], root / _IDX_NAMES["train_labels"])
-    test = load_idx(root / _IDX_NAMES["test_images"], root / _IDX_NAMES["test_labels"])
+    train = load_idx(root / IDX_FILES["train_images"], root / IDX_FILES["train_labels"])
+    test = load_idx(root / IDX_FILES["test_images"], root / IDX_FILES["test_labels"])
     return train, test, source
 
 

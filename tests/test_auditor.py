@@ -23,6 +23,7 @@ from auditfl.records import GenesisPayload, RecordFormatError, TrainingRecord
 from auditfl.training import AdversarySpec
 from util import (
     first_round_with_benign,
+    frame_ledger,
     load_chain,
     make_dataset,
     model_mask_oracle,
@@ -369,7 +370,9 @@ class TestStructuredFailures:
         assert not report.ok
         assert report.failure_stage == "genesis"
 
-    def test_genesis_only_ledger_accepts_vacuously(self, honest_run, tmp_path):
+    def test_genesis_only_ledger_rejected(self, honest_run, tmp_path):
+        # a ledger is the genesis and exactly one training record; without
+        # the record no round of the task was audited
         from auditfl.ledger import Ledger
 
         _, _, _, path = honest_run
@@ -377,7 +380,8 @@ class TestStructuredFailures:
         p = tmp_path / "only_genesis.bin"
         Ledger.create(p, genesis_bytes)
         report = full_audit(p)
-        assert report.ok and report.n_records == 0
+        assert not report.ok and report.failure_stage == "metadata"
+        assert report.n_records == 0 and report.rounds == []
 
     def test_flipped_scale_byte_in_server_mask_is_structure_rejection(
         self, tmp_path
@@ -478,6 +482,23 @@ def _junk_block(work):
     return work
 
 
+def _record_twice(work):
+    genesis_bytes, record, _ = load_chain(work)
+    record_bytes = b"".join(record.encode())
+    work.write_bytes(frame_ledger([genesis_bytes, record_bytes, record_bytes]))
+    return work
+
+
+def _nonzero_timestamp(work):
+    from auditfl.ledger import Ledger
+
+    led = Ledger.open(work)
+    payloads = [led.get_record(height=h) for h in range(len(led))]
+    assert frame_ledger(payloads) == work.read_bytes()  # re-framing alone changes nothing
+    work.write_bytes(frame_ledger(payloads, timestamp=7))
+    return work
+
+
 def _last_round_dropped(work):
     import dataclasses
 
@@ -502,10 +523,13 @@ class TestFailureReports:
         [
             (_missing_file, "ledger", 0, []),
             (_junk_block, "record-format", 0, []),
+            (_nonzero_timestamp, "ledger", 0, []),
+            (_record_twice, "metadata", 0, []),
             (_last_round_dropped, "metadata", 1, []),
             (_second_round_mg1_flipped, "signature", 1, [1]),
         ],
-        ids=["missing-file", "junk-block", "round-dropped", "mg1-flip"],
+        ids=["missing-file", "junk-block", "timestamp", "record-twice", "round-dropped",
+             "mg1-flip"],
     )
     def test_rejected_report_fields(
         self, three_round_run, tmp_path, make, stage, n_records, rounds

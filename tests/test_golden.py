@@ -1,15 +1,17 @@
 """Golden digests: refactors must keep ledger, audit and model bytes identical.
 
 Each digest is the SHA-256 of bytes a run produces for a fixed config and
-seed: the ledger file, `AuditReport.to_json()` of its audit, and the
-canonical encoding of the final model of an unpublished run. A change that
-alters any of them changes the protocol's output and must say why.
+seed: the ledger file, `AuditReport.to_json()` of its audit, the metrics
+CSV that `auditfl run` writes, and the canonical encoding of the final
+model of an unpublished run. A change that alters any of them changes the
+protocol's output and must say why.
 """
 import hashlib
 
 import pytest
 
 from auditfl import full_audit, run_training
+from auditfl.cli import write_metrics_csv
 from auditfl.training import AdversarySpec
 from util import make_dataset, small_config
 
@@ -60,6 +62,18 @@ PUBLISHED = {
     ),
 }
 
+# metrics CSV sha256 (cli.write_metrics_csv) of the published runs
+METRICS_CSV = {
+    "honest": "62b71a2b1ca8f37cb031c0effe6c5810941d2bcfe3bcd4418d015c434ebd9cc7",
+    "sign-flip-label-flip": (
+        "c351777036d09c4802f08862028c44cb0218ef947f61689d5e0a053be059ad26"
+    ),
+    "clipping-amplifier": (
+        "0b1f895e09711bd42cb022f29d84d177a52e5afbeec504e63aed308aac18405b"
+    ),
+    "mlp-hidden-8": "84608a7d3d5303665618bcc9499147218a314c54e5a89092b79089174678251b",
+}
+
 # w_final.encode() sha256 of unpublished runs: (config, detection)
 UNPUBLISHED = {
     ("sign-flip-label-flip", False): (
@@ -79,6 +93,16 @@ def test_published_ledger_and_audit_bytes(name, tmp_path):
     report = full_audit(path)
     assert report.ok, report.failure
     assert (_sha(path.read_bytes()), _sha(report.to_json().encode())) == PUBLISHED[name]
+
+
+@pytest.mark.parametrize("name", sorted(METRICS_CSV))
+def test_published_metrics_csv_bytes(name, tmp_path):
+    train, test = _data()
+    result = run_training(
+        small_config(**CONFIGS[name]), train, test, ledger_path=tmp_path / "ledger.bin"
+    )
+    write_metrics_csv(tmp_path / "metrics.csv", result.metrics)
+    assert _sha((tmp_path / "metrics.csv").read_bytes()) == METRICS_CSV[name]
 
 
 @pytest.mark.parametrize("name,detection", sorted(UNPUBLISHED))

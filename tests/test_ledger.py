@@ -16,6 +16,30 @@ def chain(tmp_path):
     return Ledger.create(tmp_path / "chain.bin", b"genesis payload")
 
 
+@dataclasses.dataclass(frozen=True)
+class _Block:
+    """One frame of a ledger file: its header fields and payload as written."""
+
+    height: int
+    prev_digest: bytes
+    payload_digest: bytes
+    timestamp: int
+    payload: bytes
+
+
+def _blocks(path) -> list[_Block]:
+    """The frames of a ledger file, parsed without checking any of them."""
+    data = path.read_bytes()
+    off, blocks = len(LEDGER_MAGIC), []
+    while off < len(data):
+        (flen,) = struct.unpack_from("<Q", data, off)
+        frame = data[off + 8 : off + 8 + flen]
+        off += 8 + flen
+        height, prev, pdig, ts, _ = _HEADER.unpack_from(frame)
+        blocks.append(_Block(height, prev, pdig, ts, frame[_HEADER.size : -32]))
+    return blocks
+
+
 def _header(block) -> bytes:
     """A block's header bytes, rebuilt from its fields (whatever they say)."""
     return _HEADER.pack(
@@ -37,12 +61,13 @@ class TestAppend:
     def test_first_append_is_height_one(self, chain):
         chain.append(b"payload")
         assert len(chain) == 2
-        assert Ledger.open(chain.path).blocks[1].height == 1
+        assert len(Ledger.open(chain.path)) == 2
+        assert _blocks(chain.path)[1].height == 1
 
     def test_identical_payloads_distinct_digests(self, chain):
         chain.append(b"same")
         chain.append(b"same")
-        blocks = Ledger.open(chain.path).blocks
+        blocks = _blocks(chain.path)
         assert sha256(_header(blocks[1])) != sha256(_header(blocks[2]))
 
     def test_reload_roundtrip(self, chain):
@@ -50,15 +75,16 @@ class TestAppend:
         chain.append(b"two")
         reloaded = Ledger.open(chain.path)
         assert len(reloaded) == 3
-        assert [b.payload for b in reloaded.blocks] == [
+        assert [reloaded.get_record(h) for h in range(3)] == [
             b"genesis payload", b"one", b"two"
         ]
         reloaded.append(b"three")
         again = Ledger.open(chain.path)
-        assert [b.payload for b in again.blocks] == [
+        assert [again.get_record(h) for h in range(4)] == [
             b"genesis payload", b"one", b"two", b"three"
         ]
-        assert again.blocks[3].prev_digest == sha256(_header(again.blocks[2]))
+        blocks = _blocks(chain.path)
+        assert blocks[3].prev_digest == sha256(_header(blocks[2]))
 
     def test_parts_write_the_bytes_of_their_concatenation(self, tmp_path):
         # any buffers, byte-formatted or not, split anywhere: the file holds
@@ -173,15 +199,17 @@ class TestVerifyChain:
             (2, dict(payload_digest=sha256(b"other payload"))),
             (1, dict(height=2)),
             (2, dict(height=1)),
+            (1, dict(timestamp=7)),
         ],
-        ids=["genesis-prev", "prev", "payload-digest", "height-skip", "height-repeat"],
+        ids=["genesis-prev", "prev", "payload-digest", "height-skip", "height-repeat",
+             "timestamp"],
     )
     def test_link_defect_behind_valid_checksum(self, chain, height, change):
         # the frame checksum covers the re-framed block, so only the link
-        # checks can catch these
+        # checks (and the zero-timestamp rule) can catch these
         chain.append(b"one")
         chain.append(b"two")
-        blocks = list(Ledger.open(chain.path).blocks)
+        blocks = _blocks(chain.path)
         blocks[height] = dataclasses.replace(blocks[height], **change)
         _write_frames(chain.path, [_frame(b) for b in blocks])
         with pytest.raises(LedgerError, match=f"hash chain broken at height {height}$"):
@@ -189,7 +217,7 @@ class TestVerifyChain:
 
     def test_payload_len_disagreeing_with_frame_behind_valid_checksum(self, chain):
         chain.append(b"one")
-        genesis, last = Ledger.open(chain.path).blocks
+        genesis, last = _blocks(chain.path)
         header = struct.pack(
             "<Q32s32sQQ", 1, last.prev_digest, last.payload_digest, 0, 2
         )

@@ -21,6 +21,7 @@ from auditfl.training import AdversarySpec, Architecture
 from util import (
     make_dataset,
     model_mask_oracle,
+    observed_rounds,
     run_published,
     run_with_internals,
     small_config,
@@ -119,7 +120,7 @@ class TestMaskedForms:
 class TestDetect:
     # the detection rule: a gradient is benign iff <g_S, g_i> > 0
     def _benign(self, g_i):
-        _, benign, _ = robust_aggregate(_vec([1, 0]), {1: g_i})
+        _, benign = robust_aggregate(_vec([1, 0]), {1: g_i})
         return benign == [1]
 
     def test_parallel(self):
@@ -153,7 +154,7 @@ def oracle_aggregate(g_s_raw, gradients_raw, clipping=False, clip_factor=3):
 
 class TestRobustAggregate:
     def test_hand_case(self):
-        ag, benign, _ = robust_aggregate(
+        ag, benign = robust_aggregate(
             _vec([1, 0]), {1: _vec([1, 0]), 2: _vec([-1, 0])}
         )
         assert benign == [1]
@@ -161,7 +162,7 @@ class TestRobustAggregate:
 
     def test_all_bad_returns_server_gradient(self):
         g_s = _vec([3, -4])
-        ag, benign, _ = robust_aggregate(g_s, {1: _vec([-3, 4]), 2: _vec([-1, 1])})
+        ag, benign = robust_aggregate(g_s, {1: _vec([-3, 4]), 2: _vec([-1, 1])})
         assert benign == []
         assert ag == g_s
 
@@ -175,7 +176,7 @@ class TestRobustAggregate:
             grads = {
                 i + 1: vals[dim * (i + 1) : dim * (i + 2)] for i in range(n)
             }
-            ag, benign, _ = robust_aggregate(
+            ag, benign = robust_aggregate(
                 FpVector(g_s, 20), {i: FpVector(g, 20) for i, g in grads.items()}
             )
             expected, expected_benign = oracle_aggregate(g_s, grads)
@@ -189,9 +190,9 @@ class TestRobustAggregate:
             2: _vec([10, 9, 11, 10]),
             3: _vec([1000, 1000, 1000, 1000]),  # amplified
         }
-        ag, benign, dots = robust_aggregate(g_s, grads, clipping=True, clip_factor=3)
+        ag, benign = robust_aggregate(g_s, grads, clipping=True, clip_factor=3)
         assert 3 not in benign and benign == [1, 2]
-        ag2, benign2, _ = robust_aggregate(g_s, grads, clipping=False)
+        ag2, benign2 = robust_aggregate(g_s, grads, clipping=False)
         assert benign2 == [1, 2, 3]
 
     def test_clipping_matches_oracle(self):
@@ -201,7 +202,7 @@ class TestRobustAggregate:
             dim = 4
             g_s = vals[:dim]
             grads = {i + 1: vals[dim * (i + 1) : dim * (i + 2)] for i in range(5)}
-            ag, benign, _ = robust_aggregate(
+            ag, benign = robust_aggregate(
                 FpVector(g_s, 20),
                 {i: FpVector(g, 20) for i, g in grads.items()},
                 clipping=True,
@@ -304,14 +305,15 @@ class TestRoundIdentities:
             Participant(parts[0], arch, shards[1], cfg.batch_size).sign_gradient(-g_s, 1),
             Participant(parts[1], arch, shards[2], cfg.batch_size).sign_gradient(-g_s, 1),
         ]
-        record, info = server.run_round(1, subs)
-        assert info.benign == []
+        with observed_rounds() as views:
+            record, benign, _ = server.run_round(1, subs)
+        assert benign == views[0].benign == []
         assert record.local_agg == {}
         m_1 = model_mask_oracle(
             secrets.model_mask_seed, 1, w0.dim, cfg.scale, cfg.eta_parts()[1]
         )
         assert record.server_agg == m_1 + g_s
-        assert info.ag == g_s
+        assert views[0].ag == g_s
 
     def test_model_update_uses_floor(self, published_run):
         cfg, result, internals, _ = published_run

@@ -9,7 +9,7 @@ from auditfl import full_audit, run_training
 from auditfl.records import GenesisPayload, RecordFormatError
 from spec_reader import SpecError, read_ledger
 from test_golden import CONFIGS, _data
-from util import load_chain, rebuild_ledger, small_config
+from util import frame_ledger, load_chain, rebuild_ledger, small_config
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +74,21 @@ def test_roster_out_of_order_rejected(golden_ledgers, tmp_path):
         read_ledger(_reframed(golden_ledgers, tmp_path, swapped))
     with pytest.raises(RecordFormatError, match="out of order"):
         GenesisPayload.decode(swapped)
+
+
+def test_nonzero_timestamp_rejected(golden_ledgers):
+    genesis_bytes, record, _ = load_chain(golden_ledgers["honest"])
+    payloads = [genesis_bytes, b"".join(record.encode())]
+    assert read_ledger(frame_ledger(payloads))
+    with pytest.raises(SpecError, match="block 0: timestamp 7"):
+        read_ledger(frame_ledger(payloads, timestamp=7))
+
+
+@pytest.mark.parametrize("copies", [0, 2])
+def test_block_count_other_than_one_record_rejected(golden_ledgers, tmp_path, copies):
+    genesis_bytes, record, _ = load_chain(golden_ledgers["honest"])
+    work = tmp_path / "count.bin"
+    work.write_bytes(frame_ledger([genesis_bytes] + [b"".join(record.encode())] * copies))
+    with pytest.raises(SpecError, match=f"{copies} training records, not 1"):
+        read_ledger(work.read_bytes())
+    assert full_audit(work).failure_stage == "metadata"

@@ -4,14 +4,16 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import itertools
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from auditfl import RunConfig, protocol, run_training
-from auditfl.ledger import Ledger
-from auditfl.fixedpoint import FpVector
+from auditfl.crypto import sha256
+from auditfl.ledger import _HEADER, LEDGER_MAGIC, ZERO_DIGEST, Ledger
+from auditfl.fixedpoint import FpVector, dot
 from auditfl.randomness import MASK_BITS, bounded_int_vector, derive_seed, prg
 from auditfl.records import GenesisPayload, TrainingRecord
 from auditfl.training import AdversarySpec, Dataset
@@ -46,21 +48,65 @@ def small_config(**overrides) -> RunConfig:
     return RunConfig(**base)
 
 
-def run_with_internals(*args, **kwargs):
-    """run_training(*args, **kwargs) and the RoundInternals of its rounds,
-    collected in order by wrapping Server.run_round."""
-    honest = protocol.Server.run_round
-    log: list[protocol.RoundInternals] = []
+@dataclasses.dataclass
+class RoundView:
+    """What a test sees of one round through the round's seams.
 
-    def logged(self, *a, **kw):
-        record, info = honest(self, *a, **kw)
-        log.append(info)
-        return record, info
+    `benign` is what `Server.run_round` returned, `rejected_sigs` the ids
+    whose submission `Server.verify_submission` refused, and `g_s` and `ag`
+    what `protocol.robust_aggregate` was given and returned. `dots` are the
+    exact inner products <g_s, g_i>, computed here with `fixedpoint.dot`.
+    A round without detection has no `g_s`, `ag` or `dots`.
+    """
+
+    r: int
+    benign: list[int] = dataclasses.field(default_factory=list)
+    rejected_sigs: list[int] = dataclasses.field(default_factory=list)
+    dots: dict[int, int] = dataclasses.field(default_factory=dict)
+    ag: FpVector | None = None
+    g_s: FpVector | None = None
+
+
+@contextlib.contextmanager
+def observed_rounds():
+    """Wrap the round's seams; yields a list that receives one RoundView
+    per call of Server.run_round, in order."""
+    run_round = protocol.Server.run_round
+    verify_submission = protocol.Server.verify_submission
+    aggregate = protocol.robust_aggregate
+    views: list[RoundView] = []
+
+    def observed_round(self, r, *a, **kw):
+        views.append(RoundView(r))
+        record, benign, train_loss = run_round(self, r, *a, **kw)
+        views[-1].benign = list(benign)
+        return record, benign, train_loss
+
+    def observed_verify(self, sub, r):
+        verified = verify_submission(self, sub, r)
+        if verified is None:
+            views[-1].rejected_sigs.append(sub.id)
+        return verified
+
+    def observed_aggregate(g_s, gradients, *a, **kw):
+        ag, benign = aggregate(g_s, gradients, *a, **kw)
+        view = views[-1]
+        view.g_s, view.ag = g_s, ag
+        view.dots = {i: dot(g_s, gradients[i]) for i in sorted(gradients)}
+        return ag, benign
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol.Server, "run_round", logged)
+        mp.setattr(protocol.Server, "run_round", observed_round)
+        mp.setattr(protocol.Server, "verify_submission", observed_verify)
+        mp.setattr(protocol, "robust_aggregate", observed_aggregate)
+        yield views
+
+
+def run_with_internals(*args, **kwargs):
+    """run_training(*args, **kwargs) and a RoundView of each of its rounds."""
+    with observed_rounds() as views:
         result = run_training(*args, **kwargs)
-    return result, log
+    return result, views
 
 
 def zero_share_oracle(zero_seed: int, r: int, dim: int, scale: int) -> FpVector:
@@ -82,7 +128,7 @@ def run_published(tmp_path: Path, cfg: RunConfig, seed: int = 5,
                   n: int = 600, features: int = 16, classes: int = 4):
     """Run the protocol on a fresh tiny dataset and publish to a tmp ledger.
 
-    Returns (RunResult, the rounds' RoundInternals, ledger path).
+    Returns (RunResult, a RoundView of each round, ledger path).
     """
     tmp_path.mkdir(parents=True, exist_ok=True)
     train = make_dataset(seed, n, features, classes)
@@ -105,6 +151,18 @@ def rebuild_ledger(path: Path, genesis_payload: bytes, payloads: list[bytes]) ->
     led = Ledger.create(path, genesis_payload)
     for p in payloads:
         led.append(p)
+
+
+def frame_ledger(payloads, timestamp: int = 0) -> bytes:
+    """Ledger file bytes for the payloads, framed by hand as README's wire
+    format says, with `timestamp` in every header. Links and checksums are
+    recomputed; with timestamp 0 the bytes are those `Ledger` writes."""
+    out, prev = bytearray(LEDGER_MAGIC), ZERO_DIGEST
+    for height, payload in enumerate(payloads):
+        header = _HEADER.pack(height, prev, sha256(payload), timestamp, len(payload))
+        prev = sha256(header)
+        out += struct.pack("<Q", len(header) + len(payload) + 32) + header + payload + prev
+    return bytes(out)
 
 
 def load_chain(path: Path) -> tuple[bytes, TrainingRecord, GenesisPayload]:
@@ -205,11 +263,11 @@ def server_skipping_benign(r: int, pid: int):
     rounds = itertools.count(1)
 
     def lying(g_s, gradients, clipping=False, clip_factor=3):
-        ag, benign, dots = honest(g_s, gradients, clipping, clip_factor)
+        ag, benign = honest(g_s, gradients, clipping, clip_factor)
         if next(rounds) == r and pid in benign:
             kept = [gradients[i] for i in benign if i != pid]
             ag = protocol.floor_average(g_s, kept)
-        return ag, benign, dots
+        return ag, benign
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(protocol, "robust_aggregate", lying)
@@ -229,13 +287,13 @@ def server_dropping_in_threshold():
     dropped: list[tuple[int, int]] = []
 
     def lying(g_s, gradients, clipping=False, clip_factor=3):
-        ag, benign, dots = honest(g_s, gradients, clipping, clip_factor)
+        ag, benign = honest(g_s, gradients, clipping, clip_factor)
         r = next(rounds)
         if benign and not dropped:
             dropped.append((r, benign[0]))
             benign = benign[1:]
             ag = protocol.floor_average(g_s, [gradients[i] for i in benign])
-        return ag, benign, dots
+        return ag, benign
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(protocol, "robust_aggregate", lying)
