@@ -12,6 +12,7 @@ import argparse
 import csv
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -181,13 +182,13 @@ def cmd_verify_chain(args) -> int:
     return 0
 
 
-def _sweep_one(cfg: RunConfig, count: int, publish: bool, out_dir: str):
+def _sweep_one(cfg: RunConfig, count: int, publish: bool, out_dir: str,
+               train: Dataset, test: Dataset):
     """One sweep entry: scheme and baseline accuracy at `count` flippers."""
     cfg = cfgmod.with_overrides(
         cfg,
         malicious={i: AdversarySpec("label_flip") for i in range(1, count + 1)},
     )
-    train, test = prepare_datasets(cfg)
     arch = Architecture(train.n_features, train.n_classes, cfg.hidden)
     ledger_path = None
     if publish:
@@ -198,10 +199,15 @@ def _sweep_one(cfg: RunConfig, count: int, publish: bool, out_dir: str):
     scheme_acc, _ = evaluate(arch, scheme.w_final, test)
     base = run_training(cfg, train, test, detection=False, publish=False)
     base_acc, _ = evaluate(arch, base.w_final, test)
-    return count, scheme_acc, base_acc
+    return scheme_acc, base_acc
 
 
 def cmd_sweep(args) -> int:
+    """Scheme vs FedAvg accuracy per malicious count, into sweep.csv.
+
+    The datasets are prepared once, before any entry runs in one of the
+    `--parallel` workers (at least one). A failed entry is an `error` row;
+    a ConfigError, which every entry shares, exits 2."""
     cfg = _load_config(args)
     counts = list(range(args.min_malicious, args.max_malicious + 1))
     if not counts:
@@ -210,42 +216,36 @@ def cmd_sweep(args) -> int:
     if max(counts) > cfg.participants:
         print("error: malicious count exceeds participant count", file=sys.stderr)
         return 2
+    train, test = prepare_datasets(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    entries = [(cfg, m, args.publish, str(out)) for m in counts]
-    if args.parallel and len(entries) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            futures = [pool.submit(_sweep_one, *e) for e in entries]
-            for m, fut in zip(counts, futures):
-                try:
-                    rows.append(fut.result())
-                except Exception as e:
-                    print(f"sweep entry {m} failed: {e}", file=sys.stderr)
-                    rows.append((m, "error", "error"))
-    else:
-        for entry in entries:
-            m = entry[1]
+    rows = []  # (count, scheme accuracy, FedAvg accuracy); None on failure
+    with ProcessPoolExecutor(max_workers=max(1, args.parallel)) as pool:
+        futures = [
+            pool.submit(_sweep_one, cfg, m, args.publish, str(out), train, test)
+            for m in counts
+        ]
+        for m, fut in zip(counts, futures):
             try:
-                rows.append(_sweep_one(*entry))
+                rows.append((m, *fut.result()))
+            except ConfigError:
+                raise
             except Exception as e:
                 print(f"sweep entry {m} failed: {e}", file=sys.stderr)
-                rows.append((m, "error", "error"))
+                rows.append((m, None, None))
+
+    def fmt(acc, digits):
+        return "error" if acc is None else f"{acc:.{digits}f}"
+
     csv_path = out / "sweep.csv"
     with open(csv_path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["malicious_count", "scheme_accuracy", "fedavg_accuracy"])
         for m, a, b in rows:
-            fa = a if isinstance(a, str) else f"{a:.6f}"
-            fb = b if isinstance(b, str) else f"{b:.6f}"
-            w.writerow([m, fa, fb])
+            w.writerow([m, fmt(a, 6), fmt(b, 6)])
     print(f"sweep complete: {csv_path}")
     for m, a, b in rows:
-        fa = a if isinstance(a, str) else f"{a:.4f}"
-        fb = b if isinstance(b, str) else f"{b:.4f}"
-        print(f"  {m:2d} malicious: scheme {fa}  fedavg {fb}")
+        print(f"  {m:2d} malicious: scheme {fmt(a, 4)}  fedavg {fmt(b, 4)}")
     return 0
 
 
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--publish", action="store_true",
                          help="also publish a ledger per sweep entry")
     p_sweep.add_argument("--parallel", type=int, default=0,
-                         help="run up to N sweep entries concurrently")
+                         help="worker processes for the sweep entries (at least 1)")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -1,8 +1,9 @@
 """Run configuration: parameters, validation, and the overflow budget.
 
-A run that could overflow 64-bit raws anywhere on the protocol path is
-rejected here, before any computation, from (mask bounds, scale, learning
-rate, participant count, round count) alone.
+A `RunConfig` is valid by construction: every way of building one runs
+`validate`. A run that could overflow 64-bit raws anywhere on the protocol
+path is rejected there, from (mask bounds, scale, learning rate,
+participant count, round count) alone.
 """
 from __future__ import annotations
 
@@ -65,12 +66,15 @@ class RunConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     metrics_every: int = 1  # 0 = only final evaluation
 
-    def eta_fraction(self) -> Fraction:
-        return Fraction(self.eta)
+    def __post_init__(self):
+        validate(self)
 
     def eta_parts(self) -> tuple[int, int]:
         """(numerator, power-of-two exponent) of the dyadic rate, in lowest terms."""
-        fr = self.eta_fraction()
+        try:
+            fr = Fraction(self.eta)
+        except (ValueError, TypeError, ZeroDivisionError):
+            raise ConfigError(f"learning rate {self.eta!r} is not a number") from None
         den = fr.denominator
         if den & (den - 1) != 0:
             raise ConfigError(
@@ -80,8 +84,12 @@ class RunConfig:
         return fr.numerator, den.bit_length() - 1
 
 
-def validate(config: RunConfig, dim: int | None = None) -> None:
-    """Reject invalid or overflow-prone configurations with a diagnosis."""
+def validate(config: RunConfig) -> None:
+    """Reject an invalid or overflow-prone configuration with a diagnosis.
+
+    Run by `RunConfig.__post_init__`. The one rule that needs the data, a
+    batch no larger than the smallest shard, is `run_training`'s.
+    """
     c = config
     if c.participants < 1:
         raise ConfigError(f"need at least 1 participant, got {c.participants}")
@@ -111,15 +119,14 @@ def validate(config: RunConfig, dim: int | None = None) -> None:
         )
     if c.clipping and c.clip_factor < 1:
         raise ConfigError(f"clip factor must be >= 1, got {c.clip_factor}")
-    if dim is not None:
-        check_overflow_budget(c, dim)
+    check_overflow_budget(c)
 
 
-def check_overflow_budget(config: RunConfig, dim: int) -> None:
+def check_overflow_budget(config: RunConfig) -> None:
     """Static worst-case bound analysis over the whole protocol path.
 
     Every bound is per entry: inner products are exact for any length
-    (fixedpoint.dot), so `dim` only labels the diagnosis.
+    (fixedpoint.dot), so the model dimension plays no part.
     """
     c = config
     eta_num, _ = c.eta_parts()
@@ -134,9 +141,8 @@ def check_overflow_budget(config: RunConfig, dim: int) -> None:
     def need(name: str, value: int):
         if value >= (1 << INT64_BITS):
             raise ConfigError(
-                f"overflow budget exceeded for {name}: needs "
-                f"{value.bit_length()} bits, limit {INT64_BITS} (dim={dim}, "
-                f"scale={c.scale}, participants={n})"
+                f"overflow budget exceeded for {name}: needs {value.bit_length()} "
+                f"bits, limit {INT64_BITS} (scale={c.scale}, participants={n})"
             )
 
     need("masked gradient mg1 raw", grad_raw * randomness.RN_HI)
@@ -201,17 +207,13 @@ def from_dict(data: dict) -> RunConfig:
     data = dict(data)
     if "malicious" in data:
         data["malicious"] = parse_malicious(data["malicious"])
-    if "dataset" in data:
-        data["dataset"] = DatasetConfig(**data["dataset"])
     try:
-        cfg = RunConfig(**data)
-    except TypeError as e:
+        if "dataset" in data:
+            data["dataset"] = DatasetConfig(**data["dataset"])
+        return RunConfig(**data)
+    except TypeError as e:  # an unknown field, or one of the wrong type
         raise ConfigError(f"bad config field: {e}") from None
-    validate(cfg)
-    return cfg
 
 
 def with_overrides(config: RunConfig, **overrides) -> RunConfig:
-    cfg = replace(config, **{k: v for k, v in overrides.items() if v is not None})
-    validate(cfg)
-    return cfg
+    return replace(config, **{k: v for k, v in overrides.items() if v is not None})

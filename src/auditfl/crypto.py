@@ -21,7 +21,6 @@ False, they never raise.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature
@@ -60,10 +59,8 @@ class KeyPair:
     pk: bytes
 
 
-def keygen(entropy: bytes | None = None) -> KeyPair:
-    """Fresh key pair; deterministic when 32+ bytes of entropy are supplied."""
-    if entropy is None:
-        entropy = os.urandom(48)
+def keygen(entropy: bytes) -> KeyPair:
+    """The key pair derived from 32+ bytes of entropy."""
     if len(entropy) < 32:
         raise ValueError("keygen needs at least 32 bytes of entropy")
     counter = 0

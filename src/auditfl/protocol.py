@@ -52,7 +52,9 @@ from .training import (
     corrupt_gradient,
     corrupt_shard,
     evaluate,
+    init_params,
     local_gradient,
+    partition,
 )
 
 
@@ -281,7 +283,7 @@ class Server:
             self.arch,
             self.w,
             self.root_shard,
-            min(self.config.batch_size, len(self.root_shard)),
+            self.config.batch_size,
             derive_seed(self.config.master_seed, "server-batch", r),
         )
 
@@ -401,17 +403,14 @@ def pretrain(
     config: RunConfig, arch: Architecture, root_shard: Dataset
 ) -> FpVector:
     """Server-only SGD warm start producing the signed initial model w_0."""
-    from .training import init_params
-
     eta_num, eta_exp = config.eta_parts()
     w = init_params(arch, derive_seed(config.master_seed, "init"), config.scale)
-    batch = min(config.batch_size, len(root_shard))
     for step in range(config.pretrain_steps):
         g, _ = local_gradient(
             arch,
             w,
             root_shard,
-            batch,
+            config.batch_size,
             derive_seed(config.master_seed, "pretrain", step),
         )
         w = w - scale_by_dyadic(g, eta_num, eta_exp)
@@ -432,31 +431,32 @@ def run_training(
     published run needs detection: the audit re-derives every round's benign
     set from the detection identity, so a ledger of a run without detection
     could never verify.
-    """
-    from .config import validate
-    from .training import partition
 
+    Every party draws `batch_size` samples from its own shard, so a batch
+    larger than the smallest shard is a ConfigError, raised before anything
+    is computed or written.
+    """
     publishing = publish and ledger_path is not None
     if publishing and not detection:
         raise ConfigError(
             "publishing requires detection: the audit re-derives the benign "
             "set of every round, so a record without detection never verifies"
         )
-    arch = Architecture(
-        n_features=train.n_features,
-        n_classes=train.n_classes,
-        hidden=config.hidden,
-    )
-    dim = arch.param_count
-    validate(config, dim)
-
-    shards = partition(train, config.participants + 1, config.master_seed)
+    parts = config.participants + 1
+    smallest = len(train) // parts  # np.array_split puts the remainder first
+    if config.batch_size > smallest:
+        raise ConfigError(
+            f"batch size {config.batch_size} exceeds the smallest shard: "
+            f"{len(train)} samples in {parts} shards, the smallest of {smallest}"
+        )
+    arch = Architecture(train.n_features, train.n_classes, config.hidden)
+    shards = partition(train, parts, config.master_seed)
     root_shard = shards[0]
     w0 = pretrain(config, arch, root_shard)
 
     timing = {"record_bytes": 0, "preprocess_bytes": 0}
 
-    secrets, participant_secrets, genesis = preprocess(config, dim, w0)
+    secrets, participant_secrets, genesis = preprocess(config, arch.param_count, w0)
     server_ledger = None
     if publishing:
         genesis_parts = genesis.encode()

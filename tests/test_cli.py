@@ -90,6 +90,24 @@ class TestRun:
         assert code == 2
         assert not (tmp_path / "never" / "ledger.bin").exists()
 
+    def test_oversized_batch_rejected_before_ledger(self, workspace, tmp_path):
+        # 420 samples in 4 shards of 105: participants could never draw 200
+        root, cfg_path = workspace
+        out = tmp_path / "big_batch"
+        code = main(["run", "--config", str(cfg_path), "--batch-size", "200",
+                     "--out", str(out)])
+        assert code == 2
+        assert not (out / "ledger.bin").exists()
+        # nothing was left behind to block the corrected rerun
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+    def test_mistyped_config_field_rejected(self, tmp_path):
+        cfg_path = tmp_path / "typo.json"
+        cfg_path.write_text(json.dumps({"participants": "3"}))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert not (tmp_path / "o" / "ledger.bin").exists()
+
 
 class TestAudit:
     def test_audit_after_run_accepts(self, completed_run):
@@ -188,6 +206,27 @@ class TestSweep:
             assert (out / "ledger_m1.bin").exists()
         assert b"error" not in csvs[1]
         assert csvs[0] == csvs[1]
+
+    def test_missing_idx_dataset_rejected(self, workspace, tmp_path):
+        # the datasets are prepared once, before any entry runs
+        root, cfg_path = workspace
+        empty = tmp_path / "no_data"
+        empty.mkdir()
+        out = tmp_path / "sweep_idx"
+        code = main(["sweep", "--config", str(cfg_path), "--dataset-kind", "idx",
+                     "--data-dir", str(empty), "--max-malicious", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert not (out / "sweep.csv").exists()
+
+    def test_oversized_batch_rejected(self, workspace, tmp_path):
+        root, cfg_path = workspace
+        out = tmp_path / "sweep_big_batch"
+        code = main(["sweep", "--config", str(cfg_path), "--batch-size", "200",
+                     "--max-malicious", "1", "--publish", "--out", str(out)])
+        assert code == 2
+        assert not (out / "sweep.csv").exists()
+        assert not list(out.glob("ledger_m*.bin"))
 
     def test_empty_range_rejected(self, workspace):
         root, cfg_path = workspace

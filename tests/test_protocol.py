@@ -382,6 +382,20 @@ class TestRunTrainingContract:
                          ledger_path=path, detection=False)
         assert not path.exists()
 
+    def test_oversized_batch_rejected_before_ledger(self, tmp_path):
+        # 400 samples in 4 shards: every party draws from a shard of 100,
+        # so a batch of 101 fits none of them
+        path = tmp_path / "l.bin"
+        with pytest.raises(ConfigError, match="smallest shard"):
+            run_training(small_config(batch_size=101), make_dataset(3, 400, 5, 2),
+                         None, ledger_path=path)
+        assert not path.exists()
+
+    def test_largest_batch_that_fits_runs(self, tmp_path):
+        # 403 samples in 4 shards: the smallest holds 100, the root shard 101
+        run_training(small_config(batch_size=100), make_dataset(3, 403, 5, 2),
+                     None, ledger_path=tmp_path / "l.bin")
+
     @pytest.mark.parametrize("clipping", [False, True])
     @pytest.mark.parametrize("eta", ["2", "4"])
     def test_integer_learning_rate_publishes_and_audits(self, eta, clipping, tmp_path):
