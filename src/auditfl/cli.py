@@ -26,6 +26,7 @@ from .training import (
     AdversarySpec,
     Architecture,
     Dataset,
+    DatasetError,
     evaluate,
     load_idx,
     make_synthetic_corpus,
@@ -62,18 +63,14 @@ def prepare_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
 
 
 def write_metrics_csv(path, rows: list[dict]) -> None:
+    """One line per round; a round that was not evaluated has no accuracy."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["round", "train_loss", "test_accuracy", "benign_count"])
         for row in rows:
-            w.writerow(
-                [
-                    row["round"],
-                    f"{row['train_loss']:.9f}",
-                    row["test_accuracy"],
-                    row["benign_count"],
-                ]
-            )
+            acc = row["test_accuracy"]
+            w.writerow([row["round"], f"{row['train_loss']:.9f}",
+                        "" if acc is None else f"{acc:.6f}", row["benign_count"]])
 
 
 def _load_config(args) -> RunConfig:
@@ -207,7 +204,7 @@ def cmd_sweep(args) -> int:
 
     The datasets are prepared once, before any entry runs in one of the
     `--parallel` workers (at least one). A failed entry is an `error` row;
-    a ConfigError, which every entry shares, exits 2."""
+    a ConfigError or DatasetError, which every entry shares, exits 2."""
     cfg = _load_config(args)
     counts = list(range(args.min_malicious, args.max_malicious + 1))
     if not counts:
@@ -228,7 +225,7 @@ def cmd_sweep(args) -> int:
         for m, fut in zip(counts, futures):
             try:
                 rows.append((m, *fut.result()))
-            except ConfigError:
+            except (ConfigError, DatasetError):
                 raise
             except Exception as e:
                 print(f"sweep entry {m} failed: {e}", file=sys.stderr)
@@ -290,7 +287,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, LedgerError) as e:
+    except (ConfigError, DatasetError, LedgerError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

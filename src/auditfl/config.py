@@ -97,6 +97,11 @@ def validate(config: RunConfig) -> None:
         raise ConfigError(f"need at least 1 round, got {c.rounds}")
     if c.batch_size < 1:
         raise ConfigError(f"batch size must be positive, got {c.batch_size}")
+    for name in ("hidden", "pretrain_steps", "metrics_every"):
+        if getattr(c, name) < 0:
+            raise ConfigError(f"{name} must be >= 0, got {getattr(c, name)}")
+    if not (0 <= c.master_seed < 1 << 128):
+        raise ConfigError(f"master seed must be in 0..2**128 - 1, got {c.master_seed}")
     if not (1 <= c.scale <= 40):
         raise ConfigError(f"fixed-point scale must be in 1..40, got {c.scale}")
     eta_num, eta_exp = c.eta_parts()
@@ -182,6 +187,8 @@ def parse_malicious(entries) -> dict[int, AdversarySpec]:
             pid = int(parts[0])
         except ValueError:
             raise ConfigError(f"malicious id {parts[0]!r} is not an integer") from None
+        if pid in out:
+            raise ConfigError(f"malicious id {pid} is declared twice")
         kind = parts[1]
         try:
             if len(parts) > 2:

@@ -49,6 +49,7 @@ from .training import (
     AdversarySpec,
     Architecture,
     Dataset,
+    DatasetError,
     corrupt_gradient,
     corrupt_shard,
     evaluate,
@@ -254,7 +255,7 @@ class RunResult:
     w0: FpVector
     w_final: FpVector
     record: TrainingRecord | None
-    metrics: list[dict]
+    metrics: list[dict]  # per round; test_accuracy is a float, or None if not evaluated
     timing: dict[str, int]  # published bytes: genesis and training record
 
 
@@ -433,14 +434,22 @@ def run_training(
     could never verify.
 
     Every party draws `batch_size` samples from its own shard, so a batch
-    larger than the smallest shard is a ConfigError, raised before anything
-    is computed or written.
+    larger than the smallest shard is a ConfigError, and a test set whose
+    feature or class count differs from the training set's is a
+    DatasetError; both are raised before anything is computed or written.
     """
     publishing = publish and ledger_path is not None
     if publishing and not detection:
         raise ConfigError(
             "publishing requires detection: the audit re-derives the benign "
             "set of every round, so a record without detection never verifies"
+        )
+    if test is not None and (test.n_features, test.n_classes) != (
+        train.n_features, train.n_classes
+    ):
+        raise DatasetError(
+            f"test set has {test.n_features} features and {test.n_classes} "
+            f"classes, the training set {train.n_features} and {train.n_classes}"
         )
     parts = config.participants + 1
     smallest = len(train) // parts  # np.array_split puts the remainder first
@@ -496,7 +505,7 @@ def run_training(
         row = {
             "round": r,
             "train_loss": train_loss,
-            "test_accuracy": "",
+            "test_accuracy": None,
             "benign_count": len(benign),
         }
         want_eval = test is not None and (
@@ -504,8 +513,7 @@ def run_training(
             or r == config.rounds
         )
         if want_eval:
-            acc, _ = evaluate(arch, server.w, test)
-            row["test_accuracy"] = f"{acc:.6f}"
+            row["test_accuracy"], _ = evaluate(arch, server.w, test)
         metrics.append(row)
 
     record_obj = None

@@ -219,18 +219,18 @@ def partition(ds: Dataset, parts: int, seed: int) -> list[Dataset]:
 
 
 # ---------------------------------------------------------------------------
-# Models: multinomial logistic regression, optional one-hidden-layer MLP.
-# Parameters are one flattened vector; layout is documented per architecture.
+# Models: a ReLU network, defined once; logistic regression is its one-layer
+# case. Parameters are one flattened vector: each layer's W then its b.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Architecture:
-    """Layer sizes for the flattened parameter vector.
+    """Layer sizes for the flattened parameter vector, input layer first.
 
     hidden == 0: logistic regression, params = [W (f*c), b (c)].
     hidden  > 0: one ReLU hidden layer, params = [W1 (f*h), b1 (h),
-    W2 (h*c), b2 (c)].
+    W2 (h*c), b2 (c)]. Each W is row-major, (inputs, outputs).
     """
 
     n_features: int
@@ -238,11 +238,14 @@ class Architecture:
     hidden: int = 0
 
     @property
-    def param_count(self) -> int:
+    def layer_sizes(self) -> tuple[tuple[int, int], ...]:
+        """(inputs, outputs) of each layer, input layer first."""
         f, c, h = self.n_features, self.n_classes, self.hidden
-        if h == 0:
-            return f * c + c
-        return f * h + h + h * c + c
+        return ((f, c),) if h == 0 else ((f, h), (h, c))
+
+    @property
+    def param_count(self) -> int:
+        return sum(i * o + o for i, o in self.layer_sizes)
 
 
 def init_params(arch: Architecture, seed: int, scale: int = DEFAULT_SCALE) -> FpVector:
@@ -254,59 +257,52 @@ def init_params(arch: Architecture, seed: int, scale: int = DEFAULT_SCALE) -> Fp
     return FpVector.from_floats(vals, scale)
 
 
-def _unpack(arch: Architecture, params: np.ndarray):
-    f, c, h = arch.n_features, arch.n_classes, arch.hidden
-    if h == 0:
-        W = params[: f * c].reshape(f, c)
-        b = params[f * c :]
-        return (W, b)
-    o = 0
-    W1 = params[o : o + f * h].reshape(f, h)
-    o += f * h
-    b1 = params[o : o + h]
-    o += h
-    W2 = params[o : o + h * c].reshape(h, c)
-    o += h * c
-    b2 = params[o:]
-    return (W1, b1, W2, b2)
+def _layers(arch: Architecture, params: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """(W, b) views of each layer in the flat parameter vector."""
+    layers, at = [], 0
+    for i, o in arch.layer_sizes:
+        W = params[at : at + i * o].reshape(i, o)
+        layers.append((W, params[at + i * o : at + i * o + o]))
+        at += i * o + o
+    return layers
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _forward(layers, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The logits, and each layer's input: X in float64, then every ReLU output."""
+    inputs = [X.astype(np.float64, copy=False)]
+    for W, b in layers[:-1]:
+        inputs.append(np.maximum(inputs[-1] @ W + b, 0.0))
+    W, b = layers[-1]
+    return inputs[-1] @ W + b, inputs
+
+
+def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean -log(p_y + 1e-300) over the rows, and the softmax probabilities."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    return float(-np.log(probs[np.arange(len(y)), y] + 1e-300).mean()), probs
 
 
 def loss_and_grad(
     arch: Architecture, params: np.ndarray, X: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient w.r.t. the flattened parameters."""
+    """Mean cross-entropy and its gradient w.r.t. the flattened parameters.
+
+    Forward pass and loss are `evaluate`'s; back-propagation starts at the
+    output layer."""
     n = X.shape[0]
-    X = X.astype(np.float64, copy=False)
-    if arch.hidden == 0:
-        (W, b) = _unpack(arch, params)
-        probs = _softmax(X @ W + b)
-        loss = float(-np.log(probs[np.arange(n), y] + 1e-300).mean())
-        delta = probs
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
-        gW = X.T @ delta
-        gb = delta.sum(axis=0)
-        return loss, np.concatenate([gW.ravel(), gb])
-    (W1, b1, W2, b2) = _unpack(arch, params)
-    z1 = X @ W1 + b1
-    a1 = np.maximum(z1, 0.0)
-    probs = _softmax(a1 @ W2 + b2)
-    loss = float(-np.log(probs[np.arange(n), y] + 1e-300).mean())
-    delta2 = probs
-    delta2[np.arange(n), y] -= 1.0
-    delta2 /= n
-    gW2 = a1.T @ delta2
-    gb2 = delta2.sum(axis=0)
-    delta1 = (delta2 @ W2.T) * (z1 > 0.0)
-    gW1 = X.T @ delta1
-    gb1 = delta1.sum(axis=0)
-    return loss, np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2])
+    layers = _layers(arch, params)
+    logits, inputs = _forward(layers, X)
+    loss, delta = _cross_entropy(logits, y)
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grads: list[np.ndarray] = []
+    for k in range(len(layers) - 1, -1, -1):
+        a = inputs[k]
+        grads[:0] = [(a.T @ delta).ravel(), delta.sum(axis=0)]
+        if k > 0:  # a is a ReLU output: a > 0 exactly where its input was
+            delta = (delta @ layers[k][0].T) * (a > 0.0)
+    return loss, np.concatenate(grads)
 
 
 def sample_batch(ds: Dataset, batch: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -331,22 +327,14 @@ def local_gradient(
 
 
 def evaluate(arch: Architecture, params: FpVector, ds: Dataset) -> tuple[float, float]:
-    """(accuracy fraction, mean cross-entropy) on a dataset; must be nonempty."""
+    """(accuracy fraction, mean cross-entropy) on a nonempty dataset.
+
+    Forward pass and loss are the ones `loss_and_grad` trains with."""
     if len(ds) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    p = params.to_floats()
-    X = ds.features.astype(np.float64, copy=False)
-    if arch.hidden == 0:
-        (W, b) = _unpack(arch, p)
-        logits = X @ W + b
-    else:
-        (W1, b1, W2, b2) = _unpack(arch, p)
-        logits = np.maximum(X @ W1 + b1, 0.0) @ W2 + b2
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logprobs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    acc = float((logits.argmax(axis=1) == ds.labels).mean())
-    loss = float(-logprobs[np.arange(len(ds)), ds.labels].mean())
-    return acc, loss
+    logits, _ = _forward(_layers(arch, params.to_floats()), ds.features)
+    loss, _ = _cross_entropy(logits, ds.labels)
+    return float((logits.argmax(axis=1) == ds.labels).mean()), loss
 
 
 # ---------------------------------------------------------------------------

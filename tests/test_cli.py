@@ -1,6 +1,7 @@
 """CLI verbs: run, audit, sweep, verify-chain; file outputs and exit codes."""
 import csv
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from auditfl.cli import main
+from auditfl.training import IDX_FILES, make_synthetic_corpus
 
 BASE_FLAGS = [
     "--participants", "3",
@@ -107,6 +109,60 @@ class TestRun:
         code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert not (tmp_path / "o" / "ledger.bin").exists()
+
+
+@pytest.fixture(scope="module")
+def bad_idx_dirs(tmp_path_factory):
+    """IDX dirs in the workspace config's shape that no run can use."""
+    root = tmp_path_factory.mktemp("bad_idx")
+    corpus = dict(seed=5, n_train=420, n_test=90, side=6, n_classes=4)
+    # the test label file cut to 1 byte
+    paths = make_synthetic_corpus(root / "truncated", **corpus)
+    paths["test_labels"].write_bytes(paths["test_labels"].read_bytes()[:1])
+    # 6x6 training images, 5x5 test images
+    make_synthetic_corpus(root / "mismatched", **corpus)
+    small = make_synthetic_corpus(root / "small", **{**corpus, "side": 5})
+    for key in ("test_images", "test_labels"):
+        shutil.copy(small[key], root / "mismatched" / IDX_FILES[key])
+    return root
+
+
+REJECTED_RUNS = {
+    "truncated-labels": ["--dataset-kind", "idx", "--data-dir", "{bad}/truncated"],
+    "mismatched-test-set": ["--dataset-kind", "idx", "--data-dir", "{bad}/mismatched"],
+    "negative-hidden": ["--hidden", "-1"],
+    "negative-seed": ["--seed", "-1"],
+    "repeated-malicious-id": ["--malicious", "3:label_flip", "--malicious", "3:sign_flip"],
+}
+
+
+class TestRejectedBeforeLedger:
+    """Bad data or config: exit 2 with an `error:` line, and nothing written."""
+
+    @staticmethod
+    def _flags(name, bad_idx_dirs):
+        return [flag.format(bad=bad_idx_dirs) for flag in REJECTED_RUNS[name]]
+
+    @pytest.mark.parametrize("name", REJECTED_RUNS)
+    def test_run(self, name, workspace, bad_idx_dirs, tmp_path, capsys):
+        root, cfg_path = workspace
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out),
+                     *self._flags(name, bad_idx_dirs)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "ledger.bin").exists()
+
+    @pytest.mark.parametrize("name", ["truncated-labels", "mismatched-test-set"])
+    def test_sweep(self, name, workspace, bad_idx_dirs, tmp_path, capsys):
+        root, cfg_path = workspace
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(cfg_path), "--max-malicious", "1",
+                     "--publish", "--out", str(out), *self._flags(name, bad_idx_dirs)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "sweep.csv").exists()
+        assert not list(out.glob("ledger_m*.bin"))
 
 
 class TestAudit:

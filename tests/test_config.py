@@ -5,7 +5,13 @@ from dataclasses import replace
 import pytest
 
 from auditfl import ConfigError, RunConfig
-from auditfl.config import check_overflow_budget, from_dict, from_file, with_overrides
+from auditfl.config import (
+    check_overflow_budget,
+    from_dict,
+    from_file,
+    parse_malicious,
+    with_overrides,
+)
 from auditfl.training import AdversarySpec
 
 # one config per validity rule, each breaking only that rule
@@ -24,6 +30,11 @@ INVALID = [
     ({"eta": f"1/{1 << 40}", "scale": 40}, "mask bits"),
     ({"clipping": True, "clip_factor": 0}, "clip factor"),
     ({"scale": 40}, "masked gradient mg1 raw"),
+    ({"hidden": -1}, "hidden must be >= 0"),
+    ({"pretrain_steps": -1}, "pretrain_steps must be >= 0"),
+    ({"metrics_every": -1}, "metrics_every must be >= 0"),
+    ({"master_seed": -1}, "master seed must be in"),
+    ({"master_seed": 1 << 128}, "master seed must be in"),
 ]
 
 
@@ -48,6 +59,11 @@ class TestConfigFields:
     def test_unknown_dataset_field_rejected(self):
         with pytest.raises(ConfigError, match="bad config field"):
             from_dict({"dataset": {"kind": "synthetic", "size": 5}})
+
+    def test_malicious_id_declared_twice_rejected(self):
+        # the later declaration would silently replace the earlier one
+        with pytest.raises(ConfigError, match="declared twice"):
+            parse_malicious(["3:label_flip", "3:sign_flip"])
 
 
 class TestValidByConstruction:

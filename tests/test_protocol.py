@@ -17,7 +17,7 @@ from auditfl.protocol import (
     run_training,
 )
 from auditfl.randomness import derive_seed, prg, sign_vector
-from auditfl.training import AdversarySpec, Architecture
+from auditfl.training import AdversarySpec, Architecture, DatasetError
 from util import (
     make_dataset,
     model_mask_oracle,
@@ -389,6 +389,16 @@ class TestRunTrainingContract:
         with pytest.raises(ConfigError, match="smallest shard"):
             run_training(small_config(batch_size=101), make_dataset(3, 400, 5, 2),
                          None, ledger_path=path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("features,classes", [(4, 2), (5, 3)])
+    def test_mismatched_test_set_rejected_before_ledger(self, features, classes,
+                                                        tmp_path):
+        # the training set has 5 features and 2 classes
+        path = tmp_path / "l.bin"
+        with pytest.raises(DatasetError, match="test set has"):
+            run_training(small_config(), make_dataset(3, 400, 5, 2),
+                         make_dataset(4, 40, features, classes), ledger_path=path)
         assert not path.exists()
 
     def test_largest_batch_that_fits_runs(self, tmp_path):

@@ -220,16 +220,30 @@ class TestAdversaries:
 
 
 class TestEvaluate:
-    def test_constant_class_predictor_exact_count(self):
-        # bias strongly favoring class 0 on a known label distribution
-        arch = Architecture(n_features=2, n_classes=4)
+    @pytest.mark.parametrize("hidden", [0, 3])
+    def test_constant_class_predictor_exact_count(self, hidden):
+        # bias strongly favoring class 0 on a known label distribution; with
+        # zero hidden weights the MLP's logits are its output biases too
+        arch = Architecture(n_features=2, n_classes=4, hidden=hidden)
         params = np.zeros(arch.param_count)
-        params[-4] = 10.0  # bias of class 0
+        params[-4] = 10.0  # output bias of class 0
         labels = np.array([0, 1, 2, 3] * 25)
         ds = Dataset(features=np.random.default_rng(0).random((100, 2)).astype(np.float32),
                      labels=labels, n_classes=4)
         acc, _ = evaluate(arch, FpVector.from_floats(params, 20), ds)
         assert acc == 0.25
+
+    @pytest.mark.parametrize("hidden", [0, 3])
+    def test_loss_is_the_training_loss(self, hidden):
+        # evaluation and training compute one model: same forward pass, same loss
+        arch = Architecture(n_features=4, n_classes=3, hidden=hidden)
+        words = prg(derive_seed(hidden, "eval-loss"), arch.param_count)
+        vals = (words % np.uint64(2001)).astype(np.float64) / 1000.0 - 1.0
+        params = FpVector.from_floats(vals, 20)
+        ds = make_dataset(4, 50, 4, 3)
+        _, eval_loss = evaluate(arch, params, ds)
+        train_loss, _ = loss_and_grad(arch, params.to_floats(), ds.features, ds.labels)
+        assert eval_loss == train_loss
 
     def test_loss_monotone_in_logit_magnitude(self):
         arch = Architecture(n_features=1, n_classes=2)
