@@ -36,6 +36,8 @@ from .records import (
     RecordFormatError,
     RoundRecord,
     TrainingRecord,
+    submission_message,
+    vector_digest,
 )
 
 
@@ -104,14 +106,17 @@ def audit_detection(rec: RoundRecord, genesis: GenesisPayload) -> dict[int, int]
     """Check one round's published vectors and signatures.
 
     In order: every vector's geometry, the participant ids against the
-    roster, the server detection masks' ids, the detection-mask signatures,
-    then the aggregation-mask ids and signatures. Returns the masked inner
-    products <mg1_i, mgS1_i> == l_i * <g_i, g_S>, one per participant.
+    roster, the server detection masks' ids, that each participant has
+    exactly one of an aggregation mask and an aggregation digest, then each
+    participant's one submission signature, over the digest of its detection
+    mask and the digest of its aggregation mask (hashed here when published,
+    else the stored digest). Returns the masked inner products
+    <mg1_i, mgS1_i> == l_i * <g_i, g_S>, one per participant.
     """
     r = rec.r
     for pid, (vec, _) in rec.local_detect.items():
         _check_geometry(vec, genesis, f"round {r}: detection mask of participant {pid}")
-    for pid, (vec, _) in rec.local_agg.items():
+    for pid, vec in rec.local_agg.items():
         _check_geometry(vec, genesis, f"round {r}: aggregation mask of participant {pid}")
     for pid, vec in rec.server_detect.items():
         _check_geometry(vec, genesis, f"round {r}: server detection mask for {pid}")
@@ -127,23 +132,24 @@ def audit_detection(rec: RoundRecord, genesis: GenesisPayload) -> dict[int, int]
             f"round {r}: server detection masks cover "
             f"{sorted(rec.server_detect)} but participants are {present}",
         )
+    # an id in both tables appears twice here, an id in neither not at all
+    if sorted([*rec.local_agg, *rec.agg_digests]) != present:
+        raise AuditFailure(
+            "structure",
+            f"round {r}: aggregation masks cover {sorted(rec.local_agg)} and "
+            f"aggregation digests {sorted(rec.agg_digests)}; each of the "
+            f"participants {present} needs exactly one",
+        )
     for pid in present:
-        vec, sig = rec.local_detect[pid]
-        if not crypto.verify(roster[pid][0], vec.encode(), sig):
+        mg1, sig = rec.local_detect[pid]
+        mg2 = rec.local_agg.get(pid)
+        mg2_digest = rec.agg_digests[pid] if mg2 is None else vector_digest(mg2)
+        message = submission_message(r, pid, vector_digest(mg1), mg2_digest)
+        if not crypto.verify(roster[pid][0], message, sig):
             raise AuditFailure(
                 "signature",
-                f"round {r}: detection-mask signature of participant "
-                f"{pid} does not verify",
-            )
-    for pid in sorted(rec.local_agg):
-        if pid not in roster:
-            raise AuditFailure("structure", f"round {r}: unknown benign id {pid}")
-        vec, sig = rec.local_agg[pid]
-        if not crypto.verify(roster[pid][0], vec.encode(), sig):
-            raise AuditFailure(
-                "signature",
-                f"round {r}: aggregation-mask signature of participant "
-                f"{pid} does not verify",
+                f"round {r}: submission signature of participant {pid} "
+                f"does not verify",
             )
     return {pid: dot(rec.local_detect[pid][0], rec.server_detect[pid]) for pid in present}
 
@@ -151,7 +157,7 @@ def audit_detection(rec: RoundRecord, genesis: GenesisPayload) -> dict[int, int]
 def audit_aggregate(rec: RoundRecord) -> FpVector:
     """Replay the round's masked aggregation over its published benign set."""
     return floor_average(
-        rec.server_agg, [rec.local_agg[pid][0] for pid in sorted(rec.local_agg)]
+        rec.server_agg, [rec.local_agg[pid] for pid in sorted(rec.local_agg)]
     )
 
 

@@ -27,7 +27,6 @@ from .training import (
     Architecture,
     Dataset,
     DatasetError,
-    evaluate,
     load_idx,
     make_synthetic_corpus,
 )
@@ -132,10 +131,11 @@ def cmd_run(args) -> int:
     write_metrics_csv(out / "metrics.csv", result.metrics)
 
     arch = Architecture(train.n_features, train.n_classes, cfg.hidden)
-    acc, loss = evaluate(arch, result.w_final, test)
+    # run_training evaluates the final round's model; take that accuracy
+    acc = result.metrics[-1]["test_accuracy"]
     print(f"run complete in {elapsed:.1f}s: {cfg.rounds} rounds, "
           f"{cfg.participants} participants, dim {arch.param_count}")
-    print(f"final test accuracy {acc:.4f}, test loss {loss:.4f}")
+    print(f"final test accuracy {acc:.4f}")
     print(f"ledger: {ledger_path}")
     print(f"metrics: {out / 'metrics.csv'}")
     t = result.timing
@@ -145,7 +145,7 @@ def cmd_run(args) -> int:
     if args.with_baseline:
         base = run_training(cfg, train, test, detection=False, publish=False)
         write_metrics_csv(out / "baseline_metrics.csv", base.metrics)
-        bacc, _ = evaluate(arch, base.w_final, test)
+        bacc = base.metrics[-1]["test_accuracy"]
         print(f"FedAvg baseline final test accuracy {bacc:.4f}")
         print(f"baseline metrics: {out / 'baseline_metrics.csv'}")
     return 0
@@ -186,17 +186,15 @@ def _sweep_one(cfg: RunConfig, count: int, publish: bool, out_dir: str,
         cfg,
         malicious={i: AdversarySpec("label_flip") for i in range(1, count + 1)},
     )
-    arch = Architecture(train.n_features, train.n_classes, cfg.hidden)
     ledger_path = None
     if publish:
         ledger_path = Path(out_dir) / f"ledger_m{count}.bin"
         if ledger_path.exists():
             ledger_path.unlink()
     scheme = run_training(cfg, train, test, ledger_path=ledger_path, publish=publish)
-    scheme_acc, _ = evaluate(arch, scheme.w_final, test)
     base = run_training(cfg, train, test, detection=False, publish=False)
-    base_acc, _ = evaluate(arch, base.w_final, test)
-    return scheme_acc, base_acc
+    # run_training evaluates each final model in its last round
+    return scheme.metrics[-1]["test_accuracy"], base.metrics[-1]["test_accuracy"]
 
 
 def cmd_sweep(args) -> int:

@@ -37,6 +37,7 @@ N = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
 SIGNATURE_SIZE = 64
 PUBLIC_KEY_SIZE = 64
+DIGEST_SIZE = 32
 
 _CURVE = ec.SECP256R1()
 _SIGN = ec.ECDSA(Prehashed(hashes.SHA256()), deterministic_signing=True)

@@ -2,16 +2,17 @@
 
 One process plays the central server and every participant; messages are
 plain function arguments with a per-round barrier (the loop). Participants
-send plaintext gradients plus signatures over the two masked forms; the
-server recomputes the masks it issued and verifies the signatures, so masks
-protect against third parties and other participants, not against the
-server, which is trusted by participants.
+send plaintext gradients plus one signature over the round, their id and
+the digests of the two masked forms; the server recomputes the masks it
+issued and verifies the signature, so masks protect against third parties
+and other participants, not against the server, which is trusted by
+participants.
 
 `Server.run_round` is the one round of the protocol, published or not: it
 verifies, detects, aggregates, updates the model and, when publishing,
-builds the round record from the masked vectors it computed to verify the
-signatures. An unpublished round skips masks, signatures and the record;
-its model trajectory is the same.
+builds the round record from the masked vectors and digests it computed to
+verify the signatures. An unpublished round skips masks, signatures and the
+record; its model trajectory is the same.
 
 All protocol vectors are fixed point, so the published record satisfies the
 audit identities exactly:
@@ -44,7 +45,13 @@ from .randomness import (
     prg,
     sign_vector,
 )
-from .records import GenesisPayload, RoundRecord, TrainingRecord
+from .records import (
+    GenesisPayload,
+    RoundRecord,
+    TrainingRecord,
+    submission_message,
+    vector_digest,
+)
 from .training import (
     AdversarySpec,
     Architecture,
@@ -132,11 +139,11 @@ def masked_forms(
 ) -> tuple[np.ndarray, FpVector, FpVector, FpVector]:
     """Participant ps's round-r masked forms of g: (signs, mg1, zv, mg2).
 
-    The participant signs mg1 and mg2; the server recomputes them here to
-    check the signatures and publishes them. The round's sign stream scaled
-    by rn_i is the PRVG mask rv_r, so mg1 = rv_r (.) g; scaled by rn_S_i it
-    is the server's detection mask. zv is the round's zero share and
-    mg2 = zv + g.
+    The participant signs the digests of mg1 and mg2; the server recomputes
+    them here to check the signature and publishes them. The round's sign
+    stream scaled by rn_i is the PRVG mask rv_r, so mg1 = rv_r (.) g; scaled
+    by rn_S_i it is the server's detection mask. zv is the round's zero
+    share and mg2 = zv + g.
     """
     # "prvg" is only the seed's domain tag; the ledger bytes depend on it
     signs = sign_vector(derive_seed(ps.mask_seed, "prvg", r), g.dim)
@@ -157,8 +164,7 @@ class Submission:
 
     id: int
     gradient: FpVector  # plaintext g_i
-    sig_detect: bytes  # over the canonical bytes of mg1 = rv_r (.) g_i
-    sig_agg: bytes  # over the canonical bytes of mg2 = zv_r + g_i
+    signature: bytes  # over submission_message(r, id, H(mg1), H(mg2))
     loss: float
 
 
@@ -198,14 +204,15 @@ class Participant:
         return self.sign_gradient(g, r, loss)
 
     def sign_gradient(self, g: FpVector, r: int, loss: float = 0.0) -> Submission:
-        """Mask + sign an already-computed gradient for round r."""
+        """Mask an already-computed gradient for round r and sign the
+        round's one submission message over both masked forms."""
         _, mg1, _, mg2 = masked_forms(self.secrets, g, r)
-        sk = self.secrets.keypair.sk
+        pid = self.secrets.id
+        message = submission_message(r, pid, vector_digest(mg1), vector_digest(mg2))
         return Submission(
-            id=self.secrets.id,
+            id=pid,
             gradient=g,
-            sig_detect=crypto.sign(sk, mg1.encode()),
-            sig_agg=crypto.sign(sk, mg2.encode()),
+            signature=crypto.sign(self.secrets.keypair.sk, message),
             loss=loss,
         )
 
@@ -238,14 +245,15 @@ def robust_aggregate(
 
 @dataclass(frozen=True)
 class VerifiedSubmission:
-    """A submission whose signatures verified, with the masked forms the
-    server recomputed to check them; the round record reuses these."""
+    """A submission whose signature verified, with the masked forms the
+    server recomputed to check it; the round record reuses these."""
 
     sub: Submission
     signs: np.ndarray  # the round's sign stream; rv_r = signs * rn_i
     mg1: FpVector  # rv_r (.) g_i
     zv: FpVector  # zero share zv_r
     mg2: FpVector  # zv_r + g_i
+    mg2_digest: bytes  # SHA-256(enc(mg2)), published if not benign
 
 
 @dataclass
@@ -289,19 +297,17 @@ class Server:
         )
 
     def verify_submission(self, sub: Submission, r: int) -> VerifiedSubmission | None:
-        """Recompute both masked gradients and check both signatures.
+        """Recompute both masked gradients and check the signature.
 
-        Returns the recomputed masked forms, or None if a signature fails.
+        Returns the recomputed masked forms, or None if the signature fails.
         """
         ps = self.secrets.per_participant[sub.id]
         signs, mg1, zv, mg2 = masked_forms(ps, sub.gradient, r)
-        pk = ps.keypair.pk
-        if not (
-            crypto.verify(pk, mg1.encode(), sub.sig_detect)
-            and crypto.verify(pk, mg2.encode(), sub.sig_agg)
-        ):
+        mg2_digest = vector_digest(mg2)
+        message = submission_message(r, sub.id, vector_digest(mg1), mg2_digest)
+        if not crypto.verify(ps.keypair.pk, message, sub.signature):
             return None
-        return VerifiedSubmission(sub, signs, mg1, zv, mg2)
+        return VerifiedSubmission(sub, signs, mg1, zv, mg2, mg2_digest)
 
     def run_round(
         self,
@@ -354,8 +360,9 @@ class Server:
         verified: dict[int, VerifiedSubmission],
         benign: list[int],
     ) -> RoundRecord:
-        """The published round: every valid participant's detection pair,
-        the benign participants' aggregation masks, and the server's
+        """The published round: every valid participant's detection mask and
+        signature, the benign participants' aggregation masks, the other
+        valid participants' aggregation-mask digests, and the server's
         aggregation vector, whose zero share cancels the benign ones."""
         m_r = model_mask_share(
             self.secrets.model_mask_seed, r, g_s.dim, g_s.scale, self.eta_exp
@@ -368,20 +375,24 @@ class Server:
         for i in benign:
             v = verified[i]
             zv_server -= v.zv.raw
-            local_agg[i] = (v.mg2, v.sub.sig_agg)
+            local_agg[i] = v.mg2
         server_agg = (
             m_r.scalar_mul(len(benign) + 1) + FpVector(zv_server, g_s.scale) + g_s
         )
         local_detect = {}
+        agg_digests = {}
         server_detect = {}
         for i, v in verified.items():
-            local_detect[i] = (v.mg1, v.sub.sig_detect)
+            local_detect[i] = (v.mg1, v.sub.signature)
+            if i not in local_agg:
+                agg_digests[i] = v.mg2_digest
             rn_s = self.secrets.rn_server[i]
             server_detect[i] = hadamard(g_s, v.signs * np.int64(rn_s))
         return RoundRecord(
             r=r,
             local_detect=local_detect,
             local_agg=local_agg,
+            agg_digests=agg_digests,
             server_detect=server_detect,
             server_agg=server_agg,
         )
@@ -495,7 +506,7 @@ def run_training(
             submissions = []
             for p in participants:
                 g, loss = p.local_update(server.w, r)
-                submissions.append(Submission(p.secrets.id, g, b"", b"", loss))
+                submissions.append(Submission(p.secrets.id, g, b"", loss))
         record, benign, train_loss = server.run_round(
             r, submissions, detection, publishing
         )

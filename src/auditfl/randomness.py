@@ -10,6 +10,7 @@ integers leaves the scale unchanged and keeps every audit identity exact.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -53,10 +54,21 @@ def derive_seed(master: int, *tags) -> int:
     return int.from_bytes(h.digest()[:16], "little")
 
 
-def _philox(seed: int) -> np.random.Philox:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (seed >> 64) & 0xFFFFFFFFFFFFFFFF],
-                   dtype=_U64)
-    return np.random.Philox(key=key)
+_ZERO4 = np.zeros(4, dtype=_U64)
+
+
+@functools.cache
+def _philox() -> np.random.Philox:
+    """The one generator `prg` reuses, built on first use.
+
+    `prg` overwrites its whole state on every call with the state of a fresh
+    `Philox(key=...)` (counter 0, empty buffer), so each stream depends on
+    its seed alone. Building a new generator per call costs several times
+    more and draws OS entropy that is never used. Building it lazily keeps
+    numpy.random out of a process that never draws, such as an audit. Not
+    thread-safe; the package runs single-threaded in each process.
+    """
+    return np.random.Philox(0)
 
 
 def prg(seed: int, count: int) -> np.ndarray:
@@ -65,16 +77,33 @@ def prg(seed: int, count: int) -> np.ndarray:
         raise ValueError(f"count must be >= 0, got {count}")
     if count == 0:
         return np.empty(0, dtype=_U64)
-    return _philox(seed).random_raw(count)
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (seed >> 64) & 0xFFFFFFFFFFFFFFFF],
+                   dtype=_U64)
+    gen = _philox()
+    gen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": key},
+        "buffer": _ZERO4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen.random_raw(count)
 
 
 def sign_vector(seed: int, count: int) -> np.ndarray:
     """int64 vector of +-1 signs, each uniform and indexed by position.
 
     Scaled by a nonzero rn it is the paper's PRVG vector, entries +-rn.
+    The sign of entry k is 1 - 2 * (word_k & 1), computed in place in the
+    word buffer.
     """
-    words = prg(seed, count)
-    return (1 - 2 * (words & _U64(1)).astype(np.int64)).astype(np.int64)
+    signs = prg(seed, count)
+    signs &= _U64(1)
+    signs = signs.view(np.int64)
+    signs *= -2
+    signs += 1
+    return signs
 
 
 @dataclass(frozen=True)
@@ -105,8 +134,11 @@ def bounded_int_vector(seed: int, dim: int, bits: int = MASK_BITS) -> np.ndarray
     if not (0 < bits < 63):
         raise ValueError(f"bits must be in (0, 63), got {bits}")
     words = prg(seed, dim)
-    span = _U64(1) << _U64(bits + 1)
-    return (words % span).astype(np.int64) - np.int64(1 << bits)
+    # the span 2^(bits+1) is a power of two, so the mask is `% span`
+    words &= _U64((1 << (bits + 1)) - 1)
+    vec = words.view(np.int64)
+    vec -= np.int64(1 << bits)
+    return vec
 
 
 def model_mask_share(seed: int, r: int, dim: int, scale: int, eta_exp: int) -> FpVector:

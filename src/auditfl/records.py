@@ -6,9 +6,12 @@ length-prefixed canonical FpVector payloads, and id-keyed tables with
 strictly ascending ids (so each record has one encoding). No rational is on
 the wire: the genesis roster carries each participant's deflation factor
 l_i as a nonzero u32, and the auditor deflates by Fraction(product, l_i).
-The full layout is documented in README.md. Encoding copies no vector:
-every `encode` returns a list of buffers whose concatenation is the
-record's bytes, each vector contributing a view of its raws. Decoding
+Each participant signs one message per round, `submission_message`, which
+binds the round, its id and the digests of both its masked vectors; a
+participant that is not benign has its second vector published as that
+digest alone. The full layout is documented in README.md. Encoding copies
+no vector: every `encode` returns a list of buffers whose concatenation is
+the record's bytes, each vector contributing a view of its raws. Decoding
 copies none either: each vector is a read-only view of the decoded buffer.
 
 This module holds no secrets; the auditor imports it, the protocol fills it.
@@ -18,13 +21,14 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .crypto import PUBLIC_KEY_SIZE, SIGNATURE_SIZE
+from .crypto import DIGEST_SIZE, PUBLIC_KEY_SIZE, SIGNATURE_SIZE, sha256
 from .fixedpoint import FpVector
 
 GENESIS_MAGIC = b"GEN1"
 ROUND_MAGIC = b"RND1"
 TRCD_MAGIC = b"TRCD"
-WIRE_VERSION = 2
+SUBMISSION_TAG = b"AFLSUB"
+WIRE_VERSION = 3
 
 
 class RecordFormatError(Exception):
@@ -184,36 +188,57 @@ class GenesisPayload:
 
 
 # ---------------------------------------------------------------------------
-# Per-round record: masked gradients and signatures.
+# Per-round record: masked gradients, submission signatures, mg2 digests.
 # ---------------------------------------------------------------------------
+
+
+def vector_digest(vec: FpVector) -> bytes:
+    """SHA-256 of a vector's canonical encoding, as a submission binds it."""
+    return sha256(*vec.encode())
+
+
+def submission_message(r: int, pid: int, mg1_digest: bytes, mg2_digest: bytes) -> list:
+    """The one message participant pid signs in round r, as buffers:
+    `AFLSUB | version u16 | r u32 | pid u32 | SHA-256(enc(mg1)) |
+    SHA-256(enc(mg2))`. Naming the round, the participant and each vector's
+    role, a signature is valid for that one submission only."""
+    return [
+        SUBMISSION_TAG,
+        struct.pack("<HII", WIRE_VERSION, r, pid),
+        mg1_digest,
+        mg2_digest,
+    ]
 
 
 @dataclass(frozen=True)
 class RoundRecord:
     """Everything the protocol publishes about one training round.
 
-    Multiplicatively masked local gradients (with signatures) appear for
-    every participant; additively masked ones only for the round's benign
-    set. Detection masks of the server appear for every participant, plus
-    the single additively masked server aggregate.
+    Every valid participant appears in `local_detect` with its
+    multiplicatively masked gradient and its submission signature, and in
+    exactly one of `local_agg` (benign: its additively masked gradient) and
+    `agg_digests` (not benign: only that vector's digest, which its
+    signature covers). Detection masks of the server appear for every
+    participant, plus the single additively masked server aggregate.
     """
 
     r: int
-    local_detect: dict[int, tuple[FpVector, bytes]]  # id -> (mg1, sig)
-    local_agg: dict[int, tuple[FpVector, bytes]]  # id -> (mg2, sig), benign only
+    local_detect: dict[int, tuple[FpVector, bytes]]  # id -> (mg1, signature)
+    local_agg: dict[int, FpVector]  # id -> mg2, benign only
+    agg_digests: dict[int, bytes]  # id -> SHA-256(enc(mg2)), valid but not benign
     server_detect: dict[int, FpVector]  # id -> mg_S1 (one per participant)
     server_agg: FpVector  # mg_S2
 
     def encode(self) -> list:
-        def signed(entry):
-            vec, sig = entry
-            return [*_blob(vec.encode()), sig]
+        def vector(vec: FpVector) -> list:
+            return _blob(vec.encode())
 
         out = [ROUND_MAGIC, struct.pack("<I", self.r)]
-        out += _table(self.local_detect, signed)
-        out += _table(self.local_agg, signed)
-        out += _table(self.server_detect, lambda vec: _blob(vec.encode()))
-        out += _blob(self.server_agg.encode())
+        out += _table(self.local_detect, lambda e: [*vector(e[0]), e[1]])
+        out += _table(self.local_agg, vector)
+        out += _table(self.agg_digests, lambda digest: [digest])
+        out += _table(self.server_detect, vector)
+        out += vector(self.server_agg)
         return out
 
     @classmethod
@@ -230,7 +255,10 @@ class RoundRecord:
             return vector(where), bytes(r.take(SIGNATURE_SIZE))
 
         local_detect = _read_table(r, "detect masks", signed)
-        local_agg = _read_table(r, "aggregation masks", signed)
+        local_agg = _read_table(r, "aggregation masks", vector)
+        agg_digests = _read_table(
+            r, "aggregation digests", lambda where: bytes(r.take(DIGEST_SIZE))
+        )
         server_detect = _read_table(r, "server masks", vector)
         server_agg = _read_fpvector(r, f"round {rnd} server aggregate")
         r.expect_end()
@@ -238,6 +266,7 @@ class RoundRecord:
             r=rnd,
             local_detect=local_detect,
             local_agg=local_agg,
+            agg_digests=agg_digests,
             server_detect=server_detect,
             server_agg=server_agg,
         )

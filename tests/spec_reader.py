@@ -6,8 +6,9 @@ documented layout, not the package against itself. `read_ledger` walks the
 frames (length, height, link, zero timestamp, header checksum, payload
 digest), requires a genesis and exactly one training record, parses them
 and every round record, checks every vector's dimension and scale against
-the genesis, verifies every participant signature and demands that every
-byte is consumed. It does not replay the
+the genesis, checks that each participant has exactly one of an aggregation
+mask and an aggregation digest, verifies every participant's submission
+signature and demands that every byte is consumed. It does not replay the
 aggregation or recover the initial model. Any defect raises `SpecError`.
 """
 from __future__ import annotations
@@ -20,7 +21,7 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 
 MAGIC = b"AFLCHN\x00\x02"
-VERSION = 2
+VERSION = 3
 FRAME_HEADER = struct.Struct("<Q32s32sQQ")  # height, prev, payload digest, ts, len
 
 
@@ -144,27 +145,34 @@ def _vector(blob: bytes, genesis: dict, what: str) -> bytes:
     return blob
 
 
+def _sha256(data: bytes) -> bytes:
+    return hashlib.sha256(data).digest()
+
+
 def read_round(payload: bytes, genesis: dict) -> dict:
     c = _Cursor(payload, "round record")
     _require(c.take(4) == b"RND1", "round: magic")
     (r,) = c.unpack("<I")
     roster = genesis["roster"]
 
-    def signed(kind: str):
-        def entry():
-            return _vector(c.blob(), genesis, f"round {r} {kind}"), c.take(64)
-        return c.table(entry)
+    def vector(kind: str) -> bytes:
+        return _vector(c.blob(), genesis, f"round {r} {kind}")
 
-    detect = signed("detection mask")
-    agg = signed("aggregation mask")
-    server = c.table(lambda: _vector(c.blob(), genesis, f"round {r} server mask"))
-    _vector(c.blob(), genesis, f"round {r} server aggregate")
+    detect = c.table(lambda: (vector("detection mask"), c.take(64)))
+    agg = c.table(lambda: vector("aggregation mask"))
+    digests = c.table(lambda: c.take(32))
+    server = c.table(lambda: vector("server mask"))
+    vector("server aggregate")
     c.end()
     _require(sorted(server) == sorted(detect), f"round {r}: server masks' ids")
-    for table in (detect, agg):
-        for pid, (vec, sig) in table.items():
-            _require(pid in roster, f"round {r}: id {pid} not on the roster")
-            _verify(roster[pid][0], vec, sig, f"round {r} participant {pid}")
+    _require(sorted([*agg, *digests]) == sorted(detect),
+             f"round {r}: not one aggregation mask or digest per participant")
+    for pid, (mg1, sig) in detect.items():
+        _require(pid in roster, f"round {r}: id {pid} not on the roster")
+        mg2_digest = _sha256(agg[pid]) if pid in agg else digests[pid]
+        message = (b"AFLSUB" + struct.pack("<HII", VERSION, r, pid)
+                   + _sha256(mg1) + mg2_digest)
+        _verify(roster[pid][0], message, sig, f"round {r} participant {pid}")
     return dict(round=r, participants=sorted(detect), benign=sorted(agg))
 
 

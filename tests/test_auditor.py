@@ -119,7 +119,7 @@ class TestAggregateReplay:
             for j in info.benign:
                 ps = secrets.per_participant[j]
                 zv = zero_share_oracle(ps.zero_seed, 1, result.w0.dim, cfg.scale)
-                total = total + (rec.local_agg[j][0] - zv)
+                total = total + (rec.local_agg[j] - zv)
             assert floor_div(total, len(info.benign) + 1) == info.ag
 
     def test_deterministic(self, honest_run):

@@ -77,13 +77,33 @@ class TestRun:
         code = main(["run", "--config", str(cfg_path), "--out", str(completed_run)])
         assert code == 2
 
-    def test_with_baseline(self, workspace):
+    def test_with_baseline(self, workspace, monkeypatch, capsys):
+        from auditfl import protocol
+
+        evaluated = []
+        evaluate = protocol.evaluate
+
+        def counted(*args):
+            evaluated.append(1)
+            return evaluate(*args)
+
+        monkeypatch.setattr(protocol, "evaluate", counted)
         root, cfg_path = workspace
         out = root / "run_base"
         code = main(["run", "--config", str(cfg_path), "--out", str(out),
                      "--with-baseline"])
         assert code == 0
         assert (out / "baseline_metrics.csv").exists()
+        # each of the two runs evaluates its model once per round (metrics
+        # every round, 2 rounds) and the CLI prints the final row's accuracy
+        # without evaluating the model again
+        assert len(evaluated) == 4
+        printed = capsys.readouterr().out
+        for name, label in (("metrics.csv", "final"), ("baseline_metrics.csv",
+                                                       "FedAvg baseline final")):
+            with open(out / name) as f:
+                final = list(csv.reader(f))[-1][2]
+            assert f"{label} test accuracy {float(final):.4f}\n" in printed
 
     def test_bad_config_rejected_before_compute(self, workspace, tmp_path):
         root, cfg_path = workspace

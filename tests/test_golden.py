@@ -45,19 +45,19 @@ CONFIGS = {
 # (ledger sha256, audit.json sha256)
 PUBLISHED = {
     "honest": (
-        "17428d4115d99fdc9ee4581dba0706659015ef2733848850fee8191efdcd4b89",
+        "619416c211332482ed2b9e9786dc9f544bb81f494560b65d1a39e2d4f85d9500",
         "fbc29e1b37b229be9c616b114b50e69a127a3ab223e0b668d5d5b56e7ae621f1",
     ),
     "sign-flip-label-flip": (
-        "55af037cf0ea581881cd29178313f5b1679eab6de64849bb498512d1760393ec",
+        "25d06e12950fec74988ee2dfba2793c68f02cc9e1571e15d43042628f53fb84e",
         "abda40c9df032bb55895b76acef6ff577007cb11f7e4761292a289704b843851",
     ),
     "clipping-amplifier": (
-        "bb528cf9ec5ce9c8fb53e17569bcf688295b0410177cfefd13c4f592069ff730",
+        "e11caabd038ca31bade8208527ad0eafb91dae00c11c26c7b341f820e8b0e5ea",
         "8d8d58bb1d0e244611bf8bc7303df60f4cf3cdc8e9fbd9469bf12376ffb8c48c",
     ),
     "mlp-hidden-8": (
-        "cfe952db2e43d6d27985fd8e2d59ec5c7847b6482e12fb35a1726f9727de378e",
+        "c78770f6e58ca77fbdee2c0b175878c4a7893689bc87922b089d17c56e857d46",
         "e85bfb8c662c13f4b7cb12b2665e48ee4234c7e7254594246694bb5ed9a9818e",
     ),
 }

@@ -1,6 +1,8 @@
 """Smoke test of the benchmark harness: its child phases still drive the
-public API end to end, so an API change that would break every benchmark
-run fails here first."""
+public API end to end, and its ledger layout reader still parses a ledger,
+so an API or format change that would break every benchmark run fails here
+first."""
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,6 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from auditfl import full_audit
+from auditfl.ledger import Ledger
+from auditfl.records import RoundRecord, TrainingRecord
+from util import run_published, small_config
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -86,3 +93,28 @@ def test_trace_targets_present():
     assert proc.returncode == 0, proc.stderr[-4000:]
     absent = json.loads(proc.stdout.strip().splitlines()[-1])
     assert absent == ["randomness.prvg", "randomness.model_mask", "ledger.verify_chain"]
+
+
+def test_ledger_layout_and_tamper_copy(tmp_path, monkeypatch):
+    # run.py locates each round record by the ledger and record layout; a
+    # layout change must break this test, not every benchmark repetition
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends its dir
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    cfg = small_config(participants=3, rounds=3)
+    _, _, path = run_published(tmp_path, cfg)
+    data = path.read_bytes()
+    payload = Ledger.open(path).get_record(height=1)
+    start = data.index(payload)
+    payload_len, spans = bench.ledger_layout(path)
+    assert payload_len == len(payload)
+    assert len(spans) == cfg.rounds
+    for (off, length), rec in zip(spans, TrainingRecord.decode(payload).rounds):
+        assert start <= off and off + length <= start + payload_len
+        assert RoundRecord.decode(data[off : off + length]) == rec
+    for seed in range(4):
+        tampered = tmp_path / f"tampered-{seed}.bin"
+        bench.tamper_copy(path, tampered, seed)
+        assert tampered.read_bytes() != data
+        assert not full_audit(tampered).ok

@@ -17,6 +17,7 @@ from auditfl.protocol import (
     run_training,
 )
 from auditfl.randomness import derive_seed, prg, sign_vector
+from auditfl.records import submission_message, vector_digest
 from auditfl.training import AdversarySpec, Architecture, DatasetError
 from util import (
     make_dataset,
@@ -108,13 +109,45 @@ class TestMaskedForms:
         ps = parts[1]
         sub = Participant(ps, arch, make_dataset(2, 20, 3, 3), 4).sign_gradient(g, 3)
         _, mg1, zv, mg2 = masked_forms(ps, g, 3)
-        assert crypto.verify(ps.keypair.pk, mg1.encode(), sub.sig_detect)
-        assert crypto.verify(ps.keypair.pk, mg2.encode(), sub.sig_agg)
+        # one signature over the round, the id and both forms' digests
+        message = submission_message(3, ps.id, vector_digest(mg1), vector_digest(mg2))
+        assert crypto.verify(ps.keypair.pk, message, sub.signature)
         v = server.verify_submission(sub, 3)
         assert v is not None
         assert (v.mg1, v.zv, v.mg2) == (mg1, zv, mg2)
         # signatures bind the round: the same submission fails in round 4
         assert server.verify_submission(sub, 4) is None
+
+
+class TestSignatureCounts:
+    def test_one_signature_per_submission(self, tmp_path, monkeypatch):
+        # a participant signs once per round and the server verifies once;
+        # the audit verifies n per round, not n + |benign|
+        cfg = small_config(
+            participants=4, rounds=3, master_seed=1009,
+            malicious={2: AdversarySpec("sign_flip")},
+        )
+        calls = {"sign": 0, "verify": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(crypto, "sign", counted("sign", crypto.sign))
+        monkeypatch.setattr(crypto, "verify", counted("verify", crypto.verify))
+        _, _, path = run_published(tmp_path, cfg, seed=9)
+        submissions = cfg.participants * cfg.rounds
+        # the one more signature is the server's over w_0
+        assert calls == {"sign": submissions + 1, "verify": submissions}
+        calls.update(sign=0, verify=0)
+        report = full_audit(path)
+        assert report.ok, report.failure
+        benign = sum(len(ra.published_benign) for ra in report.rounds)
+        assert 0 < benign < submissions
+        # the one more verification is w_0's signature
+        assert calls == {"sign": 0, "verify": submissions + 1}
 
 
 class TestDetect:
@@ -265,7 +298,7 @@ class TestRoundIdentities:
         for info, rec in zip(internals, result.record.rounds):
             total = rec.server_agg
             for j in sorted(rec.local_agg):
-                total = total + rec.local_agg[j][0]
+                total = total + rec.local_agg[j]
             mag = floor_div(total, len(rec.local_agg) + 1)
             m_r = model_mask_oracle(
                 secrets.model_mask_seed, info.r, arch_dim, cfg.scale, cfg.eta_parts()[1]

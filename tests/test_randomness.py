@@ -185,3 +185,57 @@ class TestBoundedIntVector:
         with pytest.raises(ValueError):
             bounded_int_vector(1, 4, 63)
 
+
+
+def _philox_words(seed: int, count: int) -> np.ndarray:
+    """The stream as first specified: a new Philox keyed by the seed."""
+    key = np.array([seed & (2**64 - 1), seed >> 64], dtype=np.uint64)
+    return np.random.Philox(key=key).random_raw(count)
+
+
+class TestKernelsMatchReferenceFormulas:
+    """The PRG and mask kernels reuse one generator and work in place; their
+    output must equal the reference formulas word for word."""
+
+    SEEDS = [0, 1, 2**64 - 1, 2**64, 2**128 - 1, derive_seed(7, "zero", 3)]
+    DIMS = [0, 1, 2, 3, 5, 64, 1010]
+
+    def test_prg(self):
+        for seed in self.SEEDS:
+            for dim in self.DIMS:
+                assert np.array_equal(prg(seed, dim), _philox_words(seed, dim))
+
+    def test_import_does_not_build_the_generator(self):
+        # an audit never draws, so importing the package must not load
+        # numpy.random (about 2 MB of peak RSS in an audit process)
+        import subprocess
+        import sys
+
+        code = ("import sys, auditfl, auditfl.auditor; "
+                "sys.exit('numpy.random' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
+
+    def test_prg_after_other_streams(self):
+        # a stream does not depend on which streams were drawn before it
+        expected = _philox_words(5, 9)
+        for dim in (1, 3, 4, 7):
+            prg(6, dim)
+            assert np.array_equal(prg(5, 9), expected)
+
+    def test_sign_vector(self):
+        for seed in self.SEEDS:
+            for dim in self.DIMS:
+                words = _philox_words(seed, dim)
+                ref = (1 - 2 * (words & np.uint64(1)).astype(np.int64)).astype(np.int64)
+                out = sign_vector(seed, dim)
+                assert out.dtype == np.int64 and np.array_equal(out, ref)
+
+    def test_bounded_int_vector(self):
+        for seed in self.SEEDS:
+            for dim in self.DIMS:
+                for bits in (1, 12, MASK_BITS, 62):
+                    span = np.uint64(1) << np.uint64(bits + 1)
+                    words = _philox_words(seed, dim)
+                    ref = (words % span).astype(np.int64) - np.int64(1 << bits)
+                    out = bounded_int_vector(seed, dim, bits)
+                    assert out.dtype == np.int64 and np.array_equal(out, ref)

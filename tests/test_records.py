@@ -39,7 +39,8 @@ def _round(r=1):
         r=r,
         local_detect={1: (_vec([1, 2, 3, 4]), b"\x0a" * 64),
                       2: (_vec([-1, -2, -3, -4]), b"\x0b" * 64)},
-        local_agg={1: (_vec([5, 6, 7, 8]), b"\x0c" * 64)},
+        local_agg={1: _vec([5, 6, 7, 8])},
+        agg_digests={2: b"\x0d" * 32},
         server_detect={1: _vec([9, 9, 9, 9]), 2: _vec([8, 8, 8, 8])},
         server_agg=_vec([7, 7, 7, 7]),
     )
@@ -85,6 +86,7 @@ class TestRound:
         assert decoded.local_detect[1][0] == r.local_detect[1][0]
         assert decoded.local_detect[2][1] == b"\x0b" * 64
         assert sorted(decoded.local_agg) == [1]
+        assert decoded.agg_digests == {2: b"\x0d" * 32}
         assert decoded.server_agg == r.server_agg
 
     def test_duplicate_id_rejected(self):
@@ -150,7 +152,8 @@ def _two_ids_in(table):
     )
     two = {
         "local_detect": full.local_detect,
-        "local_agg": {**full.local_agg, 2: (_vec([0, 0, 0, 1]), b"\x0d" * 64)},
+        "local_agg": {**full.local_agg, 2: _vec([0, 0, 0, 1])},
+        "agg_digests": {**full.agg_digests, 1: b"\x0e" * 32},
         "server_detect": full.server_detect,
     }[table]
     return RoundRecord, dataclasses.replace(one, **{table: two})
@@ -164,6 +167,7 @@ class TestTableOrder:
         "roster": "roster",
         "local_detect": "detect masks",
         "local_agg": "aggregation masks",
+        "agg_digests": "aggregation digests",
         "server_detect": "server masks",
     }
 
@@ -194,7 +198,7 @@ class TestDecodedViews:
         vectors = [decoded.masked_model]
         for rec in decoded.rounds:
             vectors += [vec for vec, _ in rec.local_detect.values()]
-            vectors += [vec for vec, _ in rec.local_agg.values()]
+            vectors += list(rec.local_agg.values())
             vectors += [*rec.server_detect.values(), rec.server_agg]
         assert len(vectors) == 1 + 2 * 6
         for vec in vectors:

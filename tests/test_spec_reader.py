@@ -9,7 +9,18 @@ from auditfl import full_audit, run_training
 from auditfl.records import GenesisPayload, RecordFormatError
 from spec_reader import SpecError, read_ledger
 from test_golden import CONFIGS, _data
-from util import frame_ledger, load_chain, rebuild_ledger, small_config
+from util import (
+    frame_ledger,
+    load_chain,
+    rebuild_ledger,
+    republish,
+    small_config,
+    tamper_entry_to_other_round,
+    tamper_in_neither_table,
+    tamper_mask_and_digest,
+    tamper_mg2_digest,
+    tamper_swap_entries,
+)
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +103,25 @@ def test_block_count_other_than_one_record_rejected(golden_ledgers, tmp_path, co
     with pytest.raises(SpecError, match=f"{copies} training records, not 1"):
         read_ledger(work.read_bytes())
     assert full_audit(work).failure_stage == "metadata"
+
+
+@pytest.mark.parametrize(
+    "tamper, stage",
+    [
+        (tamper_entry_to_other_round, "signature"),
+        (tamper_swap_entries, "signature"),
+        (tamper_mg2_digest, "signature"),
+        (tamper_mask_and_digest, "structure"),
+        (tamper_in_neither_table, "structure"),
+    ],
+    ids=["other-round", "swapped", "digest", "mask-and-digest", "neither"],
+)
+def test_submission_binding_tampers_rejected(golden_ledgers, tmp_path, tamper, stage):
+    # both readers reject a submission entry that its signature does not bind
+    work = tmp_path / "tampered.bin"
+    work.write_bytes(golden_ledgers["sign-flip-label-flip"].read_bytes())
+    _, record, _ = load_chain(work)
+    republish(work, tamper(record))
+    assert full_audit(work).failure_stage == stage
+    with pytest.raises(SpecError):
+        read_ledger(work.read_bytes())

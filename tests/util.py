@@ -15,7 +15,7 @@ from auditfl.crypto import sha256
 from auditfl.ledger import _HEADER, LEDGER_MAGIC, ZERO_DIGEST, Ledger
 from auditfl.fixedpoint import FpVector, dot
 from auditfl.randomness import MASK_BITS, bounded_int_vector, derive_seed, prg
-from auditfl.records import GenesisPayload, TrainingRecord
+from auditfl.records import GenesisPayload, RoundRecord, TrainingRecord, vector_digest
 from auditfl.training import AdversarySpec, Dataset
 
 
@@ -190,6 +190,12 @@ def _bump_entry(vec, k: int, delta: int = 1):
     return FpVector(raw, vec.scale)
 
 
+def _replace_round(record: TrainingRecord, r_idx: int, rec: RoundRecord) -> TrainingRecord:
+    rounds = list(record.rounds)
+    rounds[r_idx] = rec
+    return dataclasses.replace(record, rounds=tuple(rounds))
+
+
 def tamper_flip_mg1(record: TrainingRecord, r_idx: int = 0) -> TrainingRecord:
     """Negate one entry of one participant's detection-mask vector."""
     rec = record.rounds[r_idx]
@@ -204,14 +210,17 @@ def tamper_flip_mg1(record: TrainingRecord, r_idx: int = 0) -> TrainingRecord:
 
 
 def tamper_drop_mg2(record: TrainingRecord) -> TrainingRecord:
-    """Remove one benign participant's aggregation mask from some round."""
+    """Publish one benign participant of some round as not benign: its
+    aggregation mask is replaced by that mask's digest, so its signature
+    still verifies."""
     for r_idx, rec in enumerate(record.rounds):
         if rec.local_agg:
             pid = sorted(rec.local_agg)[0]
             new_agg = {k: v for k, v in rec.local_agg.items() if k != pid}
-            rounds = list(record.rounds)
-            rounds[r_idx] = dataclasses.replace(rec, local_agg=new_agg)
-            return dataclasses.replace(record, rounds=tuple(rounds))
+            digests = {**rec.agg_digests, pid: vector_digest(rec.local_agg[pid])}
+            return _replace_round(
+                record, r_idx, dataclasses.replace(rec, local_agg=new_agg, agg_digests=digests)
+            )
     raise AssertionError("no round with a nonempty benign set to tamper")
 
 
@@ -223,7 +232,7 @@ def tamper_masked_model(record: TrainingRecord) -> TrainingRecord:
 
 
 def tamper_swap_signatures(record: TrainingRecord) -> TrainingRecord:
-    """Swap the detection-mask signatures of two participants in one round."""
+    """Swap the submission signatures of two participants in one round."""
     for r_idx, rec in enumerate(record.rounds):
         ids = sorted(rec.local_detect)
         if len(ids) >= 2:
@@ -237,6 +246,83 @@ def tamper_swap_signatures(record: TrainingRecord) -> TrainingRecord:
             rounds[r_idx] = dataclasses.replace(rec, local_detect=new_detect)
             return dataclasses.replace(record, rounds=tuple(rounds))
     raise AssertionError("need two participants to swap signatures")
+
+
+# A participant's entry in a round: its (mg1, signature) pair, and its mg2
+# if it is benign, else the digest of its mg2.
+
+
+def _entry(rec: RoundRecord, pid: int) -> tuple:
+    return rec.local_detect[pid], rec.local_agg.get(pid), rec.agg_digests.get(pid)
+
+
+def _with_entries(rec: RoundRecord, entries: dict) -> RoundRecord:
+    """rec with the entry of each id in `entries` replaced."""
+    detect, agg, digests = dict(rec.local_detect), dict(rec.local_agg), dict(rec.agg_digests)
+    for pid, (pair, mg2, digest) in entries.items():
+        detect[pid] = pair
+        agg.pop(pid, None)
+        digests.pop(pid, None)
+        if mg2 is not None:
+            agg[pid] = mg2
+        else:
+            digests[pid] = digest
+    return dataclasses.replace(rec, local_detect=detect, local_agg=agg, agg_digests=digests)
+
+
+def tamper_entry_to_other_round(record: TrainingRecord) -> TrainingRecord:
+    """Copy a participant's round-1 entry, vectors and signature, over its
+    entry in round 2."""
+    first, second = record.rounds[0], record.rounds[1]
+    pid = min(first.local_detect.keys() & second.local_detect.keys())
+    return _replace_round(record, 1, _with_entries(second, {pid: _entry(first, pid)}))
+
+
+def tamper_swap_entries(record: TrainingRecord) -> TrainingRecord:
+    """Swap the whole entries of two participants in one round."""
+    for r_idx, rec in enumerate(record.rounds):
+        ids = sorted(rec.local_detect)
+        if len(ids) >= 2:
+            a, b = ids[0], ids[1]
+            swapped = _with_entries(rec, {a: _entry(rec, b), b: _entry(rec, a)})
+            return _replace_round(record, r_idx, swapped)
+    raise AssertionError("need two participants to swap entries")
+
+
+def tamper_mg2_digest(record: TrainingRecord) -> TrainingRecord:
+    """Flip one bit of a non-benign participant's stored mg2 digest."""
+    for r_idx, rec in enumerate(record.rounds):
+        if rec.agg_digests:
+            pid = min(rec.agg_digests)
+            digest = bytes([rec.agg_digests[pid][0] ^ 1]) + rec.agg_digests[pid][1:]
+            digests = {**rec.agg_digests, pid: digest}
+            return _replace_round(
+                record, r_idx, dataclasses.replace(rec, agg_digests=digests)
+            )
+    raise AssertionError("no round with a non-benign participant to tamper")
+
+
+def tamper_mask_and_digest(record: TrainingRecord) -> TrainingRecord:
+    """List a benign participant in the digest table too, with the true digest."""
+    for r_idx, rec in enumerate(record.rounds):
+        if rec.local_agg:
+            pid = min(rec.local_agg)
+            digests = {**rec.agg_digests, pid: vector_digest(rec.local_agg[pid])}
+            return _replace_round(
+                record, r_idx, dataclasses.replace(rec, agg_digests=digests)
+            )
+    raise AssertionError("no round with a benign participant to tamper")
+
+
+def tamper_in_neither_table(record: TrainingRecord) -> TrainingRecord:
+    """Remove a participant's aggregation mask or digest, keeping its mg1."""
+    rec = record.rounds[0]
+    pid = min(rec.local_detect)
+    agg = {k: v for k, v in rec.local_agg.items() if k != pid}
+    digests = {k: v for k, v in rec.agg_digests.items() if k != pid}
+    return _replace_round(
+        record, 0, dataclasses.replace(rec, local_agg=agg, agg_digests=digests)
+    )
 
 
 def tamper_ledger_byte(path: Path) -> None:
