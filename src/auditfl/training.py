@@ -9,7 +9,7 @@ stays exact.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,26 +27,37 @@ class DatasetError(Exception):
 
 @dataclass
 class Dataset:
-    """Feature matrix in [0, 1] plus integer class labels."""
+    """Labelled samples with features in [0, 1].
 
-    features: np.ndarray  # (n, dim) float32
-    labels: np.ndarray  # (n,) int64
+    A loaded dataset has `rows` None: sample k is `features[k]`. A shard from
+    `partition` shares its parent's feature matrix and holds only its row
+    indices into it and its own labels, so splitting a training set copies
+    no features and label flipping still acts on one shard.
+    """
+
+    features: np.ndarray  # (N, dim) float32, shared by every shard of it
+    labels: np.ndarray  # (n,) int64, one per sample
     n_classes: int
+    rows: np.ndarray | None = None  # (n,) int64 into features; None: all N
 
     def __post_init__(self):
         if self.features.ndim != 2:
             raise DatasetError("features must be a 2-d array")
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise DatasetError(
-                f"{self.features.shape[0]} samples but {self.labels.shape[0]} labels"
-            )
+        n = self.features.shape[0] if self.rows is None else self.rows.shape[0]
+        if n != self.labels.shape[0]:
+            raise DatasetError(f"{n} samples but {self.labels.shape[0]} labels")
 
     def __len__(self) -> int:
-        return int(self.features.shape[0])
+        return int(self.labels.shape[0])
 
     @property
     def n_features(self) -> int:
         return int(self.features.shape[1])
+
+    def take(self, idx=slice(None)) -> np.ndarray:
+        """Feature rows of samples `idx`, all of them by default: a view of a
+        loaded dataset's slice, a gathered copy of a shard's rows."""
+        return self.features[idx if self.rows is None else self.rows[idx]]
 
 
 def _read_exact(f, n: int, path: Path, what: str) -> bytes:
@@ -90,12 +101,9 @@ def load_idx(images_path, labels_path, n_classes: int = 10) -> Dataset:
             f"image count {count} != label count {lcount} "
             f"({images_path} vs {labels_path})"
         )
-    features = (
-        np.frombuffer(pixels, dtype=np.uint8)
-        .reshape(count, rows * cols)
-        .astype(np.float32)
-        / 255.0
-    )
+    features = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols)
+    features = features.astype(np.float32)
+    features /= 255.0  # in place: one float32 matrix, the same bits as `/ 255.0`
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
     bad = labels >= n_classes
     if bad.any():
@@ -198,23 +206,25 @@ def make_synthetic_corpus(
 
 
 def partition(ds: Dataset, parts: int, seed: int) -> list[Dataset]:
-    """Seeded shuffle split into `parts` disjoint near-equal subsets.
+    """Seeded shuffle split into `parts` disjoint near-equal shards.
 
-    Part 0 is conventionally the server's benign root dataset.
+    Each shard shares `ds.features` and holds its row indices and a copy of
+    its labels; no feature row is copied. Part 0 is conventionally the
+    server's benign root dataset.
     """
     if parts < 2:
         raise ValueError(f"need at least 2 parts, got {parts}")
     if len(ds) < parts:
         raise ValueError(f"cannot split {len(ds)} samples into {parts} parts")
     order = np.argsort(prg(derive_seed(seed, "partition"), len(ds)), kind="stable")
-    chunks = np.array_split(order, parts)
     return [
         Dataset(
-            features=ds.features[idx],
+            features=ds.features,
             labels=ds.labels[idx],
             n_classes=ds.n_classes,
+            rows=idx if ds.rows is None else ds.rows[idx],
         )
-        for idx in chunks
+        for idx in np.array_split(order, parts)
     ]
 
 
@@ -267,13 +277,40 @@ def _layers(arch: Architecture, params: np.ndarray) -> list[tuple[np.ndarray, ..
     return layers
 
 
+# `_forward`'s input-layer blocks: up to FORWARD_BLOCK rows (1.6 MB in float64
+# at 784 inputs), or as many as FORWARD_WORK multiply-adds need where that is
+# more
+FORWARD_BLOCK = 256
+FORWARD_WORK = 1 << 21
+
+
 def _forward(layers, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The logits, and each layer's input: X in float64, then every ReLU output."""
-    inputs = [X.astype(np.float64, copy=False)]
-    for W, b in layers[:-1]:
-        inputs.append(np.maximum(inputs[-1] @ W + b, 0.0))
-    W, b = layers[-1]
-    return inputs[-1] @ W + b, inputs
+    """The logits, and each layer's input: X as given, then every ReLU output.
+
+    The input layer converts X to float64 one block of rows at a time and
+    multiplies each block into one preallocated output, so a whole test set
+    never exists in float64. The logits stay bit-identical to one product
+    over all rows as long as every block takes the BLAS kernel the whole
+    product takes. OpenBLAS uses a separate small-matrix kernel, with other
+    bits, up to 10^6 multiply-adds, so the blocks of a split product are
+    near-equal and each does at least FORWARD_WORK / 2 of them. Later
+    layers run once on the whole matrix: splitting those by rows does
+    change their bits.
+    """
+    W, b = layers[0]
+    n = X.shape[0]
+    rows = max(FORWARD_BLOCK, -(-FORWARD_WORK // W.size))
+    blocks = -(-n // rows) or 1
+    out = np.empty((n, b.size))
+    for k in range(blocks):
+        lo, hi = n * k // blocks, n * (k + 1) // blocks
+        np.dot(X[lo:hi].astype(np.float64, copy=False), W, out=out[lo:hi])
+    out += b
+    inputs = [X]
+    for W, b in layers[1:]:
+        inputs.append(np.maximum(out, 0.0, out=out))
+        out = out @ W + b
+    return out, inputs
 
 
 def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -292,6 +329,8 @@ def loss_and_grad(
     output layer."""
     n = X.shape[0]
     layers = _layers(arch, params)
+    # float64 up front: a batch is one block, and back-propagation reads it
+    X = X.astype(np.float64, copy=False)
     logits, inputs = _forward(layers, X)
     loss, delta = _cross_entropy(logits, y)
     delta[np.arange(n), y] -= 1.0
@@ -310,7 +349,7 @@ def sample_batch(ds: Dataset, batch: int, seed: int) -> tuple[np.ndarray, np.nda
     if batch > len(ds):
         raise ValueError(f"batch {batch} exceeds shard size {len(ds)}")
     idx = (prg(seed, batch) % np.uint64(len(ds))).astype(np.int64)
-    return ds.features[idx], ds.labels[idx]
+    return ds.take(idx), ds.labels[idx]
 
 
 def local_gradient(
@@ -332,7 +371,7 @@ def evaluate(arch: Architecture, params: FpVector, ds: Dataset) -> tuple[float, 
     Forward pass and loss are the ones `loss_and_grad` trains with."""
     if len(ds) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    logits, _ = _forward(_layers(arch, params.to_floats()), ds.features)
+    logits, _ = _forward(_layers(arch, params.to_floats()), ds.take())
     loss, _ = _cross_entropy(logits, ds.labels)
     return float((logits.argmax(axis=1) == ds.labels).mean()), loss
 
@@ -363,11 +402,7 @@ def flip_labels(ds: Dataset, seed: int) -> Dataset:
     c = ds.n_classes
     words = prg(derive_seed(seed, "label-flip"), len(ds))
     shift = 1 + (words % np.uint64(c - 1)).astype(np.int64)
-    return Dataset(
-        features=ds.features,
-        labels=(ds.labels + shift) % c,
-        n_classes=c,
-    )
+    return replace(ds, labels=(ds.labels + shift) % c)
 
 
 def corrupt_shard(ds: Dataset, spec: AdversarySpec, seed: int) -> Dataset:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from auditfl import RunConfig, full_audit, run_training
+from auditfl.auditor import audit_aggregate
 from auditfl.fixedpoint import FpVector, dot, floor_div
 from auditfl.protocol import Participant, Server, preprocess, pretrain, robust_aggregate
 from auditfl.randomness import (
@@ -23,6 +24,7 @@ from auditfl.randomness import (
     prg,
     sign_vector,
 )
+from auditfl.records import vector_digest
 from auditfl.training import AdversarySpec, Architecture, Dataset, evaluate
 from util import (
     first_round_with_benign,
@@ -358,6 +360,38 @@ class TestCriterion2TamperSoundness:
         rounds = list(record.rounds)
         rounds[r - 1] = dataclasses.replace(rec, server_agg=rec.server_agg + shift)
         republish(path, dataclasses.replace(record, rounds=tuple(rounds)))
+        assert not full_audit(path).ok
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="no signature covers mgS1 or mgS2; closed by ROADMAP item 2 "
+        "stage 2 (the server block signature)",
+    )
+    def test_benign_drop_by_file_writer_rejected(self, tmp_path):
+        # anyone who can write the file, no key needed: negate participant
+        # 1's mgS1 in round 1 so its masked product turns negative, publish
+        # its mg2 as the digest its signature covers, and re-derive mgS2 so
+        # that the replay over the smaller benign set gives the same aggregate
+        cfg = small_config(participants=4, rounds=3)
+        _, _, path = run_published(tmp_path, cfg, seed=9)
+        _, record, _ = load_chain(path)
+        rec = record.rounds[0]
+        if 1 not in rec.local_agg:
+            pytest.fail("participant 1 is not benign in round 1; test is vacuous")
+        mag = audit_aggregate(rec)
+        others = {pid: v for pid, v in rec.local_agg.items() if pid != 1}
+        server_agg = mag.scalar_mul(len(others) + 1)
+        for v in others.values():
+            server_agg = server_agg - v
+        forged = dataclasses.replace(
+            rec,
+            local_agg=others,
+            agg_digests={**rec.agg_digests, 1: vector_digest(rec.local_agg[1])},
+            server_detect={**rec.server_detect, 1: -rec.server_detect[1]},
+            server_agg=server_agg,
+        )
+        republish(path, dataclasses.replace(record, rounds=(forged,) + record.rounds[1:]))
         assert not full_audit(path).ok
 
 

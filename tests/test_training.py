@@ -1,5 +1,6 @@
 """Dataset ingestion, partitioning, gradients, adversaries, evaluation."""
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,15 @@ import pytest
 from auditfl.fixedpoint import FpVector
 from auditfl.randomness import derive_seed, prg
 from auditfl.training import (
+    FORWARD_BLOCK,
     AdversarySpec,
     Architecture,
     Dataset,
     DatasetError,
     corrupt_gradient,
     corrupt_shard,
+    _forward,
+    _layers,
     evaluate,
     flip_labels,
     init_params,
@@ -44,6 +48,15 @@ class TestIdxIO:
         assert len(ds) == 2 and ds.n_features == 9
         assert np.allclose(ds.features[0] * 255, np.arange(9))
         assert ds.labels.tolist() == [1, 0]
+
+    def test_every_pixel_value_scales_like_the_copying_formula(self, tmp_path):
+        # scaling in place gives the bits of `astype(float32) / 255.0`
+        imgs = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
+        write_idx(imgs, np.zeros(1, np.uint8), tmp_path / "im", tmp_path / "lb")
+        ds = load_idx(tmp_path / "im", tmp_path / "lb", n_classes=2)
+        old = imgs.reshape(1, 256).astype(np.float32) / 255.0
+        assert ds.features.dtype == old.dtype == np.float32
+        assert np.array_equal(ds.features.view(np.uint32), old.view(np.uint32))
 
     def test_corpus_loads(self, idx_corpus):
         ds = load_idx(idx_corpus["train_images"], idx_corpus["train_labels"], 4)
@@ -90,13 +103,17 @@ class TestPartition:
         assert sum(sizes) == 60000
 
     def test_disjoint_cover(self):
+        # the shards' rows cover 0..n-1 exactly once, and each shard's
+        # samples and labels are its rows of the parent
         n = 500
         ds = Dataset(features=np.arange(n, dtype=np.float32)[:, None] / n,
-                     labels=np.zeros(n, np.int64), n_classes=2)
+                     labels=np.arange(n, dtype=np.int64) % 2, n_classes=2)
         parts = partition(ds, 7, seed=3)
-        seen = np.concatenate([p.features[:, 0] for p in parts])
-        assert len(seen) == n
-        assert len(np.unique((seen * n).round().astype(int))) == n
+        rows = np.concatenate([p.rows for p in parts])
+        assert np.array_equal(np.sort(rows), np.arange(n))
+        for p in parts:
+            assert np.array_equal(p.take(), ds.features[p.rows])
+            assert np.array_equal(p.labels, ds.labels[p.rows])
 
     def test_two_parts_of_four(self):
         ds = Dataset(features=np.zeros((4, 1), np.float32),
@@ -109,7 +126,7 @@ class TestPartition:
         a = partition(ds, 5, seed=9)
         b = partition(ds, 5, seed=9)
         for pa, pb in zip(a, b):
-            assert np.array_equal(pa.features, pb.features)
+            assert np.array_equal(pa.rows, pb.rows)
             assert np.array_equal(pa.labels, pb.labels)
 
     def test_too_few_samples(self):
@@ -117,6 +134,68 @@ class TestPartition:
                      labels=np.zeros(3, np.int64), n_classes=2)
         with pytest.raises(ValueError):
             partition(ds, 4, seed=1)
+
+    def test_allocates_no_feature_rows(self):
+        ds = make_dataset(6, 3000, 784, 10)
+        tracemalloc.start()
+        try:
+            parts = partition(ds, 21, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(p.features is ds.features for p in parts)
+        # indices and labels only: 3000 rows cost 24 kB each, the features 9.4 MB
+        assert peak < ds.features.nbytes // 50
+
+    def test_shard_of_a_shard_indexes_the_parent(self):
+        ds = make_dataset(7, 200, 3, 2)
+        inner = partition(partition(ds, 2, seed=1)[1], 3, seed=2)
+        for p in inner:
+            assert p.features is ds.features
+            assert np.array_equal(p.labels, ds.labels[p.rows])
+
+    def test_rows_and_labels_must_agree(self):
+        with pytest.raises(DatasetError, match="3 samples but 2 labels"):
+            Dataset(features=np.zeros((5, 1), np.float32),
+                    labels=np.zeros(2, np.int64), n_classes=2,
+                    rows=np.arange(3))
+
+
+def copied(shard: Dataset) -> Dataset:
+    """The shard with its own copy of its feature rows, as shards once were."""
+    return Dataset(features=shard.take(), labels=shard.labels.copy(),
+                   n_classes=shard.n_classes)
+
+
+class TestRowShards:
+    @pytest.mark.parametrize("attack", ["honest", "label_flip"])
+    def test_shard_and_copy_draw_equal_batches(self, attack):
+        ds = make_dataset(8, 400, 5, 4)
+        spec = AdversarySpec(attack)
+        for shard in partition(ds, 4, seed=5):
+            a = corrupt_shard(shard, spec, seed=11)
+            b = corrupt_shard(copied(shard), spec, seed=11)
+            assert np.array_equal(a.labels, b.labels)
+            for seed in range(5):
+                Xa, ya = sample_batch(a, 32, seed)
+                Xb, yb = sample_batch(b, 32, seed)
+                assert np.array_equal(Xa, Xb) and np.array_equal(ya, yb)
+            arch = Architecture(5, 4, hidden=3)
+            w = init_params(arch, 2)
+            assert local_gradient(arch, w, a, 32, 9) == local_gradient(arch, w, b, 32, 9)
+
+    def test_label_flip_keeps_rows_and_features(self):
+        shard = partition(make_dataset(9, 100, 2, 3), 2, seed=1)[1]
+        flipped = flip_labels(shard, seed=4)
+        assert flipped.features is shard.features
+        assert flipped.rows is shard.rows
+        assert np.all(flipped.labels != shard.labels)
+
+    def test_evaluate_on_a_shard_is_evaluate_on_its_copy(self):
+        shard = partition(make_dataset(10, 300, 6, 3), 3, seed=2)[2]
+        arch = Architecture(6, 3, hidden=4)
+        w = init_params(arch, 5)
+        assert evaluate(arch, w, shard) == evaluate(arch, w, copied(shard))
 
 
 def finite_difference_gradient(arch, params, X, y, eps=1e-5):
@@ -263,3 +342,75 @@ class TestEvaluate:
                      labels=np.zeros(0, np.int64), n_classes=2)
         with pytest.raises(ValueError):
             evaluate(arch, FpVector.zeros(arch.param_count), ds)
+
+
+def one_shot_logits(arch, params, X):
+    """The forward pass as one product per layer, the whole input in float64."""
+    a = X.astype(np.float64)
+    layers = _layers(arch, params)
+    for W, b in layers[:-1]:
+        a = np.maximum(a @ W + b, 0.0)
+    W, b = layers[-1]
+    return a @ W + b
+
+
+def one_shot_evaluate(arch, params, X, y):
+    logits = one_shot_logits(arch, params, X)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    loss = float(-np.log(probs[np.arange(len(y)), y] + 1e-300).mean())
+    return float((logits.argmax(axis=1) == y).mean()), loss
+
+
+@pytest.fixture(scope="module")
+def test_set_4000():
+    # a test set of the default shape: 4000 rows of 784 pixels, 10 classes
+    words = prg(derive_seed(4000, "blockwise"), 4000 * 784 // 8 + 4000)
+    pixels = words[: 4000 * 784 // 8].view(np.uint8).reshape(4000, 784)
+    X = pixels.astype(np.float32)
+    X /= 255.0
+    y = (words[4000 * 784 // 8 :] % np.uint64(10)).astype(np.int64)
+    return X, y
+
+
+class TestBlockwiseForward:
+    # 784 inputs: blocks of at most FORWARD_BLOCK rows; 100 inputs (the
+    # many-small benchmark's): fewer, longer blocks, so that none is small
+    # enough for OpenBLAS's small-matrix kernel
+    @pytest.mark.parametrize("features", [784, 100])
+    @pytest.mark.parametrize("hidden", [0, 8, 64])
+    @pytest.mark.parametrize(
+        "rows", [1, FORWARD_BLOCK - 1, FORWARD_BLOCK, FORWARD_BLOCK + 1, 4000]
+    )
+    def test_bit_identical_to_one_shot(self, test_set_4000, features, hidden, rows):
+        arch = Architecture(features, 10, hidden)
+        # 48 fractional bits: products of pixels and weights round in float64,
+        # so a change in the order of accumulation shows in the logit bits
+        words = prg(derive_seed(hidden, rows, "blockwise-params"), arch.param_count)
+        params = FpVector.from_floats(
+            (words >> np.uint64(11)).astype(np.float64) * 2.0**-53 * 0.1 - 0.05, 48
+        )
+        X, y = test_set_4000[0][:rows, :features], test_set_4000[1][:rows]
+        logits, _ = _forward(_layers(arch, params.to_floats()), X)
+        expected = one_shot_logits(arch, params.to_floats(), X)
+        assert np.array_equal(logits.view(np.uint64), expected.view(np.uint64))
+        ds = Dataset(features=X, labels=y, n_classes=10)
+        assert evaluate(arch, params, ds) == one_shot_evaluate(
+            arch, params.to_floats(), X, y
+        )
+
+    @pytest.mark.parametrize("hidden", [0, 64])
+    def test_evaluate_allocates_under_a_quarter_of_a_float64_copy(
+        self, test_set_4000, hidden
+    ):
+        X, y = test_set_4000
+        ds = Dataset(features=X, labels=y, n_classes=10)
+        arch = Architecture(784, 10, hidden)
+        params = init_params(arch, 3)
+        tracemalloc.start()
+        try:
+            evaluate(arch, params, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < X.size * 8 // 4
