@@ -3,10 +3,11 @@
 The auditor sees only the ledger bytes: the genesis payload (task, key
 roster, signed initial model) and the training record. It takes the record
 in one pass, one round at a time. For each round it checks the published
-vectors and signatures, computes the masked detection products once,
-re-derives the round's benign set from them, replays the masked
-aggregation, and folds the round's masked update into the recovered
-initial model. Once every round has telescoped, it checks that model
+vectors and signatures, hashing each vector's bytes where they lie in the
+ledger; it then sign-extends the vectors it needs, computes the masked
+detection products once, re-derives the round's benign set from them,
+replays the masked aggregation, and folds the round's masked update into
+the recovered initial model. Once every round has telescoped, it checks that model
 against the server's signature.
 No secret (seed, mask, key, gradient) is ever consulted; this module must
 not import the protocol, randomness, or training machinery.
@@ -23,6 +24,7 @@ from fractions import Fraction
 
 from . import crypto
 from .fixedpoint import (
+    Encoded,
     FixedPointOverflowError,
     FpVector,
     dot,
@@ -92,7 +94,7 @@ class AuditReport:
         )
 
 
-def _check_geometry(vec: FpVector, genesis: GenesisPayload, where: str) -> None:
+def _check_geometry(vec: Encoded, genesis: GenesisPayload, where: str) -> None:
     """A published vector must have the genesis dimension and scale."""
     if vec.dim != genesis.dim or vec.scale != genesis.scale:
         raise AuditFailure(
@@ -100,6 +102,15 @@ def _check_geometry(vec: FpVector, genesis: GenesisPayload, where: str) -> None:
             f"{where} has dim {vec.dim}, scale {vec.scale}; genesis "
             f"declares dim {genesis.dim}, scale {genesis.scale}",
         )
+
+
+def _decode(vec: Encoded, where: str) -> FpVector:
+    """A published vector's raws; a width that is not the least one is a
+    `record-format` rejection, like every other defect of the encoding."""
+    try:
+        return FpVector.decode(vec)
+    except ValueError as e:
+        raise AuditFailure("record-format", f"{where}: {e}") from None
 
 
 def audit_detection(rec: RoundRecord, genesis: GenesisPayload) -> dict[int, int]:
@@ -111,7 +122,8 @@ def audit_detection(rec: RoundRecord, genesis: GenesisPayload) -> dict[int, int]
     participant's one submission signature, over the digest of its detection
     mask and the digest of its aggregation mask (hashed here when published,
     else the stored digest). Returns the masked inner products
-    <mg1_i, mgS1_i> == l_i * <g_i, g_S>, one per participant.
+    <mg1_i, mgS1_i> == l_i * <g_i, g_S>, one per participant, each from the
+    two vectors sign-extended for it.
     """
     r = rec.r
     for pid, (vec, _) in rec.local_detect.items():
@@ -151,13 +163,24 @@ def audit_detection(rec: RoundRecord, genesis: GenesisPayload) -> dict[int, int]
                 f"round {r}: submission signature of participant {pid} "
                 f"does not verify",
             )
-    return {pid: dot(rec.local_detect[pid][0], rec.server_detect[pid]) for pid in present}
+    return {
+        pid: dot(
+            _decode(rec.local_detect[pid][0], f"round {r}: detection mask of participant {pid}"),
+            _decode(rec.server_detect[pid], f"round {r}: server detection mask for {pid}"),
+        )
+        for pid in present
+    }
 
 
 def audit_aggregate(rec: RoundRecord) -> FpVector:
     """Replay the round's masked aggregation over its published benign set."""
+    r = rec.r
     return floor_average(
-        rec.server_agg, [rec.local_agg[pid] for pid in sorted(rec.local_agg)]
+        _decode(rec.server_agg, f"round {r}: server aggregate"),
+        [
+            _decode(rec.local_agg[pid], f"round {r}: aggregation mask of participant {pid}")
+            for pid in sorted(rec.local_agg)
+        ],
     )
 
 
@@ -200,7 +223,9 @@ def audit_trace(genesis: GenesisPayload, recovered: FpVector) -> None:
     learning-rate steps of every replayed masked aggregate equals the
     initial model the server signed, bit for bit, iff the record is honest.
     """
-    if not crypto.verify(genesis.server_pk, recovered.encode(), genesis.w0_signature):
+    if not crypto.verify(
+        genesis.server_pk, [recovered.encode().data], genesis.w0_signature
+    ):
         raise AuditFailure(
             "model-recovery",
             "recovered initial model does not match the signed initial model",
@@ -237,7 +262,7 @@ def audit_record(
         )
     _check_geometry(record.masked_model, genesis, "masked model")
     # the recovered initial model, one replayed round at a time
-    w = record.masked_model
+    w = _decode(record.masked_model, "masked model")
     for rec in record.rounds:
         products = audit_detection(rec, genesis)
         deflated = deflated_products(products, genesis)

@@ -11,9 +11,14 @@ FixedPointOverflowError before an int64 raw would wrap. Each checked kernel
 bounds its result from the largest input magnitudes, taken as Python ints;
 only when that bound leaves int64 are the entries recomputed in Python
 integers to find the first one that overflows. Inner products never
-overflow: `dot` splits each raw into three 22-bit limbs, sums the nine limb
-products in int64 over chunks short enough to stay exact, and combines the
-partial sums in Python integers.
+overflow: `dot` splits each raw into at most three 22-bit limbs, sums the
+limb products in int64 over chunks short enough to stay exact, and combines
+the partial sums in Python integers.
+
+A vector's canonical bytes are an `Encoded`: a 10-byte header, then each raw
+in the least byte width that holds every raw of the vector. It is the one
+form that is signed, hashed and published; `FpVector.decode` sign-extends
+it back to int64 raws only when arithmetic needs them.
 """
 from __future__ import annotations
 
@@ -28,11 +33,16 @@ INT64_MIN = -(1 << 63)
 
 _HALF_EXACT = float(1 << 52)  # below this, y + 0.5 is exact in float64
 
-# dot's limbs: a raw is l0 + l1 * 2^22 + l2 * 2^44 with l0, l1 in [0, 2^22)
-# and l2 in [-2^19, 2^19), so every limb product is below 2^44 in magnitude
-# and any 2^18 of them sum exactly in int64. The chunk is far below that
-# bound: at d=50890 on a 2-vCPU VM, 2^13-entry chunks ran about 3x faster
-# than 2^18-entry ones, whose limb temporaries are large fresh allocations.
+# An encoding's header: dim u64 | scale u8 | width u8.
+_HEADER = struct.Struct("<QBB")
+
+# dot's limbs: a raw is l0 + l1 * 2^22 + ... + top * 2^(22 (L-1)) with the
+# low limbs in [0, 2^22) and the top limb in [-2^21, 2^21), using the fewest
+# L (1 to 3) that holds every raw of the vector; so every limb product is
+# below 2^44 in magnitude and any 2^18 of them sum exactly in int64. The
+# chunk is far below that bound: at d=50890 on a 2-vCPU VM, 2^13-entry
+# chunks ran about 3x faster than 2^18-entry ones, whose limb temporaries
+# are large fresh allocations.
 _LIMB_BITS = 22
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _DOT_CHUNK = 1 << 13
@@ -101,6 +111,19 @@ class FpVector:
     def from_floats(cls, xs, scale: int = DEFAULT_SCALE) -> "FpVector":
         """Round reals onto the 2^-scale lattice, half away from zero."""
         x = np.asarray(xs, dtype=np.float64)
+        y = x * float(1 << scale)  # exact: multiplying by a power of two
+        # NaN fails both compares, so NaN, infinities and |y| >= 2^52 all
+        # take the checked path; below 2^52, y +- 0.5 is the same float64 sum
+        # as that path's, and the cast truncates it toward zero
+        if y.size and -_HALF_EXACT < y.min() and y.max() < _HALF_EXACT:
+            half = np.copysign(0.5, y)
+            half += y
+            return cls(half.astype(np.int64), scale)
+        return cls._from_floats_checked(x, scale)
+
+    @classmethod
+    def _from_floats_checked(cls, x: np.ndarray, scale: int) -> "FpVector":
+        """from_floats for any input: raises on values outside the raw range."""
         if not np.all(np.isfinite(x)):
             k = int(np.argmin(np.isfinite(x)))
             raise FixedPointOverflowError(
@@ -173,47 +196,139 @@ class FpVector:
 
     # -- canonical byte encoding (the signing preimage format) --------------
 
-    def encode(self) -> list:
-        """dim (u64 LE) + scale (u8) + raws as little-endian two's-complement.
+    def encode(self) -> "Encoded":
+        """The canonical bytes: `dim u64 | scale u8 | width u8`, then each
+        raw in `width` bytes of little-endian two's complement, `width`
+        being the least value in 1..8 that holds every raw.
 
-        Returned as two buffers, the 9-byte header and a byte view of the
-        raws, which on a little-endian host is the raws' own memory.
+        Each raw is stored as a full 8-byte little-endian word at stride
+        `width`; numpy assigns a 1-D array in ascending index order, so the
+        next store overwrites all but the `width` low bytes of the one
+        before (the round trip at every width in the tests relies on it).
+        The buffer has room for the last store's spill, which the encoding
+        does not include.
         """
-        raw = self.raw.astype("<i8", copy=False)
-        return [struct.pack("<QB", self.dim, self.scale), memoryview(raw).cast("B")]
+        dim, width = self.dim, _width(self.raw)
+        size = _HEADER.size + dim * width
+        buf = np.empty(size + 8 - width, dtype=np.uint8)
+        _HEADER.pack_into(buf, 0, dim, self.scale, width)
+        if dim:
+            np.ndarray((dim,), "<i8", buf, _HEADER.size, (width,))[...] = self.raw
+        buf.setflags(write=False)
+        return Encoded(memoryview(buf)[:size], dim, self.scale, width)
 
     @classmethod
-    def decode(cls, data: bytes) -> "FpVector":
-        """Inverse of `encode`; the raws are a read-only view of `data`, not a copy."""
-        if len(data) < 9:
+    def decode(cls, data) -> "FpVector":
+        """Inverse of `encode`: `data` is an `Encoded`, or bytes that are
+        parsed first. ValueError if the width is not the least that holds
+        every raw.
+
+        Raw k is the 8-byte word that ends where its `width` bytes end,
+        shifted right arithmetically by 64 - 8 * width; the header supplies
+        the bytes before the first raw. At width 8 the raws are a read-only
+        view of the bytes, not a copy.
+        """
+        enc = data if isinstance(data, Encoded) else Encoded.parse(data)
+        dim, width = enc.dim, enc.width
+        if width == 8:
+            raw = np.frombuffer(enc.data, "<i8", dim, _HEADER.size)
+        else:
+            words = np.ndarray((dim,), "<i8", enc.data, _HEADER.size + width - 8, (width,))
+            raw = words >> np.int64(64 - 8 * width)
+        least = _width(raw)
+        if least != width:
+            raise ValueError(
+                f"FpVector encoding width {width} is not minimal: every raw "
+                f"fits in {least} bytes"
+            )
+        return cls(raw, enc.scale)
+
+
+def _magnitude_bits(raw: np.ndarray) -> int:
+    """Bits below the sign bit that every raw needs in two's complement: the
+    bit length of the largest of x over the raws x >= 0 and of ~x = -x - 1
+    over x < 0 (0 for an empty vector)."""
+    if raw.size == 0:
+        return 0
+    return max(int(raw.max()), ~int(raw.min())).bit_length()
+
+
+def _width(raw: np.ndarray) -> int:
+    """The least byte count in 1..8 whose two's complement holds every raw."""
+    return _magnitude_bits(raw) // 8 + 1
+
+
+class Encoded:
+    """A vector's canonical bytes (`FpVector.encode`) with their header.
+
+    `data` holds the whole encoding, header included: it is what a
+    signature or a digest covers and what a record publishes. An `Encoded`
+    made by `parse` is a view of the parsed buffer, never a copy.
+    """
+
+    __slots__ = ("data", "dim", "scale", "width")
+
+    def __init__(self, data, dim: int, scale: int, width: int):
+        self.data = data
+        self.dim = dim
+        self.scale = scale
+        self.width = width
+
+    @classmethod
+    def parse(cls, data) -> "Encoded":
+        """Check the header and the length of untrusted bytes; ValueError
+        unless the width is in 1..8 and the length is 10 + dim * width.
+        Whether the width is the least one is checked by `FpVector.decode`,
+        which reads the raws."""
+        data = memoryview(data).cast("B")
+        if len(data) < _HEADER.size:
             raise ValueError(f"FpVector encoding too short: {len(data)} bytes")
-        dim, scale = struct.unpack_from("<QB", data, 0)
-        expect = 9 + 8 * dim
+        dim, scale, width = _HEADER.unpack_from(data, 0)
+        if not 1 <= width <= 8:
+            raise ValueError(f"FpVector encoding width {width} is outside 1..8")
+        expect = _HEADER.size + width * dim
         if len(data) != expect:
             raise ValueError(
                 f"FpVector encoding length {len(data)} != expected {expect}"
             )
-        return cls(np.frombuffer(data, dtype="<i8", count=dim, offset=9), scale)
+        return cls(data, dim, scale, width)
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Encoded) and self.data == other.data
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Encoded(dim={self.dim}, scale={self.scale}, width={self.width})"
 
 
-def _limbs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split int64 raws into 22-bit limbs; the top limb carries the sign."""
-    return (a & _LIMB_MASK, (a >> _LIMB_BITS) & _LIMB_MASK, a >> 2 * _LIMB_BITS)
+def _limbs(a: np.ndarray, count: int) -> list[np.ndarray]:
+    """Split int64 raws into `count` 22-bit limbs; the top limb carries the sign."""
+    out = [a & _LIMB_MASK] if count > 1 else []
+    out += [(a >> _LIMB_BITS * k) & _LIMB_MASK for k in range(1, count - 1)]
+    out.append(a >> _LIMB_BITS * (count - 1))
+    return out
 
 
 def dot(a: FpVector, b: FpVector) -> int:
     """Exact raw-level inner product: sum of raw_a[k]*raw_b[k] as a big int.
 
     Products of two int64 raws need up to 126 bits. Each raw is split into
-    three 22-bit limbs, so the nine limb-pair dot products over a chunk are
-    exact int64 sums; they are shifted into place and added as Python ints.
-    Exact for every int64 input, INT64_MIN included.
+    22-bit limbs, at most three and as few as hold every raw of its vector,
+    so the limb-pair dot products over a chunk are exact int64 sums; they
+    are shifted into place and added as Python ints. Exact for every int64
+    input, INT64_MIN included.
     """
     a._check_compatible(b)
+    count_a = _magnitude_bits(a.raw) // _LIMB_BITS + 1
+    count_b = _magnitude_bits(b.raw) // _LIMB_BITS + 1
     total = 0
     for start in range(0, a.dim, _DOT_CHUNK):
-        xs = _limbs(a.raw[start : start + _DOT_CHUNK])
-        ys = _limbs(b.raw[start : start + _DOT_CHUNK])
+        xs = _limbs(a.raw[start : start + _DOT_CHUNK], count_a)
+        ys = _limbs(b.raw[start : start + _DOT_CHUNK], count_b)
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 total += int(np.dot(x, y)) << (_LIMB_BITS * (i + j))

@@ -7,7 +7,7 @@ it parses it, so a `Ledger` is valid once built: by `create` and `append`,
 or by `open` after the whole file checked. Every block's digest covers its
 header, which pins its payload by digest, so any single-bit mutation of
 the persisted file is detected. `open` reads the file once; its payloads,
-and all decoded from them, are read-only views of that one buffer, never
+and all parsed from them, are read-only views of that one buffer, never
 copies. `append` takes a payload as a list of buffers and hashes and
 writes them where they lie, so publishing a record copies none of it
 either.

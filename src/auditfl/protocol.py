@@ -2,17 +2,18 @@
 
 One process plays the central server and every participant; messages are
 plain function arguments with a per-round barrier (the loop). Participants
-send plaintext gradients plus one signature over the round, their id and
-the digests of the two masked forms; the server recomputes the masks it
-issued and verifies the signature, so masks protect against third parties
-and other participants, not against the server, which is trusted by
-participants.
+send plaintext gradients, the encoded bytes of their two masked forms and
+one signature over the round, their id and the digests of those bytes; the
+server recomputes the masks it issued, checks the bytes against them and
+verifies the signature, so masks protect against third parties and other
+participants, not against the server, which is trusted by participants.
 
 `Server.run_round` is the one round of the protocol, published or not: it
 verifies, detects, aggregates, updates the model and, when publishing,
-builds the round record from the masked vectors and digests it computed to
-verify the signatures. An unpublished round skips masks, signatures and the
-record; its model trajectory is the same.
+builds the round record from the encoded masked vectors it checked and the
+digests it computed to verify the signatures. Each published vector is
+encoded once, by the party that computes it. An unpublished round skips
+masks, signatures and the record; its model trajectory is the same.
 
 All protocol vectors are fixed point, so the published record satisfies the
 audit identities exactly:
@@ -30,6 +31,7 @@ from . import crypto
 from .auditor import benign_set
 from .config import ConfigError, RunConfig
 from .fixedpoint import (
+    Encoded,
     FpVector,
     dot,
     floor_average,
@@ -128,7 +130,7 @@ def preprocess(
         clipping=config.clipping,
         clip_factor=config.clip_factor,
         server_pk=server_kp.pk,
-        w0_signature=crypto.sign(server_kp.sk, w0.encode()),
+        w0_signature=crypto.sign(server_kp.sk, [w0.encode().data]),
         roster=roster,
     )
     return secrets, [per[i] for i in sorted(per)], genesis
@@ -139,8 +141,8 @@ def masked_forms(
 ) -> tuple[np.ndarray, FpVector, FpVector, FpVector]:
     """Participant ps's round-r masked forms of g: (signs, mg1, zv, mg2).
 
-    The participant signs the digests of mg1 and mg2; the server recomputes
-    them here to check the signature and publishes them. The round's sign
+    The participant encodes mg1 and mg2 and signs the digests of the bytes;
+    the server recomputes them here to check those bytes. The round's sign
     stream scaled by rn_i is the PRVG mask rv_r, so mg1 = rv_r (.) g; scaled
     by rn_S_i it is the server's detection mask. zv is the round's zero
     share and mg2 = zv + g.
@@ -164,8 +166,13 @@ class Submission:
 
     id: int
     gradient: FpVector  # plaintext g_i
-    signature: bytes  # over submission_message(r, id, H(mg1), H(mg2))
     loss: float
+    # enc(mg1) and enc(mg2), and the signature over
+    # submission_message(r, id, H(enc(mg1)), H(enc(mg2))); empty when the
+    # run publishes nothing
+    mg1: memoryview | bytes = b""
+    mg2: memoryview | bytes = b""
+    signature: bytes = b""
 
 
 class Participant:
@@ -204,16 +211,19 @@ class Participant:
         return self.sign_gradient(g, r, loss)
 
     def sign_gradient(self, g: FpVector, r: int, loss: float = 0.0) -> Submission:
-        """Mask an already-computed gradient for round r and sign the
-        round's one submission message over both masked forms."""
+        """Mask an already-computed gradient for round r, encode both masked
+        forms and sign the round's one submission message over them."""
         _, mg1, _, mg2 = masked_forms(self.secrets, g, r)
+        mg1, mg2 = mg1.encode(), mg2.encode()
         pid = self.secrets.id
         message = submission_message(r, pid, vector_digest(mg1), vector_digest(mg2))
         return Submission(
             id=pid,
             gradient=g,
-            signature=crypto.sign(self.secrets.keypair.sk, message),
             loss=loss,
+            mg1=mg1.data,
+            mg2=mg2.data,
+            signature=crypto.sign(self.secrets.keypair.sk, message),
         )
 
 
@@ -245,14 +255,15 @@ def robust_aggregate(
 
 @dataclass(frozen=True)
 class VerifiedSubmission:
-    """A submission whose signature verified, with the masked forms the
-    server recomputed to check it; the round record reuses these."""
+    """A submission whose encoded forms match the masked forms the server
+    recomputed and whose signature verified; the round record publishes
+    its encoded forms as they are."""
 
     sub: Submission
     signs: np.ndarray  # the round's sign stream; rv_r = signs * rn_i
-    mg1: FpVector  # rv_r (.) g_i
+    mg1: Encoded  # enc(rv_r (.) g_i)
     zv: FpVector  # zero share zv_r
-    mg2: FpVector  # zv_r + g_i
+    mg2: Encoded  # enc(zv_r + g_i)
     mg2_digest: bytes  # SHA-256(enc(mg2)), published if not benign
 
 
@@ -297,17 +308,26 @@ class Server:
         )
 
     def verify_submission(self, sub: Submission, r: int) -> VerifiedSubmission | None:
-        """Recompute both masked gradients and check the signature.
+        """Recompute both masked gradients, check the submitted bytes
+        against them and check the signature over those bytes.
 
-        Returns the recomputed masked forms, or None if the signature fails.
+        The decoder accepts only the least byte width, so bytes that decode
+        to the recomputed vector are its canonical encoding. Returns the
+        checked forms, or None if the bytes or the signature fail.
         """
         ps = self.secrets.per_participant[sub.id]
         signs, mg1, zv, mg2 = masked_forms(ps, sub.gradient, r)
-        mg2_digest = vector_digest(mg2)
-        message = submission_message(r, sub.id, vector_digest(mg1), mg2_digest)
+        try:
+            enc1, enc2 = Encoded.parse(sub.mg1), Encoded.parse(sub.mg2)
+            if FpVector.decode(enc1) != mg1 or FpVector.decode(enc2) != mg2:
+                return None
+        except ValueError:
+            return None
+        mg2_digest = vector_digest(enc2)
+        message = submission_message(r, sub.id, vector_digest(enc1), mg2_digest)
         if not crypto.verify(ps.keypair.pk, message, sub.signature):
             return None
-        return VerifiedSubmission(sub, signs, mg1, zv, mg2, mg2_digest)
+        return VerifiedSubmission(sub, signs, enc1, zv, enc2, mg2_digest)
 
     def run_round(
         self,
@@ -363,7 +383,9 @@ class Server:
         """The published round: every valid participant's detection mask and
         signature, the benign participants' aggregation masks, the other
         valid participants' aggregation-mask digests, and the server's
-        aggregation vector, whose zero share cancels the benign ones."""
+        aggregation vector, whose zero share cancels the benign ones. The
+        participants' vectors are the bytes they signed; the server encodes
+        its own."""
         m_r = model_mask_share(
             self.secrets.model_mask_seed, r, g_s.dim, g_s.scale, self.eta_exp
         )
@@ -378,7 +400,7 @@ class Server:
             local_agg[i] = v.mg2
         server_agg = (
             m_r.scalar_mul(len(benign) + 1) + FpVector(zv_server, g_s.scale) + g_s
-        )
+        ).encode()
         local_detect = {}
         agg_digests = {}
         server_detect = {}
@@ -387,7 +409,7 @@ class Server:
             if i not in local_agg:
                 agg_digests[i] = v.mg2_digest
             rn_s = self.secrets.rn_server[i]
-            server_detect[i] = hadamard(g_s, v.signs * np.int64(rn_s))
+            server_detect[i] = hadamard(g_s, v.signs * np.int64(rn_s)).encode()
         return RoundRecord(
             r=r,
             local_detect=local_detect,
@@ -402,7 +424,7 @@ class Server:
         rounds' m_r."""
         return TrainingRecord(
             rounds=tuple(round_records),
-            masked_model=-self.model_mask + self.w,
+            masked_model=(-self.model_mask + self.w).encode(),
             dim=self.w.dim,
             scale=self.config.scale,
             eta_num=self.eta_num,
@@ -506,7 +528,7 @@ def run_training(
             submissions = []
             for p in participants:
                 g, loss = p.local_update(server.w, r)
-                submissions.append(Submission(p.secrets.id, g, b"", loss))
+                submissions.append(Submission(p.secrets.id, g, loss))
         record, benign, train_loss = server.run_round(
             r, submissions, detection, publishing
         )

@@ -95,12 +95,14 @@ def sign_vector(seed: int, count: int) -> np.ndarray:
     """int64 vector of +-1 signs, each uniform and indexed by position.
 
     Scaled by a nonzero rn it is the paper's PRVG vector, entries +-rn.
-    The sign of entry k is 1 - 2 * (word_k & 1), computed in place in the
-    word buffer.
+    The sign of entry k is 1 - 2 * b, where b is bit k % 64 of stream word
+    k // 64, so `count` signs take ceil(count / 64) words.
     """
-    signs = prg(seed, count)
-    signs &= _U64(1)
-    signs = signs.view(np.int64)
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    words = prg(seed, -(-count // 64)).astype("<u8", copy=False)
+    bits = np.unpackbits(words.view(np.uint8), count=count, bitorder="little")
+    signs = bits.astype(np.int64)
     signs *= -2
     signs += 1
     return signs

@@ -3,7 +3,9 @@
 These are the only structures an external auditor needs to parse, so the
 encodings are fixed and self-describing: little-endian fixed-width framing,
 length-prefixed canonical FpVector payloads, and id-keyed tables with
-strictly ascending ids (so each record has one encoding). No rational is on
+strictly ascending ids (so each record has one encoding). Every vector is
+held and published as its canonical `Encoded` bytes, each raw at the
+vector's least byte width. No rational is on
 the wire: the genesis roster carries each participant's deflation factor
 l_i as a nonzero u32, and the auditor deflates by Fraction(product, l_i).
 Each participant signs one message per round, `submission_message`, which
@@ -11,8 +13,10 @@ binds the round, its id and the digests of both its masked vectors; a
 participant that is not benign has its second vector published as that
 digest alone. The full layout is documented in README.md. Encoding copies
 no vector: every `encode` returns a list of buffers whose concatenation is
-the record's bytes, each vector contributing a view of its raws. Decoding
-copies none either: each vector is a read-only view of the decoded buffer.
+the record's bytes, each vector contributing its encoded bytes as they
+are. Decoding copies none either: each vector is a read-only view of the
+decoded buffer, checked for its header and length; its raws are read
+(`FpVector.decode`) only when arithmetic needs them.
 
 This module holds no secrets; the auditor imports it, the protocol fills it.
 """
@@ -22,13 +26,13 @@ import struct
 from dataclasses import dataclass
 
 from .crypto import DIGEST_SIZE, PUBLIC_KEY_SIZE, SIGNATURE_SIZE, sha256
-from .fixedpoint import FpVector
+from .fixedpoint import Encoded
 
 GENESIS_MAGIC = b"GEN1"
 ROUND_MAGIC = b"RND1"
 TRCD_MAGIC = b"TRCD"
 SUBMISSION_TAG = b"AFLSUB"
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 
 class RecordFormatError(Exception):
@@ -75,9 +79,9 @@ def _read_blob(r: _Reader) -> memoryview:
     return r.take(n)
 
 
-def _read_fpvector(r: _Reader, what: str) -> FpVector:
+def _read_vector(r: _Reader, what: str) -> Encoded:
     try:
-        return FpVector.decode(_read_blob(r))
+        return Encoded.parse(_read_blob(r))
     except ValueError as e:
         raise RecordFormatError(f"{what}: {e}") from None
 
@@ -192,9 +196,9 @@ class GenesisPayload:
 # ---------------------------------------------------------------------------
 
 
-def vector_digest(vec: FpVector) -> bytes:
+def vector_digest(vec: Encoded) -> bytes:
     """SHA-256 of a vector's canonical encoding, as a submission binds it."""
-    return sha256(*vec.encode())
+    return sha256(vec.data)
 
 
 def submission_message(r: int, pid: int, mg1_digest: bytes, mg2_digest: bytes) -> list:
@@ -223,15 +227,15 @@ class RoundRecord:
     """
 
     r: int
-    local_detect: dict[int, tuple[FpVector, bytes]]  # id -> (mg1, signature)
-    local_agg: dict[int, FpVector]  # id -> mg2, benign only
+    local_detect: dict[int, tuple[Encoded, bytes]]  # id -> (mg1, signature)
+    local_agg: dict[int, Encoded]  # id -> mg2, benign only
     agg_digests: dict[int, bytes]  # id -> SHA-256(enc(mg2)), valid but not benign
-    server_detect: dict[int, FpVector]  # id -> mg_S1 (one per participant)
-    server_agg: FpVector  # mg_S2
+    server_detect: dict[int, Encoded]  # id -> mg_S1 (one per participant)
+    server_agg: Encoded  # mg_S2
 
     def encode(self) -> list:
-        def vector(vec: FpVector) -> list:
-            return _blob(vec.encode())
+        def vector(vec: Encoded) -> list:
+            return _blob([vec.data])
 
         out = [ROUND_MAGIC, struct.pack("<I", self.r)]
         out += _table(self.local_detect, lambda e: [*vector(e[0]), e[1]])
@@ -248,10 +252,10 @@ class RoundRecord:
             raise RecordFormatError("round record: bad magic")
         (rnd,) = r.unpack("<I")
 
-        def vector(where: str) -> FpVector:
-            return _read_fpvector(r, f"round {rnd} {where}")
+        def vector(where: str) -> Encoded:
+            return _read_vector(r, f"round {rnd} {where}")
 
-        def signed(where: str) -> tuple[FpVector, bytes]:
+        def signed(where: str) -> tuple[Encoded, bytes]:
             return vector(where), bytes(r.take(SIGNATURE_SIZE))
 
         local_detect = _read_table(r, "detect masks", signed)
@@ -260,7 +264,7 @@ class RoundRecord:
             r, "aggregation digests", lambda where: bytes(r.take(DIGEST_SIZE))
         )
         server_detect = _read_table(r, "server masks", vector)
-        server_agg = _read_fpvector(r, f"round {rnd} server aggregate")
+        server_agg = _read_vector(r, f"round {rnd} server aggregate")
         r.expect_end()
         return cls(
             r=rnd,
@@ -282,7 +286,7 @@ class TrainingRecord:
     """All round records and the masked final model."""
 
     rounds: tuple[RoundRecord, ...]
-    masked_model: FpVector
+    masked_model: Encoded
     dim: int
     scale: int
     eta_num: int
@@ -305,7 +309,7 @@ class TrainingRecord:
         ]
         for rec in self.rounds:
             out += _blob(rec.encode())
-        out += _blob(self.masked_model.encode())
+        out += _blob([self.masked_model.data])
         return out
 
     @classmethod
@@ -326,7 +330,7 @@ class TrainingRecord:
                     f"training record: round {k} stores index {rounds[-1].r}, "
                     f"expected {k + 1}"
                 )
-        masked_model = _read_fpvector(r, "masked final model")
+        masked_model = _read_vector(r, "masked final model")
         r.expect_end()
         return cls(
             rounds=tuple(rounds),

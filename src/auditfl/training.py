@@ -129,6 +129,8 @@ def write_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) 
         f.write(labels.tobytes())
 
 
+RENDER_ROWS = 1024  # rows per float32 block of make_synthetic_corpus
+
 # the four files of an MNIST-layout directory
 IDX_FILES = {
     "train_images": "train-images-idx3-ubyte",
@@ -154,6 +156,11 @@ def make_synthetic_corpus(
     background clutter. Class frequencies are imbalanced, which is what
     makes uniform label flipping genuinely destructive to an undefended
     average: the flipped mass systematically distorts the class priors.
+
+    Rows are rendered RENDER_ROWS at a time into one reused float32 block
+    and rounded into the uint8 image array, and every per-sample stream is
+    scaled in place, so the peak memory is about the uint8 images plus the
+    per-sample streams, not several float copies of the whole image matrix.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -161,7 +168,9 @@ def make_synthetic_corpus(
 
     def uniform(*tag_and_count):
         *tag, count = tag_and_count
-        return prg(derive_seed(seed, "synth", *tag), count).astype(np.float64) * 2.0**-64
+        u = prg(derive_seed(seed, "synth", *tag), count).astype(np.float64)
+        u *= 2.0**-64
+        return u
 
     pool_size = max(min(dim, round(0.153 * dim)), min(dim, 2 * n_classes))
     per_class = max(1, round(0.833 * pool_size))
@@ -179,23 +188,29 @@ def make_synthetic_corpus(
     def render(tag: str, n: int):
         labels = np.searchsorted(prior_cdf, uniform(tag, "labels", n), side="right")
         labels = np.minimum(labels, n_classes - 1).astype(np.int64)
-        intensity = 0.35 + 0.65 * uniform(tag, "intensity", n * per_class).reshape(
-            n, per_class
-        )
+        intensity = uniform(tag, "intensity", n * per_class)
+        intensity *= 0.65
+        intensity += 0.35
+        intensity = intensity.astype(np.float32).reshape(n, per_class)
         kept = uniform(tag, "keep", n * per_class).reshape(n, per_class) > drop
-        clut_pos = (
-            prg(derive_seed(seed, "synth", tag, "clutter-pos"), n * clutter)
-            % np.uint64(dim)
-        ).reshape(n, clutter).astype(np.int64)
-        clut_val = 0.8 * uniform(tag, "clutter-val", n * clutter).reshape(n, clutter)
-        X = np.zeros((n, dim), dtype=np.float32)
-        for i in range(n):
-            px = class_pixels[labels[i]][kept[i]]
-            X[i, px] = intensity[i][kept[i]].astype(np.float32)
-            X[i, clut_pos[i]] = np.maximum(
-                X[i, clut_pos[i]], clut_val[i].astype(np.float32)
-            )
-        return np.round(X * 255.0).astype(np.uint8).reshape(n, side, side), labels
+        clut_pos = prg(derive_seed(seed, "synth", tag, "clutter-pos"), n * clutter)
+        clut_pos %= np.uint64(dim)
+        clut_pos = clut_pos.astype(np.int32).reshape(n, clutter)
+        clut_val = uniform(tag, "clutter-val", n * clutter)
+        clut_val *= 0.8
+        clut_val = clut_val.astype(np.float32).reshape(n, clutter)
+        images = np.empty((n, dim), dtype=np.uint8)
+        block = np.empty((RENDER_ROWS, dim), dtype=np.float32)
+        for start in range(0, n, RENDER_ROWS):
+            X = block[: min(RENDER_ROWS, n - start)]
+            X.fill(0.0)
+            for j, i in enumerate(range(start, start + len(X))):
+                X[j, class_pixels[labels[i]][kept[i]]] = intensity[i][kept[i]]
+                X[j, clut_pos[i]] = np.maximum(X[j, clut_pos[i]], clut_val[i])
+            X *= 255.0
+            np.round(X, out=X)
+            images[start : start + len(X)] = X
+        return images.reshape(n, side, side), labels
 
     paths = {k: out_dir / name for k, name in IDX_FILES.items()}
     imgs, labs = render("train", n_train)

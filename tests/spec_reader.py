@@ -5,8 +5,8 @@ It shares no code with `auditfl`: it imports only `struct`, `hashlib` and
 documented layout, not the package against itself. `read_ledger` walks the
 frames (length, height, link, zero timestamp, header checksum, payload
 digest), requires a genesis and exactly one training record, parses them
-and every round record, checks every vector's dimension and scale against
-the genesis, checks that each participant has exactly one of an aggregation
+and every round record, checks every vector's width (the least that holds
+its raws), length, dimension and scale, checks that each participant has exactly one of an aggregation
 mask and an aggregation digest, verifies every participant's submission
 signature and demands that every byte is consumed. It does not replay the
 aggregation or recover the initial model. Any defect raises `SpecError`.
@@ -21,7 +21,7 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 
 MAGIC = b"AFLCHN\x00\x02"
-VERSION = 3
+VERSION = 4
 FRAME_HEADER = struct.Struct("<Q32s32sQQ")  # height, prev, payload digest, ts, len
 
 
@@ -136,11 +136,22 @@ def read_genesis(payload: bytes) -> dict:
                 w0_sig=w0_sig, roster=roster)
 
 
+def _fits(raws: list[int], width: int) -> bool:
+    half = 1 << (8 * width - 1)
+    return all(-half <= x < half for x in raws)
+
+
 def _vector(blob: bytes, genesis: dict, what: str) -> bytes:
-    """Check one vector's geometry; return it, the bytes its signature covers."""
-    _require(len(blob) >= 9, f"{what}: short vector")
-    dim, scale = struct.unpack("<QB", blob[:9])
-    _require(len(blob) == 9 + 8 * dim, f"{what}: vector length")
+    """Check one vector's header, width and geometry; return it, the bytes
+    its signature covers."""
+    _require(len(blob) >= 10, f"{what}: short vector")
+    dim, scale, width = struct.unpack("<QBB", blob[:10])
+    _require(1 <= width <= 8, f"{what}: width {width}")
+    _require(len(blob) == 10 + width * dim, f"{what}: vector length")
+    raws = [int.from_bytes(blob[10 + k * width : 10 + (k + 1) * width], "little",
+                           signed=True) for k in range(dim)]
+    least = next(w for w in range(1, 9) if _fits(raws, w))
+    _require(width == least, f"{what}: width {width}, the raws fit in {least}")
     _require((dim, scale) == (genesis["dim"], genesis["scale"]), f"{what}: geometry")
     return blob
 

@@ -150,9 +150,9 @@ class TestCriterion1AuditRoundTrip:
                 assert list(ra.detection_positive) == info.benign
                 assert list(ra.published_benign) == info.benign
                 # masked-aggregation identity, every round, zero tolerance
-                total = rec.server_agg
+                total = FpVector.decode(rec.server_agg)
                 for j in sorted(rec.local_agg):
-                    total = total + rec.local_agg[j]
+                    total = total + FpVector.decode(rec.local_agg[j])
                 mag = floor_div(total, len(rec.local_agg) + 1)
                 m_r = model_mask_oracle(
                     secrets.model_mask_seed, info.r, dim, cfg.scale, cfg.eta_parts()[1]
@@ -326,11 +326,12 @@ class TestCriterion2TamperSoundness:
         _, record, _ = load_chain(path)
         rec = record.rounds[0]
         k = len(rec.local_agg) + 1
-        agg = FpVector(rec.server_agg.raw - (k << eta_exp) * delta, rec.server_agg.scale)
-        mw = record.masked_model
+        agg = FpVector.decode(rec.server_agg)
+        agg = FpVector(agg.raw - (k << eta_exp) * delta, agg.scale).encode()
+        mw = FpVector.decode(record.masked_model)
         forged = dataclasses.replace(
             record,
-            masked_model=FpVector(mw.raw + eta_num * delta, mw.scale),
+            masked_model=FpVector(mw.raw + eta_num * delta, mw.scale).encode(),
             rounds=(dataclasses.replace(rec, server_agg=agg),) + record.rounds[1:],
         )
         republish(path, forged)
@@ -358,7 +359,8 @@ class TestCriterion2TamperSoundness:
         _, record, _ = load_chain(path)
         rec = record.rounds[r - 1]
         rounds = list(record.rounds)
-        rounds[r - 1] = dataclasses.replace(rec, server_agg=rec.server_agg + shift)
+        server_agg = (FpVector.decode(rec.server_agg) + shift).encode()
+        rounds[r - 1] = dataclasses.replace(rec, server_agg=server_agg)
         republish(path, dataclasses.replace(record, rounds=tuple(rounds)))
         assert not full_audit(path).ok
 
@@ -383,13 +385,15 @@ class TestCriterion2TamperSoundness:
         others = {pid: v for pid, v in rec.local_agg.items() if pid != 1}
         server_agg = mag.scalar_mul(len(others) + 1)
         for v in others.values():
-            server_agg = server_agg - v
+            server_agg = server_agg - FpVector.decode(v)
         forged = dataclasses.replace(
             rec,
             local_agg=others,
             agg_digests={**rec.agg_digests, 1: vector_digest(rec.local_agg[1])},
-            server_detect={**rec.server_detect, 1: -rec.server_detect[1]},
-            server_agg=server_agg,
+            server_detect={
+                **rec.server_detect, 1: (-FpVector.decode(rec.server_detect[1])).encode()
+            },
+            server_agg=server_agg.encode(),
         )
         republish(path, dataclasses.replace(record, rounds=(forged,) + record.rounds[1:]))
         assert not full_audit(path).ok
@@ -449,9 +453,9 @@ class TestCriterion4ZeroShares:
                 with observed_rounds() as views:
                     record, benign, _ = server.run_round(1, subs)
                 assert views[0].rejected_sigs == [] and benign == list(range(1, n + 1))
-                lhs = record.server_agg
+                lhs = FpVector.decode(record.server_agg)
                 for i in benign:
-                    lhs = lhs + record.local_agg[i]
+                    lhs = lhs + FpVector.decode(record.local_agg[i])
                 m_1 = model_mask_oracle(
                     secrets.model_mask_seed, 1, dim, cfg.scale, cfg.eta_parts()[1]
                 )

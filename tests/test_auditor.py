@@ -18,7 +18,7 @@ from auditfl.auditor import (
     deflated_products,
     ranking_of,
 )
-from auditfl.fixedpoint import FpVector, dot, floor_div
+from auditfl.fixedpoint import Encoded, FpVector, dot, floor_div
 from auditfl.records import GenesisPayload, RecordFormatError, TrainingRecord
 from auditfl.training import AdversarySpec
 from util import (
@@ -119,7 +119,7 @@ class TestAggregateReplay:
             for j in info.benign:
                 ps = secrets.per_participant[j]
                 zv = zero_share_oracle(ps.zero_seed, 1, result.w0.dim, cfg.scale)
-                total = total + (rec.local_agg[j] - zv)
+                total = total + (FpVector.decode(rec.local_agg[j]) - zv)
             assert floor_div(total, len(info.benign) + 1) == info.ag
 
     def test_deterministic(self, honest_run):
@@ -393,7 +393,7 @@ class TestStructuredFailures:
         genesis_bytes, record, genesis = load_chain(path)
         payload = bytearray(b"".join(record.encode()))
         vec = record.rounds[0].server_detect[min(record.rounds[0].server_detect)]
-        at = payload.find(b"".join(vec.encode()))
+        at = payload.find(bytes(vec.data))
         assert at > 0 and payload[at + 8] == genesis.scale
         payload[at + 8] ^= 0x80
         rebuild_ledger(path, genesis_bytes, [bytes(payload)])
@@ -421,9 +421,9 @@ class TestStructuredFailures:
         _, _, path = run_published(tmp_path, small_config(**overrides))
         _, record, _ = load_chain(path)
         rec = record.rounds[0]
-        raw = rec.server_agg.raw.copy()
+        raw = FpVector.decode(rec.server_agg).raw.copy()
         raw[0] = raw0
-        agg = FpVector(raw, rec.server_agg.scale)
+        agg = FpVector(raw, rec.server_agg.scale).encode()
         rounds = (dataclasses.replace(rec, server_agg=agg),) + record.rounds[1:]
         republish(path, dataclasses.replace(record, rounds=rounds))
         report = full_audit(path)
@@ -463,6 +463,105 @@ class TestStructuredFailures:
         report = full_audit(work)
         assert not report.ok and report.failure_stage == "genesis"
         assert f"roster id {first} has deflation factor l = 0" in report.failure
+
+
+def _widened(vec: Encoded) -> Encoded:
+    """The vector encoded one byte wider than its least width."""
+    width = vec.width + 1
+    body = b"".join(int(x).to_bytes(width, "little", signed=True)
+                    for x in FpVector.decode(vec).raw.tolist())
+    return Encoded(struct.pack("<QBB", vec.dim, vec.scale, width) + body,
+                   vec.dim, vec.scale, width)
+
+
+# each published vector slot: how to read it from a record, and how to put
+# another vector in its place
+VECTOR_SLOTS = {
+    "mg1": (
+        lambda rec: rec.rounds[0].local_detect[1][0],
+        lambda rnd, v: {"local_detect": {**rnd.local_detect, 1: (v, rnd.local_detect[1][1])}},
+    ),
+    "mgS1": (
+        lambda rec: rec.rounds[0].server_detect[1],
+        lambda rnd, v: {"server_detect": {**rnd.server_detect, 1: v}},
+    ),
+    "mgS2": (
+        lambda rec: rec.rounds[0].server_agg,
+        lambda rnd, v: {"server_agg": v},
+    ),
+    "mw": (lambda rec: rec.masked_model, None),
+}
+
+
+class TestVectorEncodingRejected:
+    """A vector whose width byte is outside 1..8, whose length disagrees
+    with its header, or whose width is not the least one is a structured
+    `record-format` rejection, in every slot, never an exception."""
+
+    @pytest.fixture(scope="class")
+    def ledger(self, tmp_path_factory):
+        cfg = small_config(participants=3, rounds=2, master_seed=1013)
+        _, _, path = run_published(tmp_path_factory.mktemp("encoding"), cfg, seed=9)
+        return path
+
+    @pytest.mark.parametrize("slot", VECTOR_SLOTS)
+    @pytest.mark.parametrize("defect", ["width-0", "width-9", "wider-header", "truncated"])
+    def test_header_and_length_defects(self, ledger, tmp_path, slot, defect):
+        work = tmp_path / "work.bin"
+        work.write_bytes(ledger.read_bytes())
+        genesis_bytes, record, _ = load_chain(work)
+        vec = VECTOR_SLOTS[slot][0](record)
+        payload = bytearray(b"".join(record.encode()))
+        at = payload.find(bytes(vec.data))
+        assert at > 0 and payload[at + 9] == vec.width < 8
+        if defect == "truncated":
+            # one raw byte short, the blob's length prefix re-counted
+            del payload[at + len(vec) - 1]
+            payload[at - 4 : at] = struct.pack("<I", len(vec) - 1)
+        else:
+            payload[at + 9] = {"width-0": 0, "width-9": 9}.get(defect, vec.width + 1)
+        rebuild_ledger(work, genesis_bytes, [bytes(payload)])
+        report = full_audit(work)
+        assert report.failure_stage == "record-format", report.failure
+        expected = "outside 1..8" if defect.startswith("width") else "length"
+        assert expected in report.failure and report.rounds == []
+
+    @pytest.mark.parametrize("slot", ["mgS1", "mgS2", "mw"])
+    def test_width_not_minimal(self, ledger, tmp_path, slot):
+        # the server's vectors are unsigned, so a re-encoded one reaches the
+        # decoder; it rejects the width once it has read the raws
+        import dataclasses
+
+        work = tmp_path / "work.bin"
+        work.write_bytes(ledger.read_bytes())
+        _, record, _ = load_chain(work)
+        get, put = VECTOR_SLOTS[slot]
+        wide = _widened(get(record))
+        assert Encoded.parse(wide.data).width == wide.width  # header and length hold
+        if put is None:
+            record = dataclasses.replace(record, masked_model=wide)
+        else:
+            first = dataclasses.replace(record.rounds[0], **put(record.rounds[0], wide))
+            record = dataclasses.replace(record, rounds=(first,) + record.rounds[1:])
+        republish(work, record)
+        report = full_audit(work)
+        assert report.failure_stage == "record-format", report.failure
+        assert "is not minimal" in report.failure
+
+    def test_signed_vector_width_not_minimal_fails_its_signature(self, ledger, tmp_path):
+        # a participant's vector is signed as its canonical bytes, so any
+        # other encoding of it no longer matches its signature
+        import dataclasses
+
+        work = tmp_path / "work.bin"
+        work.write_bytes(ledger.read_bytes())
+        _, record, _ = load_chain(work)
+        get, put = VECTOR_SLOTS["mg1"]
+        first = dataclasses.replace(
+            record.rounds[0], **put(record.rounds[0], _widened(get(record)))
+        )
+        republish(work, dataclasses.replace(record, rounds=(first,) + record.rounds[1:]))
+        assert full_audit(work).failure_stage == "signature"
 
 
 @pytest.fixture(scope="module")

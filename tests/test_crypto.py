@@ -106,17 +106,17 @@ class TestKeygen:
 class TestSignVerify:
     def test_fpvector_roundtrip(self):
         kp = crypto.keygen(b"v" * 32)
-        msg = FpVector(np.arange(32, dtype=np.int64), 20).encode()
+        msg = [FpVector(np.arange(32, dtype=np.int64), 20).encode().data]
         assert crypto.verify(kp.pk, msg, crypto.sign(kp.sk, msg))
 
     def test_any_split_of_the_message_signs_the_same(self):
         # the message buffers are hashed where they lie: how they are split
         # changes neither the signature nor the verdict
         kp = crypto.keygen(b"p" * 32)
-        parts = FpVector(np.arange(-16, 16, dtype=np.int64), 20).encode()
-        joined = b"".join(parts)
+        encoded = FpVector(np.arange(-16, 16, dtype=np.int64), 20).encode()
+        joined = bytes(encoded.data)
         sig = crypto.sign(kp.sk, [joined])
-        assert crypto.sign(kp.sk, parts) == sig
+        assert crypto.sign(kp.sk, [encoded.data]) == sig
         for cut in (0, 1, 9, len(joined)):
             split = [joined[:cut], memoryview(joined)[cut:]]
             assert crypto.sign(kp.sk, split) == sig

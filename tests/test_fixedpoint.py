@@ -154,6 +154,20 @@ class TestDot:
         a[-1], b[0] = INT64_MAX, INT64_MAX
         assert dot(FpVector(a, 20), FpVector(b, 20)) == _exact_dot(a, b)
 
+    @pytest.mark.parametrize("bits", [1, 2, 21, 22, 23, 43, 44, 45, 63, 64])
+    @pytest.mark.parametrize("dim", [1, 513, PAST_CHUNK])
+    def test_each_limb_count_matches_bigint_oracle(self, bits, dim):
+        # dot splits each vector into as few limbs as hold its raws; both
+        # ends of a `bits`-bit range sit at the edges of a limb count
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        rng = np.random.default_rng(bits * 100 + dim)
+        a = rng.integers(lo, hi, dim, dtype=np.int64, endpoint=True)
+        a[0], a[-1] = lo, hi
+        for b in (a[::-1].copy(), rng.integers(INT64_MIN, INT64_MAX, dim, dtype=np.int64),
+                  np.full(dim, lo, dtype=np.int64)):
+            assert dot(FpVector(a, 20), FpVector(b, 20)) == _exact_dot(a, b)
+            assert dot(FpVector(b, 20), FpVector(a, 20)) == _exact_dot(a, b)
+
     def test_mixed_scales_rejected(self):
         a = FpVector(np.array([1, 2]), 20)
         b = FpVector(np.array([1, 2]), 21)
@@ -375,27 +389,145 @@ class TestVectorOps:
             a.raw[0] = 9
 
 
+def _minimal_width(raws) -> int:
+    """Oracle: the least byte count whose two's complement holds every raw."""
+    w = 1
+    while any(not -(1 << (8 * w - 1)) <= int(x) < (1 << (8 * w - 1)) for x in raws):
+        w += 1
+    return w
+
+
+def _encode_oracle(raws, scale: int, width: int) -> bytes:
+    """README's vector layout, written out with int.to_bytes."""
+    body = b"".join(int(x).to_bytes(width, "little", signed=True) for x in raws)
+    return len(raws).to_bytes(8, "little") + bytes([scale, width]) + body
+
+
 class TestEncoding:
     def test_roundtrip(self):
-        v = FpVector(np.array([0, 1, -1, (1 << 62), -(1 << 62)]), 20)
-        assert FpVector.decode(b"".join(v.encode())) == v
+        # every width, with both ends of its range among the raws
+        for width in range(1, 9):
+            lo, hi = -(1 << (8 * width - 1)), (1 << (8 * width - 1)) - 1
+            for dim in (1, 2, 3, 17, _DOT_CHUNK + 3):
+                raws = _random_raws(width * 1000 + dim, dim, 8 * width - 2)
+                raws[0] = lo
+                raws[-1] = hi if dim > 1 else lo
+                v = FpVector(raws, 20)
+                enc = v.encode()
+                assert enc.width == width == _minimal_width(raws)
+                assert bytes(enc.data) == _encode_oracle(raws, 20, width)
+                assert FpVector.decode(enc) == v
+                assert FpVector.decode(bytes(enc.data)) == v
+
+    def test_int64_extremes_and_empty(self):
+        for raws, width in [([INT64_MIN, INT64_MAX], 8), ([INT64_MIN], 8),
+                            ([INT64_MAX, 0, -1], 8), ([], 1), ([0], 1), ([-1], 1),
+                            ([127, -128], 1), ([128], 2), ([-129], 2)]:
+            v = FpVector(np.array(raws, dtype=np.int64), 5)
+            enc = v.encode()
+            assert (enc.dim, enc.scale, enc.width) == (len(raws), 5, width)
+            assert bytes(enc.data) == _encode_oracle(raws, 5, width)
+            assert FpVector.decode(bytes(enc.data)) == v
 
     def test_layout(self):
-        v = FpVector(np.array([1], dtype=np.int64), 7)
-        enc = b"".join(v.encode())
-        assert enc[:8] == (1).to_bytes(8, "little")
-        assert enc[8] == 7
-        assert enc[9:] == (1).to_bytes(8, "little", signed=True)
+        v = FpVector(np.array([1, -300], dtype=np.int64), 7)
+        enc = bytes(v.encode().data)
+        assert enc[:8] == (2).to_bytes(8, "little")
+        assert enc[8] == 7 and enc[9] == 2
+        assert enc[10:] == (1).to_bytes(2, "little") + (-300).to_bytes(2, "little", signed=True)
 
     def test_truncated_rejected(self):
         v = FpVector(np.array([1, 2, 3]), 20)
-        with pytest.raises(ValueError):
-            FpVector.decode(b"".join(v.encode())[:-1])
+        with pytest.raises(ValueError, match="length"):
+            FpVector.decode(bytes(v.encode().data)[:-1])
+        with pytest.raises(ValueError, match="too short"):
+            FpVector.decode(bytes(v.encode().data)[:9])
+
+    @pytest.mark.parametrize("width", [0, 9, 255])
+    def test_width_outside_range_rejected(self, width):
+        data = _encode_oracle([1, 2], 20, 1)
+        data = data[:9] + bytes([width]) + data[10:]
+        with pytest.raises(ValueError, match=f"width {width} is outside 1..8"):
+            FpVector.decode(data)
+
+    @pytest.mark.parametrize("raws, width", [([1, -2], 2), ([0], 8), ([], 2), ([], 8),
+                                             ([1 << 40], 7), ([127, -128], 2)])
+    def test_width_not_minimal_rejected(self, raws, width):
+        data = _encode_oracle(raws, 20, width)
+        with pytest.raises(ValueError, match=f"width {width} is not minimal"):
+            FpVector.decode(data)
 
     def test_determinism_across_construction_paths(self):
         a = FpVector.from_floats([0.25, -0.75], 20)
         b = FpVector(np.array([262144, -786432]), 20)
-        assert b"".join(a.encode()) == b"".join(b.encode())
+        assert a.encode() == b.encode()
+
+
+def _from_floats_reference(xs, scale: int) -> np.ndarray:
+    """The quantizer as first written, one pass per step; raises like it."""
+    x = np.asarray(xs, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        k = int(np.argmin(np.isfinite(x)))
+        raise FixedPointOverflowError(
+            f"non-finite value {x[k]!r} at index {k} cannot be quantized"
+        )
+    y = np.abs(x) * float(1 << scale)
+    if np.any(y >= float(1 << 63)):
+        k = int(np.argmax(y >= float(1 << 63)))
+        raise FixedPointOverflowError(
+            f"|{x[k]!r}| * 2^{scale} exceeds the signed 64-bit raw range"
+        )
+    rounded = np.where(y < float(1 << 52), np.floor(y + 0.5), y)
+    raw = rounded.astype(np.int64)
+    return np.where(np.signbit(x), -raw, raw)
+
+
+class TestFromFloatsMatchesReference:
+    """from_floats takes one fused pass below 2^52; it must equal the
+    reference formula bit for bit, errors and their messages included."""
+
+    def _check(self, xs, scale=20):
+        try:
+            expected = _from_floats_reference(xs, scale)
+        except FixedPointOverflowError as e:
+            with pytest.raises(FixedPointOverflowError) as ei:
+                FpVector.from_floats(xs, scale)
+            assert str(ei.value) == str(e)
+            return
+        out = FpVector.from_floats(xs, scale)
+        assert out.raw.dtype == np.int64
+        assert np.array_equal(out.raw, expected)
+
+    def test_random_values(self):
+        for k, spread in enumerate((1e-6, 1e-3, 1.0, 1e3, 1e9)):
+            words = prg(400 + k, 5000)
+            xs = (words.astype(np.float64) * 2.0**-64 - 0.5) * spread
+            for scale in (0, 16, 20, 30):
+                self._check(xs, scale)
+
+    def test_ties_zeros_and_subnormals(self):
+        t = 2.0**-20
+        xs = [0.5 * t, -0.5 * t, 1.5 * t, -1.5 * t, 2.5 * t, -2.5 * t, 0.0, -0.0,
+              5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072009e-308,
+              t + 2.0**-40, -t - 2.0**-40, 0.5 * t - 2.0**-60, -0.5 * t + 2.0**-60]
+        self._check(xs)
+        self._check(np.array(xs)[::-1].copy())
+        assert FpVector.from_floats([-0.0, -0.4 * t], 20).raw.tolist() == [0, 0]
+
+    def test_near_and_past_the_exact_limit(self):
+        big = 2.0**52 / 2**20
+        for xs in ([big, -big], [big - 2.0**-20, -(big - 2.0**-20)], [big * 3.5, -1.0],
+                   [2.0**42.9, -(2.0**42.9)], [2.0**43 - 2.0**-9]):
+            self._check(xs)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                     2.0**43, -(2.0**43), 1e300])
+    def test_errors_and_messages(self, bad):
+        self._check([0.25, bad, -0.5])
+        self._check([bad])
+
+    def test_empty(self):
+        assert FpVector.from_floats([], 20).dim == 0
 
 
 def test_active_backend_reports_selection():

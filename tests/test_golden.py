@@ -7,6 +7,7 @@ model of an unpublished run. A change that alters any of them changes the
 protocol's output and must say why.
 """
 import hashlib
+import struct
 
 import pytest
 
@@ -45,19 +46,19 @@ CONFIGS = {
 # (ledger sha256, audit.json sha256)
 PUBLISHED = {
     "honest": (
-        "619416c211332482ed2b9e9786dc9f544bb81f494560b65d1a39e2d4f85d9500",
+        "ee0f5a6544a199666ae10897222ca5483d8cb22c50d26068ae7d5a64f21c68a9",
         "fbc29e1b37b229be9c616b114b50e69a127a3ab223e0b668d5d5b56e7ae621f1",
     ),
     "sign-flip-label-flip": (
-        "25d06e12950fec74988ee2dfba2793c68f02cc9e1571e15d43042628f53fb84e",
+        "80cd14fe56ecc5eff33875dc05d25d32a48a9d952b3f6a83e2182f4ddf2f6674",
         "abda40c9df032bb55895b76acef6ff577007cb11f7e4761292a289704b843851",
     ),
     "clipping-amplifier": (
-        "e11caabd038ca31bade8208527ad0eafb91dae00c11c26c7b341f820e8b0e5ea",
+        "91897d8b81d947348bc62f774d47d345586b71b4254ebfd1c5b5dbea3c4c1a2d",
         "8d8d58bb1d0e244611bf8bc7303df60f4cf3cdc8e9fbd9469bf12376ffb8c48c",
     ),
     "mlp-hidden-8": (
-        "c78770f6e58ca77fbdee2c0b175878c4a7893689bc87922b089d17c56e857d46",
+        "73af1ca33c93448a26d807380f96bfb4f80cd1f75eed54808d2053c619794364",
         "e85bfb8c662c13f4b7cb12b2665e48ee4234c7e7254594246694bb5ed9a9818e",
     ),
 }
@@ -76,6 +77,18 @@ METRICS_CSV = {
 
 # w_final.encode() sha256 of unpublished runs: (config, detection)
 UNPUBLISHED = {
+    ("sign-flip-label-flip", False): (
+        "b5668de323319c4e6383ab20b4d38c6f77903bddd055a908370a38c18f23f670"
+    ),
+    ("clipping-amplifier", True): (
+        "d96e48b0e70b79596e53596117f5c7cc0bde4c254475c04308d743cee50695c1"
+    ),
+}
+
+# sha256 of `dim u64 | scale u8 | raws as i64` of the same models: the
+# encoding before minimal-width raws, whose digests these are. They pin the
+# raws themselves, whatever the encoding.
+UNPUBLISHED_RAWS = {
     ("sign-flip-label-flip", False): (
         "339480c40578e0a84cdc26dc3c1036e99710c6db3ec5010e8fd97f3f73cb9611"
     ),
@@ -111,4 +124,14 @@ def test_unpublished_model_bytes(name, detection):
     result = run_training(
         small_config(**CONFIGS[name]), train, test, detection=detection, publish=False
     )
-    assert _sha(b"".join(result.w_final.encode())) == UNPUBLISHED[(name, detection)]
+    assert _sha(bytes(result.w_final.encode().data)) == UNPUBLISHED[(name, detection)]
+
+
+@pytest.mark.parametrize("name,detection", sorted(UNPUBLISHED_RAWS))
+def test_unpublished_model_raws(name, detection):
+    train, test = _data()
+    w = run_training(
+        small_config(**CONFIGS[name]), train, test, detection=detection, publish=False
+    ).w_final
+    fixed_width = struct.pack("<QB", w.dim, w.scale) + w.raw.astype("<i8").tobytes()
+    assert _sha(fixed_width) == UNPUBLISHED_RAWS[(name, detection)]

@@ -50,7 +50,7 @@ class TestPreprocess:
         cfg = small_config()
         w0 = FpVector.from_floats([0.5, -0.25, 0.125], cfg.scale)
         _, _, genesis = preprocess(cfg, 3, w0)
-        assert crypto.verify(genesis.server_pk, w0.encode(), genesis.w0_signature)
+        assert crypto.verify(genesis.server_pk, [w0.encode().data], genesis.w0_signature)
 
     def test_same_master_seed_same_secrets(self):
         cfg = small_config()
@@ -109,7 +109,10 @@ class TestMaskedForms:
         ps = parts[1]
         sub = Participant(ps, arch, make_dataset(2, 20, 3, 3), 4).sign_gradient(g, 3)
         _, mg1, zv, mg2 = masked_forms(ps, g, 3)
-        # one signature over the round, the id and both forms' digests
+        # the submission carries both forms' canonical bytes, and one
+        # signature over the round, the id and their digests
+        mg1, mg2 = mg1.encode(), mg2.encode()
+        assert (sub.mg1, sub.mg2) == (mg1.data, mg2.data)
         message = submission_message(3, ps.id, vector_digest(mg1), vector_digest(mg2))
         assert crypto.verify(ps.keypair.pk, message, sub.signature)
         v = server.verify_submission(sub, 3)
@@ -296,9 +299,9 @@ class TestRoundIdentities:
         arch_dim = result.w0.dim
         secrets, _, _ = prep(cfg, arch_dim, result.w0)
         for info, rec in zip(internals, result.record.rounds):
-            total = rec.server_agg
+            total = FpVector.decode(rec.server_agg)
             for j in sorted(rec.local_agg):
-                total = total + rec.local_agg[j]
+                total = total + FpVector.decode(rec.local_agg[j])
             mag = floor_div(total, len(rec.local_agg) + 1)
             m_r = model_mask_oracle(
                 secrets.model_mask_seed, info.r, arch_dim, cfg.scale, cfg.eta_parts()[1]
@@ -313,7 +316,10 @@ class TestRoundIdentities:
         for info, rec in zip(internals, result.record.rounds):
             for pid in rec.local_detect:
                 masked = sign_indicator(
-                    dot(rec.local_detect[pid][0], rec.server_detect[pid])
+                    dot(
+                        FpVector.decode(rec.local_detect[pid][0]),
+                        FpVector.decode(rec.server_detect[pid]),
+                    )
                 )
                 plain = 1 if info.dots[pid] > 0 else 0
                 assert masked == plain
@@ -345,7 +351,7 @@ class TestRoundIdentities:
         m_1 = model_mask_oracle(
             secrets.model_mask_seed, 1, w0.dim, cfg.scale, cfg.eta_parts()[1]
         )
-        assert record.server_agg == m_1 + g_s
+        assert record.server_agg == (m_1 + g_s).encode()
         assert views[0].ag == g_s
 
     def test_model_update_uses_floor(self, published_run):
@@ -375,7 +381,7 @@ class TestFinalize:
                 assert raw % (1 << eta_exp) == 0
                 total[k] += eta_num * raw // (1 << eta_exp)
         mask = FpVector(np.array(total, dtype=np.int64), cfg.scale)
-        assert result.record.masked_model + mask == result.w_final
+        assert FpVector.decode(result.record.masked_model) + mask == result.w_final
 
     def test_deflation_products_all_equal(self, published_run):
         cfg, result, _, path = published_run
@@ -467,7 +473,7 @@ class TestZeroShareServerCompensation:
             m_r = model_mask_oracle(
                 secrets.model_mask_seed, info.r, dim, scale, cfg.eta_parts()[1]
             )
-            zv_server = rec.server_agg - m_r.scalar_mul(cnt) - info.g_s
+            zv_server = FpVector.decode(rec.server_agg) - m_r.scalar_mul(cnt) - info.g_s
             total = zv_server
             for j in sorted(rec.local_agg):
                 ps = secrets.per_participant[j]

@@ -96,9 +96,9 @@ class TestPrvg:
         seed = derive_seed(3, "prvg")
         out = sign_vector(seed, 4) * 3
         assert set(np.unique(np.abs(out))) == {3}
-        # sign k is 1 - 2 * (low bit of PRG word k)
-        low_bits = (prg(seed, 4) & np.uint64(1)).astype(np.int64)
-        assert np.array_equal(out, 3 * (1 - 2 * low_bits))
+        # sign k is 1 - 2 * (bit k of PRG word 0)
+        word = int(prg(seed, 1)[0])
+        assert out.tolist() == [3 * (1 - 2 * ((word >> k) & 1)) for k in range(4)]
 
     def test_unit_magnitude(self):
         out = sign_vector(17, 64)
@@ -223,12 +223,24 @@ class TestKernelsMatchReferenceFormulas:
             assert np.array_equal(prg(5, 9), expected)
 
     def test_sign_vector(self):
+        # entry k's sign is 1 - 2 * (bit k % 64 of word k // 64)
         for seed in self.SEEDS:
-            for dim in self.DIMS:
-                words = _philox_words(seed, dim)
-                ref = (1 - 2 * (words & np.uint64(1)).astype(np.int64)).astype(np.int64)
+            for dim in self.DIMS + [63, 65, 127, 128, 129]:
+                words = [int(w) for w in _philox_words(seed, -(-dim // 64))]
+                ref = [1 - 2 * ((words[k // 64] >> (k % 64)) & 1) for k in range(dim)]
                 out = sign_vector(seed, dim)
-                assert out.dtype == np.int64 and np.array_equal(out, ref)
+                assert out.dtype == np.int64 and out.tolist() == ref
+
+    def test_sign_vector_draws_one_word_per_64_signs(self, monkeypatch):
+        from auditfl import randomness
+
+        drawn = []
+        real = randomness.prg
+        monkeypatch.setattr(randomness, "prg",
+                            lambda seed, count: drawn.append(count) or real(seed, count))
+        for dim in (0, 1, 64, 65, 7850):
+            sign_vector(3, dim)
+        assert drawn == [0, 1, 1, 2, 123]
 
     def test_bounded_int_vector(self):
         for seed in self.SEEDS:

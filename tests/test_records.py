@@ -16,7 +16,7 @@ from auditfl.records import (
 
 
 def _vec(vals, scale=20):
-    return FpVector(np.array(vals, dtype=np.int64), scale)
+    return FpVector(np.array(vals, dtype=np.int64), scale).encode()
 
 
 def _genesis(n=2):
@@ -94,8 +94,9 @@ class TestRound:
 
         r = _round()
         data = b"".join(r.encode())
-        # layout: magic(4) r(4) count(4), entry = id(4) + blob(4+41) + sig(64)
-        vec_bytes = len(b"".join(r.local_detect[1][0].encode()))
+        # layout: magic(4) r(4) count(4), entry = id(4) + blob(4+14) + sig(64)
+        vec_bytes = len(r.local_detect[1][0])
+        assert vec_bytes == 10 + 4 * 1
         second_id_off = 12 + 4 + 4 + vec_bytes + 64
         assert data[second_id_off : second_id_off + 4] == _s.pack("<I", 2)
         broken = data[:second_id_off] + _s.pack("<I", 1) + data[second_id_off + 4 :]
@@ -202,6 +203,6 @@ class TestDecodedViews:
             vectors += [*rec.server_detect.values(), rec.server_agg]
         assert len(vectors) == 1 + 2 * 6
         for vec in vectors:
-            assert np.shares_memory(vec.raw, buffer)
-            assert not vec.raw.flags.writeable
+            assert np.shares_memory(np.frombuffer(vec.data, dtype=np.uint8), buffer)
+            assert vec.data.readonly
         assert decoded == TrainingRecord.decode(b"".join(_record().encode()))

@@ -1,4 +1,5 @@
 """Dataset ingestion, partitioning, gradients, adversaries, evaluation."""
+import hashlib
 import struct
 import tracemalloc
 
@@ -91,6 +92,44 @@ class TestIdxIO:
                   tmp_path / "im", tmp_path / "lb")
         with pytest.raises(DatasetError, match="label 11"):
             load_idx(tmp_path / "im", tmp_path / "lb", n_classes=10)
+
+
+class TestSyntheticCorpus:
+    # SHA-256 of the four IDX files, pinned when rows were first rendered in
+    # blocks: blocks and in-place scaling must leave every byte as it was.
+    # The second corpus spans more than one RENDER_ROWS block.
+    PINNED = {
+        (7, 300, 100, 10): {
+            "test_images": "d69c5524bc1a27ccdea3574daa148ffc0f4e11e5dc46a14ada29cda4055a0c4d",
+            "test_labels": "92ec9ca7c6fc6f24707cbe94537609d8d2780578a007697767a007fe620cb3cd",
+            "train_images": "8649c9163eb5fb49ffac1c075aff3a92c2d6b86ba40c94011d441c4412dcbb83",
+            "train_labels": "ea75b6635b1cd36df09cbc363dca62d04c79bfa0fe5d2d4e37e19c21f6297e49",
+        },
+        (11, 1100, 257, 28): {
+            "test_images": "406320fb1ece2d9cbe7bc60514182f5539321efa38ca3b04b3277ce14c61bb61",
+            "test_labels": "5deddeb425e70a6a2622934550646ce0307a014090d8b59f44342e6c0fbf51ad",
+            "train_images": "47c4e5a8baf469c72c3f9998b4b285a0c99ffe5c78c55869ce6e9cf20318cdf0",
+            "train_labels": "1fc0b03444f6d1d437cb111ec43ce992aff4e61ba05a79dde29d643bac8440e3",
+        },
+    }
+
+    @pytest.mark.parametrize("seed, n_train, n_test, side", sorted(PINNED))
+    def test_idx_bytes_pinned(self, tmp_path, seed, n_train, n_test, side):
+        paths = make_synthetic_corpus(tmp_path, seed, n_train=n_train, n_test=n_test,
+                                      side=side)
+        digests = {k: hashlib.sha256(p.read_bytes()).hexdigest() for k, p in paths.items()}
+        assert digests == self.PINNED[(seed, n_train, n_test, side)]
+
+    def test_peak_memory_is_a_few_image_arrays(self, tmp_path):
+        # the uint8 images plus the per-sample streams: about 5.5x the image
+        # bytes at side 28; float copies of the whole matrix made it 17x
+        tracemalloc.start()
+        try:
+            make_synthetic_corpus(tmp_path, 5, n_train=3000, n_test=10, side=28)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 3000 * 28 * 28
 
 
 class TestPartition:

@@ -13,7 +13,7 @@ import pytest
 from auditfl import RunConfig, protocol, run_training
 from auditfl.crypto import sha256
 from auditfl.ledger import _HEADER, LEDGER_MAGIC, ZERO_DIGEST, Ledger
-from auditfl.fixedpoint import FpVector, dot
+from auditfl.fixedpoint import Encoded, FpVector, dot
 from auditfl.randomness import MASK_BITS, bounded_int_vector, derive_seed, prg
 from auditfl.records import GenesisPayload, RoundRecord, TrainingRecord, vector_digest
 from auditfl.training import AdversarySpec, Dataset
@@ -178,16 +178,18 @@ def republish(path: Path, record: TrainingRecord) -> None:
     rebuild_ledger(path, genesis_bytes, [b"".join(record.encode())])
 
 
-def _negate_entry(vec, k: int):
-    raw = vec.raw.copy()
+def _negate_entry(vec: Encoded, k: int) -> Encoded:
+    """A published vector with raw k negated (0 becomes 1), re-encoded."""
+    raw = FpVector.decode(vec).raw.copy()
     raw[k] = -raw[k] if raw[k] != 0 else 1
-    return FpVector(raw, vec.scale)
+    return FpVector(raw, vec.scale).encode()
 
 
-def _bump_entry(vec, k: int, delta: int = 1):
-    raw = vec.raw.copy()
+def _bump_entry(vec: Encoded, k: int, delta: int = 1) -> Encoded:
+    """A published vector with `delta` added to raw k, re-encoded."""
+    raw = FpVector.decode(vec).raw.copy()
     raw[k] = raw[k] + delta
-    return FpVector(raw, vec.scale)
+    return FpVector(raw, vec.scale).encode()
 
 
 def _replace_round(record: TrainingRecord, r_idx: int, rec: RoundRecord) -> TrainingRecord:
