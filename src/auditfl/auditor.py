@@ -1,20 +1,23 @@
 """Independent audit of a published training record.
 
 The auditor sees only the ledger bytes: the genesis payload (task, key
-roster, signed initial model) and the training record. It takes the record
-in one pass, one round at a time. For each round it checks the published
-vectors and signatures, hashing each vector's bytes where they lie in the
-ledger; it then sign-extends the vectors it needs, computes the masked
+roster, signed initial model) and the training record. It reads the file
+once, front to back, and checks the record one round at a time as the
+ledger stream hands it out: for each round it checks the published vectors
+and signatures, hashing each vector's bytes where they lie in the round's
+buffer; it then sign-extends the vectors it needs, computes the masked
 detection products once, re-derives the round's benign set from them,
-replays the masked aggregation, and folds the round's masked update into
-the recovered initial model. Once every round has telescoped, it checks that model
-against the server's signature.
+replays the masked aggregation and adds the round's learning-rate step to
+a running sum, and drops the round before the next one is read. The masked
+model comes last: added to the sum of the steps, it telescopes to the
+recovered initial model, which is checked against the server's signature.
 No secret (seed, mask, key, gradient) is ever consulted; this module must
 not import the protocol, randomness, or training machinery.
 
 All checks are exact integer equalities; there are no tolerances anywhere.
-Every failed check raises AuditFailure, and full_audit turns it into the
-one rejected report.
+Every failed check raises AuditFailure. A failure found before the end of
+the file is held while the rest is still parsed and hashed, and full_audit
+reports the one of highest precedence (see `full_audit`).
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from .records import (
     GenesisPayload,
     RecordFormatError,
     RoundRecord,
-    TrainingRecord,
+    TrainingRecordReader,
     submission_message,
     vector_digest,
 )
@@ -113,7 +116,15 @@ def _decode(vec: Encoded, where: str) -> FpVector:
         raise AuditFailure("record-format", f"{where}: {e}") from None
 
 
-def audit_detection(rec: RoundRecord, genesis: GenesisPayload) -> dict[int, int]:
+def roster_keys(genesis: GenesisPayload) -> dict:
+    """Each roster id's verification key, parsed once for the whole audit;
+    None for a key that does not parse, under which nothing verifies."""
+    return {pid: crypto.public_key(pk) for pid, (pk, _) in genesis.roster.items()}
+
+
+def audit_detection(
+    rec: RoundRecord, genesis: GenesisPayload, keys: dict
+) -> dict[int, int]:
     """Check one round's published vectors and signatures.
 
     In order: every vector's geometry, the participant ids against the
@@ -121,7 +132,8 @@ def audit_detection(rec: RoundRecord, genesis: GenesisPayload) -> dict[int, int]
     exactly one of an aggregation mask and an aggregation digest, then each
     participant's one submission signature, over the digest of its detection
     mask and the digest of its aggregation mask (hashed here when published,
-    else the stored digest). Returns the masked inner products
+    else the stored digest), under its key in `keys` (`roster_keys`).
+    Returns the masked inner products
     <mg1_i, mgS1_i> == l_i * <g_i, g_S>, one per participant, each from the
     two vectors sign-extended for it.
     """
@@ -157,7 +169,7 @@ def audit_detection(rec: RoundRecord, genesis: GenesisPayload) -> dict[int, int]
         mg2 = rec.local_agg.get(pid)
         mg2_digest = rec.agg_digests[pid] if mg2 is None else vector_digest(mg2)
         message = submission_message(r, pid, vector_digest(mg1), mg2_digest)
-        if not crypto.verify(roster[pid][0], message, sig):
+        if not crypto.verify(keys[pid], message, sig):
             raise AuditFailure(
                 "signature",
                 f"round {r}: submission signature of participant {pid} "
@@ -219,12 +231,14 @@ def benign_set(
 def audit_trace(genesis: GenesisPayload, recovered: FpVector) -> None:
     """Check the recovered initial model against the genesis signature.
 
-    The recovery telescopes exactly: masked model plus the floored
-    learning-rate steps of every replayed masked aggregate equals the
-    initial model the server signed, bit for bit, iff the record is honest.
+    The recovery telescopes exactly: the floored learning-rate steps of
+    every replayed masked aggregate plus the masked model equal the initial
+    model the server signed, bit for bit, iff the record is honest.
     """
     if not crypto.verify(
-        genesis.server_pk, [recovered.encode().data], genesis.w0_signature
+        crypto.public_key(genesis.server_pk),
+        [recovered.encode().data],
+        genesis.w0_signature,
     ):
         raise AuditFailure(
             "model-recovery",
@@ -232,14 +246,27 @@ def audit_trace(genesis: GenesisPayload, recovered: FpVector) -> None:
         )
 
 
-def audit_record(
-    record: TrainingRecord, genesis: GenesisPayload, rounds: list[RoundAudit]
-) -> None:
-    """All protocol checks for one training record against its genesis.
+# Verdict precedence, highest first; a chain break anywhere outranks them
+# all and ends the audit. A failure found later replaces the one held only
+# if it ranks higher, so of the record's checks (the rounds in order, then
+# the recovery of w_0) the first that fails is reported.
+_GENESIS, _BLOCK_COUNT, _RECORD_FORMAT, _METADATA, _MASKED_MODEL, _CHECKS = range(6)
 
-    Appends each round's RoundAudit to `rounds` once the round has passed,
-    so a rejected report still lists the rounds before the failing one.
-    """
+
+class _Verdict:
+    """The failure to report: of those found so far, the first one of the
+    highest precedence (the lowest rank)."""
+
+    def __init__(self):
+        self.rank = _CHECKS + 1
+        self.failure: AuditFailure | None = None
+
+    def hold(self, rank: int, failure: AuditFailure) -> None:
+        if rank < self.rank:
+            self.rank, self.failure = rank, failure
+
+
+def _check_metadata(record: TrainingRecordReader, genesis: GenesisPayload) -> None:
     if record.dim != genesis.dim or record.scale != genesis.scale:
         raise AuditFailure(
             "metadata",
@@ -248,10 +275,10 @@ def audit_record(
         )
     if (record.eta_num, record.eta_exp) != (genesis.eta_num, genesis.eta_exp):
         raise AuditFailure("metadata", "record learning rate differs from genesis")
-    if len(record.rounds) != genesis.rounds:
+    if record.n_rounds != genesis.rounds:
         raise AuditFailure(
             "metadata",
-            f"record holds {len(record.rounds)} rounds, task declared "
+            f"record holds {record.n_rounds} rounds, task declared "
             f"{genesis.rounds}",
         )
     if record.n_participants != len(genesis.roster):
@@ -260,71 +287,139 @@ def audit_record(
             f"record declares {record.n_participants} participants, "
             f"genesis roster has {len(genesis.roster)}",
         )
-    _check_geometry(record.masked_model, genesis, "masked model")
-    # the recovered initial model, one replayed round at a time
-    w = _decode(record.masked_model, "masked model")
-    for rec in record.rounds:
-        products = audit_detection(rec, genesis)
-        deflated = deflated_products(products, genesis)
-        positive, derived = benign_set(deflated, genesis.clipping, genesis.clip_factor)
-        published = set(rec.local_agg)
-        if published != derived:
-            raise AuditFailure(
-                "benign-set",
-                f"round {rec.r}: published benign set {sorted(published)} "
-                f"inconsistent with derived {sorted(derived)}",
-            )
-        try:
-            w = w + scale_by_dyadic(audit_aggregate(rec), record.eta_num, record.eta_exp)
-        except FixedPointOverflowError as e:
-            # the unsigned server aggregate can hold any int64, so replaying
-            # it can leave the raw range; no honest record does
-            raise AuditFailure(
-                "structure", f"round {rec.r}: replay of the record overflows int64: {e}"
-            ) from None
-        rounds.append(
-            RoundAudit(
-                r=rec.r,
-                present_ids=tuple(sorted(rec.local_detect)),
-                detection_positive=tuple(sorted(positive)),
-                published_benign=tuple(sorted(published)),
-                ranking=ranking_of(deflated),
-            )
+
+
+def _audit_round(
+    rec: RoundRecord, genesis: GenesisPayload, keys: dict
+) -> tuple[RoundAudit, FpVector]:
+    """Every check of one round; its RoundAudit and its learning-rate step."""
+    products = audit_detection(rec, genesis, keys)
+    deflated = deflated_products(products, genesis)
+    positive, derived = benign_set(deflated, genesis.clipping, genesis.clip_factor)
+    published = set(rec.local_agg)
+    if published != derived:
+        raise AuditFailure(
+            "benign-set",
+            f"round {rec.r}: published benign set {sorted(published)} "
+            f"inconsistent with derived {sorted(derived)}",
         )
-    audit_trace(genesis, w)
+    step = scale_by_dyadic(audit_aggregate(rec), genesis.eta_num, genesis.eta_exp)
+    audit = RoundAudit(
+        r=rec.r,
+        present_ids=tuple(sorted(rec.local_detect)),
+        detection_positive=tuple(sorted(positive)),
+        published_benign=tuple(sorted(published)),
+        ranking=ranking_of(deflated),
+    )
+    return audit, step
+
+
+def _replay_overflow(where: str, e: FixedPointOverflowError) -> AuditFailure:
+    # the unsigned server aggregate can hold any int64, so replaying it can
+    # leave the raw range; no honest record does
+    return AuditFailure("structure", f"{where}: replay of the record overflows int64: {e}")
+
+
+def audit_record(
+    data, genesis: GenesisPayload, rounds: list[RoundAudit], verdict: _Verdict
+) -> None:
+    """All protocol checks of one training record against its genesis, in
+    one front-to-back pass over `data` (a ledger payload stream or a buffer).
+
+    Each round is parsed, checked and dropped before the next one is read,
+    and its RoundAudit appended to `rounds` once it has passed, so a
+    rejected report still lists the rounds before the failing one. A failed
+    check goes to `verdict`, and the rest of the record is still parsed for
+    the defects that outrank it: its encoding, and the masked model, which
+    comes last but is checked before the rounds.
+    """
+    try:
+        record = TrainingRecordReader(data)
+        try:
+            _check_metadata(record, genesis)
+        except AuditFailure as e:
+            verdict.hold(_METADATA, e)
+        keys = roster_keys(genesis)
+        steps = None  # the sum of the replayed rounds' learning-rate steps
+        for rec in record.rounds():
+            if verdict.failure is None:
+                try:
+                    audit, step = _audit_round(rec, genesis, keys)
+                    steps = step if steps is None else steps + step
+                except AuditFailure as e:
+                    verdict.hold(_CHECKS, e)
+                except FixedPointOverflowError as e:
+                    verdict.hold(_CHECKS, _replay_overflow(f"round {rec.r}", e))
+                else:
+                    rounds.append(audit)
+            del rec  # the round's buffer goes before the next one is read
+        masked_model = record.masked_model()
+    except RecordFormatError as e:
+        verdict.hold(_RECORD_FORMAT, AuditFailure("record-format", f"block 1: {e}"))
+        return
+    try:
+        _check_geometry(masked_model, genesis, "masked model")
+        w = _decode(masked_model, "masked model")
+    except AuditFailure as e:
+        verdict.hold(_MASKED_MODEL, e)
+        return
+    if verdict.failure is None:
+        try:
+            audit_trace(genesis, w if steps is None else steps + w)
+        except AuditFailure as e:
+            verdict.hold(_CHECKS, e)
+        except FixedPointOverflowError as e:
+            verdict.hold(_CHECKS, _replay_overflow("masked model", e))
 
 
 def full_audit(path) -> AuditReport:
-    """Verify the chain, then its one training record; pure in the bytes.
+    """Verify the chain and its one training record in one pass over the
+    file; pure in the bytes.
 
     A ledger holds the genesis and exactly one training record; any other
-    block count is a `metadata` rejection.
+    block count is a `metadata` rejection. Of the failures found, the one
+    reported is, in order of precedence: a chain break anywhere; a genesis
+    that does not parse; the block count; a defect in the encoding of the
+    training record; its metadata; its masked model's geometry and
+    encoding; then the rounds' checks in round order, and the recovery of
+    the initial model.
     """
-    report = AuditReport(ok=False)
+    verdict = _Verdict()
+    rounds: list[RoundAudit] = []
+    genesis = None
+    blocks = 0
     try:
-        try:
-            chain = Ledger.open(path)
-        except LedgerError as e:
-            raise AuditFailure("ledger", str(e)) from None
-        try:
-            genesis = GenesisPayload.decode(chain.get_record(height=0))
-        except Exception as e:
-            raise AuditFailure("genesis", f"genesis payload does not parse: {e}") from None
-        if len(chain) != 2:
-            raise AuditFailure(
+        for payload in Ledger.open(path):
+            if blocks == 0:
+                try:
+                    genesis = GenesisPayload.decode(payload)
+                except RecordFormatError as e:
+                    verdict.hold(
+                        _GENESIS,
+                        AuditFailure("genesis", f"genesis payload does not parse: {e}"),
+                    )
+            elif blocks == 1 and genesis is not None:
+                audit_record(payload, genesis, rounds, verdict)
+            blocks += 1
+    except LedgerError as e:
+        return AuditReport(ok=False, failure_stage="ledger", failure=str(e))
+    if blocks != 2:
+        verdict.hold(
+            _BLOCK_COUNT,
+            AuditFailure(
                 "metadata",
-                f"ledger holds {len(chain) - 1} blocks after the genesis, "
+                f"ledger holds {blocks - 1} blocks after the genesis, "
                 f"expected 1 training record",
-            )
-        try:
-            record = TrainingRecord.decode(chain.get_record(height=1))
-        except RecordFormatError as e:
-            raise AuditFailure("record-format", f"block 1: {e}") from None
-        report.n_records = 1
-        audit_record(record, genesis, report.rounds)
-    except AuditFailure as e:
-        report.failure_stage = e.stage
-        report.failure = str(e)
-        return report
-    report.ok = True
-    return report
+            ),
+        )
+    if verdict.failure is None:
+        return AuditReport(ok=True, n_records=1, rounds=rounds)
+    # the record counts as reached once it parsed; rounds are listed only
+    # when one of them, or the recovery after them, failed
+    return AuditReport(
+        ok=False,
+        failure_stage=verdict.failure.stage,
+        failure=str(verdict.failure),
+        n_records=int(verdict.rank >= _METADATA),
+        rounds=rounds if verdict.rank == _CHECKS else [],
+    )

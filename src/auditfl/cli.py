@@ -171,11 +171,11 @@ def cmd_audit(args) -> int:
 
 def cmd_verify_chain(args) -> int:
     try:
-        chain = Ledger.open(args.ledger)
+        blocks = sum(1 for _ in Ledger.open(args.ledger))
     except LedgerError as e:
         print(f"REJECT: {e}")
         return 1
-    print(f"ACCEPT: chain of {len(chain)} blocks verifies")
+    print(f"ACCEPT: chain of {blocks} blocks verifies")
     return 0
 
 

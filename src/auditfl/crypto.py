@@ -15,13 +15,14 @@ the digest is signed, so a message is never joined into one copy. The
 signature is the same as over the joined bytes.
 
 Encodings are fixed length: public key = x||y (64 bytes, big-endian),
-signature = r||s (64 bytes, big-endian). Malformed encodings verify as
-False, they never raise.
+signature = r||s (64 bytes, big-endian). A key is parsed once
+(`public_key`) for all the signatures checked under it. Malformed
+encodings verify as False, they never raise.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
@@ -54,10 +55,25 @@ def sha256(*parts) -> bytes:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """Signing key (scalar) and its encoded verification key."""
+    """Signing key (scalar) and its encoded verification key, with both as
+    OpenSSL keys, built once: signing does not derive sk*G again, and
+    verifying under `public` parses nothing."""
 
     sk: int
     pk: bytes
+    key: ec.EllipticCurvePrivateKey = field(compare=False, repr=False)
+    public: ec.EllipticCurvePublicKey = field(compare=False, repr=False)
+
+
+def signing_key(sk: int) -> KeyPair:
+    """The key pair of the scalar sk, 1 <= sk <= N - 1."""
+    if not (1 <= sk <= N - 1):
+        raise ValueError("signing key out of range")
+    key = ec.derive_private_key(sk, _CURVE)
+    public = key.public_key()
+    point = public.public_numbers()
+    pk = point.x.to_bytes(32, "big") + point.y.to_bytes(32, "big")
+    return KeyPair(sk=sk, pk=pk, key=key, public=public)
 
 
 def keygen(entropy: bytes) -> KeyPair:
@@ -71,25 +87,35 @@ def keygen(entropy: bytes) -> KeyPair:
             "big",
         )
         if 1 <= cand <= N - 1:
-            break
+            return signing_key(cand)
         counter += 1
-    point = ec.derive_private_key(cand, _CURVE).public_key().public_numbers()
-    pk = point.x.to_bytes(32, "big") + point.y.to_bytes(32, "big")
-    return KeyPair(sk=cand, pk=pk)
 
 
-def sign(sk: int, message: list) -> bytes:
+def sign(keypair: KeyPair, message: list) -> bytes:
     """ECDSA signature over SHA-256 of the message buffers, as r||s (64 bytes)."""
-    if not (1 <= sk <= N - 1):
-        raise ValueError("signing key out of range")
-    der = ec.derive_private_key(sk, _CURVE).sign(sha256(*message), _SIGN)
+    der = keypair.key.sign(sha256(*message), _SIGN)
     r, s = decode_dss_signature(der)
     return r.to_bytes(32, "big") + s.to_bytes(32, "big")
 
 
-def verify(pk: bytes, message: list, signature: bytes) -> bool:
-    """True iff signature is a valid ECDSA signature of the message buffers under pk."""
+def public_key(pk: bytes) -> ec.EllipticCurvePublicKey | None:
+    """An encoded verification key (x||y) parsed once for many verifies;
+    None if it is not 64 bytes or not a point of the curve."""
     if not isinstance(pk, bytes) or len(pk) != PUBLIC_KEY_SIZE:
+        return None
+    try:
+        return ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, b"\x04" + pk)
+    except ValueError:
+        return None
+
+
+def verify(
+    key: ec.EllipticCurvePublicKey | None, message: list, signature: bytes
+) -> bool:
+    """True iff signature is a valid ECDSA signature of the message buffers
+    under the parsed key (`public_key`, or a `KeyPair.public`). A key that
+    did not parse (None) verifies nothing."""
+    if key is None:
         return False
     if not isinstance(signature, bytes) or len(signature) != SIGNATURE_SIZE:
         return False
@@ -98,8 +124,7 @@ def verify(pk: bytes, message: list, signature: bytes) -> bool:
     if not (1 <= r <= N - 1 and 1 <= s <= N - 1):
         return False
     try:
-        key = ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, b"\x04" + pk)
         key.verify(encode_dss_signature(r, s), sha256(*message), _VERIFY)
-    except (ValueError, InvalidSignature):
+    except InvalidSignature:
         return False
     return True

@@ -2,15 +2,15 @@
 
 Stands in for the blockchain: consensus is assumed, not simulated, so a
 single process appends blocks and anyone can re-verify the chain from the
-file alone. `Ledger.open` is the only reader and verifies every block while
-it parses it, so a `Ledger` is valid once built: by `create` and `append`,
-or by `open` after the whole file checked. Every block's digest covers its
-header, which pins its payload by digest, so any single-bit mutation of
-the persisted file is detected. `open` reads the file once; its payloads,
-and all parsed from them, are read-only views of that one buffer, never
-copies. `append` takes a payload as a list of buffers and hashes and
-writes them where they lie, so publishing a record copies none of it
-either.
+file alone. `Ledger.open` is the only reader: it streams the file front to
+back, one block at a time, and verifies each block as it passes, so every
+file byte is read once and any single-bit mutation of the persisted file is
+detected. It hands each payload out as a `Payload` stream that hashes its
+bytes as the consumer reads them; it keeps only the height, the offset it
+has reached and the newest block's digest, never a payload, so reading a
+ledger takes memory for what the consumer holds, not for the file.
+`append` takes a payload as a list of buffers and hashes and writes them
+where they lie, so publishing a record copies none of it either.
 
 File layout: 8-byte magic, then frames, each prefixed by its u64 length.
 Frame: height u64 | prev_digest 32B | payload_digest 32B | timestamp u64 |
@@ -25,18 +25,25 @@ payloads has one encoding.
 """
 from __future__ import annotations
 
+import hashlib
+import os
 import struct
+from collections.abc import Iterator
 from pathlib import Path
 
 from .crypto import sha256
 
 LEDGER_MAGIC = b"AFLCHN\x00\x02"
 _HEADER = struct.Struct("<Q32s32sQQ")
+_CHECKSUM_SIZE = 32
 ZERO_DIGEST = b"\x00" * 32
+# the most a stream reads at once to hash the part of a payload its consumer
+# did not read
+_SKIP_CHUNK = 1 << 20
 
 
 class LedgerError(Exception):
-    """The ledger cannot be read, written or trusted, or a lookup missed.
+    """The ledger cannot be read, written or trusted.
 
     Every chain defect (a cut or mis-sized frame, a bad frame checksum, an
     out-of-sequence height, a wrong `prev_digest` or `payload_digest`, a
@@ -50,19 +57,54 @@ def _chain_break(height: int) -> LedgerError:
     return LedgerError(f"hash chain broken at height {height}")
 
 
-class Ledger:
-    """Ordered, verified block sequence bound to one backing file.
+class Payload:
+    """One block's payload, handed out front to back and hashed as it goes.
 
-    It keeps the payloads `open` parsed, nothing else of their frames.
-    `append` keeps no payload: it writes the frame and keeps only the
-    height and the newest block's digest, the next `append`'s
-    `prev_digest`. Read appended blocks back with `open`.
+    `read(n)` returns the next n bytes, or as many as are left. The block
+    is not verified until the stream has moved past it; a consumer must
+    treat what it read as untrusted until then.
     """
 
-    def __init__(self, path, payloads: list[memoryview], tip: bytes):
+    def __init__(self, file, size: int, height: int):
+        self._file = file
+        self._size = size
+        self._left = size
+        self._height = height
+        self._hash = hashlib.sha256()
+
+    def __len__(self) -> int:
+        return self._size
+
+    def read(self, n: int) -> bytes:
+        if self._file is None:
+            raise LedgerError(f"block {self._height} has been read past")
+        n = min(n, self._left)
+        data = self._file.read(n)
+        if len(data) != n:  # the file shrank under the reader
+            raise _chain_break(self._height)
+        self._hash.update(data)
+        self._left -= n
+        return data
+
+    def _finish(self) -> bytes:
+        """Read and hash what the consumer left; the payload's digest."""
+        while self._left:
+            self.read(_SKIP_CHUNK)
+        self._file = None
+        return self._hash.digest()
+
+
+class Ledger:
+    """The writing end of a chain file.
+
+    It keeps no payload: `append` writes the frame and keeps only the
+    height and the newest block's digest, the next `append`'s
+    `prev_digest`. Read blocks back with `open`.
+    """
+
+    def __init__(self, path, height: int, tip: bytes):
         self.path = Path(path)
-        self._payloads = payloads
-        self._height = len(payloads)
+        self._height = height
         self._tip = tip  # the newest block's digest; ZERO_DIGEST before the genesis
 
     def __len__(self) -> int:
@@ -77,55 +119,61 @@ class Ledger:
                 f.write(LEDGER_MAGIC)
         except FileExistsError:
             raise LedgerError(f"{path} already exists; refusing to overwrite") from None
-        ledger = cls(path, [], ZERO_DIGEST)
+        ledger = cls(path, 0, ZERO_DIGEST)
         ledger.append(*genesis_parts)
         return ledger
 
     @classmethod
-    def open(cls, path) -> "Ledger":
-        """Parse a chain file, verifying each block; LedgerError at the first bad one."""
+    def open(cls, path) -> Iterator[Payload]:
+        """Stream a chain file: each block's payload in order, from the genesis.
+
+        Nothing is read before the first block is asked for. A block's frame
+        length and links (height, `prev_digest`, timestamp) are checked
+        before its payload is handed out; when the stream moves past it, to
+        the next block or to the end, the rest of its payload is read and
+        hashed and its payload digest and checksum are checked. LedgerError
+        at the first bad block, so a consumer that reaches the end of the
+        stream has read a valid chain.
+        """
         try:
-            data = Path(path).read_bytes()
+            f = open(path, "rb")
         except OSError as e:
             # not str(e), which names the file: the message depends on bytes alone
             reason = e.strerror or type(e).__name__
             raise LedgerError(f"cannot read ledger: {reason}") from None
-        if data[: len(LEDGER_MAGIC)] != LEDGER_MAGIC:
-            raise LedgerError("not a ledger file (bad magic)")
-        view = memoryview(data)  # frames and payloads are views, never copies
-        off = len(LEDGER_MAGIC)
-        payloads: list[memoryview] = []
-        digest = ZERO_DIGEST
-        while off < len(data):
-            height = len(payloads)
-            if off + 8 > len(data):
-                raise _chain_break(height)
-            (flen,) = struct.unpack_from("<Q", data, off)
-            off += 8
-            frame = view[off : off + flen]
-            off += flen
-            if len(frame) != flen or flen < _HEADER.size + 32:
-                raise _chain_break(height)
-            header, payload, checksum = (
-                frame[: _HEADER.size], frame[_HEADER.size : -32], frame[-32:]
-            )
-            h, prev, pdig, ts, plen = _HEADER.unpack(header)
-            # checked in order; each payload byte is hashed once, and no
-            # earlier frame is hashed again
-            if (
-                len(payload) != plen
-                or h != height
-                or prev != digest
-                or ts != 0
-                or sha256(header) != checksum
-                or sha256(payload) != pdig
-            ):
-                raise _chain_break(height)
-            payloads.append(payload)
-            digest = bytes(checksum)
-        if not payloads:
-            raise _chain_break(0)
-        return cls(path, payloads, digest)
+        with f:
+            size = os.fstat(f.fileno()).st_size
+            if f.read(len(LEDGER_MAGIC)) != LEDGER_MAGIC:
+                raise LedgerError("not a ledger file (bad magic)")
+            off, height, tip = len(LEDGER_MAGIC), 0, ZERO_DIGEST
+            while off < size:
+                if off + 8 > size:
+                    raise _chain_break(height)
+                (flen,) = struct.unpack("<Q", f.read(8))
+                off += 8 + flen
+                if off > size or flen < _HEADER.size + _CHECKSUM_SIZE:
+                    raise _chain_break(height)
+                header = f.read(_HEADER.size)
+                h, prev, pdig, ts, plen = _HEADER.unpack(header)
+                if (
+                    plen != flen - _HEADER.size - _CHECKSUM_SIZE
+                    or h != height
+                    or prev != tip
+                    or ts != 0
+                ):
+                    raise _chain_break(height)
+                payload = Payload(f, plen, height)
+                yield payload
+                # each payload byte is hashed once, and no earlier frame is
+                # hashed again
+                digest = payload._finish()
+                checksum = f.read(_CHECKSUM_SIZE)
+                if digest != pdig or sha256(header) != checksum:
+                    raise _chain_break(height)
+                height += 1
+                tip = checksum
+            if height == 0:
+                raise _chain_break(0)
 
     def append(self, *parts) -> None:
         """Append a block whose payload is the concatenated parts, and persist it.
@@ -146,9 +194,3 @@ class Ledger:
             raise LedgerError(f"cannot append to {self.path}: {e}") from None
         self._height += 1
         self._tip = checksum
-
-    def get_record(self, height: int) -> memoryview:
-        """Payload of a block `open` parsed: a read-only view of the file."""
-        if not (0 <= height < len(self._payloads)):
-            raise LedgerError(f"no block at height {height}")
-        return self._payloads[height]

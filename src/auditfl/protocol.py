@@ -23,7 +23,7 @@ audit identities exactly:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,13 +75,18 @@ def _seed_bytes(seed: int, n: int = 32) -> bytes:
 
 @dataclass(frozen=True)
 class ParticipantSecrets:
-    """What the server hands participant i at preprocessing."""
+    """What the server hands participant i at preprocessing.
+
+    An unpublished run hands out only the seeds a participant trains with
+    (`mask_seed` draws its batches, `zero_seed` its attack); it masks and
+    signs nothing, so it derives no `rn` and no key pair.
+    """
 
     id: int
     mask_seed: int
     zero_seed: int
-    rn: int
-    keypair: crypto.KeyPair
+    rn: int = 0
+    keypair: crypto.KeyPair | None = None
 
 
 @dataclass(frozen=True)
@@ -94,22 +99,36 @@ class ServerSecrets:
     keypair: crypto.KeyPair
 
 
+def training_secrets(config: RunConfig) -> list[ParticipantSecrets]:
+    """The seeds each participant trains with, by ascending id: all that an
+    unpublished run derives."""
+    master = config.master_seed
+    return [
+        ParticipantSecrets(
+            id=i,
+            mask_seed=derive_seed(master, "mask", i),
+            zero_seed=derive_seed(master, "zero", i),
+        )
+        for i in range(1, config.participants + 1)
+    ]
+
+
 def preprocess(
     config: RunConfig, dim: int, w0: FpVector
 ) -> tuple[ServerSecrets, list[ParticipantSecrets], GenesisPayload]:
-    """Generate all secrets from the master seed and the genesis payload."""
+    """Generate all secrets of a published run from the master seed, and
+    the genesis payload."""
     eta_num, eta_exp = config.eta_parts()
     master = config.master_seed
     server_kp = crypto.keygen(_seed_bytes(derive_seed(master, "key", "server")))
     per: dict[int, ParticipantSecrets] = {}
     rn_server: dict[int, int] = {}
     roster: dict[int, tuple[bytes, int]] = {}  # id -> (pk, l_i = rn_i * rn_S_i)
-    for i in range(1, config.participants + 1):
+    for ps in training_secrets(config):
+        i = ps.id
         pair = gen_correlated_pair(derive_seed(master, "rn", i))
-        per[i] = ParticipantSecrets(
-            id=i,
-            mask_seed=derive_seed(master, "mask", i),
-            zero_seed=derive_seed(master, "zero", i),
+        per[i] = replace(
+            ps,
             rn=pair.rn_i,
             keypair=crypto.keygen(_seed_bytes(derive_seed(master, "key", i))),
         )
@@ -130,7 +149,7 @@ def preprocess(
         clipping=config.clipping,
         clip_factor=config.clip_factor,
         server_pk=server_kp.pk,
-        w0_signature=crypto.sign(server_kp.sk, [w0.encode().data]),
+        w0_signature=crypto.sign(server_kp, [w0.encode().data]),
         roster=roster,
     )
     return secrets, [per[i] for i in sorted(per)], genesis
@@ -223,7 +242,7 @@ class Participant:
             loss=loss,
             mg1=mg1.data,
             mg2=mg2.data,
-            signature=crypto.sign(self.secrets.keypair.sk, message),
+            signature=crypto.sign(self.secrets.keypair, message),
         )
 
 
@@ -284,7 +303,7 @@ class Server:
     def __init__(
         self,
         config: RunConfig,
-        secrets: ServerSecrets,
+        secrets: ServerSecrets | None,  # None when the run publishes nothing
         arch: Architecture,
         root_shard: Dataset,
         w0: FpVector,
@@ -325,7 +344,7 @@ class Server:
             return None
         mg2_digest = vector_digest(enc2)
         message = submission_message(r, sub.id, vector_digest(enc1), mg2_digest)
-        if not crypto.verify(ps.keypair.pk, message, sub.signature):
+        if not crypto.verify(ps.keypair.public, message, sub.signature):
             return None
         return VerifiedSubmission(sub, signs, enc1, zv, enc2, mg2_digest)
 
@@ -459,7 +478,8 @@ def run_training(
     detection: bool = True,
     publish: bool = True,
 ) -> RunResult:
-    """Run the whole protocol: partition, preprocess, R rounds, publication.
+    """Run the whole protocol: partition, preprocess (a published run only),
+    R rounds, publication.
 
     A run publishes when `publish` is set and a ledger path is given. A
     published run needs detection: the audit re-derives every round's benign
@@ -498,12 +518,15 @@ def run_training(
 
     timing = {"record_bytes": 0, "preprocess_bytes": 0}
 
-    secrets, participant_secrets, genesis = preprocess(config, arch.param_count, w0)
     server_ledger = None
     if publishing:
+        secrets, participant_secrets, genesis = preprocess(config, arch.param_count, w0)
         genesis_parts = genesis.encode()
         server_ledger = Ledger.create(ledger_path, *genesis_parts)
         timing["preprocess_bytes"] = sum(map(len, genesis_parts))
+    else:
+        # no mask, key or signature affects the trajectory
+        secrets, participant_secrets = None, training_secrets(config)
 
     participants = [
         Participant(

@@ -16,13 +16,17 @@ no vector: every `encode` returns a list of buffers whose concatenation is
 the record's bytes, each vector contributing its encoded bytes as they
 are. Decoding copies none either: each vector is a read-only view of the
 decoded buffer, checked for its header and length; its raws are read
-(`FpVector.decode`) only when arithmetic needs them.
+(`FpVector.decode`) only when arithmetic needs them. One parser reads a
+training record front to back, one round at a time
+(`TrainingRecordReader`), from a buffer or straight from a ledger payload
+stream; from a stream each round blob is read into its own buffer.
 
 This module holds no secrets; the auditor imports it, the protocol fills it.
 """
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .crypto import DIGEST_SIZE, PUBLIC_KEY_SIZE, SIGNATURE_SIZE, sha256
@@ -40,20 +44,33 @@ class RecordFormatError(Exception):
 
 
 class _Reader:
-    """Parses a buffer in place: every blob it takes is a view, not a copy."""
+    """Parses a buffer, or a ledger payload stream, front to back.
 
-    def __init__(self, data: bytes, what: str):
-        self.data = memoryview(data)
+    From a buffer every blob it takes is a view, not a copy. From a stream
+    (anything with `read(n)`, such as `ledger.Payload`) a blob is the next
+    n bytes, read and hashed by the ledger as they are handed out; the
+    reader keeps none of them.
+    """
+
+    def __init__(self, data, what: str):
         self.off = 0
         self.what = what
+        if hasattr(data, "read"):
+            self.stream, self.view, self.size = data, None, len(data)
+        else:
+            self.stream, self.view = None, memoryview(data)
+            self.size = len(self.view)
 
-    def take(self, n: int) -> memoryview:
-        if self.off + n > len(self.data):
+    def take(self, n: int) -> memoryview | bytes:
+        if self.off + n > self.size:
             raise RecordFormatError(
                 f"{self.what}: truncated at offset {self.off}, "
-                f"needed {n} more bytes of {len(self.data)}"
+                f"needed {n} more bytes of {self.size}"
             )
-        out = self.data[self.off : self.off + n]
+        if self.stream is not None:
+            out = self.stream.read(n)
+        else:
+            out = self.view[self.off : self.off + n]
         self.off += n
         return out
 
@@ -62,9 +79,9 @@ class _Reader:
         return struct.unpack(fmt, self.take(size))
 
     def expect_end(self):
-        if self.off != len(self.data):
+        if self.off != self.size:
             raise RecordFormatError(
-                f"{self.what}: {len(self.data) - self.off} trailing bytes "
+                f"{self.what}: {self.size - self.off} trailing bytes "
                 f"after offset {self.off}"
             )
 
@@ -162,7 +179,7 @@ class GenesisPayload:
         )
         if version != WIRE_VERSION:
             raise RecordFormatError(f"genesis payload: unknown version {version}")
-        # fixed fields are bytes: `crypto.verify` takes nothing else
+        # fixed fields are bytes: `crypto.public_key` takes nothing else
         server_pk = bytes(r.take(PUBLIC_KEY_SIZE))
         w0_sig = bytes(r.take(SIGNATURE_SIZE))
 
@@ -313,31 +330,61 @@ class TrainingRecord:
         return out
 
     @classmethod
-    def decode(cls, data: bytes) -> "TrainingRecord":
-        r = _Reader(data, "training record")
+    def decode(cls, data) -> "TrainingRecord":
+        """The whole record in a buffer: `TrainingRecordReader` run to its end."""
+        reader = TrainingRecordReader(data)
+        rounds = tuple(reader.rounds())
+        return cls(
+            rounds=rounds,
+            masked_model=reader.masked_model(),
+            dim=reader.dim,
+            scale=reader.scale,
+            eta_num=reader.eta_num,
+            eta_exp=reader.eta_exp,
+            n_participants=reader.n_participants,
+        )
+
+
+class TrainingRecordReader:
+    """A training record parsed front to back, one round at a time.
+
+    Built from a buffer or a ledger payload stream, it reads the record's
+    header at once; `rounds()` then parses and yields one RoundRecord at a
+    time, and `masked_model()`, called after the rounds, reads the masked
+    final model and checks that nothing follows it. Nothing it has yielded
+    is kept, so over a stream it holds one round at a time. Every defect is
+    a RecordFormatError, raised when the parse reaches it.
+    """
+
+    def __init__(self, data):
+        self._r = r = _Reader(data, "training record")
         if r.take(4) != TRCD_MAGIC:
             raise RecordFormatError("training record: bad magic")
-        version, n_rounds, dim, scale, eta_num, eta_exp, n_parts = r.unpack(
-            "<HIQBqBI"
-        )
+        (
+            version,
+            self.n_rounds,
+            self.dim,
+            self.scale,
+            self.eta_num,
+            self.eta_exp,
+            self.n_participants,
+        ) = r.unpack("<HIQBqBI")
         if version != WIRE_VERSION:
             raise RecordFormatError(f"training record: unknown version {version}")
-        rounds = []
-        for k in range(n_rounds):
-            rounds.append(RoundRecord.decode(_read_blob(r)))
-            if rounds[-1].r != k + 1:
-                raise RecordFormatError(
-                    f"training record: round {k} stores index {rounds[-1].r}, "
-                    f"expected {k + 1}"
-                )
-        masked_model = _read_vector(r, "masked final model")
-        r.expect_end()
-        return cls(
-            rounds=tuple(rounds),
-            masked_model=masked_model,
-            dim=dim,
-            scale=scale,
-            eta_num=eta_num,
-            eta_exp=eta_exp,
-            n_participants=n_parts,
-        )
+
+    def rounds(self) -> Iterator[RoundRecord]:
+        for k in range(self.n_rounds):
+            yield self._round(k)
+
+    def _round(self, k: int) -> RoundRecord:
+        rec = RoundRecord.decode(_read_blob(self._r))
+        if rec.r != k + 1:
+            raise RecordFormatError(
+                f"training record: round {k} stores index {rec.r}, expected {k + 1}"
+            )
+        return rec
+
+    def masked_model(self) -> Encoded:
+        masked_model = _read_vector(self._r, "masked final model")
+        self._r.expect_end()
+        return masked_model

@@ -17,6 +17,7 @@ from auditfl.auditor import (
     audit_detection,
     deflated_products,
     ranking_of,
+    roster_keys,
 )
 from auditfl.fixedpoint import Encoded, FpVector, dot, floor_div
 from auditfl.records import GenesisPayload, RecordFormatError, TrainingRecord
@@ -27,6 +28,7 @@ from util import (
     load_chain,
     make_dataset,
     model_mask_oracle,
+    read_payloads,
     rebuild_ledger,
     republish,
     run_published,
@@ -203,7 +205,7 @@ class TestTamperSoundness:
         rec0 = tampered.rounds[0]
         # signature of the negated vector must now fail
         with pytest.raises(AuditFailure) as ei:
-            audit_detection(rec0, genesis)
+            audit_detection(rec0, genesis, roster_keys(genesis))
         assert ei.value.stage == "signature"
 
 
@@ -212,7 +214,9 @@ class TestClippingRanking:
         cfg, result, internals, path = honest_run
         _, record, genesis = load_chain(path)
         for info, rec in zip(internals, record.rounds):
-            products = deflated_products(audit_detection(rec, genesis), genesis)
+            products = deflated_products(
+                audit_detection(rec, genesis, roster_keys(genesis)), genesis
+            )
             # white-box oracle: exact plaintext inner products
             for pid, frac in products.items():
                 assert frac == Fraction(info.dots[pid])
@@ -376,7 +380,7 @@ class TestStructuredFailures:
         from auditfl.ledger import Ledger
 
         _, _, _, path = honest_run
-        genesis_bytes = Ledger.open(path).get_record(height=0)
+        genesis_bytes = read_payloads(path)[0]
         p = tmp_path / "only_genesis.bin"
         Ledger.create(p, genesis_bytes)
         report = full_audit(p)
@@ -463,6 +467,33 @@ class TestStructuredFailures:
         report = full_audit(work)
         assert not report.ok and report.failure_stage == "genesis"
         assert f"roster id {first} has deflation factor l = 0" in report.failure
+
+
+    @pytest.mark.parametrize("bad_key", ["off-curve", "zero"])
+    def test_unparseable_roster_key_fails_that_participants_signature(
+        self, honest_run, tmp_path, bad_key
+    ):
+        # a roster key is parsed once per audit; one that is not a curve
+        # point verifies nothing, so that participant fails at `signature`
+        import dataclasses
+
+        _, _, _, path = honest_run
+        work = tmp_path / "key.bin"
+        work.write_bytes(path.read_bytes())
+        _, record, genesis = load_chain(work)
+        pid = max(genesis.roster)
+        pk, l = genesis.roster[pid]
+        p256 = 2**256 - 2**224 + 2**192 + 2**96 - 1
+        y = (int.from_bytes(pk[32:], "big") + 1) % p256
+        bad = {"off-curve": pk[:32] + y.to_bytes(32, "big"), "zero": bytes(64)}[bad_key]
+        roster = {**genesis.roster, pid: (bad, l)}
+        genesis_bytes = b"".join(dataclasses.replace(genesis, roster=roster).encode())
+        rebuild_ledger(work, genesis_bytes, [b"".join(record.encode())])
+        report = full_audit(work)
+        assert report.failure_stage == "signature"
+        assert report.failure == (
+            f"round 1: submission signature of participant {pid} does not verify"
+        )
 
 
 def _widened(vec: Encoded) -> Encoded:
@@ -589,10 +620,7 @@ def _record_twice(work):
 
 
 def _nonzero_timestamp(work):
-    from auditfl.ledger import Ledger
-
-    led = Ledger.open(work)
-    payloads = [led.get_record(height=h) for h in range(len(led))]
+    payloads = read_payloads(work)
     assert frame_ledger(payloads) == work.read_bytes()  # re-framing alone changes nothing
     work.write_bytes(frame_ledger(payloads, timestamp=7))
     return work
@@ -654,18 +682,196 @@ class TestFailureReports:
         assert missing_a.to_json() == missing_b.to_json()
 
 
-class TestReadInPlace:
-    def test_audit_peak_stays_near_the_ledger_size(self, tmp_path):
-        # the audit reads the file once and decodes views of that buffer, so
-        # its peak is the file plus a few d-sized temporaries (d=2056 here)
-        cfg = small_config(participants=4, rounds=3)
-        _, _, path = run_published(tmp_path, cfg, seed=5, features=256, classes=8)
-        assert full_audit(path).ok  # warm-up: imports and per-process tables
-        tracemalloc.start()
-        try:
-            report = full_audit(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert report.ok
-        assert peak < 1.6 * path.stat().st_size
+class TestStreamedAudit:
+    def test_audit_peak_does_not_grow_with_rounds(self, tmp_path):
+        # the audit holds one round of the record at a time, so its peak at
+        # R=12 exceeds its peak at R=3 by less than one round blob
+        peaks, blob = {}, 0
+        for rounds in (3, 12):
+            cfg = small_config(participants=4, rounds=rounds)
+            _, _, path = run_published(
+                tmp_path / str(rounds), cfg, seed=5, features=256, classes=8
+            )
+            _, record, _ = load_chain(path)
+            blob = max(blob, *(sum(map(len, rec.encode())) for rec in record.rounds))
+            assert full_audit(path).ok  # warm-up: imports and per-process tables
+            tracemalloc.start()
+            try:
+                report = full_audit(path)
+                _, peaks[rounds] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report.ok
+        assert peaks[12] - peaks[3] < blob
+
+
+def _defects(work):
+    """The honest ledger's payloads and record, and defective payloads:
+    round 1's first detection mask negated (a bad signature), round 2's
+    stored index changed (a record-format defect), and the masked model
+    widened (a record-format defect of the masked model)."""
+    import dataclasses
+
+    genesis_bytes, record, _ = load_chain(work)
+    bad_sig = tamper_flip_mg1(record, r_idx=0)
+    bad_index = dataclasses.replace(bad_sig.rounds[1], r=7)
+    return {
+        "genesis": bytes(genesis_bytes),
+        "record": b"".join(record.encode()),
+        "sig": b"".join(bad_sig.encode()),
+        "sig+format": b"".join(
+            dataclasses.replace(
+                bad_sig, rounds=(bad_sig.rounds[0], bad_index, *bad_sig.rounds[2:])
+            ).encode()
+        ),
+        "sig+model": b"".join(
+            dataclasses.replace(bad_sig, masked_model=_widened(record.masked_model)).encode()
+        ),
+        "sig+dropped": b"".join(
+            dataclasses.replace(bad_sig, rounds=bad_sig.rounds[:-1]).encode()
+        ),
+    }
+
+
+def _format_then_chain_break(work):
+    # block 1 has a record-format defect in round 2 and, at its end, a
+    # payload digest that does not match: the chain break is found last
+    p = _defects(work)
+    data = bytearray(frame_ledger([p["genesis"], p["record"]]))
+    at = data.index(p["record"])
+    data[at : at + len(p["record"])] = p["sig+format"]
+    return data
+
+
+def _sig_then_format(work):
+    p = _defects(work)
+    return frame_ledger([p["genesis"], p["sig+format"]])
+
+
+def _sig_then_masked_model(work):
+    # the masked model comes last in the record but is checked before the rounds
+    p = _defects(work)
+    return frame_ledger([p["genesis"], p["sig+model"]])
+
+
+def _metadata_then_sig(work):
+    p = _defects(work)
+    return frame_ledger([p["genesis"], p["sig+dropped"]])
+
+
+def _format_then_third_block(work):
+    p = _defects(work)
+    return frame_ledger([p["genesis"], p["sig+format"], b"third"])
+
+
+def _format_then_broken_third_block(work):
+    p = _defects(work)
+    data = bytearray(frame_ledger([p["genesis"], p["sig+format"], b"third"]))
+    data[data.rindex(b"third")] ^= 0x01
+    return data
+
+
+def _genesis_then_third_block(work):
+    p = _defects(work)
+    return frame_ledger([b"not a genesis", p["sig+format"], b"third"])
+
+
+class TestVerdictPrecedence:
+    """Two defects in one ledger: the audit streams the file once, holds a
+    failure while it reads on, and reports the one of higher precedence,
+    whichever it found first (see `full_audit`). Stages and messages are
+    those of the audit that read the whole file before checking it."""
+
+    @pytest.mark.parametrize(
+        "make, stage, failure, n_records, rounds",
+        [
+            (_format_then_chain_break, "ledger", "hash chain broken at height 1", 0, []),
+            (
+                _sig_then_format,
+                "record-format",
+                "block 1: training record: round 1 stores index 7, expected 2",
+                0,
+                [],
+            ),
+            (
+                _sig_then_masked_model,
+                "record-format",
+                "masked model: FpVector encoding width 6 is not minimal: every raw fits in 5 bytes",
+                1,
+                [],
+            ),
+            (_metadata_then_sig, "metadata", "record holds 2 rounds, task declared 3", 1, []),
+            (
+                _format_then_third_block,
+                "metadata",
+                "ledger holds 2 blocks after the genesis, expected 1 training record",
+                0,
+                [],
+            ),
+            (_format_then_broken_third_block, "ledger", "hash chain broken at height 2", 0, []),
+            (
+                _genesis_then_third_block,
+                "genesis",
+                "genesis payload does not parse: genesis payload: bad magic",
+                0,
+                [],
+            ),
+        ],
+        ids=["format-then-chain-break", "signature-then-format", "signature-then-masked-model",
+             "metadata-then-signature", "format-then-third-block",
+             "format-then-broken-third-block", "genesis-then-third-block"],
+    )
+    def test_higher_precedence_wins(
+        self, three_round_run, tmp_path, make, stage, failure, n_records, rounds
+    ):
+        work = tmp_path / "work.bin"
+        work.write_bytes(three_round_run.read_bytes())
+        work.write_bytes(bytes(make(work)))
+        report = full_audit(work)
+        assert (report.failure_stage, report.failure) == (stage, failure)
+        assert report.n_records == n_records
+        assert [ra.r for ra in report.rounds] == rounds
+
+    def test_signature_failure_alone(self, three_round_run, tmp_path):
+        # the baseline of the table: the bad signature on its own
+        work = tmp_path / "work.bin"
+        work.write_bytes(three_round_run.read_bytes())
+        p = _defects(work)
+        work.write_bytes(frame_ledger([p["genesis"], p["sig"]]))
+        report = full_audit(work)
+        assert report.failure_stage == "signature"
+        assert report.failure.startswith("round 1: submission signature of participant")
+        assert report.n_records == 1 and report.rounds == []
+
+
+class TestRecordFuzz:
+    def test_seeded_bit_flips_pin_their_verdicts(self, tmp_path):
+        # 300 single-bit flips of a training record, each re-framed so that
+        # the chain verifies and a record check has to catch it. The
+        # histogram pins what the audit decides on each: a change of stage
+        # or order shows here. Accepted flips are in the unsigned server
+        # vectors (README, "What the audit rejects").
+        import collections
+        import random
+
+        cfg = small_config(participants=4, rounds=2)
+        _, _, path = run_published(tmp_path, cfg, seed=5)
+        genesis_bytes, record, _ = load_chain(path)
+        payload = b"".join(record.encode())
+        rng = random.Random(2024)
+        work = tmp_path / "flipped.bin"
+        verdicts = collections.Counter()
+        for _ in range(300):
+            data = bytearray(payload)
+            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+            work.write_bytes(frame_ledger([genesis_bytes, bytes(data)]))
+            report = full_audit(work)
+            verdicts["accept" if report.ok else report.failure_stage] += 1
+        assert dict(verdicts) == {
+            "signature": 174,
+            "accept": 79,
+            "record-format": 22,
+            "model-recovery": 21,
+            "structure": 3,
+            "benign-set": 1,
+        }

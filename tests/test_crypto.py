@@ -50,16 +50,19 @@ def _sig(r: int, s: int) -> bytes:
 
 class TestRfc6979Vectors:
     def test_public_key_derivation(self):
-        """sign(RFC6979_SK, .) verifies under the RFC's public-key bytes."""
+        """The RFC's signatures verify under its public-key bytes, which are
+        the key pair of RFC6979_SK."""
+        assert crypto.signing_key(RFC6979_SK).pk == RFC6979_PK_BYTES
+        rfc_key = crypto.public_key(RFC6979_PK_BYTES)
         for msg, _, r, s in RFC6979_VECTORS:
-            assert crypto.verify(RFC6979_PK_BYTES, [msg], _sig(r, s))
-            assert not crypto.verify(RFC6979_PK_BYTES, [msg + b"!"], _sig(r, s))
+            assert crypto.verify(rfc_key, [msg], _sig(r, s))
+            assert not crypto.verify(rfc_key, [msg + b"!"], _sig(r, s))
 
     @pytest.mark.parametrize("msg,k,r,s", RFC6979_VECTORS)
     def test_nonce_and_signature(self, msg, k, r, s):
         nonce_point = ec.derive_private_key(k, ec.SECP256R1()).public_key()
         assert nonce_point.public_numbers().x % crypto.N == r
-        assert crypto.sign(RFC6979_SK, [msg]) == _sig(r, s)
+        assert crypto.sign(crypto.signing_key(RFC6979_SK), [msg]) == _sig(r, s)
 
 
 class TestGoldenFixture:
@@ -73,9 +76,10 @@ class TestGoldenFixture:
         kp = crypto.keygen(bytes.fromhex(entry["entropy"]))
         assert kp.sk == int(entry["sk"], 16)
         assert kp.pk.hex() == entry["pk"]
-        sig = crypto.sign(kp.sk, [msg])
+        sig = crypto.sign(kp, [msg])
         assert sig.hex() == entry["signature"]
-        assert crypto.verify(kp.pk, [msg], sig)
+        assert crypto.verify(kp.public, [msg], sig)
+        assert crypto.verify(crypto.public_key(kp.pk), [msg], sig)
 
 
 class TestKeygen:
@@ -93,21 +97,21 @@ class TestKeygen:
 
     def test_self_verify_roundtrip(self):
         kp = crypto.keygen(b"r" * 32)
-        sig = crypto.sign(kp.sk, [b"hello"])
-        assert crypto.verify(kp.pk, [b"hello"], sig)
+        sig = crypto.sign(kp, [b"hello"])
+        assert crypto.verify(kp.public, [b"hello"], sig)
 
     def test_cross_key_rejects(self):
         a = crypto.keygen(b"1" * 32)
         b = crypto.keygen(b"2" * 32)
-        sig = crypto.sign(a.sk, [b"msg"])
-        assert not crypto.verify(b.pk, [b"msg"], sig)
+        sig = crypto.sign(a, [b"msg"])
+        assert not crypto.verify(b.public, [b"msg"], sig)
 
 
 class TestSignVerify:
     def test_fpvector_roundtrip(self):
         kp = crypto.keygen(b"v" * 32)
         msg = [FpVector(np.arange(32, dtype=np.int64), 20).encode().data]
-        assert crypto.verify(kp.pk, msg, crypto.sign(kp.sk, msg))
+        assert crypto.verify(kp.public, msg, crypto.sign(kp, msg))
 
     def test_any_split_of_the_message_signs_the_same(self):
         # the message buffers are hashed where they lie: how they are split
@@ -115,55 +119,56 @@ class TestSignVerify:
         kp = crypto.keygen(b"p" * 32)
         encoded = FpVector(np.arange(-16, 16, dtype=np.int64), 20).encode()
         joined = bytes(encoded.data)
-        sig = crypto.sign(kp.sk, [joined])
-        assert crypto.sign(kp.sk, [encoded.data]) == sig
+        sig = crypto.sign(kp, [joined])
+        assert crypto.sign(kp, [encoded.data]) == sig
         for cut in (0, 1, 9, len(joined)):
             split = [joined[:cut], memoryview(joined)[cut:]]
-            assert crypto.sign(kp.sk, split) == sig
-            assert crypto.verify(kp.pk, split, sig)
-        assert not crypto.verify(kp.pk, [joined, b"\x00"], sig)
+            assert crypto.sign(kp, split) == sig
+            assert crypto.verify(kp.public, split, sig)
+        assert not crypto.verify(kp.public, [joined, b"\x00"], sig)
 
     def test_single_byte_flip_rejects(self):
         kp = crypto.keygen(b"f" * 32)
         msg = bytearray(b"some canonical serialization")
-        sig = crypto.sign(kp.sk, [bytes(msg)])
+        sig = crypto.sign(kp, [bytes(msg)])
         for i in range(len(msg)):
             bad = bytes(msg[:i]) + bytes([msg[i] ^ 1]) + bytes(msg[i + 1 :])
-            assert not crypto.verify(kp.pk, [bad], sig)
+            assert not crypto.verify(kp.public, [bad], sig)
 
     def test_malformed_signature_rejects_not_raises(self):
         kp = crypto.keygen(b"m" * 32)
-        assert not crypto.verify(kp.pk, [b"msg"], b"")
-        assert not crypto.verify(kp.pk, [b"msg"], b"\x00" * 64)
-        assert not crypto.verify(kp.pk, [b"msg"], b"\xff" * 64)
-        assert not crypto.verify(kp.pk, [b"msg"], b"short")
-        assert not crypto.verify(kp.pk, [b"msg"], None)  # type: ignore[arg-type]
-        sig = crypto.sign(kp.sk, [b"msg"])
+        assert not crypto.verify(kp.public, [b"msg"], b"")
+        assert not crypto.verify(kp.public, [b"msg"], b"\x00" * 64)
+        assert not crypto.verify(kp.public, [b"msg"], b"\xff" * 64)
+        assert not crypto.verify(kp.public, [b"msg"], b"short")
+        assert not crypto.verify(kp.public, [b"msg"], None)  # type: ignore[arg-type]
+        sig = crypto.sign(kp, [b"msg"])
         r = int.from_bytes(sig[:32], "big")
         s = int.from_bytes(sig[32:], "big")
-        assert not crypto.verify(kp.pk, [b"msg"], _sig(crypto.N, s))
-        assert not crypto.verify(kp.pk, [b"msg"], _sig(r, crypto.N))
-        assert not crypto.verify(kp.pk, [b"msg"], _sig(r, 0))
+        assert not crypto.verify(kp.public, [b"msg"], _sig(crypto.N, s))
+        assert not crypto.verify(kp.public, [b"msg"], _sig(r, crypto.N))
+        assert not crypto.verify(kp.public, [b"msg"], _sig(r, 0))
 
     def test_malformed_public_key_rejects(self):
         kp = crypto.keygen(b"k" * 32)
-        sig = crypto.sign(kp.sk, [b"msg"])
-        assert not crypto.verify(b"\x00" * 64, [b"msg"], sig)
-        assert not crypto.verify(b"\xff" * 64, [b"msg"], sig)
-        assert not crypto.verify(b"short", [b"msg"], sig)
+        sig = crypto.sign(kp, [b"msg"])
         y = int.from_bytes(kp.pk[32:], "big")
         off_curve = kp.pk[:32] + ((y + 1) % P256_P).to_bytes(32, "big")
-        assert not crypto.verify(off_curve, [b"msg"], sig)
+        for pk in (b"\x00" * 64, b"\xff" * 64, b"short", off_curve, None):
+            # a key that does not parse is None, under which nothing verifies
+            assert crypto.public_key(pk) is None
+            assert not crypto.verify(crypto.public_key(pk), [b"msg"], sig)
+        assert crypto.verify(crypto.public_key(kp.pk), [b"msg"], sig)
 
     def test_signature_determinism(self):
         kp = crypto.keygen(b"d" * 32)
-        assert crypto.sign(kp.sk, [b"same"]) == crypto.sign(kp.sk, [b"same"])
+        assert crypto.sign(kp, [b"same"]) == crypto.sign(kp, [b"same"])
 
     def test_tampered_signature_rejects(self):
         kp = crypto.keygen(b"t" * 32)
-        sig = bytearray(crypto.sign(kp.sk, [b"msg"]))
+        sig = bytearray(crypto.sign(kp, [b"msg"]))
         sig[5] ^= 0x10
-        assert not crypto.verify(kp.pk, [b"msg"], bytes(sig))
+        assert not crypto.verify(kp.public, [b"msg"], bytes(sig))
 
 
 class TestHash:

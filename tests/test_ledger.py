@@ -8,7 +8,7 @@ import pytest
 
 from auditfl.crypto import sha256
 from auditfl.ledger import _HEADER, LEDGER_MAGIC, Ledger, LedgerError
-from util import run_published, small_config
+from util import read_payloads, run_published, small_config
 
 
 @pytest.fixture
@@ -61,7 +61,7 @@ class TestAppend:
     def test_first_append_is_height_one(self, chain):
         chain.append(b"payload")
         assert len(chain) == 2
-        assert len(Ledger.open(chain.path)) == 2
+        assert len(read_payloads(chain.path)) == 2
         assert _blocks(chain.path)[1].height == 1
 
     def test_identical_payloads_distinct_digests(self, chain):
@@ -73,14 +73,9 @@ class TestAppend:
     def test_reload_roundtrip(self, chain):
         chain.append(b"one")
         chain.append(b"two")
-        reloaded = Ledger.open(chain.path)
-        assert len(reloaded) == 3
-        assert [reloaded.get_record(h) for h in range(3)] == [
-            b"genesis payload", b"one", b"two"
-        ]
-        reloaded.append(b"three")
-        again = Ledger.open(chain.path)
-        assert [again.get_record(h) for h in range(4)] == [
+        assert read_payloads(chain.path) == [b"genesis payload", b"one", b"two"]
+        chain.append(b"three")
+        assert read_payloads(chain.path) == [
             b"genesis payload", b"one", b"two", b"three"
         ]
         blocks = _blocks(chain.path)
@@ -99,7 +94,7 @@ class TestAppend:
         b.append(joined)
         b.append(joined)
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
-        assert Ledger.open(tmp_path / "a.bin").get_record(height=2) == joined
+        assert read_payloads(tmp_path / "a.bin")[2] == joined
 
     def test_create_refuses_overwrite(self, chain, tmp_path):
         with pytest.raises(LedgerError):
@@ -142,11 +137,11 @@ def _write_frames(path, frames):
 
 
 class TestVerifyChain:
-    """`Ledger.open` verifies the chain while it parses it."""
+    """`Ledger.open` verifies the chain while it streams it."""
 
     def test_untouched_chain_accepts(self, chain):
         chain.append(b"x")
-        assert len(Ledger.open(chain.path)) == 2
+        assert len(read_payloads(chain.path)) == 2
 
     def test_payload_flip_detected_at_height(self, chain, tmp_path):
         chain.append(b"block-one")
@@ -157,7 +152,7 @@ class TestVerifyChain:
         data[idx] ^= 0x01
         chain.path.write_bytes(bytes(data))
         with pytest.raises(LedgerError, match="height 2"):
-            Ledger.open(chain.path)
+            read_payloads(chain.path)
 
     def test_any_single_bit_flip_detected(self, chain):
         chain.append(b"abc")
@@ -167,7 +162,7 @@ class TestVerifyChain:
             data[byte_idx] ^= 0x01
             chain.path.write_bytes(bytes(data))
             with pytest.raises(LedgerError):
-                Ledger.open(chain.path)
+                read_payloads(chain.path)
                 pytest.fail(f"bit flip at byte {byte_idx} went undetected")
         chain.path.write_bytes(clean)
 
@@ -176,20 +171,20 @@ class TestVerifyChain:
         data = chain.path.read_bytes()
         chain.path.write_bytes(data[:-5])
         with pytest.raises(LedgerError, match="height 1"):
-            Ledger.open(chain.path)
+            read_payloads(chain.path)
 
     def test_cut_length_prefix_detected(self, chain):
         genesis_only = chain.path.stat().st_size
         chain.append(b"prefix will be cut")
         chain.path.write_bytes(chain.path.read_bytes()[: genesis_only + 5])
         with pytest.raises(LedgerError, match="height 1"):
-            Ledger.open(chain.path)
+            read_payloads(chain.path)
 
     def test_magic_only_has_no_genesis(self, tmp_path):
         p = tmp_path / "empty.bin"
         p.write_bytes(LEDGER_MAGIC)
         with pytest.raises(LedgerError, match="height 0"):
-            Ledger.open(p)
+            read_payloads(p)
 
     @pytest.mark.parametrize(
         "height, change",
@@ -213,7 +208,7 @@ class TestVerifyChain:
         blocks[height] = dataclasses.replace(blocks[height], **change)
         _write_frames(chain.path, [_frame(b) for b in blocks])
         with pytest.raises(LedgerError, match=f"hash chain broken at height {height}$"):
-            Ledger.open(chain.path)
+            read_payloads(chain.path)
 
     def test_payload_len_disagreeing_with_frame_behind_valid_checksum(self, chain):
         chain.append(b"one")
@@ -224,37 +219,68 @@ class TestVerifyChain:
         frame = header + last.payload + sha256(header)
         _write_frames(chain.path, [_frame(genesis), frame])
         with pytest.raises(LedgerError, match="height 1$"):
-            Ledger.open(chain.path)
+            read_payloads(chain.path)
 
 
 class TestGetRecord:
-    def test_genesis_payload(self, chain):
-        assert Ledger.open(chain.path).get_record(height=0) == b"genesis payload"
+    """Reading blocks back through `Ledger.open`'s stream."""
 
-    def test_missing_height(self, chain):
-        with pytest.raises(LedgerError):
-            chain.get_record(height=5)
+    def test_genesis_payload(self, chain):
+        assert read_payloads(chain.path) == [b"genesis payload"]
 
     def test_not_a_ledger_file(self, tmp_path):
         p = tmp_path / "junk.bin"
         p.write_bytes(b"not a ledger at all")
         with pytest.raises(LedgerError):
-            Ledger.open(p)
+            read_payloads(p)
 
     def test_version_1_file_rejected(self, chain):
         # format 1 hashed whole frames; no reader for it is kept
         v1 = b"AFLCHN\x00\x01" + chain.path.read_bytes()[len(LEDGER_MAGIC) :]
         chain.path.write_bytes(v1)
         with pytest.raises(LedgerError, match=r"^not a ledger file \(bad magic\)$"):
-            Ledger.open(chain.path)
+            read_payloads(chain.path)
 
-    def test_payloads_are_read_only_views_of_one_buffer(self, chain):
-        chain.append(b"one")
-        reopened = Ledger.open(chain.path)
-        genesis, one = reopened.get_record(height=0), reopened.get_record(height=1)
-        assert genesis.readonly and one.readonly
-        assert genesis.obj is one.obj
-        assert (bytes(genesis), bytes(one)) == (b"genesis payload", b"one")
+
+class TestStream:
+    def test_open_peak_memory_is_bounded(self, tmp_path):
+        # the stream keeps no payload: verifying a chain whose block is 16 MB
+        # holds one read chunk (1 MB) at a time, and a consumer that reads
+        # the payload in small pieces adds only the piece it holds
+        big = 16 << 20
+        chain = Ledger.create(tmp_path / "big.bin", b"genesis")
+        chain.append(bytes(big))
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in Ledger.open(chain.path)) == 2
+            _, unread = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            read = 0
+            for payload in Ledger.open(chain.path):
+                while piece := payload.read(64 << 10):
+                    read += len(piece)
+            _, pieces = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert read == big + len(b"genesis")
+        assert unread < (1 << 20) + (256 << 10)
+        assert pieces < 256 << 10
+
+    def test_block_verified_when_the_stream_passes_it(self, chain):
+        # a consumer gets a block's bytes before they are checked: the chain
+        # break is raised when the stream moves past the block
+        chain.append(b"block-one")
+        data = bytearray(chain.path.read_bytes())
+        data[data.rindex(b"block-one")] ^= 0x01
+        chain.path.write_bytes(bytes(data))
+        stream = Ledger.open(chain.path)
+        assert next(stream).read(100) == b"genesis payload"
+        one = next(stream)
+        assert one.read(100) == b"clock-one"
+        with pytest.raises(LedgerError, match="height 1$"):
+            next(stream)
+        with pytest.raises(LedgerError, match="read past"):
+            one.read(1)
 
 
 class TestPublishInPlace:
@@ -272,6 +298,6 @@ class TestPublishInPlace:
         finally:
             tracemalloc.stop()
         assert peak < 0.1 * size
-        published = Ledger.open(path).get_record(height=1)
-        assert Ledger.open(chain.path).get_record(height=1) == published
+        published = read_payloads(path)[1]
+        assert read_payloads(chain.path)[1] == published
         assert len(published) == size

@@ -12,9 +12,8 @@ from pathlib import Path
 import pytest
 
 from auditfl import full_audit
-from auditfl.ledger import Ledger
 from auditfl.records import RoundRecord, TrainingRecord
-from util import run_published, small_config
+from util import read_payloads, run_published, small_config
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -105,7 +104,7 @@ def test_ledger_layout_and_tamper_copy(tmp_path, monkeypatch):
     cfg = small_config(participants=3, rounds=3)
     _, _, path = run_published(tmp_path, cfg)
     data = path.read_bytes()
-    payload = Ledger.open(path).get_record(height=1)
+    payload = read_payloads(path)[1]
     start = data.index(payload)
     payload_len, spans = bench.ledger_layout(path)
     assert payload_len == len(payload)

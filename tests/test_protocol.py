@@ -7,7 +7,6 @@ import pytest
 
 from auditfl import ConfigError, RunConfig, crypto, full_audit
 from auditfl.fixedpoint import FpVector, dot, floor_div, hadamard, scale_by_dyadic
-from auditfl.ledger import Ledger
 from auditfl.protocol import (
     Participant,
     Server,
@@ -23,6 +22,7 @@ from util import (
     make_dataset,
     model_mask_oracle,
     observed_rounds,
+    read_payloads,
     run_published,
     run_with_internals,
     small_config,
@@ -50,7 +50,8 @@ class TestPreprocess:
         cfg = small_config()
         w0 = FpVector.from_floats([0.5, -0.25, 0.125], cfg.scale)
         _, _, genesis = preprocess(cfg, 3, w0)
-        assert crypto.verify(genesis.server_pk, [w0.encode().data], genesis.w0_signature)
+        server_key = crypto.public_key(genesis.server_pk)
+        assert crypto.verify(server_key, [w0.encode().data], genesis.w0_signature)
 
     def test_same_master_seed_same_secrets(self):
         cfg = small_config()
@@ -114,7 +115,7 @@ class TestMaskedForms:
         mg1, mg2 = mg1.encode(), mg2.encode()
         assert (sub.mg1, sub.mg2) == (mg1.data, mg2.data)
         message = submission_message(3, ps.id, vector_digest(mg1), vector_digest(mg2))
-        assert crypto.verify(ps.keypair.pk, message, sub.signature)
+        assert crypto.verify(ps.keypair.public, message, sub.signature)
         v = server.verify_submission(sub, 3)
         assert v is not None
         assert (v.mg1, v.zv, v.mg2) == (mg1, zv, mg2)
@@ -151,6 +152,76 @@ class TestSignatureCounts:
         assert 0 < benign < submissions
         # the one more verification is w_0's signature
         assert calls == {"sign": 0, "verify": submissions + 1}
+
+    def test_keys_derived_and_parsed_once(self, tmp_path, monkeypatch):
+        # keygen derives each public key once, and signing reuses the key
+        # object; the run verifies under the key objects it holds, and the
+        # audit parses each published key once, not once per signature
+        from cryptography.hazmat.primitives.asymmetric import ec
+
+        cfg = small_config(participants=4, rounds=3, master_seed=1009)
+        calls = {"derive": 0, "parse": 0}
+        derive, parse = ec.derive_private_key, crypto.public_key
+
+        def counted_derive(*args, **kwargs):
+            calls["derive"] += 1
+            return derive(*args, **kwargs)
+
+        def counted_parse(pk):
+            calls["parse"] += 1
+            return parse(pk)
+
+        monkeypatch.setattr(ec, "derive_private_key", counted_derive)
+        monkeypatch.setattr(crypto, "public_key", counted_parse)
+        _, _, path = run_published(tmp_path, cfg, seed=9)
+        # one key per participant and the server's
+        assert calls == {"derive": cfg.participants + 1, "parse": 0}
+        calls.update(derive=0, parse=0)
+        assert full_audit(path).ok
+        assert calls == {"derive": 0, "parse": cfg.participants + 1}
+
+
+class TestUnpublishedRun:
+    # digests of w_final's encoding and of the metrics rows as JSON, pinned
+    # from the runs that still derived every key and signed w_0
+    PINNED = {
+        True: (
+            "2889e0ffc1742b66a3c3c8c11a9d299364a69f9dd97a93046cc18921ff614b1f",
+            "ace67b64df7fa240f99bcf0700ffe4e0b3f5c56df2182a03402b4550ffeb083d",
+        ),
+        False: (
+            "e6865a7743a3c277337ebc7c222990f2e9405dd27a7ed2c2eb494242854e60d6",
+            "0e93620aa501856cda2ca32af159ed99bfd72d20616f7fe3bf5edd7b6c801939",
+        ),
+    }
+
+    @pytest.mark.parametrize("detection", [True, False])
+    def test_no_key_or_signature_and_the_same_run(self, monkeypatch, detection):
+        import hashlib
+        import json
+
+        calls = {"keygen": 0, "sign": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(crypto, "keygen", counted("keygen", crypto.keygen))
+        monkeypatch.setattr(crypto, "sign", counted("sign", crypto.sign))
+        cfg = small_config(
+            participants=4, rounds=3, metrics_every=1,
+            malicious={2: AdversarySpec("label_flip"), 3: AdversarySpec("sign_flip")},
+        )
+        train, test = make_dataset(5, 600, 16, 4), make_dataset(6, 150, 16, 4)
+        result = run_training(cfg, train, test, detection=detection, publish=False)
+        assert calls == {"keygen": 0, "sign": 0}
+        digests = (
+            hashlib.sha256(result.w_final.encode().data).hexdigest(),
+            hashlib.sha256(json.dumps(result.metrics).encode()).hexdigest(),
+        )
+        assert digests == self.PINNED[detection]
 
 
 class TestDetect:
@@ -389,7 +460,7 @@ class TestFinalize:
         from auditfl.records import GenesisPayload
 
         secrets, parts, _ = prep(cfg, result.w0.dim, result.w0)
-        roster = GenesisPayload.decode(Ledger.open(path).get_record(height=0)).roster
+        roster = GenesisPayload.decode(read_payloads(path)[0]).roster
         assert sorted(roster) == [p.id for p in parts]
         # rt_i = 1/l_i from the published genesis undoes each participant's
         # mask scalar rn_i * rn_S_i: rt_i * l_i == 1 for every i
@@ -455,7 +526,7 @@ class TestRunTrainingContract:
 
     def test_record_bytes_is_training_record_payload(self, published_run):
         _, result, _, path = published_run
-        payload = Ledger.open(path).get_record(height=1)
+        payload = read_payloads(path)[1]
         assert result.timing["record_bytes"] == len(payload)
 
 

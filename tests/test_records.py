@@ -13,6 +13,7 @@ from auditfl.records import (
     RoundRecord,
     TrainingRecord,
 )
+from util import read_payloads
 
 
 def _vec(vals, scale=20):
@@ -193,7 +194,7 @@ class TestDecodedViews:
     def test_vectors_are_read_only_views_of_the_payload(self, tmp_path):
         chain = Ledger.create(tmp_path / "chain.bin", b"genesis payload")
         chain.append(*_record().encode())
-        payload = Ledger.open(chain.path).get_record(height=1)
+        payload = read_payloads(chain.path)[1]
         decoded = TrainingRecord.decode(payload)
         buffer = np.frombuffer(payload, dtype=np.uint8)
         vectors = [decoded.masked_model]

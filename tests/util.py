@@ -165,16 +165,19 @@ def frame_ledger(payloads, timestamp: int = 0) -> bytes:
     return bytes(out)
 
 
+def read_payloads(path: Path) -> list[bytes]:
+    """Every block's payload, read whole through the ledger's stream."""
+    return [payload.read(len(payload)) for payload in Ledger.open(path)]
+
+
 def load_chain(path: Path) -> tuple[bytes, TrainingRecord, GenesisPayload]:
-    led = Ledger.open(path)
-    genesis_bytes = led.get_record(height=0)
-    record = TrainingRecord.decode(led.get_record(height=1))
+    genesis_bytes, record_bytes = read_payloads(path)[:2]
+    record = TrainingRecord.decode(record_bytes)
     return genesis_bytes, record, GenesisPayload.decode(genesis_bytes)
 
 
 def republish(path: Path, record: TrainingRecord) -> None:
-    led = Ledger.open(path)
-    genesis_bytes = led.get_record(height=0)
+    genesis_bytes = read_payloads(path)[0]
     rebuild_ledger(path, genesis_bytes, [b"".join(record.encode())])
 
 
