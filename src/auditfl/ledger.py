@@ -9,8 +9,14 @@ detected. It hands each payload out as a `Payload` stream that hashes its
 bytes as the consumer reads them; it keeps only the height, the offset it
 has reached and the newest block's digest, never a payload, so reading a
 ledger takes memory for what the consumer holds, not for the file.
-`append` takes a payload as a list of buffers and hashes and writes them
-where they lie, so publishing a record copies none of it either.
+`append_stream` is the one writer: it takes a payload as an iterable of
+buffers and hashes and writes each where it lies as it arrives, then seeks
+back to fill in the frame length and the header, which hold the payload's
+length and digest. So a block can be written while its payload is still
+being computed, one part at a time, and publishing a record copies none of
+it. A block whose parts raise is cut off again: the file and the chain are
+left as they were. `append(*parts)` is the same write for a payload whose
+parts are all in hand.
 
 File layout: 8-byte magic, then frames, each prefixed by its u64 length.
 Frame: height u64 | prev_digest 32B | payload_digest 32B | timestamp u64 |
@@ -28,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .crypto import sha256
@@ -181,16 +187,45 @@ class Ledger:
         The parts (any buffers) are hashed once and written in place, never
         joined.
         """
-        plen = sum(memoryview(part).nbytes for part in parts)
-        header = _HEADER.pack(self._height, self._tip, sha256(*parts), 0, plen)
-        checksum = sha256(header)
+        self.append_stream(parts)
+
+    def append_stream(self, parts: Iterable) -> int:
+        """Append a block whose payload is the buffers `parts` yields, in
+        order, and persist it; returns the payload length.
+
+        Each part is hashed and written as it arrives and not kept. The
+        frame length and the header go before the payload but depend on all
+        of it, so the block starts as zeros in their place, and they are
+        written once the parts run out, followed by the checksum. If
+        iterating `parts` or writing raises, the file is cut back to where
+        the block began and the ledger's height and tip stay as they were.
+        """
         try:
-            with open(self.path, "ab") as f:
-                f.write(struct.pack("<Q", len(header) + plen + len(checksum)))
-                f.write(header)
-                f.writelines(parts)
-                f.write(checksum)
+            start = self.path.stat().st_size
+            f = open(self.path, "r+b")
         except OSError as e:
             raise LedgerError(f"cannot append to {self.path}: {e}") from None
+        try:
+            with f:
+                f.seek(start)
+                f.write(bytes(8 + _HEADER.size))
+                digest, plen = hashlib.sha256(), 0
+                for part in parts:
+                    digest.update(part)
+                    f.write(part)
+                    plen += memoryview(part).nbytes
+                header = _HEADER.pack(self._height, self._tip, digest.digest(), 0, plen)
+                checksum = sha256(header)
+                f.write(checksum)
+                f.seek(start)
+                f.write(struct.pack("<Q", len(header) + plen + len(checksum)))
+                f.write(header)
+        except BaseException as e:
+            # the file is closed, so nothing buffered can land after the cut
+            os.truncate(self.path, start)
+            if isinstance(e, OSError):
+                raise LedgerError(f"cannot append to {self.path}: {e}") from None
+            raise
         self._height += 1
         self._tip = checksum
+        return plen

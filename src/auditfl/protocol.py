@@ -15,6 +15,14 @@ digests it computed to verify the signatures. Each published vector is
 encoded once, by the party that computes it. An unpublished round skips
 masks, signatures and the record; its model trajectory is the same.
 
+A published run writes its training record into ledger block 1 while it
+trains: the block is streamed (`Ledger.append_stream`) from the record's
+header, then each round's blob as soon as its round ends, then the masked
+final model. No round record outlives its round, so the run's memory does
+not grow with the number of rounds; the record is read back from the
+ledger on demand (`RunResult.record`). A run that fails part-way leaves
+the ledger holding its genesis block alone.
+
 All protocol vectors are fixed point, so the published record satisfies the
 audit identities exactly:
 
@@ -23,7 +31,9 @@ audit identities exactly:
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -51,7 +61,10 @@ from .records import (
     GenesisPayload,
     RoundRecord,
     TrainingRecord,
+    round_blob,
     submission_message,
+    training_header,
+    vector_blob,
     vector_digest,
 )
 from .training import (
@@ -292,9 +305,21 @@ class RunResult:
 
     w0: FpVector
     w_final: FpVector
-    record: TrainingRecord | None
     metrics: list[dict]  # per round; test_accuracy is a float, or None if not evaluated
     timing: dict[str, int]  # published bytes: genesis and training record
+    ledger_path: Path | None = None  # the ledger the run published to, if any
+
+    @property
+    def record(self) -> TrainingRecord | None:
+        """The published training record, decoded from block 1 of the
+        ledger on each call; None if the run published nothing."""
+        if self.ledger_path is None:
+            return None
+        blocks = Ledger.open(self.ledger_path)
+        next(blocks)  # the genesis
+        record = TrainingRecord.decode(next(blocks))
+        next(blocks, None)  # moving past block 1 checks its digests
+        return record
 
 
 class Server:
@@ -438,18 +463,10 @@ class Server:
             server_agg=server_agg,
         )
 
-    def finalize(self, round_records: list[RoundRecord]) -> TrainingRecord:
-        """Mask the final model with eta times the sum of the published
-        rounds' m_r."""
-        return TrainingRecord(
-            rounds=tuple(round_records),
-            masked_model=(-self.model_mask + self.w).encode(),
-            dim=self.w.dim,
-            scale=self.config.scale,
-            eta_num=self.eta_num,
-            eta_exp=self.eta_exp,
-            n_participants=self.config.participants,
-        )
+    def finalize(self) -> Encoded:
+        """The published final model: the model masked with eta times the
+        sum of the published rounds' m_r, encoded."""
+        return (-self.model_mask + self.w).encode()
 
 
 def pretrain(
@@ -540,9 +557,7 @@ def run_training(
     ]
     server = Server(config, secrets, arch, root_shard, w0)
 
-    metrics: list[dict] = []
-    round_records: list[RoundRecord] = []
-    for r in range(1, config.rounds + 1):
+    def play_round(r: int) -> tuple[RoundRecord | None, list[int], float]:
         if publishing:
             submissions = [p.compute_submission(server.w, r) for p in participants]
         else:
@@ -552,37 +567,53 @@ def run_training(
             for p in participants:
                 g, loss = p.local_update(server.w, r)
                 submissions.append(Submission(p.secrets.id, g, loss))
-        record, benign, train_loss = server.run_round(
-            r, submissions, detection, publishing
-        )
-        if publishing:
-            round_records.append(record)
+        return server.run_round(r, submissions, detection, publishing)
 
-        row = {
-            "round": r,
-            "train_loss": train_loss,
-            "test_accuracy": None,
-            "benign_count": len(benign),
-        }
-        want_eval = test is not None and (
-            (config.metrics_every > 0 and r % config.metrics_every == 0)
-            or r == config.rounds
-        )
-        if want_eval:
-            row["test_accuracy"], _ = evaluate(arch, server.w, test)
-        metrics.append(row)
+    metrics: list[dict] = []
 
-    record_obj = None
+    def rounds() -> Iterator[RoundRecord | None]:
+        """Play the R rounds; each yields its record (None when not
+        publishing) as soon as it is made, then evaluates."""
+        for r in range(1, config.rounds + 1):
+            record, benign, train_loss = play_round(r)
+            yield record
+            del record  # written: no round record is held past its round
+            row = {
+                "round": r,
+                "train_loss": train_loss,
+                "test_accuracy": None,
+                "benign_count": len(benign),
+            }
+            want_eval = test is not None and (
+                (config.metrics_every > 0 and r % config.metrics_every == 0)
+                or r == config.rounds
+            )
+            if want_eval:
+                row["test_accuracy"], _ = evaluate(arch, server.w, test)
+            metrics.append(row)
+
+    def record_parts() -> Iterator:
+        """Block 1's payload, one buffer at a time, the rounds played as
+        they are asked for."""
+        yield from training_header(
+            config.rounds, w0.dim, config.scale, server.eta_num, server.eta_exp,
+            config.participants,
+        )
+        for record in rounds():
+            yield from round_blob(record)
+            del record  # not held while the next round is played
+        yield from vector_blob(server.finalize())
+
     if publishing:
-        record_obj = server.finalize(round_records)
-        parts = record_obj.encode()
-        timing["record_bytes"] = sum(map(len, parts))
-        server_ledger.append(*parts)
+        timing["record_bytes"] = server_ledger.append_stream(record_parts())
+    else:
+        for _ in rounds():
+            pass
 
     return RunResult(
         w0=w0,
         w_final=server.w,
-        record=record_obj,
         metrics=metrics,
         timing=timing,
+        ledger_path=Path(ledger_path) if publishing else None,
     )

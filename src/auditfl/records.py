@@ -14,9 +14,12 @@ participant that is not benign has its second vector published as that
 digest alone. The full layout is documented in README.md. Encoding copies
 no vector: every `encode` returns a list of buffers whose concatenation is
 the record's bytes, each vector contributing its encoded bytes as they
-are. Decoding copies none either: each vector is a read-only view of the
-decoded buffer, checked for its header and length; its raws are read
-(`FpVector.decode`) only when arithmetic needs them. One parser reads a
+are. A training record is its header, one blob per round and the masked
+model's blob (`training_header`, `round_blob`, `vector_blob`), so a run can
+write it one round at a time as the rounds end. Decoding copies none
+either: each vector is a read-only view of the decoded buffer, checked for
+its header and length; its raws are read (`FpVector.decode`) only when
+arithmetic needs them. One parser reads a
 training record front to back, one round at a time
 (`TrainingRecordReader`), from a buffer or straight from a ledger payload
 stream; from a stream each round blob is read into its own buffer.
@@ -89,6 +92,11 @@ class _Reader:
 def _blob(parts: list) -> list:
     """Length-prefixed blob: u32 byte count, then the parts (byte buffers)."""
     return [struct.pack("<I", sum(map(len, parts))), *parts]
+
+
+def vector_blob(vec: Encoded) -> list:
+    """A vector as the record holds it: its encoding as a length-prefixed blob."""
+    return _blob([vec.data])
 
 
 def _read_blob(r: _Reader) -> memoryview:
@@ -251,15 +259,12 @@ class RoundRecord:
     server_agg: Encoded  # mg_S2
 
     def encode(self) -> list:
-        def vector(vec: Encoded) -> list:
-            return _blob([vec.data])
-
         out = [ROUND_MAGIC, struct.pack("<I", self.r)]
-        out += _table(self.local_detect, lambda e: [*vector(e[0]), e[1]])
-        out += _table(self.local_agg, vector)
+        out += _table(self.local_detect, lambda e: [*vector_blob(e[0]), e[1]])
+        out += _table(self.local_agg, vector_blob)
         out += _table(self.agg_digests, lambda digest: [digest])
-        out += _table(self.server_detect, vector)
-        out += vector(self.server_agg)
+        out += _table(self.server_detect, vector_blob)
+        out += vector_blob(self.server_agg)
         return out
 
     @classmethod
@@ -298,6 +303,29 @@ class RoundRecord:
 # ---------------------------------------------------------------------------
 
 
+def training_header(
+    n_rounds: int,
+    dim: int,
+    scale: int,
+    eta_num: int,
+    eta_exp: int,
+    n_participants: int,
+) -> list:
+    """The training record's header, which precedes its `n_rounds` round
+    blobs (`round_blob`) and the masked model's blob (`vector_blob`)."""
+    return [
+        TRCD_MAGIC,
+        struct.pack(
+            "<HIQBqBI", WIRE_VERSION, n_rounds, dim, scale, eta_num, eta_exp, n_participants
+        ),
+    ]
+
+
+def round_blob(rec: RoundRecord) -> list:
+    """A round record as the training record holds it: a length-prefixed blob."""
+    return _blob(rec.encode())
+
+
 @dataclass(frozen=True)
 class TrainingRecord:
     """All round records and the masked final model."""
@@ -311,23 +339,17 @@ class TrainingRecord:
     n_participants: int
 
     def encode(self) -> list:
-        out = [
-            TRCD_MAGIC,
-            struct.pack(
-                "<HIQBqBI",
-                WIRE_VERSION,
-                len(self.rounds),
-                self.dim,
-                self.scale,
-                self.eta_num,
-                self.eta_exp,
-                self.n_participants,
-            ),
-        ]
+        out = training_header(
+            len(self.rounds),
+            self.dim,
+            self.scale,
+            self.eta_num,
+            self.eta_exp,
+            self.n_participants,
+        )
         for rec in self.rounds:
-            out += _blob(rec.encode())
-        out += _blob([self.masked_model.data])
-        return out
+            out += round_blob(rec)
+        return out + vector_blob(self.masked_model)
 
     @classmethod
     def decode(cls, data) -> "TrainingRecord":

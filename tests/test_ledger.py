@@ -2,6 +2,7 @@
 import dataclasses
 import struct
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -101,24 +102,46 @@ class TestAppend:
             Ledger.create(chain.path, b"x")
 
     def test_append_hashes_each_payload_byte_once(self, tmp_path, monkeypatch):
+        import hashlib
+
         import auditfl.ledger
 
         hashed = []
 
         def counting_sha256(*parts):
-            hashed.append(sum(map(len, parts)))
+            hashed.append(sum(memoryview(part).nbytes for part in parts))
             return sha256(*parts)
 
+        class CountingHash:
+            """hashlib.sha256(), counting the bytes it is fed."""
+
+            def __init__(self):
+                self._h = hashlib.sha256()
+
+            def update(self, part):
+                hashed.append(memoryview(part).nbytes)
+                self._h.update(part)
+
+            def digest(self):
+                return self._h.digest()
+
         monkeypatch.setattr(auditfl.ledger, "sha256", counting_sha256)
+        monkeypatch.setattr(
+            auditfl.ledger, "hashlib", types.SimpleNamespace(sha256=CountingHash)
+        )
         chain = Ledger.create(tmp_path / "c.bin", b"g")
-        per_payload_byte = []
-        for _ in range(4):
-            hashed.clear()
-            chain.append(bytes(100_000))
-            per_payload_byte.append(round(sum(hashed) / 100_000, 1))
-        # the payload digest alone: the checksum covers only the header,
-        # and the previous block's digest is its checksum, kept, not rehashed
-        assert per_payload_byte == [1.0, 1.0, 1.0, 1.0]
+        per_block = []
+        # the writer of a payload held in parts, and the streamed writer
+        # fed one part at a time
+        for write in (chain.append, lambda *parts: chain.append_stream(iter(parts))):
+            for _ in range(2):
+                hashed.clear()
+                write(bytes(60_000), b"", bytes(40_000))
+                per_block.append(sum(hashed))
+        # the payload digest and the checksum over the header alone: the
+        # previous block's digest is its checksum, kept, not rehashed
+        assert per_block == [100_000 + _HEADER.size] * 4
+        assert len(read_payloads(chain.path)) == 5
 
     def test_deterministic_bytes(self, tmp_path):
         a = Ledger.create(tmp_path / "a.bin", b"g")
@@ -126,6 +149,38 @@ class TestAppend:
         b = Ledger.create(tmp_path / "b.bin", b"g")
         b.append(b"p")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+class TestStreamedWrite:
+    def test_streamed_block_is_the_appended_block(self, tmp_path):
+        # parts handed out one at a time by a generator give the bytes of
+        # the payload appended whole, and the writer returns its length
+        parts = [b"head", bytes(70_000), b"", np.arange(5, dtype="<i8"), b"tail"]
+        a = Ledger.create(tmp_path / "a.bin", b"genesis")
+        assert a.append_stream(part for part in parts) == 70_048
+        b = Ledger.create(tmp_path / "b.bin", b"genesis")
+        b.append(b"".join(bytes(memoryview(part)) for part in parts))
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+        assert len(a) == len(b) == 2
+
+    def test_failed_stream_leaves_the_file_unchanged(self, chain):
+        # the parts raise after some of them are already in the file (more
+        # than a write buffer's worth): the block is cut off again, and the
+        # next block links to the last complete one
+        chain.append(b"one")
+        before = chain.path.read_bytes()
+
+        def parts():
+            yield b"written"
+            yield bytes(1 << 20)
+            raise RuntimeError("the payload's source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            chain.append_stream(parts())
+        assert chain.path.read_bytes() == before
+        assert len(chain) == 2
+        chain.append(b"two")
+        assert read_payloads(chain.path) == [b"genesis payload", b"one", b"two"]
 
 
 def _write_frames(path, frames):
@@ -290,10 +345,12 @@ class TestPublishInPlace:
         cfg = small_config(participants=4, rounds=3)
         result, _, path = run_published(tmp_path, cfg, seed=5, features=256, classes=8)
         size = result.timing["record_bytes"]
+        # decoding the record from the ledger is not part of what is measured
+        parts = result.record.encode()
         chain = Ledger.create(tmp_path / "again.bin", b"genesis")
         tracemalloc.start()
         try:
-            chain.append(*result.record.encode())
+            chain.append(*parts)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -62,7 +62,9 @@ def test_many_small_run_and_audit(corpus, tmp_path):
 def test_many_small_traced_run_and_audit(corpus, tmp_path):
     # the tracer counts units with len() of an argument or of the result,
     # so the encoders' buffer lists and the ledger's and hash's buffer
-    # arguments must still give it something to count
+    # arguments must still give it something to count; the run writes the
+    # record as it trains and decodes it back from the ledger when
+    # `RunResult.record` is read
     spans = [tmp_path / "run.jsonl", tmp_path / "audit.jsonl"]
     _run_and_audit(corpus, tmp_path, *spans)
     counted = {}
@@ -72,7 +74,7 @@ def test_many_small_traced_run_and_audit(corpus, tmp_path):
             if "name" in span:
                 counted[span["name"]] = counted.get(span["name"], 0) + span["units"]
     for name in ("fixedpoint.encode", "crypto.sha256", "records.round_encode",
-                 "records.training_encode", "ledger.append", "fixedpoint.decode"):
+                 "records.training_decode", "ledger.append", "fixedpoint.decode"):
         assert counted.get(name, 0) > 0, name
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from auditfl import ConfigError, RunConfig, crypto, full_audit
 from auditfl.fixedpoint import FpVector, dot, floor_div, hadamard, scale_by_dyadic
+from auditfl.ledger import Ledger
 from auditfl.protocol import (
     Participant,
     Server,
@@ -19,6 +20,7 @@ from auditfl.randomness import derive_seed, prg, sign_vector
 from auditfl.records import submission_message, vector_digest
 from auditfl.training import AdversarySpec, Architecture, DatasetError
 from util import (
+    frame_ledger,
     make_dataset,
     model_mask_oracle,
     observed_rounds,
@@ -466,6 +468,62 @@ class TestFinalize:
         # mask scalar rn_i * rn_S_i: rt_i * l_i == 1 for every i
         for p in parts:
             assert Fraction(p.rn * secrets.rn_server[p.id], roster[p.id][1]) == 1
+
+
+class TestStreamedPublish:
+    """The run writes its record into block 1 round by round as it trains."""
+
+    def test_run_peak_does_not_grow_with_rounds(self, tmp_path):
+        # no round record outlives its round, so the run's peak at R=12
+        # exceeds its peak at R=3 by less than one round blob
+        train = make_dataset(5, 600, 256, 8)
+        test = make_dataset(6, 150, 256, 8)
+        run_training(small_config(participants=4, rounds=1), train, test,
+                     ledger_path=tmp_path / "warm-up.bin")  # imports, tables
+        peaks, blob = {}, 0
+        for rounds in (3, 12):
+            path = tmp_path / f"ledger-{rounds}.bin"
+            tracemalloc.start()
+            try:
+                result = run_training(small_config(participants=4, rounds=rounds),
+                                      train, test, ledger_path=path)
+                _, peaks[rounds] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            blob = max(blob, *(sum(map(len, rec.encode()))
+                               for rec in result.record.rounds))
+            assert full_audit(path).ok
+        assert peaks[12] - peaks[3] < blob
+
+    def test_failed_round_leaves_the_genesis_only_chain(self, tmp_path, monkeypatch):
+        # round 2 raises after the record's header and round 1's blob were
+        # written: the block is cut off again and the ledger holds the
+        # genesis alone, framed as the writer frames it
+        cfg = small_config(participants=3, rounds=3)
+        train, test = make_dataset(3, 400, 5, 2), make_dataset(4, 100, 5, 2)
+        honest = tmp_path / "honest.bin"
+        run_training(cfg, train, test, ledger_path=honest)
+        run_round = Server.run_round
+
+        def failing(self, r, *args, **kwargs):
+            if r == 2:
+                raise RuntimeError("round 2 failed")
+            return run_round(self, r, *args, **kwargs)
+
+        monkeypatch.setattr(Server, "run_round", failing)
+        path = tmp_path / "failed.bin"
+        with pytest.raises(RuntimeError, match="round 2 failed"):
+            run_training(cfg, train, test, ledger_path=path)
+        genesis = read_payloads(honest)[0]
+        assert read_payloads(path) == [genesis]
+        assert path.read_bytes() == frame_ledger([genesis])
+        assert sum(1 for _ in Ledger.open(path)) == 1
+
+    def test_record_is_read_back_from_the_ledger(self, published_run):
+        cfg, result, _, path = published_run
+        assert b"".join(result.record.encode()) == read_payloads(path)[1]
+        unpublished = run_training(cfg, make_dataset(3, 400, 5, 2), publish=False)
+        assert unpublished.record is None
 
 
 class TestTrajectoryInvariance:
