@@ -3,7 +3,8 @@
 The protocol trains a shared model from masked gradients, filters gradients
 whose direction opposes a trusted server gradient, and publishes a training
 record to a hash-chained ledger that any third party can verify bit for bit
-without learning a single gradient or model weight.
+without any secret; the ledger does not yet hide the gradients from that
+party (README, "What the ledger reveals").
 """
 
 from .auditor import AuditReport, full_audit

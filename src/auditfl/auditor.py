@@ -15,9 +15,9 @@ No secret (seed, mask, key, gradient) is ever consulted; this module must
 not import the protocol, randomness, or training machinery.
 
 All checks are exact integer equalities; there are no tolerances anywhere.
-Every failed check raises AuditFailure. A failure found before the end of
-the file is held while the rest is still parsed and hashed, and full_audit
-reports the one of highest precedence (see `full_audit`).
+Every failed check raises AuditFailure, and the report names the first
+defect in file order: after it the rest of the file is only read and
+hashed, so a broken chain further on still wins (see `full_audit`).
 """
 from __future__ import annotations
 
@@ -74,6 +74,9 @@ class AuditReport:
     failure: str | None = None
     n_records: int = 0
     rounds: list[RoundAudit] = field(default_factory=list)
+
+    def reject(self, failure: AuditFailure) -> None:
+        self.ok, self.failure_stage, self.failure = False, failure.stage, str(failure)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -246,26 +249,6 @@ def audit_trace(genesis: GenesisPayload, recovered: FpVector) -> None:
         )
 
 
-# Verdict precedence, highest first; a chain break anywhere outranks them
-# all and ends the audit. A failure found later replaces the one held only
-# if it ranks higher, so of the record's checks (the rounds in order, then
-# the recovery of w_0) the first that fails is reported.
-_GENESIS, _BLOCK_COUNT, _RECORD_FORMAT, _METADATA, _MASKED_MODEL, _CHECKS = range(6)
-
-
-class _Verdict:
-    """The failure to report: of those found so far, the first one of the
-    highest precedence (the lowest rank)."""
-
-    def __init__(self):
-        self.rank = _CHECKS + 1
-        self.failure: AuditFailure | None = None
-
-    def hold(self, rank: int, failure: AuditFailure) -> None:
-        if rank < self.rank:
-            self.rank, self.failure = rank, failure
-
-
 def _check_metadata(record: TrainingRecordReader, genesis: GenesisPayload) -> None:
     if record.dim != genesis.dim or record.scale != genesis.scale:
         raise AuditFailure(
@@ -314,62 +297,55 @@ def _audit_round(
     return audit, step
 
 
-def _replay_overflow(where: str, e: FixedPointOverflowError) -> AuditFailure:
-    # the unsigned server aggregate can hold any int64, so replaying it can
-    # leave the raw range; no honest record does
-    return AuditFailure("structure", f"{where}: replay of the record overflows int64: {e}")
+def _read_genesis(payload) -> GenesisPayload:
+    try:
+        return GenesisPayload.decode(payload)
+    except RecordFormatError as e:
+        raise AuditFailure("genesis", f"genesis payload does not parse: {e}") from None
 
 
-def audit_record(
-    data, genesis: GenesisPayload, rounds: list[RoundAudit], verdict: _Verdict
-) -> None:
+def audit_record(data, genesis: GenesisPayload, report: AuditReport) -> None:
     """All protocol checks of one training record against its genesis, in
     one front-to-back pass over `data` (a ledger payload stream or a buffer).
 
     Each round is parsed, checked and dropped before the next one is read,
-    and its RoundAudit appended to `rounds` once it has passed, so a
-    rejected report still lists the rounds before the failing one. A failed
-    check goes to `verdict`, and the rest of the record is still parsed for
-    the defects that outrank it: its encoding, and the masked model, which
-    comes last but is checked before the rounds.
+    and its RoundAudit appended to `report.rounds` once it has passed. The
+    first defect read raises AuditFailure, and nothing after it is parsed.
+    `report.n_records` is 1 once the record's header parses; a record that
+    does not parse counts none, and a masked model of the wrong geometry or
+    width lists no rounds (README, "Audit report").
     """
+    where = "block 1"
     try:
         record = TrainingRecordReader(data)
-        try:
-            _check_metadata(record, genesis)
-        except AuditFailure as e:
-            verdict.hold(_METADATA, e)
+        report.n_records = 1
+        _check_metadata(record, genesis)
         keys = roster_keys(genesis)
         steps = None  # the sum of the replayed rounds' learning-rate steps
         for rec in record.rounds():
-            if verdict.failure is None:
-                try:
-                    audit, step = _audit_round(rec, genesis, keys)
-                    steps = step if steps is None else steps + step
-                except AuditFailure as e:
-                    verdict.hold(_CHECKS, e)
-                except FixedPointOverflowError as e:
-                    verdict.hold(_CHECKS, _replay_overflow(f"round {rec.r}", e))
-                else:
-                    rounds.append(audit)
+            where = f"round {rec.r}"
+            audit, step = _audit_round(rec, genesis, keys)
+            steps = step if steps is None else steps + step
+            report.rounds.append(audit)
             del rec  # the round's buffer goes before the next one is read
+        where = "masked model"
         masked_model = record.masked_model()
-    except RecordFormatError as e:
-        verdict.hold(_RECORD_FORMAT, AuditFailure("record-format", f"block 1: {e}"))
-        return
-    try:
-        _check_geometry(masked_model, genesis, "masked model")
-        w = _decode(masked_model, "masked model")
-    except AuditFailure as e:
-        verdict.hold(_MASKED_MODEL, e)
-        return
-    if verdict.failure is None:
         try:
-            audit_trace(genesis, w if steps is None else steps + w)
-        except AuditFailure as e:
-            verdict.hold(_CHECKS, e)
-        except FixedPointOverflowError as e:
-            verdict.hold(_CHECKS, _replay_overflow("masked model", e))
+            _check_geometry(masked_model, genesis, where)
+            w = _decode(masked_model, where)
+        except AuditFailure:
+            report.rounds = []
+            raise
+        audit_trace(genesis, w if steps is None else steps + w)
+    except RecordFormatError as e:
+        report.n_records, report.rounds = 0, []
+        raise AuditFailure("record-format", f"block 1: {e}") from None
+    except FixedPointOverflowError as e:
+        # the unsigned server aggregate can hold any int64, so replaying it
+        # can leave the raw range; no honest record does
+        raise AuditFailure(
+            "structure", f"{where}: replay of the record overflows int64: {e}"
+        ) from None
 
 
 def full_audit(path) -> AuditReport:
@@ -377,49 +353,31 @@ def full_audit(path) -> AuditReport:
     file; pure in the bytes.
 
     A ledger holds the genesis and exactly one training record; any other
-    block count is a `metadata` rejection. Of the failures found, the one
-    reported is, in order of precedence: a chain break anywhere; a genesis
-    that does not parse; the block count; a defect in the encoding of the
-    training record; its metadata; its masked model's geometry and
-    encoding; then the rounds' checks in round order, and the recovery of
-    the initial model.
+    block count is a `metadata` rejection. The report names the first
+    defect in file order, with one exception: a block's digest is known
+    only once the stream has passed it, so a broken chain anywhere wins.
+    After the first defect the rest of the file is only read and hashed.
     """
-    verdict = _Verdict()
-    rounds: list[RoundAudit] = []
-    genesis = None
+    report = AuditReport(ok=True)
     blocks = 0
     try:
         for payload in Ledger.open(path):
-            if blocks == 0:
-                try:
-                    genesis = GenesisPayload.decode(payload)
-                except RecordFormatError as e:
-                    verdict.hold(
-                        _GENESIS,
-                        AuditFailure("genesis", f"genesis payload does not parse: {e}"),
-                    )
-            elif blocks == 1 and genesis is not None:
-                audit_record(payload, genesis, rounds, verdict)
             blocks += 1
+            if not report.ok or blocks > 2:
+                continue  # only drained: the stream still reads and hashes it
+            try:
+                if blocks == 1:
+                    genesis = _read_genesis(payload)
+                else:
+                    audit_record(payload, genesis, report)
+            except AuditFailure as e:
+                report.reject(e)
     except LedgerError as e:
         return AuditReport(ok=False, failure_stage="ledger", failure=str(e))
-    if blocks != 2:
-        verdict.hold(
-            _BLOCK_COUNT,
-            AuditFailure(
-                "metadata",
-                f"ledger holds {blocks - 1} blocks after the genesis, "
-                f"expected 1 training record",
-            ),
-        )
-    if verdict.failure is None:
-        return AuditReport(ok=True, n_records=1, rounds=rounds)
-    # the record counts as reached once it parsed; rounds are listed only
-    # when one of them, or the recovery after them, failed
-    return AuditReport(
-        ok=False,
-        failure_stage=verdict.failure.stage,
-        failure=str(verdict.failure),
-        n_records=int(verdict.rank >= _METADATA),
-        rounds=rounds if verdict.rank == _CHECKS else [],
-    )
+    if report.ok and blocks != 2:
+        report.n_records, report.rounds = 0, []
+        report.reject(AuditFailure(
+            "metadata",
+            f"ledger holds {blocks - 1} blocks after the genesis, expected 1 training record",
+        ))
+    return report

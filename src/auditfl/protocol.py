@@ -5,8 +5,9 @@ plain function arguments with a per-round barrier (the loop). Participants
 send plaintext gradients, the encoded bytes of their two masked forms and
 one signature over the round, their id and the digests of those bytes; the
 server recomputes the masks it issued, checks the bytes against them and
-verifies the signature, so masks protect against third parties and other
-participants, not against the server, which is trusted by participants.
+verifies the signature. Masks are meant to hide gradients from third parties
+and other participants (not yet from a reader of the ledger: README, "What
+the ledger reveals"), not from the server, which participants trust.
 
 `Server.run_round` is the one round of the protocol, published or not: it
 verifies, detects, aggregates, updates the model and, when publishing,
@@ -227,8 +228,11 @@ class Participant:
         )
         self.batch_size = batch_size
 
-    def local_update(self, w_prev: FpVector, r: int) -> tuple[FpVector, float]:
-        """The round-r local gradient (after any attack) and its loss."""
+    def compute_submission(self, w_prev: FpVector, r: int) -> Submission:
+        """The round-r local gradient (after any attack) and its loss,
+        masked, encoded and signed when the participant holds a signing key.
+        A run that publishes nothing hands out no keys, and its masks and
+        signatures would not affect the trajectory."""
         g, loss = local_gradient(
             self.arch,
             w_prev,
@@ -236,10 +240,9 @@ class Participant:
             self.batch_size,
             derive_seed(self.secrets.mask_seed, "batch", r),
         )
-        return corrupt_gradient(g, self.adversary), loss
-
-    def compute_submission(self, w_prev: FpVector, r: int) -> Submission:
-        g, loss = self.local_update(w_prev, r)
+        g = corrupt_gradient(g, self.adversary)
+        if self.secrets.keypair is None:
+            return Submission(self.secrets.id, g, loss)
         return self.sign_gradient(g, r, loss)
 
     def sign_gradient(self, g: FpVector, r: int, loss: float = 0.0) -> Submission:
@@ -374,14 +377,10 @@ class Server:
         return VerifiedSubmission(sub, signs, enc1, zv, enc2, mg2_digest)
 
     def run_round(
-        self,
-        r: int,
-        submissions: list[Submission],
-        detection: bool = True,
-        publish: bool = True,
+        self, r: int, submissions: list[Submission], detection: bool = True
     ) -> tuple[RoundRecord | None, list[int], float]:
         """Verify, detect, aggregate and update the model; build the record
-        when publishing.
+        when the server holds the run's secrets, that is, when publishing.
 
         Without detection every valid gradient is averaged. Without
         publishing nothing was signed: every submission counts as valid and
@@ -393,6 +392,7 @@ class Server:
         g_s, server_loss = self.server_gradient(r)
         valid = sorted(submissions, key=lambda s: s.id)
         verified: dict[int, VerifiedSubmission] = {}
+        publish = self.secrets is not None
         if publish:
             # a submission whose signature fails is malicious for this round
             # and left out of the record (stored signatures must all verify)
@@ -557,25 +557,16 @@ def run_training(
     ]
     server = Server(config, secrets, arch, root_shard, w0)
 
-    def play_round(r: int) -> tuple[RoundRecord | None, list[int], float]:
-        if publishing:
-            submissions = [p.compute_submission(server.w, r) for p in participants]
-        else:
-            # masks and signatures do not affect the trajectory; skip them
-            # when nothing is being published
-            submissions = []
-            for p in participants:
-                g, loss = p.local_update(server.w, r)
-                submissions.append(Submission(p.secrets.id, g, loss))
-        return server.run_round(r, submissions, detection, publishing)
-
     metrics: list[dict] = []
 
     def rounds() -> Iterator[RoundRecord | None]:
         """Play the R rounds; each yields its record (None when not
         publishing) as soon as it is made, then evaluates."""
         for r in range(1, config.rounds + 1):
-            record, benign, train_loss = play_round(r)
+            # the submissions die with the call: none is held past its round
+            record, benign, train_loss = server.run_round(
+                r, [p.compute_submission(server.w, r) for p in participants], detection
+            )
             yield record
             del record  # written: no round record is held past its round
             row = {

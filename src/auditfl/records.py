@@ -187,6 +187,14 @@ class GenesisPayload:
         )
         if version != WIRE_VERSION:
             raise RecordFormatError(f"genesis payload: unknown version {version}")
+        # one encoding each for the clipping flag and the rate
+        if clipping > 1:
+            raise RecordFormatError(f"genesis payload: clipping byte {clipping} is not 0 or 1")
+        if eta_num < 1 or (eta_exp > 0 and eta_num % 2 == 0):
+            raise RecordFormatError(
+                f"genesis payload: learning rate {eta_num} / 2^{eta_exp} is not "
+                f"positive and in lowest terms"
+            )
         # fixed fields are bytes: `crypto.public_key` takes nothing else
         server_pk = bytes(r.take(PUBLIC_KEY_SIZE))
         w0_sig = bytes(r.take(SIGNATURE_SIZE))

@@ -122,6 +122,9 @@ def read_genesis(payload: bytes) -> dict:
         "<HIqBQBBI"
     )
     _require(version == VERSION, f"genesis: version {version}")
+    _require(clipping in (0, 1), f"genesis: clipping byte {clipping}")
+    _require(eta_num >= 1 and (eta_exp == 0 or eta_num % 2 == 1),
+             f"genesis: learning rate {eta_num} / 2^{eta_exp} not in lowest terms")
     server_pk, w0_sig = c.take(64), c.take(64)
 
     def entry():

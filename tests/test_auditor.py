@@ -468,6 +468,46 @@ class TestStructuredFailures:
         assert not report.ok and report.failure_stage == "genesis"
         assert f"roster id {first} has deflation factor l = 0" in report.failure
 
+    @pytest.mark.parametrize(
+        "clipping_byte, eta, failure",
+        [
+            (2, None, "clipping byte 2 is not 0 or 1"),
+            (255, None, "clipping byte 255 is not 0 or 1"),
+            (None, (2, 4), "learning rate 2 / 2^4 is not positive and in lowest terms"),
+            (None, (0, 0), "learning rate 0 / 2^0 is not positive and in lowest terms"),
+            (None, (-1, 3), "learning rate -1 / 2^3 is not positive and in lowest terms"),
+        ],
+        ids=["clipping-2", "clipping-255", "rate-2/16", "rate-0", "rate-negative"],
+    )
+    def test_genesis_has_one_encoding(self, tmp_path, clipping_byte, eta, failure):
+        # a clipping flag byte other than 0 or 1, or a rate not in lowest
+        # terms (the record's metadata moved with it), is the same task in
+        # another encoding; the audit rejects it at stage genesis
+        import dataclasses
+
+        from spec_reader import SpecError, read_ledger
+
+        cfg = small_config(participants=4, rounds=2, clipping=True)
+        _, _, path = run_published(tmp_path, cfg, seed=5)
+        _, record, genesis = load_chain(path)
+        assert (genesis.eta_num, genesis.eta_exp) == (1, 3)
+        if eta is not None:
+            genesis = dataclasses.replace(genesis, eta_num=eta[0], eta_exp=eta[1])
+            record = dataclasses.replace(record, eta_num=eta[0], eta_exp=eta[1])
+        genesis_bytes = bytearray(b"".join(genesis.encode()))
+        if clipping_byte is not None:
+            # magic 4 | version u16 | rounds u32 | eta_num i64 | eta_exp u8 |
+            # dim u64 | scale u8 | clipping u8
+            assert genesis_bytes[28] == 1
+            genesis_bytes[28] = clipping_byte
+        rebuild_ledger(path, bytes(genesis_bytes), [b"".join(record.encode())])
+        report = full_audit(path)
+        assert (report.failure_stage, report.failure) == (
+            "genesis", f"genesis payload does not parse: genesis payload: {failure}"
+        )
+        with pytest.raises(SpecError, match="genesis: (clipping byte|learning rate)"):
+            read_ledger(path.read_bytes())
+
 
     @pytest.mark.parametrize("bad_key", ["off-curve", "zero"])
     def test_unparseable_roster_key_fails_that_participants_signature(
@@ -733,6 +773,9 @@ def _defects(work):
     }
 
 
+_SIG_FAILURE = "round 1: submission signature of participant 1 does not verify"
+
+
 def _format_then_chain_break(work):
     # block 1 has a record-format defect in round 2 and, at its end, a
     # payload digest that does not match: the chain break is found last
@@ -777,37 +820,19 @@ def _genesis_then_third_block(work):
 
 
 class TestVerdictPrecedence:
-    """Two defects in one ledger: the audit streams the file once, holds a
-    failure while it reads on, and reports the one of higher precedence,
-    whichever it found first (see `full_audit`). Stages and messages are
-    those of the audit that read the whole file before checking it."""
+    """Two defects in one ledger: the audit streams the file once and
+    reports the first defect in file order, except that a broken chain
+    anywhere wins, since a block's digest is checked only once the stream
+    has passed it (see `full_audit`)."""
 
     @pytest.mark.parametrize(
         "make, stage, failure, n_records, rounds",
         [
             (_format_then_chain_break, "ledger", "hash chain broken at height 1", 0, []),
-            (
-                _sig_then_format,
-                "record-format",
-                "block 1: training record: round 1 stores index 7, expected 2",
-                0,
-                [],
-            ),
-            (
-                _sig_then_masked_model,
-                "record-format",
-                "masked model: FpVector encoding width 6 is not minimal: every raw fits in 5 bytes",
-                1,
-                [],
-            ),
+            (_sig_then_format, "signature", _SIG_FAILURE, 1, []),
+            (_sig_then_masked_model, "signature", _SIG_FAILURE, 1, []),
             (_metadata_then_sig, "metadata", "record holds 2 rounds, task declared 3", 1, []),
-            (
-                _format_then_third_block,
-                "metadata",
-                "ledger holds 2 blocks after the genesis, expected 1 training record",
-                0,
-                [],
-            ),
+            (_format_then_third_block, "signature", _SIG_FAILURE, 1, []),
             (_format_then_broken_third_block, "ledger", "hash chain broken at height 2", 0, []),
             (
                 _genesis_then_third_block,
@@ -843,6 +868,28 @@ class TestVerdictPrecedence:
         assert report.failure.startswith("round 1: submission signature of participant")
         assert report.n_records == 1 and report.rounds == []
 
+    def test_no_round_is_decoded_after_the_first_defect(
+        self, three_round_run, tmp_path, monkeypatch
+    ):
+        # round 1 fails its signature check: rounds 2 and 3 are read and
+        # hashed with the rest of the block, but never decoded
+        from auditfl.records import RoundRecord
+
+        work = tmp_path / "work.bin"
+        work.write_bytes(three_round_run.read_bytes())
+        p = _defects(work)
+        work.write_bytes(frame_ledger([p["genesis"], p["sig"]]))
+        decoded = []
+        decode = RoundRecord.decode.__func__
+
+        def counted(cls, data):
+            decoded.append(1)
+            return decode(cls, data)
+
+        monkeypatch.setattr(RoundRecord, "decode", classmethod(counted))
+        assert full_audit(work).failure == _SIG_FAILURE
+        assert len(decoded) == 1
+
 
 class TestRecordFuzz:
     def test_seeded_bit_flips_pin_their_verdicts(self, tmp_path):
@@ -870,8 +917,9 @@ class TestRecordFuzz:
         assert dict(verdicts) == {
             "signature": 174,
             "accept": 79,
-            "record-format": 22,
+            "record-format": 21,
             "model-recovery": 21,
             "structure": 3,
             "benign-set": 1,
+            "metadata": 1,
         }

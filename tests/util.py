@@ -4,6 +4,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import itertools
+import math
 import struct
 from pathlib import Path
 
@@ -53,16 +54,18 @@ class RoundView:
     """What a test sees of one round through the round's seams.
 
     `benign` is what `Server.run_round` returned, `rejected_sigs` the ids
-    whose submission `Server.verify_submission` refused, and `g_s` and `ag`
-    what `protocol.robust_aggregate` was given and returned. `dots` are the
+    whose submission `Server.verify_submission` refused, and `g_s`,
+    `gradients` (the plaintext g_i by id) and `ag` what
+    `protocol.robust_aggregate` was given and returned. `dots` are the
     exact inner products <g_s, g_i>, computed here with `fixedpoint.dot`.
-    A round without detection has no `g_s`, `ag` or `dots`.
+    A round without detection has no `g_s`, `gradients`, `ag` or `dots`.
     """
 
     r: int
     benign: list[int] = dataclasses.field(default_factory=list)
     rejected_sigs: list[int] = dataclasses.field(default_factory=list)
     dots: dict[int, int] = dataclasses.field(default_factory=dict)
+    gradients: dict[int, FpVector] = dataclasses.field(default_factory=dict)
     ag: FpVector | None = None
     g_s: FpVector | None = None
 
@@ -91,7 +94,7 @@ def observed_rounds():
     def observed_aggregate(g_s, gradients, *a, **kw):
         ag, benign = aggregate(g_s, gradients, *a, **kw)
         view = views[-1]
-        view.g_s, view.ag = g_s, ag
+        view.g_s, view.ag, view.gradients = g_s, ag, dict(gradients)
         view.dots = {i: dot(g_s, gradients[i]) for i in sorted(gradients)}
         return ag, benign
 
@@ -138,6 +141,29 @@ def run_published(tmp_path: Path, cfg: RunConfig, seed: int = 5,
         ledger_path.unlink()
     result, internals = run_with_internals(cfg, train, test, ledger_path=ledger_path)
     return result, internals, ledger_path
+
+
+def recover_gradients(path: Path) -> dict[tuple[int, int], np.ndarray]:
+    """What a third party reads off a ledger, and nothing else: the
+    magnitudes |g_i| of every published participant gradient, as raws,
+    keyed by (round, id).
+
+    This is step 1 of ROADMAP item 9. `mg1_i = signs * rn_i * g_i`, with a
+    +-1 sign stream and one integer `rn_i` per participant for the whole
+    run, so the gcd of the raws of all of i's `mg1` vectors is `|rn_i|`
+    (times the gcd of its gradients' raws, which is 1 in practice), and
+    `|g_i| = |mg1_i| / |rn_i|`.
+    """
+    _, record, _ = load_chain(path)
+    mg1 = {
+        (rec.r, pid): np.abs(FpVector.decode(vec).raw)
+        for rec in record.rounds
+        for pid, (vec, _) in rec.local_detect.items()
+    }
+    rn: dict[int, int] = {}
+    for (_, pid), a in mg1.items():
+        rn[pid] = math.gcd(rn.get(pid, 0), int(np.gcd.reduce(a)))
+    return {key: a // rn[key[1]] for key, a in mg1.items()}
 
 
 # ---------------------------------------------------------------------------
