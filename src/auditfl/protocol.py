@@ -580,7 +580,7 @@ def run_training(
                 or r == config.rounds
             )
             if want_eval:
-                row["test_accuracy"], _ = evaluate(arch, server.w, test)
+                row["test_accuracy"] = evaluate(arch, server.w, test)
             metrics.append(row)
 
     def record_parts() -> Iterator:

@@ -71,10 +71,15 @@ def _philox() -> np.random.Philox:
     return np.random.Philox(0)
 
 
-def prg(seed: int, count: int) -> np.ndarray:
-    """Deterministic stream of `count` uniform 64-bit words."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+def prg(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """Deterministic stream of uniform 64-bit words: words start .. start +
+    count - 1 of seed's stream, so a stream can be drawn a slice at a time.
+
+    Philox makes 4 words per counter value, counting from counter 1; a slice
+    starts at counter start // 4 and drops the first start % 4 words.
+    """
+    if count < 0 or start < 0:
+        raise ValueError(f"count and start must be >= 0, got {count} and {start}")
     if count == 0:
         return np.empty(0, dtype=_U64)
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (seed >> 64) & 0xFFFFFFFFFFFFFFFF],
@@ -82,12 +87,14 @@ def prg(seed: int, count: int) -> np.ndarray:
     gen = _philox()
     gen.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZERO4, "key": key},
+        "state": {"counter": np.array([start // 4, 0, 0, 0], dtype=_U64), "key": key},
         "buffer": _ZERO4,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+    if start % 4:
+        gen.random_raw(start % 4)
     return gen.random_raw(count)
 
 

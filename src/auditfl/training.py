@@ -1,6 +1,8 @@
 """Local data handling and SGD: the ML substrate the protocol masks.
 
-Datasets are read from IDX files (MNIST's distribution format). Models are
+Datasets are read from IDX files (MNIST's distribution format) and keep
+their pixels as the bytes they were read from; a minibatch is dequantized
+when it is drawn, and an evaluation one block of rows at a time. Models are
 flattened parameter vectors in fixed point; forward/backward passes run in
 float64 from the fixed-point snapshot and only the resulting gradient is
 quantized, so training numerics stay conventional while the protocol path
@@ -19,6 +21,7 @@ from .randomness import derive_seed, prg
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+PIXEL_MAX = np.float32(255)  # an IDX pixel byte v is the feature v / 255
 
 
 class DatasetError(Exception):
@@ -27,7 +30,14 @@ class DatasetError(Exception):
 
 @dataclass
 class Dataset:
-    """Labelled samples with features in [0, 1].
+    """Labelled samples with features in [0, 1], stored as they were read.
+
+    `features` holds the stored values: uint8 pixels as read from IDX files,
+    or float32 features as given. The feature of stored value v is
+    float32(v) / divisor in float32, with divisor 255 for uint8 and 1 for
+    float32. `take` applies it to the rows of a minibatch, and `evaluate`
+    to one block of rows at a time, so no float copy of the whole matrix is
+    ever held.
 
     A loaded dataset has `rows` None: sample k is `features[k]`. A shard from
     `partition` shares its parent's feature matrix and holds only its row
@@ -35,7 +45,7 @@ class Dataset:
     no features and label flipping still acts on one shard.
     """
 
-    features: np.ndarray  # (N, dim) float32, shared by every shard of it
+    features: np.ndarray  # (N, dim) uint8 or float32, shared by every shard of it
     labels: np.ndarray  # (n,) int64, one per sample
     n_classes: int
     rows: np.ndarray | None = None  # (n,) int64 into features; None: all N
@@ -43,6 +53,8 @@ class Dataset:
     def __post_init__(self):
         if self.features.ndim != 2:
             raise DatasetError("features must be a 2-d array")
+        if self.features.dtype not in (np.uint8, np.float32):
+            raise DatasetError(f"features must be uint8 or float32, not {self.features.dtype}")
         n = self.features.shape[0] if self.rows is None else self.rows.shape[0]
         if n != self.labels.shape[0]:
             raise DatasetError(f"{n} samples but {self.labels.shape[0]} labels")
@@ -54,10 +66,19 @@ class Dataset:
     def n_features(self) -> int:
         return int(self.features.shape[1])
 
-    def take(self, idx=slice(None)) -> np.ndarray:
-        """Feature rows of samples `idx`, all of them by default: a view of a
+    @property
+    def divisor(self) -> np.float32:
+        return PIXEL_MAX if self.features.dtype == np.uint8 else np.float32(1)
+
+    def stored(self, idx=slice(None)) -> np.ndarray:
+        """Stored rows of samples `idx`, all of them by default: a view of a
         loaded dataset's slice, a gathered copy of a shard's rows."""
         return self.features[idx if self.rows is None else self.rows[idx]]
+
+    def take(self, idx=slice(None)) -> np.ndarray:
+        """Feature rows of samples `idx`, all of them by default, as a new
+        float32 matrix."""
+        return np.divide(self.stored(idx), self.divisor, dtype=np.float32)
 
 
 def _read_exact(f, n: int, path: Path, what: str) -> bytes:
@@ -71,7 +92,7 @@ def _read_exact(f, n: int, path: Path, what: str) -> bytes:
 
 
 def load_idx(images_path, labels_path, n_classes: int = 10) -> Dataset:
-    """Load an IDX image/label pair; pixels are scaled to [0, 1]."""
+    """Load an IDX image/label pair; the pixels stay uint8, features v / 255."""
     images_path = Path(images_path)
     labels_path = Path(labels_path)
     with open(images_path, "rb") as f:
@@ -101,9 +122,13 @@ def load_idx(images_path, labels_path, n_classes: int = 10) -> Dataset:
             f"image count {count} != label count {lcount} "
             f"({images_path} vs {labels_path})"
         )
-    features = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols)
-    features = features.astype(np.float32)
-    features /= 255.0  # in place: one float32 matrix, the same bits as `/ 255.0`
+    # Copied out, and the read buffer freed, instead of kept as the array's
+    # memory (`frombuffer` alone): glibc raises its dynamic mmap and trim
+    # thresholds only when it frees a large mmapped chunk. Freeing this one
+    # lets the large temporaries of every later training step reuse heap
+    # memory instead of each mapping and faulting in fresh pages.
+    features = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols).copy()
+    del pixels
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
     bad = labels >= n_classes
     if bad.any():
@@ -116,20 +141,20 @@ def load_idx(images_path, labels_path, n_classes: int = 10) -> Dataset:
 
 def write_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -> None:
     """Write uint8 images (n, rows, cols) and labels to IDX files."""
-    images = np.asarray(images, dtype=np.uint8)
+    images = np.ascontiguousarray(images, dtype=np.uint8)
     labels = np.asarray(labels, dtype=np.uint8)
     if images.ndim == 2:
         images = images[:, :, None]
     n, rows, cols = images.shape
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        f.write(images.tobytes())
+        f.write(images.data)  # not `tobytes()`, a second copy of the images
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
         f.write(labels.tobytes())
 
 
-RENDER_ROWS = 1024  # rows per float32 block of make_synthetic_corpus
+RENDER_ROWS = 1024  # rows per block of make_synthetic_corpus: its streams and float32 image
 
 # the four files of an MNIST-layout directory
 IDX_FILES = {
@@ -158,17 +183,18 @@ def make_synthetic_corpus(
     average: the flipped mass systematically distorts the class priors.
 
     Rows are rendered RENDER_ROWS at a time into one reused float32 block
-    and rounded into the uint8 image array, and every per-sample stream is
-    scaled in place, so the peak memory is about the uint8 images plus the
-    per-sample streams, not several float copies of the whole image matrix.
+    and rounded into the uint8 image array. Each per-sample stream is drawn
+    for one block's rows at a time, as a slice of the whole stream, so the
+    peak memory is about the uint8 images plus one block, whatever the
+    number of samples.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dim = side * side
 
-    def uniform(*tag_and_count):
+    def uniform(*tag_and_count, start=0):
         *tag, count = tag_and_count
-        u = prg(derive_seed(seed, "synth", *tag), count).astype(np.float64)
+        u = prg(derive_seed(seed, "synth", *tag), count, start).astype(np.float64)
         u *= 2.0**-64
         return u
 
@@ -188,28 +214,30 @@ def make_synthetic_corpus(
     def render(tag: str, n: int):
         labels = np.searchsorted(prior_cdf, uniform(tag, "labels", n), side="right")
         labels = np.minimum(labels, n_classes - 1).astype(np.int64)
-        intensity = uniform(tag, "intensity", n * per_class)
-        intensity *= 0.65
-        intensity += 0.35
-        intensity = intensity.astype(np.float32).reshape(n, per_class)
-        kept = uniform(tag, "keep", n * per_class).reshape(n, per_class) > drop
-        clut_pos = prg(derive_seed(seed, "synth", tag, "clutter-pos"), n * clutter)
-        clut_pos %= np.uint64(dim)
-        clut_pos = clut_pos.astype(np.int32).reshape(n, clutter)
-        clut_val = uniform(tag, "clutter-val", n * clutter)
-        clut_val *= 0.8
-        clut_val = clut_val.astype(np.float32).reshape(n, clutter)
         images = np.empty((n, dim), dtype=np.uint8)
-        block = np.empty((RENDER_ROWS, dim), dtype=np.float32)
+        block = np.empty((min(RENDER_ROWS, n), dim), dtype=np.float32)
         for start in range(0, n, RENDER_ROWS):
-            X = block[: min(RENDER_ROWS, n - start)]
+            m = min(RENDER_ROWS, n - start)
+            a, b = start * per_class, start * clutter  # stream offsets of the block
+            intensity = uniform(tag, "intensity", m * per_class, start=a)
+            intensity *= 0.65
+            intensity += 0.35
+            intensity = intensity.astype(np.float32).reshape(m, per_class)
+            kept = uniform(tag, "keep", m * per_class, start=a).reshape(m, per_class) > drop
+            clut_pos = prg(derive_seed(seed, "synth", tag, "clutter-pos"), m * clutter, b)
+            clut_pos %= np.uint64(dim)
+            clut_pos = clut_pos.astype(np.int32).reshape(m, clutter)
+            clut_val = uniform(tag, "clutter-val", m * clutter, start=b)
+            clut_val *= 0.8
+            clut_val = clut_val.astype(np.float32).reshape(m, clutter)
+            X = block[:m]
             X.fill(0.0)
-            for j, i in enumerate(range(start, start + len(X))):
-                X[j, class_pixels[labels[i]][kept[i]]] = intensity[i][kept[i]]
-                X[j, clut_pos[i]] = np.maximum(X[j, clut_pos[i]], clut_val[i])
+            for j in range(m):
+                X[j, class_pixels[labels[start + j]][kept[j]]] = intensity[j][kept[j]]
+                X[j, clut_pos[j]] = np.maximum(X[j, clut_pos[j]], clut_val[j])
             X *= 255.0
             np.round(X, out=X)
-            images[start : start + len(X)] = X
+            images[start : start + m] = X
         return images.reshape(n, side, side), labels
 
     paths = {k: out_dir / name for k, name in IDX_FILES.items()}
@@ -299,12 +327,16 @@ FORWARD_BLOCK = 256
 FORWARD_WORK = 1 << 21
 
 
-def _forward(layers, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def _forward(
+    layers, X: np.ndarray, divisor=np.float32(1)
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """The logits, and each layer's input: X as given, then every ReLU output.
 
-    The input layer converts X to float64 one block of rows at a time and
-    multiplies each block into one preallocated output, so a whole test set
-    never exists in float64. The logits stay bit-identical to one product
+    X is float64 features, or stored rows of a `Dataset` with its divisor.
+    The input layer then turns X into features one block of rows at a time,
+    as `Dataset.take` does, in one reused float64 buffer, and multiplies
+    each block into one preallocated output, so a whole test set never
+    exists as floats. The logits stay bit-identical to one product
     over all rows as long as every block takes the BLAS kernel the whole
     product takes. OpenBLAS uses a separate small-matrix kernel, with other
     bits, up to 10^6 multiply-adds, so the blocks of a split product are
@@ -317,9 +349,13 @@ def _forward(layers, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     rows = max(FORWARD_BLOCK, -(-FORWARD_WORK // W.size))
     blocks = -(-n // rows) or 1
     out = np.empty((n, b.size))
+    buf = None if X.dtype == np.float64 else np.empty((-(-n // blocks), X.shape[1]))
     for k in range(blocks):
         lo, hi = n * k // blocks, n * (k + 1) // blocks
-        np.dot(X[lo:hi].astype(np.float64, copy=False), W, out=out[lo:hi])
+        block = X[lo:hi]
+        if buf is not None:  # float32(v) / divisor in float32, then widened
+            block = np.divide(block, divisor, out=buf[: hi - lo], dtype=np.float32)
+        np.dot(block, W, out=out[lo:hi])
     out += b
     inputs = [X]
     for W, b in layers[1:]:
@@ -328,26 +364,22 @@ def _forward(layers, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return out, inputs
 
 
-def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean -log(p_y + 1e-300) over the rows, and the softmax probabilities."""
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs = e / e.sum(axis=1, keepdims=True)
-    return float(-np.log(probs[np.arange(len(y)), y] + 1e-300).mean()), probs
-
-
 def loss_and_grad(
     arch: Architecture, params: np.ndarray, X: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and its gradient w.r.t. the flattened parameters.
 
-    Forward pass and loss are `evaluate`'s; back-propagation starts at the
+    The forward pass is `evaluate`'s; the loss is the mean of
+    -log(p_y + 1e-300) over the rows, and back-propagation starts at the
     output layer."""
     n = X.shape[0]
     layers = _layers(arch, params)
     # float64 up front: a batch is one block, and back-propagation reads it
     X = X.astype(np.float64, copy=False)
     logits, inputs = _forward(layers, X)
-    loss, delta = _cross_entropy(logits, y)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    delta = e / e.sum(axis=1, keepdims=True)  # the softmax probabilities
+    loss = float(-np.log(delta[np.arange(n), y] + 1e-300).mean())
     delta[np.arange(n), y] -= 1.0
     delta /= n
     grads: list[np.ndarray] = []
@@ -380,15 +412,13 @@ def local_gradient(
     return FpVector.from_floats(grad, params.scale), loss
 
 
-def evaluate(arch: Architecture, params: FpVector, ds: Dataset) -> tuple[float, float]:
-    """(accuracy fraction, mean cross-entropy) on a nonempty dataset.
-
-    Forward pass and loss are the ones `loss_and_grad` trains with."""
+def evaluate(arch: Architecture, params: FpVector, ds: Dataset) -> float:
+    """Accuracy fraction on a nonempty dataset, from the forward pass that
+    `loss_and_grad` trains with, fed the stored rows block by block."""
     if len(ds) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    logits, _ = _forward(_layers(arch, params.to_floats()), ds.take())
-    loss, _ = _cross_entropy(logits, ds.labels)
-    return float((logits.argmax(axis=1) == ds.labels).mean()), loss
+    logits, _ = _forward(_layers(arch, params.to_floats()), ds.stored(), ds.divisor)
+    return float((logits.argmax(axis=1) == ds.labels).mean())
 
 
 # ---------------------------------------------------------------------------

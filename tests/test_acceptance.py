@@ -542,8 +542,8 @@ class TestCriterion6RobustnessTrend:
             cfg = _trend_config(m)
             scheme = run_training(cfg, train, test, publish=False)
             fedavg = run_training(cfg, train, test, publish=False, detection=False)
-            acc[("scheme", m)] = evaluate(arch, scheme.w_final, test)[0] * 100
-            acc[("fedavg", m)] = evaluate(arch, fedavg.w_final, test)[0] * 100
+            acc[("scheme", m)] = evaluate(arch, scheme.w_final, test) * 100
+            acc[("fedavg", m)] = evaluate(arch, fedavg.w_final, test) * 100
         a_ok = acc[("scheme", 9)] - acc[("fedavg", 9)] >= 2.0
         b_ok = abs(acc[("scheme", 0)] - acc[("fedavg", 0)]) <= 1.5
         c_ok = acc[("scheme", 0)] - acc[("scheme", 9)] <= 3.0

@@ -28,6 +28,18 @@ class TestPrg:
         long = prg(42, 100)
         assert np.array_equal(long[:10], prg(42, 10))
 
+    def test_every_slice_starts_where_the_whole_stream_is(self):
+        # a stream drawn a block at a time is the whole stream: Philox makes
+        # 4 words per counter value, so this covers every start % 4
+        whole = prg(42, 40)
+        for start in range(40):
+            for count in range(41 - start):
+                assert np.array_equal(prg(42, count, start), whole[start : start + count])
+
+    def test_negative_start_rejected(self):
+        with pytest.raises(ValueError):
+            prg(1, 4, -1)
+
     def test_byte_frequency_chi_square(self):
         # 10^6 words -> 8 * 10^6 bytes; chi-square against uniform, 3 sigma
         words = prg(2024, 1_000_000)

@@ -6,10 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from auditfl import run_training, training
+from auditfl.cli import write_metrics_csv
 from auditfl.fixedpoint import FpVector
 from auditfl.randomness import derive_seed, prg
 from auditfl.training import (
     FORWARD_BLOCK,
+    RENDER_ROWS,
     AdversarySpec,
     Architecture,
     Dataset,
@@ -29,7 +32,7 @@ from auditfl.training import (
     sample_batch,
     write_idx,
 )
-from util import make_dataset
+from util import make_dataset, small_config
 
 
 @pytest.fixture(scope="module")
@@ -47,22 +50,44 @@ class TestIdxIO:
         write_idx(imgs, labs, tmp_path / "im", tmp_path / "lb")
         ds = load_idx(tmp_path / "im", tmp_path / "lb", n_classes=2)
         assert len(ds) == 2 and ds.n_features == 9
-        assert np.allclose(ds.features[0] * 255, np.arange(9))
+        assert ds.features.dtype == np.uint8
+        assert np.array_equal(ds.features, imgs.reshape(2, 9))
+        assert np.allclose(ds.take()[0] * 255, np.arange(9))
         assert ds.labels.tolist() == [1, 0]
 
     def test_every_pixel_value_scales_like_the_copying_formula(self, tmp_path):
-        # scaling in place gives the bits of `astype(float32) / 255.0`
+        # features are the bits of `astype(float32) / 255.0`, as when the
+        # whole matrix was scaled at load time
         imgs = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
         write_idx(imgs, np.zeros(1, np.uint8), tmp_path / "im", tmp_path / "lb")
         ds = load_idx(tmp_path / "im", tmp_path / "lb", n_classes=2)
         old = imgs.reshape(1, 256).astype(np.float32) / 255.0
-        assert ds.features.dtype == old.dtype == np.float32
-        assert np.array_equal(ds.features.view(np.uint32), old.view(np.uint32))
+        assert ds.features.dtype == np.uint8
+        X = ds.take()
+        assert X.dtype == old.dtype == np.float32
+        assert np.array_equal(X.view(np.uint32), old.view(np.uint32))
 
     def test_corpus_loads(self, idx_corpus):
         ds = load_idx(idx_corpus["train_images"], idx_corpus["train_labels"], 4)
         assert len(ds) == 600 and ds.n_features == 36
-        assert 0.0 <= ds.features.min() and ds.features.max() <= 1.0
+        assert ds.features.dtype == np.uint8
+        X = ds.take()
+        assert 0.0 <= X.min() and X.max() <= 1.0 and X.max() > 0.0
+
+    def test_holds_the_pixels_once(self, tmp_path):
+        # the uint8 pixels, and at the peak the read buffer they are copied
+        # out of; a float32 matrix made it 4x held and 5x at the peak
+        imgs = (prg(derive_seed(4000, "idx-pixels"), 4000 * 784 // 8)
+                .view(np.uint8).reshape(4000, 28, 28))
+        write_idx(imgs, np.zeros(4000, np.uint8), tmp_path / "im", tmp_path / "lb")
+        tracemalloc.start()
+        try:
+            ds = load_idx(tmp_path / "im", tmp_path / "lb")
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ds.features, imgs.reshape(4000, 784))
+        assert held <= 1.1 * imgs.nbytes and peak <= 2.1 * imgs.nbytes
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad"
@@ -96,8 +121,9 @@ class TestIdxIO:
 
 class TestSyntheticCorpus:
     # SHA-256 of the four IDX files, pinned when rows were first rendered in
-    # blocks: blocks and in-place scaling must leave every byte as it was.
-    # The second corpus spans more than one RENDER_ROWS block.
+    # blocks (the third before streams were drawn a block at a time): blocks,
+    # in-place scaling and streamed draws must leave every byte as it was.
+    # The second and third corpora span more than one RENDER_ROWS block.
     PINNED = {
         (7, 300, 100, 10): {
             "test_images": "d69c5524bc1a27ccdea3574daa148ffc0f4e11e5dc46a14ada29cda4055a0c4d",
@@ -111,6 +137,12 @@ class TestSyntheticCorpus:
             "train_images": "47c4e5a8baf469c72c3f9998b4b285a0c99ffe5c78c55869ce6e9cf20318cdf0",
             "train_labels": "1fc0b03444f6d1d437cb111ec43ce992aff4e61ba05a79dde29d643bac8440e3",
         },
+        (13, 2100, 1030, 8): {
+            "test_images": "8f218cd7f51cc7483e28175fcfdede2e9a66e1822a9f02dc6e75d9e5aeef3b54",
+            "test_labels": "03bd688e658816a1065a0651fa86bee8e3c3590fbf7eb4495421f9bc9cfa62c7",
+            "train_images": "1d05b8576b248b737632a5d12938d732a37be55a4f6c218222bd9c3197517341",
+            "train_labels": "5b19ccde57ee872336fc09ad5e31f8aef27b5bb116819cb8275d12aaa9153c35",
+        },
     }
 
     @pytest.mark.parametrize("seed, n_train, n_test, side", sorted(PINNED))
@@ -120,16 +152,24 @@ class TestSyntheticCorpus:
         digests = {k: hashlib.sha256(p.read_bytes()).hexdigest() for k, p in paths.items()}
         assert digests == self.PINNED[(seed, n_train, n_test, side)]
 
+    def test_idx_bytes_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch):
+        # 7-row blocks start the per-sample streams at word offsets that are
+        # not multiples of Philox's 4-word output
+        monkeypatch.setattr(training, "RENDER_ROWS", 7)
+        self.test_idx_bytes_pinned(tmp_path, 13, 2100, 1030, 8)
+
     def test_peak_memory_is_a_few_image_arrays(self, tmp_path):
-        # the uint8 images plus the per-sample streams: about 5.5x the image
-        # bytes at side 28; float copies of the whole matrix made it 17x
+        # the uint8 images plus one block's float32 rows and streams, about
+        # 11 bytes per pixel of a block at side 28; drawing every stream
+        # whole made it 5.3x the image bytes, 25 MB here
+        n, dim = 6000, 28 * 28
         tracemalloc.start()
         try:
-            make_synthetic_corpus(tmp_path, 5, n_train=3000, n_test=10, side=28)
+            make_synthetic_corpus(tmp_path, 5, n_train=n, n_test=10, side=28)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 3000 * 28 * 28
+        assert peak < n * dim + 16 * RENDER_ROWS * dim
 
 
 class TestPartition:
@@ -192,6 +232,13 @@ class TestPartition:
         for p in inner:
             assert p.features is ds.features
             assert np.array_equal(p.labels, ds.labels[p.rows])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint16])
+    def test_features_must_be_uint8_or_float32(self, dtype):
+        # only those two dtypes have a divisor that maps them to features
+        with pytest.raises(DatasetError, match="uint8 or float32"):
+            Dataset(features=np.zeros((2, 1), dtype), labels=np.zeros(2, np.int64),
+                    n_classes=2)
 
     def test_rows_and_labels_must_agree(self):
         with pytest.raises(DatasetError, match="3 samples but 2 labels"):
@@ -348,30 +395,35 @@ class TestEvaluate:
         labels = np.array([0, 1, 2, 3] * 25)
         ds = Dataset(features=np.random.default_rng(0).random((100, 2)).astype(np.float32),
                      labels=labels, n_classes=4)
-        acc, _ = evaluate(arch, FpVector.from_floats(params, 20), ds)
+        acc = evaluate(arch, FpVector.from_floats(params, 20), ds)
         assert acc == 0.25
 
     @pytest.mark.parametrize("hidden", [0, 3])
-    def test_loss_is_the_training_loss(self, hidden):
-        # evaluation and training compute one model: same forward pass, same loss
+    def test_accuracy_is_the_argmax_accuracy_of_the_training_logits(self, hidden):
+        # evaluation and training compute one model: the logits whose
+        # cross-entropy loss_and_grad returns give evaluate's accuracy
         arch = Architecture(n_features=4, n_classes=3, hidden=hidden)
         words = prg(derive_seed(hidden, "eval-loss"), arch.param_count)
         vals = (words % np.uint64(2001)).astype(np.float64) / 1000.0 - 1.0
         params = FpVector.from_floats(vals, 20)
         ds = make_dataset(4, 50, 4, 3)
-        _, eval_loss = evaluate(arch, params, ds)
-        train_loss, _ = loss_and_grad(arch, params.to_floats(), ds.features, ds.labels)
-        assert eval_loss == train_loss
+        X = ds.take().astype(np.float64)
+        logits, _ = _forward(_layers(arch, params.to_floats()), X)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        loss = float(-np.log(probs[np.arange(len(ds)), ds.labels] + 1e-300).mean())
+        assert loss_and_grad(arch, params.to_floats(), X, ds.labels)[0] == loss
+        acc = float((logits.argmax(axis=1) == ds.labels).mean())
+        assert 0.0 < acc < 1.0
+        assert evaluate(arch, params, ds) == acc
 
     def test_loss_monotone_in_logit_magnitude(self):
         arch = Architecture(n_features=1, n_classes=2)
-        ds = Dataset(features=np.ones((4, 1), np.float32),
-                     labels=np.array([0, 0, 0, 0]), n_classes=2)
+        X, y = np.ones((4, 1)), np.array([0, 0, 0, 0])
         losses = []
         for mag in (0.5, 2.0, 8.0):
             params = np.array([mag, -mag, mag, -mag])  # W row + biases
-            _, loss = evaluate(arch, FpVector.from_floats(params, 20), ds)
-            losses.append(loss)
+            losses.append(loss_and_grad(arch, params, X, y)[0])
         assert losses[0] > losses[1] > losses[2]
         assert losses[2] < 1e-6
 
@@ -395,10 +447,7 @@ def one_shot_logits(arch, params, X):
 
 def one_shot_evaluate(arch, params, X, y):
     logits = one_shot_logits(arch, params, X)
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs = e / e.sum(axis=1, keepdims=True)
-    loss = float(-np.log(probs[np.arange(len(y)), y] + 1e-300).mean())
-    return float((logits.argmax(axis=1) == y).mean()), loss
+    return float((logits.argmax(axis=1) == y).mean())
 
 
 @pytest.fixture(scope="module")
@@ -453,3 +502,47 @@ class TestBlockwiseForward:
         finally:
             tracemalloc.stop()
         assert peak < X.size * 8 // 4
+
+
+class TestStoredPixels:
+    """A Dataset of uint8 pixels and its float32 twin (the same pixels / 255,
+    divisor 1) are one dataset: every number a run computes from them agrees
+    bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def twins(self, tmp_path_factory):
+        # 784 inputs and 600 test rows: evaluate's input layer takes 2 or 3
+        # blocks
+        root = tmp_path_factory.mktemp("twins")
+        paths = make_synthetic_corpus(root, 17, n_train=600, n_test=600, side=28)
+        out = []
+        for part in ("train", "test"):
+            stored = load_idx(paths[f"{part}_images"], paths[f"{part}_labels"])
+            twin = stored.features.astype(np.float32)
+            twin /= np.float32(255)
+            out.append((stored, Dataset(twin, stored.labels, stored.n_classes)))
+        return out
+
+    @pytest.mark.parametrize("hidden", [0, 8])
+    def test_gradients_and_accuracy(self, twins, hidden):
+        (train, train32), (test, test32) = twins
+        assert train.features.dtype == np.uint8 and train32.divisor == 1
+        arch = Architecture(train.n_features, train.n_classes, hidden)
+        w = init_params(arch, 3)
+        shard, shard32 = (partition(ds, 3, seed=2)[1] for ds in (train, train32))
+        for seed in range(3):
+            assert (local_gradient(arch, w, shard, 32, seed)
+                    == local_gradient(arch, w, shard32, 32, seed))
+        assert evaluate(arch, w, test) == evaluate(arch, w, test32)
+
+    @pytest.mark.parametrize("hidden", [0, 8])
+    def test_ledger_and_metrics_bytes(self, twins, tmp_path, hidden):
+        (train, train32), (test, test32) = twins
+        cfg = small_config(hidden=hidden, metrics_every=1, pretrain_steps=5)
+        digests = []
+        for name, tr, te in (("stored", train, test), ("twin", train32, test32)):
+            result = run_training(cfg, tr, te, ledger_path=tmp_path / f"{name}.bin")
+            write_metrics_csv(tmp_path / f"{name}.csv", result.metrics)
+            digests.append([hashlib.sha256((tmp_path / f"{name}.{ext}").read_bytes())
+                            .digest() for ext in ("bin", "csv")])
+        assert digests[0] == digests[1]
