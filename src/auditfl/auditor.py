@@ -2,15 +2,17 @@
 
 The auditor sees only the ledger bytes: the genesis payload (task, key
 roster, signed initial model) and the training record. It reads the file
-once, front to back, and checks the record one round at a time as the
-ledger stream hands it out: for each round it checks the published vectors
-and signatures, hashing each vector's bytes where they lie in the round's
-buffer; it then sign-extends the vectors it needs, computes the masked
-detection products once, re-derives the round's benign set from them,
-replays the masked aggregation and adds the round's learning-rate step to
-a running sum, and drops the round before the next one is read. The masked
-model comes last: added to the sum of the steps, it telescopes to the
-recovered initial model, which is checked against the server's signature.
+once, front to back, and checks each vector where the ledger stream hands
+it out, in file order, keeping only what a later check needs: a
+participant's detection mask is held until the server's mask for it is
+read, and dotted with it once; each published aggregation mask is hashed
+and added to a running sum; the signatures are verified once the round's
+aggregation tables are read; the benign set is re-derived from the masked
+detection products, the masked aggregation replayed from the sum and the
+server aggregate, and the round's learning-rate step added to a running
+sum of the steps. So the audit never holds a round. The masked model comes
+last: added to the sum of the steps, it telescopes to the recovered
+initial model, which is checked against the server's signature.
 No secret (seed, mask, key, gradient) is ever consulted; this module must
 not import the protocol, randomness, or training machinery.
 
@@ -31,7 +33,7 @@ from .fixedpoint import (
     FixedPointOverflowError,
     FpVector,
     dot,
-    floor_average,
+    floor_div,
     scale_by_dyadic,
     sign_indicator,
 )
@@ -39,7 +41,7 @@ from .ledger import Ledger, LedgerError
 from .records import (
     GenesisPayload,
     RecordFormatError,
-    RoundRecord,
+    RoundReader,
     TrainingRecordReader,
     submission_message,
     vector_digest,
@@ -125,78 +127,26 @@ def roster_keys(genesis: GenesisPayload) -> dict:
     return {pid: crypto.public_key(pk) for pid, (pk, _) in genesis.roster.items()}
 
 
-def audit_detection(
-    rec: RoundRecord, genesis: GenesisPayload, keys: dict
-) -> dict[int, int]:
-    """Check one round's published vectors and signatures.
-
-    In order: every vector's geometry, the participant ids against the
-    roster, the server detection masks' ids, that each participant has
-    exactly one of an aggregation mask and an aggregation digest, then each
-    participant's one submission signature, over the digest of its detection
-    mask and the digest of its aggregation mask (hashed here when published,
-    else the stored digest), under its key in `keys` (`roster_keys`).
-    Returns the masked inner products
-    <mg1_i, mgS1_i> == l_i * <g_i, g_S>, one per participant, each from the
-    two vectors sign-extended for it.
-    """
-    r = rec.r
-    for pid, (vec, _) in rec.local_detect.items():
-        _check_geometry(vec, genesis, f"round {r}: detection mask of participant {pid}")
-    for pid, vec in rec.local_agg.items():
-        _check_geometry(vec, genesis, f"round {r}: aggregation mask of participant {pid}")
-    for pid, vec in rec.server_detect.items():
-        _check_geometry(vec, genesis, f"round {r}: server detection mask for {pid}")
-    _check_geometry(rec.server_agg, genesis, f"round {r}: server aggregate")
-    present = sorted(rec.local_detect)
-    roster = genesis.roster
-    for pid in present:
-        if pid not in roster:
-            raise AuditFailure("structure", f"round {r}: unknown participant id {pid}")
-    if sorted(rec.server_detect) != present:
-        raise AuditFailure(
-            "structure",
-            f"round {r}: server detection masks cover "
-            f"{sorted(rec.server_detect)} but participants are {present}",
-        )
-    # an id in both tables appears twice here, an id in neither not at all
-    if sorted([*rec.local_agg, *rec.agg_digests]) != present:
-        raise AuditFailure(
-            "structure",
-            f"round {r}: aggregation masks cover {sorted(rec.local_agg)} and "
-            f"aggregation digests {sorted(rec.agg_digests)}; each of the "
-            f"participants {present} needs exactly one",
-        )
-    for pid in present:
-        mg1, sig = rec.local_detect[pid]
-        mg2 = rec.local_agg.get(pid)
-        mg2_digest = rec.agg_digests[pid] if mg2 is None else vector_digest(mg2)
-        message = submission_message(r, pid, vector_digest(mg1), mg2_digest)
-        if not crypto.verify(keys[pid], message, sig):
-            raise AuditFailure(
-                "signature",
-                f"round {r}: submission signature of participant {pid} "
-                f"does not verify",
-            )
-    return {
-        pid: dot(
-            _decode(rec.local_detect[pid][0], f"round {r}: detection mask of participant {pid}"),
-            _decode(rec.server_detect[pid], f"round {r}: server detection mask for {pid}"),
-        )
-        for pid in present
-    }
-
-
-def audit_aggregate(rec: RoundRecord) -> FpVector:
-    """Replay the round's masked aggregation over its published benign set."""
-    r = rec.r
-    return floor_average(
-        _decode(rec.server_agg, f"round {r}: server aggregate"),
-        [
-            _decode(rec.local_agg[pid], f"round {r}: aggregation mask of participant {pid}")
-            for pid in sorted(rec.local_agg)
-        ],
+def audit_detection(mg1: Encoded, mgS1: Encoded, r: int, pid: int) -> int:
+    """Participant pid's masked inner product in round r,
+    <mg1_i, mgS1_i> == l_i * <g_i, g_S>, from its detection mask and the
+    server's, each sign-extended for it."""
+    return dot(
+        _decode(mg1, f"round {r}: detection mask of participant {pid}"),
+        _decode(mgS1, f"round {r}: server detection mask for {pid}"),
     )
+
+
+def audit_aggregate(
+    benign_sum: FpVector | None, count: int, server_agg: Encoded, r: int
+) -> FpVector:
+    """Replay round r's masked aggregation: the server aggregate plus the
+    sum of the `count` published aggregation masks (None if there are
+    none), floor-divided by count + 1."""
+    total = _decode(server_agg, f"round {r}: server aggregate")
+    if benign_sum is not None:
+        total = benign_sum + total
+    return floor_div(total, count + 1)
 
 
 def deflated_products(
@@ -272,29 +222,90 @@ def _check_metadata(record: TrainingRecordReader, genesis: GenesisPayload) -> No
         )
 
 
+def _verify_submissions(
+    r: int, detect: dict, mg2_digests: dict, stored: dict, keys: dict
+) -> None:
+    """Round r's submission signatures, once its aggregation tables are
+    read: each participant in `detect` (id -> (mg1, signature)) needs
+    exactly one of a published aggregation mask (its digest in
+    `mg2_digests`) and a stored digest (`stored`), and its one signature,
+    over the digest of its detection mask and that of its aggregation mask,
+    must verify under its key in `keys` (`roster_keys`)."""
+    present = list(detect)
+    # an id in both tables appears twice here, an id in neither not at all
+    if sorted([*mg2_digests, *stored]) != present:
+        raise AuditFailure(
+            "structure",
+            f"round {r}: aggregation masks cover {list(mg2_digests)} and "
+            f"aggregation digests {list(stored)}; each of the "
+            f"participants {present} needs exactly one",
+        )
+    for pid, (mg1, sig) in detect.items():
+        mg2_digest = mg2_digests[pid] if pid in mg2_digests else stored[pid]
+        message = submission_message(r, pid, vector_digest(mg1), mg2_digest)
+        if not crypto.verify(keys[pid], message, sig):
+            raise AuditFailure(
+                "signature",
+                f"round {r}: submission signature of participant {pid} "
+                f"does not verify",
+            )
+
+
 def _audit_round(
-    rec: RoundRecord, genesis: GenesisPayload, keys: dict
+    rnd: RoundReader, genesis: GenesisPayload, keys: dict
 ) -> tuple[RoundAudit, FpVector]:
-    """Every check of one round; its RoundAudit and its learning-rate step."""
-    products = audit_detection(rec, genesis, keys)
+    """Every check of one round, each run as soon as the parse has read
+    what it needs, in file order (see the module docstring); the round's
+    RoundAudit and its learning-rate step."""
+    r = rnd.r
+    local_detect, local_agg, agg_digests, server_detect = rnd.tables()
+    detect = {}  # id -> (mg1, signature)
+    for pid, (mg1, sig) in local_detect:
+        _check_geometry(mg1, genesis, f"round {r}: detection mask of participant {pid}")
+        if pid not in genesis.roster:
+            raise AuditFailure("structure", f"round {r}: unknown participant id {pid}")
+        detect[pid] = mg1, sig
+    present = list(detect)
+    mg2_digests, benign_sum = {}, None
+    for pid, mg2 in local_agg:
+        where = f"round {r}: aggregation mask of participant {pid}"
+        _check_geometry(mg2, genesis, where)
+        mg2_digests[pid] = vector_digest(mg2)
+        vec = _decode(mg2, where)
+        benign_sum = vec if benign_sum is None else benign_sum + vec
+    _verify_submissions(r, detect, mg2_digests, dict(agg_digests), keys)
+    products, server_ids = {}, []
+    for pid, mgS1 in server_detect:
+        _check_geometry(mgS1, genesis, f"round {r}: server detection mask for {pid}")
+        server_ids.append(pid)
+        if pid in detect:
+            products[pid] = audit_detection(detect.pop(pid)[0], mgS1, r, pid)
+    if server_ids != present:
+        raise AuditFailure(
+            "structure",
+            f"round {r}: server detection masks cover {server_ids} "
+            f"but participants are {present}",
+        )
     deflated = deflated_products(products, genesis)
     positive, derived = benign_set(deflated, genesis.clipping, genesis.clip_factor)
-    published = set(rec.local_agg)
-    if published != derived:
+    published = list(mg2_digests)
+    if set(published) != derived:
         raise AuditFailure(
             "benign-set",
-            f"round {rec.r}: published benign set {sorted(published)} "
+            f"round {r}: published benign set {published} "
             f"inconsistent with derived {sorted(derived)}",
         )
-    step = scale_by_dyadic(audit_aggregate(rec), genesis.eta_num, genesis.eta_exp)
+    server_agg = rnd.server_agg()
+    _check_geometry(server_agg, genesis, f"round {r}: server aggregate")
+    aggregate = audit_aggregate(benign_sum, len(published), server_agg, r)
     audit = RoundAudit(
-        r=rec.r,
-        present_ids=tuple(sorted(rec.local_detect)),
+        r=r,
+        present_ids=tuple(present),
         detection_positive=tuple(sorted(positive)),
-        published_benign=tuple(sorted(published)),
+        published_benign=tuple(published),
         ranking=ranking_of(deflated),
     )
-    return audit, step
+    return audit, scale_by_dyadic(aggregate, genesis.eta_num, genesis.eta_exp)
 
 
 def _read_genesis(payload) -> GenesisPayload:
@@ -308,9 +319,9 @@ def audit_record(data, genesis: GenesisPayload, report: AuditReport) -> None:
     """All protocol checks of one training record against its genesis, in
     one front-to-back pass over `data` (a ledger payload stream or a buffer).
 
-    Each round is parsed, checked and dropped before the next one is read,
-    and its RoundAudit appended to `report.rounds` once it has passed. The
-    first defect read raises AuditFailure, and nothing after it is parsed.
+    Each round is checked as it is parsed (`_audit_round`), and its
+    RoundAudit appended to `report.rounds` once it has passed. The first
+    defect read raises AuditFailure, and nothing after it is parsed.
     `report.n_records` is 1 once the record's header parses; a record that
     does not parse counts none, and a masked model of the wrong geometry or
     width lists no rounds (README, "Audit report").
@@ -322,12 +333,11 @@ def audit_record(data, genesis: GenesisPayload, report: AuditReport) -> None:
         _check_metadata(record, genesis)
         keys = roster_keys(genesis)
         steps = None  # the sum of the replayed rounds' learning-rate steps
-        for rec in record.rounds():
-            where = f"round {rec.r}"
-            audit, step = _audit_round(rec, genesis, keys)
+        for rnd in record.rounds():
+            where = f"round {rnd.r}"
+            audit, step = _audit_round(rnd, genesis, keys)
             steps = step if steps is None else steps + step
             report.rounds.append(audit)
-            del rec  # the round's buffer goes before the next one is read
         where = "masked model"
         masked_model = record.masked_model()
         try:

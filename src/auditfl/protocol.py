@@ -295,9 +295,7 @@ class VerifiedSubmission:
     its encoded forms as they are."""
 
     sub: Submission
-    signs: np.ndarray  # the round's sign stream; rv_r = signs * rn_i
     mg1: Encoded  # enc(rv_r (.) g_i)
-    zv: FpVector  # zero share zv_r
     mg2: Encoded  # enc(zv_r + g_i)
     mg2_digest: bytes  # SHA-256(enc(mg2)), published if not benign
 
@@ -354,16 +352,19 @@ class Server:
             derive_seed(self.config.master_seed, "server-batch", r),
         )
 
-    def verify_submission(self, sub: Submission, r: int) -> VerifiedSubmission | None:
+    def verify_submission(
+        self, sub: Submission, r: int
+    ) -> tuple[np.ndarray, VerifiedSubmission] | None:
         """Recompute both masked gradients, check the submitted bytes
         against them and check the signature over those bytes.
 
         The decoder accepts only the least byte width, so bytes that decode
         to the recomputed vector are its canonical encoding. Returns the
-        checked forms, or None if the bytes or the signature fail.
+        round's sign stream (rv_r = signs * rn_i) and the checked forms, or
+        None if the bytes or the signature fail.
         """
         ps = self.secrets.per_participant[sub.id]
-        signs, mg1, zv, mg2 = masked_forms(ps, sub.gradient, r)
+        signs, mg1, _, mg2 = masked_forms(ps, sub.gradient, r)
         try:
             enc1, enc2 = Encoded.parse(sub.mg1), Encoded.parse(sub.mg2)
             if FpVector.decode(enc1) != mg1 or FpVector.decode(enc2) != mg2:
@@ -374,7 +375,7 @@ class Server:
         message = submission_message(r, sub.id, vector_digest(enc1), mg2_digest)
         if not crypto.verify(ps.keypair.public, message, sub.signature):
             return None
-        return VerifiedSubmission(sub, signs, enc1, zv, enc2, mg2_digest)
+        return signs, VerifiedSubmission(sub, enc1, enc2, mg2_digest)
 
     def run_round(
         self, r: int, submissions: list[Submission], detection: bool = True
@@ -392,14 +393,18 @@ class Server:
         g_s, server_loss = self.server_gradient(r)
         valid = sorted(submissions, key=lambda s: s.id)
         verified: dict[int, VerifiedSubmission] = {}
+        server_detect: dict[int, Encoded] = {}  # id -> enc(mg_S1)
         publish = self.secrets is not None
         if publish:
             # a submission whose signature fails is malicious for this round
             # and left out of the record (stored signatures must all verify)
             for sub in valid:
-                v = self.verify_submission(sub, r)
-                if v is not None:
-                    verified[sub.id] = v
+                checked = self.verify_submission(sub, r)
+                if checked is not None:
+                    signs, verified[sub.id] = checked
+                    # encoded now, so no sign stream is held to the round's end
+                    rn_s = np.int64(self.secrets.rn_server[sub.id])
+                    server_detect[sub.id] = hadamard(g_s, signs * rn_s).encode()
             valid = [v.sub for v in verified.values()]
         gradients = {sub.id: sub.gradient for sub in valid}
         if detection:
@@ -414,7 +419,9 @@ class Server:
         # participants by ascending id, then the server: the float sum, and
         # so the metrics CSV, depends on this order
         losses = [sub.loss for sub in valid] + [server_loss]
-        record = self.round_record(r, g_s, verified, benign) if publish else None
+        record = (
+            self.round_record(r, g_s, verified, server_detect, benign) if publish else None
+        )
         return record, benign, sum(losses) / len(losses)
 
     def round_record(
@@ -422,14 +429,16 @@ class Server:
         r: int,
         g_s: FpVector,
         verified: dict[int, VerifiedSubmission],
+        server_detect: dict[int, Encoded],
         benign: list[int],
     ) -> RoundRecord:
         """The published round: every valid participant's detection mask and
         signature, the benign participants' aggregation masks, the other
-        valid participants' aggregation-mask digests, and the server's
-        aggregation vector, whose zero share cancels the benign ones. The
-        participants' vectors are the bytes they signed; the server encodes
-        its own."""
+        valid participants' aggregation-mask digests, the server's
+        detection masks (`server_detect`, encoded as each submission
+        verified) and its aggregation vector, whose zero share cancels the
+        benign ones. The participants' vectors are the bytes they signed;
+        the server encodes its own."""
         m_r = model_mask_share(
             self.secrets.model_mask_seed, r, g_s.dim, g_s.scale, self.eta_exp
         )
@@ -440,20 +449,19 @@ class Server:
         local_agg = {}
         for i in benign:
             v = verified[i]
-            zv_server -= v.zv.raw
+            # the zero share zv_r is mg2 - g_i, exactly
+            zv_server -= FpVector.decode(v.mg2).raw
+            zv_server += v.sub.gradient.raw
             local_agg[i] = v.mg2
         server_agg = (
             m_r.scalar_mul(len(benign) + 1) + FpVector(zv_server, g_s.scale) + g_s
         ).encode()
         local_detect = {}
         agg_digests = {}
-        server_detect = {}
         for i, v in verified.items():
             local_detect[i] = (v.mg1, v.sub.signature)
             if i not in local_agg:
                 agg_digests[i] = v.mg2_digest
-            rn_s = self.secrets.rn_server[i]
-            server_detect[i] = hadamard(g_s, v.signs * np.int64(rn_s)).encode()
         return RoundRecord(
             r=r,
             local_detect=local_detect,

@@ -16,21 +16,27 @@ no vector: every `encode` returns a list of buffers whose concatenation is
 the record's bytes, each vector contributing its encoded bytes as they
 are. A training record is its header, one blob per round and the masked
 model's blob (`training_header`, `round_blob`, `vector_blob`), so a run can
-write it one round at a time as the rounds end. Decoding copies none
-either: each vector is a read-only view of the decoded buffer, checked for
-its header and length; its raws are read (`FpVector.decode`) only when
-arithmetic needs them. One parser reads a
-training record front to back, one round at a time
-(`TrainingRecordReader`), from a buffer or straight from a ledger payload
-stream; from a stream each round blob is read into its own buffer.
+write it one round at a time as the rounds end. One parser reads a
+training record front to back (`TrainingRecordReader`), one round at a
+time and each round one table entry at a time (`RoundReader`, the one
+reader of the round layout, which `RoundRecord.decode` collects), from a
+buffer or straight from a ledger payload stream. Each vector it hands out
+is checked for its header and length; its raws are read
+(`FpVector.decode`) only when arithmetic needs them. From a buffer a vector
+is a read-only view of it, not a copy; from a stream it is the vector's
+own bytes, read when the parse reaches it, so a consumer holds only the
+vectors it keeps.
 
 This module holds no secrets; the auditor imports it, the protocol fills it.
 """
 from __future__ import annotations
 
+import functools
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .crypto import DIGEST_SIZE, PUBLIC_KEY_SIZE, SIGNATURE_SIZE, sha256
 from .fixedpoint import Encoded
@@ -52,34 +58,50 @@ class _Reader:
     From a buffer every blob it takes is a view, not a copy. From a stream
     (anything with `read(n)`, such as `ledger.Payload`) a blob is the next
     n bytes, read and hashed by the ledger as they are handed out; the
-    reader keeps none of them.
+    reader keeps none of them. `size` bounds a reader of a stream to the
+    next `size` bytes (`blob`).
     """
 
-    def __init__(self, data, what: str):
+    def __init__(self, data, what: str, size: int | None = None):
         self.off = 0
         self.what = what
         if hasattr(data, "read"):
-            self.stream, self.view, self.size = data, None, len(data)
+            self.stream, self.view = data, None
+            self.size = len(data) if size is None else size
         else:
             self.stream, self.view = None, memoryview(data)
             self.size = len(self.view)
 
+    def _truncated(self, n: int) -> RecordFormatError:
+        return RecordFormatError(
+            f"{self.what}: truncated at offset {self.off}, "
+            f"needed {n} more bytes of {self.size}"
+        )
+
     def take(self, n: int) -> memoryview | bytes:
-        if self.off + n > self.size:
-            raise RecordFormatError(
-                f"{self.what}: truncated at offset {self.off}, "
-                f"needed {n} more bytes of {self.size}"
-            )
+        off = self.off
+        if off + n > self.size:
+            raise self._truncated(n)
+        self.off = off + n
         if self.stream is not None:
-            out = self.stream.read(n)
-        else:
-            out = self.view[self.off : self.off + n]
-        self.off += n
-        return out
+            return self.stream.read(n)
+        return self.view[off : off + n]
 
     def unpack(self, fmt: str):
         size = struct.calcsize(fmt)
         return struct.unpack(fmt, self.take(size))
+
+    def blob(self, what: str) -> "_Reader":
+        """The next length-prefixed blob as a reader of its own, bounded by
+        the blob's length: from a buffer a view of it, from a stream the
+        stream itself, read only as the blob is parsed."""
+        (n,) = self.unpack("<I")
+        if self.stream is None:
+            return _Reader(self.take(n), what)
+        if self.off + n > self.size:
+            raise self._truncated(n)
+        self.off += n
+        return _Reader(self.stream, what, n)
 
     def expect_end(self):
         if self.off != self.size:
@@ -99,14 +121,10 @@ def vector_blob(vec: Encoded) -> list:
     return _blob([vec.data])
 
 
-def _read_blob(r: _Reader) -> memoryview:
-    (n,) = r.unpack("<I")
-    return r.take(n)
-
-
 def _read_vector(r: _Reader, what: str) -> Encoded:
+    (n,) = r.unpack("<I")
     try:
-        return Encoded.parse(_read_blob(r))
+        return Encoded.parse(r.take(n))
     except ValueError as e:
         raise RecordFormatError(f"{what}: {e}") from None
 
@@ -120,14 +138,15 @@ def _table(table: dict, entry) -> list:
     return out
 
 
-def _read_table(r: _Reader, name: str, entry) -> dict:
-    """Inverse of `_table`; `entry(where)` reads the entry named by `where`.
+def _read_table(r: _Reader, name: str, entry) -> Iterator[tuple[int, object]]:
+    """Inverse of `_table`: yields each (id, entry) as it is parsed, and
+    reads nothing before it is iterated; `entry(where)` reads the entry
+    named by `where`.
 
     Ids must ascend strictly: that rejects duplicates and leaves every
     table, so every record, exactly one encoding.
     """
     (count,) = r.unpack("<I")
-    table = {}
     last = -1
     for _ in range(count):
         (pid,) = r.unpack("<I")
@@ -136,9 +155,8 @@ def _read_table(r: _Reader, name: str, entry) -> dict:
                 f"{r.what}: {name} id {pid} after id {last} is a duplicate "
                 "or out of order (ids must ascend strictly)"
             )
-        table[pid] = entry(f"{name} id {pid}")
+        yield pid, entry(f"{name} id {pid}")
         last = pid
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +226,7 @@ class GenesisPayload:
                 )
             return pk, l
 
-        roster = _read_table(r, "roster", entry)
+        roster = dict(_read_table(r, "roster", entry))
         r.expect_end()
         return cls(
             rounds=rounds,
@@ -276,11 +294,35 @@ class RoundRecord:
         return out
 
     @classmethod
-    def decode(cls, data: bytes) -> "RoundRecord":
-        r = _Reader(data, "round record")
+    def decode(cls, data) -> "RoundRecord":
+        """A round blob's record: what `RoundReader` parses, collected."""
+        return RoundReader(_Reader(data, "round record")).record()
+
+
+# the id-keyed tables of a round, in file order, as RoundRecord names them
+ROUND_TABLES = ("local_detect", "local_agg", "agg_digests", "server_detect")
+
+
+class RoundReader:
+    """One round blob parsed front to back: the one reader of its layout.
+
+    Construction reads the magic and the round index `r`. `tables()` gives
+    the four id-keyed tables in file order (ROUND_TABLES), each an iterator
+    that parses its table as it is read and yields (id, entry); they must
+    be read in that order, each to its end. `server_agg()` then reads the
+    server aggregate and checks that nothing follows it. Nothing parsed is
+    kept, so a consumer holds only what it keeps of each entry. Every
+    defect is a RecordFormatError, raised when the parse reaches it.
+    """
+
+    def __init__(self, r: _Reader):
+        self._r = r
         if r.take(4) != ROUND_MAGIC:
             raise RecordFormatError("round record: bad magic")
-        (rnd,) = r.unpack("<I")
+        (self.r,) = r.unpack("<I")
+
+    def tables(self) -> tuple[Iterator, Iterator, Iterator, Iterator]:
+        r, rnd = self._r, self.r
 
         def vector(where: str) -> Encoded:
             return _read_vector(r, f"round {rnd} {where}")
@@ -288,22 +330,25 @@ class RoundRecord:
         def signed(where: str) -> tuple[Encoded, bytes]:
             return vector(where), bytes(r.take(SIGNATURE_SIZE))
 
-        local_detect = _read_table(r, "detect masks", signed)
-        local_agg = _read_table(r, "aggregation masks", vector)
-        agg_digests = _read_table(
-            r, "aggregation digests", lambda where: bytes(r.take(DIGEST_SIZE))
+        def digest(where: str) -> bytes:
+            return bytes(r.take(DIGEST_SIZE))
+
+        return (
+            _read_table(r, "detect masks", signed),
+            _read_table(r, "aggregation masks", vector),
+            _read_table(r, "aggregation digests", digest),
+            _read_table(r, "server masks", vector),
         )
-        server_detect = _read_table(r, "server masks", vector)
-        server_agg = _read_vector(r, f"round {rnd} server aggregate")
-        r.expect_end()
-        return cls(
-            r=rnd,
-            local_detect=local_detect,
-            local_agg=local_agg,
-            agg_digests=agg_digests,
-            server_detect=server_detect,
-            server_agg=server_agg,
-        )
+
+    def server_agg(self) -> Encoded:
+        server_agg = _read_vector(self._r, f"round {self.r} server aggregate")
+        self._r.expect_end()
+        return server_agg
+
+    def record(self) -> RoundRecord:
+        """The rest of the round, collected into a RoundRecord."""
+        tables = dict(zip(ROUND_TABLES, map(dict, self.tables())))
+        return RoundRecord(r=self.r, **tables, server_agg=self.server_agg())
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +408,7 @@ class TrainingRecord:
     def decode(cls, data) -> "TrainingRecord":
         """The whole record in a buffer: `TrainingRecordReader` run to its end."""
         reader = TrainingRecordReader(data)
-        rounds = tuple(reader.rounds())
+        rounds = tuple(rnd.record() for rnd in reader.rounds())
         return cls(
             rounds=rounds,
             masked_model=reader.masked_model(),
@@ -375,18 +420,35 @@ class TrainingRecord:
         )
 
 
+@functools.cache
+def _raise_malloc_thresholds() -> None:
+    """Map and free one 4 MB block, untouched, so it costs no resident
+    memory; once per process, since the thresholds only go up.
+
+    glibc raises its dynamic mmap and trim thresholds only when it frees a
+    large mmapped chunk, and a streamed record allocates none (each vector
+    is read on its own). Without one, the vectors a round frees go back to
+    the system and are faulted in again by the next round: about a tenth of
+    `reference`'s audit time.
+    """
+    np.empty(4 << 20, dtype=np.uint8)
+
+
 class TrainingRecordReader:
     """A training record parsed front to back, one round at a time.
 
     Built from a buffer or a ledger payload stream, it reads the record's
-    header at once; `rounds()` then parses and yields one RoundRecord at a
-    time, and `masked_model()`, called after the rounds, reads the masked
-    final model and checks that nothing follows it. Nothing it has yielded
-    is kept, so over a stream it holds one round at a time. Every defect is
-    a RecordFormatError, raised when the parse reaches it.
+    header at once; `rounds()` then yields a RoundReader per round, bounded
+    by the round blob's length, once it has checked the round's index, and
+    `masked_model()`, called after the rounds, reads the masked final model
+    and checks that nothing follows it. Each round must be read to its end
+    before the next is asked for. Over a stream every entry is read only
+    as the round's parse reaches it, so the reader holds no round. Every
+    defect is a RecordFormatError, raised when the parse reaches it.
     """
 
     def __init__(self, data):
+        _raise_malloc_thresholds()
         self._r = r = _Reader(data, "training record")
         if r.take(4) != TRCD_MAGIC:
             raise RecordFormatError("training record: bad magic")
@@ -402,17 +464,14 @@ class TrainingRecordReader:
         if version != WIRE_VERSION:
             raise RecordFormatError(f"training record: unknown version {version}")
 
-    def rounds(self) -> Iterator[RoundRecord]:
+    def rounds(self) -> Iterator[RoundReader]:
         for k in range(self.n_rounds):
-            yield self._round(k)
-
-    def _round(self, k: int) -> RoundRecord:
-        rec = RoundRecord.decode(_read_blob(self._r))
-        if rec.r != k + 1:
-            raise RecordFormatError(
-                f"training record: round {k} stores index {rec.r}, expected {k + 1}"
-            )
-        return rec
+            rnd = RoundReader(self._r.blob("round record"))
+            if rnd.r != k + 1:
+                raise RecordFormatError(
+                    f"training record: round {k} stores index {rnd.r}, expected {k + 1}"
+                )
+            yield rnd
 
     def masked_model(self) -> Encoded:
         masked_model = _read_vector(self._r, "masked final model")

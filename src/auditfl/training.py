@@ -11,6 +11,7 @@ stays exact.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -142,13 +143,24 @@ def load_idx(images_path, labels_path, n_classes: int = 10) -> Dataset:
 def write_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -> None:
     """Write uint8 images (n, rows, cols) and labels to IDX files."""
     images = np.ascontiguousarray(images, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
     if images.ndim == 2:
         images = images[:, :, None]
     n, rows, cols = images.shape
+    write_idx_blocks([images], n, rows, cols, labels, images_path, labels_path)
+
+
+def write_idx_blocks(
+    blocks, n: int, rows: int, cols: int, labels, images_path, labels_path
+) -> None:
+    """`write_idx` of n images handed over as contiguous uint8 blocks of
+    rows, in order, each written as it arrives, so the images are never
+    held whole. The labels file is written last: a directory that holds it
+    holds a complete images file."""
+    labels = np.asarray(labels, dtype=np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        f.write(images.data)  # not `tobytes()`, a second copy of the images
+        for block in blocks:
+            f.write(block.data)  # not `tobytes()`, a second copy
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
         f.write(labels.tobytes())
@@ -182,11 +194,11 @@ def make_synthetic_corpus(
     makes uniform label flipping genuinely destructive to an undefended
     average: the flipped mass systematically distorts the class priors.
 
-    Rows are rendered RENDER_ROWS at a time into one reused float32 block
-    and rounded into the uint8 image array. Each per-sample stream is drawn
-    for one block's rows at a time, as a slice of the whole stream, so the
-    peak memory is about the uint8 images plus one block, whatever the
-    number of samples.
+    Rows are rendered RENDER_ROWS at a time into one reused float32 block,
+    rounded into one reused uint8 block and written to the images file.
+    Each per-sample stream is drawn for one block's rows at a time, as a
+    slice of the whole stream, so the peak memory is about one block plus
+    the labels, whatever the number of samples.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -211,11 +223,11 @@ def make_synthetic_corpus(
     prior = 1.0 / (np.arange(n_classes) + 2.0)
     prior_cdf = np.cumsum(prior / prior.sum())
 
-    def render(tag: str, n: int):
-        labels = np.searchsorted(prior_cdf, uniform(tag, "labels", n), side="right")
-        labels = np.minimum(labels, n_classes - 1).astype(np.int64)
-        images = np.empty((n, dim), dtype=np.uint8)
+    def render(tag: str, labels: np.ndarray) -> Iterator[np.ndarray]:
+        """The images of `labels`, one uint8 block of rows at a time."""
+        n = len(labels)
         block = np.empty((min(RENDER_ROWS, n), dim), dtype=np.float32)
+        pixels = np.empty(block.shape, dtype=np.uint8)
         for start in range(0, n, RENDER_ROWS):
             m = min(RENDER_ROWS, n - start)
             a, b = start * per_class, start * clutter  # stream offsets of the block
@@ -237,14 +249,15 @@ def make_synthetic_corpus(
                 X[j, clut_pos[j]] = np.maximum(X[j, clut_pos[j]], clut_val[j])
             X *= 255.0
             np.round(X, out=X)
-            images[start : start + m] = X
-        return images.reshape(n, side, side), labels
+            pixels[:m] = X
+            yield pixels[:m]
 
     paths = {k: out_dir / name for k, name in IDX_FILES.items()}
-    imgs, labs = render("train", n_train)
-    write_idx(imgs, labs, paths["train_images"], paths["train_labels"])
-    imgs, labs = render("test", n_test)
-    write_idx(imgs, labs, paths["test_images"], paths["test_labels"])
+    for tag, n in (("train", n_train), ("test", n_test)):
+        labels = np.searchsorted(prior_cdf, uniform(tag, "labels", n), side="right")
+        labels = np.minimum(labels, n_classes - 1).astype(np.int64)
+        write_idx_blocks(render(tag, labels), n, side, side, labels,
+                         paths[f"{tag}_images"], paths[f"{tag}_labels"])
     return paths
 
 

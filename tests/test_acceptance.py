@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from auditfl import RunConfig, full_audit, run_training
-from auditfl.auditor import audit_aggregate
 from auditfl.fixedpoint import FpVector, dot, floor_div
 from auditfl.protocol import Participant, Server, preprocess, pretrain, robust_aggregate
 from auditfl.randomness import (
@@ -33,6 +32,7 @@ from util import (
     model_mask_oracle,
     observed_rounds,
     recover_gradients,
+    replay_aggregate,
     republish,
     run_published,
     run_with_internals,
@@ -382,7 +382,7 @@ class TestCriterion2TamperSoundness:
         rec = record.rounds[0]
         if 1 not in rec.local_agg:
             pytest.fail("participant 1 is not benign in round 1; test is vacuous")
-        mag = audit_aggregate(rec)
+        mag = replay_aggregate(rec)
         others = {pid: v for pid, v in rec.local_agg.items() if pid != 1}
         server_agg = mag.scalar_mul(len(others) + 1)
         for v in others.values():

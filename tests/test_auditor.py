@@ -11,14 +11,7 @@ import numpy as np
 import pytest
 
 from auditfl import full_audit
-from auditfl.auditor import (
-    AuditFailure,
-    audit_aggregate,
-    audit_detection,
-    deflated_products,
-    ranking_of,
-    roster_keys,
-)
+from auditfl.auditor import deflated_products, ranking_of
 from auditfl.fixedpoint import Encoded, FpVector, dot, floor_div
 from auditfl.records import GenesisPayload, RecordFormatError, TrainingRecord
 from auditfl.training import AdversarySpec
@@ -30,7 +23,9 @@ from util import (
     model_mask_oracle,
     read_payloads,
     rebuild_ledger,
+    replay_aggregate,
     republish,
+    round_products,
     run_published,
     server_dropping_in_threshold,
     server_skipping_benign,
@@ -108,7 +103,7 @@ class TestAggregateReplay:
 
         secrets, _, _ = prep(cfg, result.w0.dim, result.w0)
         rec = result.record.rounds[0]
-        mag = audit_aggregate(rec)
+        mag = replay_aggregate(rec)
         info = internals[0]
         m_1 = model_mask_oracle(
             secrets.model_mask_seed, 1, result.w0.dim, cfg.scale, cfg.eta_parts()[1]
@@ -128,7 +123,7 @@ class TestAggregateReplay:
         _, _, _, path = honest_run
         _, record, genesis = load_chain(path)
         rec = record.rounds[0]
-        assert audit_aggregate(rec) == audit_aggregate(rec)
+        assert replay_aggregate(rec) == replay_aggregate(rec)
 
 
 class TestTamperSoundness:
@@ -200,13 +195,15 @@ class TestTamperSoundness:
         cfg, result, _, path = honest_run
         work = tmp_path / "neg.bin"
         work.write_bytes(path.read_bytes())
-        _, record, genesis = load_chain(work)
-        tampered = tamper_flip_mg1(record)
-        rec0 = tampered.rounds[0]
+        _, record, _ = load_chain(work)
+        republish(work, tamper_flip_mg1(record))
         # signature of the negated vector must now fail
-        with pytest.raises(AuditFailure) as ei:
-            audit_detection(rec0, genesis, roster_keys(genesis))
-        assert ei.value.stage == "signature"
+        report = full_audit(work)
+        assert report.failure_stage == "signature"
+        pid = min(record.rounds[0].local_detect)
+        assert report.failure == (
+            f"round 1: submission signature of participant {pid} does not verify"
+        )
 
 
 class TestClippingRanking:
@@ -214,9 +211,7 @@ class TestClippingRanking:
         cfg, result, internals, path = honest_run
         _, record, genesis = load_chain(path)
         for info, rec in zip(internals, record.rounds):
-            products = deflated_products(
-                audit_detection(rec, genesis, roster_keys(genesis)), genesis
-            )
+            products = deflated_products(round_products(rec), genesis)
             # white-box oracle: exact plaintext inner products
             for pid, frac in products.items():
                 assert frac == Fraction(info.dots[pid])
@@ -744,6 +739,33 @@ class TestStreamedAudit:
             assert report.ok
         assert peaks[12] - peaks[3] < blob
 
+    def test_audit_holds_only_the_detection_masks_of_a_round(self, tmp_path):
+        # each vector is checked where the stream hands it out and dropped,
+        # save each participant's detection mask, held until the server's
+        # mask for it is read: 8 more participants of the same dimension
+        # raise the peak by at most their 8 detection masks, plus 512 bytes
+        # each for digests, signatures and table entries
+        peaks, mg1 = {}, 0
+        for n in (4, 12):
+            cfg = small_config(participants=n, rounds=2, batch_size=32)
+            _, _, path = run_published(
+                tmp_path / str(n), cfg, seed=5, features=256, classes=8
+            )
+            _, record, _ = load_chain(path)
+            mg1 = max(mg1, *(
+                len(v) for rec in record.rounds for v, _ in rec.local_detect.values()
+            ))
+            assert full_audit(path).ok  # warm-up: imports and per-process tables
+            tracemalloc.start()
+            try:
+                report = full_audit(path)
+                _, peaks[n] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report.ok
+        # here 8 masks and 3 kB; holding the round's every vector, 36 masks
+        assert peaks[12] - peaks[4] <= 8 * mg1 + 8 * 512
+
 
 def _defects(work):
     """The honest ledger's payloads and record, and defective payloads:
@@ -871,24 +893,27 @@ class TestVerdictPrecedence:
     def test_no_round_is_decoded_after_the_first_defect(
         self, three_round_run, tmp_path, monkeypatch
     ):
-        # round 1 fails its signature check: rounds 2 and 3 are read and
-        # hashed with the rest of the block, but never decoded
-        from auditfl.records import RoundRecord
+        # round 1 fails its signature check, which runs once its aggregation
+        # tables are read: its server masks and rounds 2 and 3 are read and
+        # hashed with the rest of the block, but never parsed
+        from auditfl import records
 
         work = tmp_path / "work.bin"
         work.write_bytes(three_round_run.read_bytes())
         p = _defects(work)
         work.write_bytes(frame_ledger([p["genesis"], p["sig"]]))
-        decoded = []
-        decode = RoundRecord.decode.__func__
+        parsed = []
+        read_table = records._read_table
 
-        def counted(cls, data):
-            decoded.append(1)
-            return decode(cls, data)
+        def logged(r, name, entry):
+            parsed.append(name)  # when the parse reaches the table
+            yield from read_table(r, name, entry)
 
-        monkeypatch.setattr(RoundRecord, "decode", classmethod(counted))
+        monkeypatch.setattr(records, "_read_table", logged)
         assert full_audit(work).failure == _SIG_FAILURE
-        assert len(decoded) == 1
+        assert parsed == [
+            "roster", "detect masks", "aggregation masks", "aggregation digests"
+        ]
 
 
 class TestRecordFuzz:

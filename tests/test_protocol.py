@@ -111,16 +111,18 @@ class TestMaskedForms:
         server = Server(cfg, secrets, arch, make_dataset(1, 20, 3, 3), w0)
         ps = parts[1]
         sub = Participant(ps, arch, make_dataset(2, 20, 3, 3), 4).sign_gradient(g, 3)
-        _, mg1, zv, mg2 = masked_forms(ps, g, 3)
+        signs, mg1, _, mg2 = masked_forms(ps, g, 3)
         # the submission carries both forms' canonical bytes, and one
         # signature over the round, the id and their digests
         mg1, mg2 = mg1.encode(), mg2.encode()
         assert (sub.mg1, sub.mg2) == (mg1.data, mg2.data)
         message = submission_message(3, ps.id, vector_digest(mg1), vector_digest(mg2))
         assert crypto.verify(ps.keypair.public, message, sub.signature)
-        v = server.verify_submission(sub, 3)
-        assert v is not None
-        assert (v.mg1, v.zv, v.mg2) == (mg1, zv, mg2)
+        checked = server.verify_submission(sub, 3)
+        assert checked is not None
+        server_signs, v = checked
+        assert np.array_equal(server_signs, signs)
+        assert (v.mg1, v.mg2) == (mg1, mg2)
         # signatures bind the round: the same submission fails in round 4
         assert server.verify_submission(sub, 4) is None
 

@@ -13,7 +13,7 @@ from auditfl.records import (
     RoundRecord,
     TrainingRecord,
 )
-from util import read_payloads
+from util import read_payloads, run_published, sign_flip_spec, small_config
 
 
 def _vec(vals, scale=20):
@@ -207,3 +207,29 @@ class TestDecodedViews:
             assert np.shares_memory(np.frombuffer(vec.data, dtype=np.uint8), buffer)
             assert vec.data.readonly
         assert decoded == TrainingRecord.decode(b"".join(_record().encode()))
+
+
+class TestRoundParse:
+    def test_the_audits_stream_parse_sees_what_decode_collects(self, tmp_path):
+        # the audit parses each round straight off block 1's payload stream;
+        # RoundRecord.decode of the same round blob, sliced out of the
+        # payload by its length prefix, must collect the same items
+        import struct
+
+        cfg = small_config(participants=4, rounds=3, malicious={2: sign_flip_spec()})
+        _, _, path = run_published(tmp_path, cfg)
+        payload = read_payloads(path)[1]
+        off = 4 + struct.calcsize("<HIQBqBI")  # TRCD magic and header
+        blocks = Ledger.open(path)
+        next(blocks)
+        reader = records.TrainingRecordReader(next(blocks))
+        for rnd in reader.rounds():
+            (n,) = struct.unpack_from("<I", payload, off)
+            rec = RoundRecord.decode(payload[off + 4 : off + 4 + n])
+            off += 4 + n
+            assert rnd.r == rec.r
+            for name, table in zip(records.ROUND_TABLES, rnd.tables()):
+                assert list(table) == list(getattr(rec, name).items())
+            assert rnd.server_agg() == rec.server_agg
+        assert reader.masked_model() == TrainingRecord.decode(payload).masked_model
+        assert next(blocks, None) is None  # the stream checked block 1's digests

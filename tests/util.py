@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from auditfl import RunConfig, protocol, run_training
+from auditfl.auditor import audit_aggregate, audit_detection
 from auditfl.crypto import sha256
 from auditfl.ledger import _HEADER, LEDGER_MAGIC, ZERO_DIGEST, Ledger
 from auditfl.fixedpoint import Encoded, FpVector, dot
@@ -205,6 +206,21 @@ def load_chain(path: Path) -> tuple[bytes, TrainingRecord, GenesisPayload]:
 def republish(path: Path, record: TrainingRecord) -> None:
     genesis_bytes = read_payloads(path)[0]
     rebuild_ledger(path, genesis_bytes, [b"".join(record.encode())])
+
+
+def round_products(rec: RoundRecord) -> dict[int, int]:
+    """The auditor's masked inner products of a decoded round, by id."""
+    return {
+        pid: audit_detection(mg1, rec.server_detect[pid], rec.r, pid)
+        for pid, (mg1, _) in rec.local_detect.items()
+    }
+
+
+def replay_aggregate(rec: RoundRecord) -> FpVector:
+    """The auditor's replay of a decoded round's masked aggregation."""
+    masks = [FpVector.decode(rec.local_agg[pid]) for pid in sorted(rec.local_agg)]
+    total = sum(masks[1:], masks[0]) if masks else None
+    return audit_aggregate(total, len(masks), rec.server_agg, rec.r)
 
 
 def _negate_entry(vec: Encoded, k: int) -> Encoded:
