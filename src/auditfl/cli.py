@@ -5,37 +5,34 @@ Verbs:
   audit         fully audit a ledger file; exit 0 iff it verifies
   sweep         scheme vs FedAvg baseline across malicious-participant counts
   verify-chain  hash-chain integrity only
+
+Each verb imports what it runs, in the function that runs it: `audit`
+loads the auditor's modules and `verify-chain` the ledger's, never the
+modules that train (config, protocol, training) nor numpy for a chain.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import config as cfgmod
-from .auditor import full_audit
-from .config import ConfigError, RunConfig
 from .ledger import Ledger, LedgerError
-from .protocol import run_training
-from .training import (
-    IDX_FILES,
-    AdversarySpec,
-    Architecture,
-    Dataset,
-    DatasetError,
-    load_idx,
-    make_synthetic_corpus,
-)
+
+if TYPE_CHECKING:
+    from .config import RunConfig
+    from .training import Dataset
 
 SYNTH_CORPUS_SEED = 7  # corpus identity is part of the experiment definition
 
 
 def prepare_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     """Resolve the configured data source to (train, test) datasets."""
+    from .config import ConfigError
+    from .training import IDX_FILES, load_idx, make_synthetic_corpus
+
     ds = cfg.dataset
     root = Path(ds.data_dir)
     paths = {k: root / name for k, name in IDX_FILES.items()}
@@ -63,6 +60,8 @@ def prepare_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
 
 def write_metrics_csv(path, rows: list[dict]) -> None:
     """One line per round; a round that was not evaluated has no accuracy."""
+    import csv
+
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["round", "train_loss", "test_accuracy", "benign_count"])
@@ -73,6 +72,9 @@ def write_metrics_csv(path, rows: list[dict]) -> None:
 
 
 def _load_config(args) -> RunConfig:
+    from . import config as cfgmod
+    from .config import RunConfig
+
     cfg = cfgmod.from_file(args.config) if args.config else RunConfig()
     # with_overrides drops the flags left unset (None)
     overrides = {
@@ -117,14 +119,18 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_run(args) -> int:
+    from .protocol import run_training
+    from .training import Architecture
+
     cfg = _load_config(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    train, test = prepare_datasets(cfg)
     ledger_path = out / "ledger.bin"
+    # before the datasets, which may write a whole synthetic corpus
     if ledger_path.exists():
         print(f"error: {ledger_path} already exists", file=sys.stderr)
         return 2
+    out.mkdir(parents=True, exist_ok=True)
+    train, test = prepare_datasets(cfg)
     t0 = time.perf_counter()
     result = run_training(cfg, train, test, ledger_path=ledger_path, publish=True)
     elapsed = time.perf_counter() - t0
@@ -152,6 +158,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .auditor import full_audit
+
     path = Path(args.ledger)
     if not path.exists():
         print(f"error: {path} does not exist", file=sys.stderr)
@@ -182,6 +190,10 @@ def cmd_verify_chain(args) -> int:
 def _sweep_one(cfg: RunConfig, count: int, publish: bool, out_dir: str,
                train: Dataset, test: Dataset):
     """One sweep entry: scheme and baseline accuracy at `count` flippers."""
+    from . import config as cfgmod
+    from .protocol import run_training
+    from .training import AdversarySpec
+
     cfg = cfgmod.with_overrides(
         cfg,
         malicious={i: AdversarySpec("label_flip") for i in range(1, count + 1)},
@@ -203,6 +215,9 @@ def cmd_sweep(args) -> int:
     The datasets are prepared once, before any entry runs in one of the
     `--parallel` workers (at least one). A failed entry is an `error` row;
     a ConfigError or DatasetError, which every entry shares, exits 2."""
+    import csv
+    from concurrent.futures import ProcessPoolExecutor
+
     cfg = _load_config(args)
     counts = list(range(args.min_malicious, args.max_malicious + 1))
     if not counts:
@@ -223,7 +238,7 @@ def cmd_sweep(args) -> int:
         for m, fut in zip(counts, futures):
             try:
                 rows.append((m, *fut.result()))
-            except (ConfigError, DatasetError):
+            except _input_errors():
                 raise
             except Exception as e:
                 print(f"sweep entry {m} failed: {e}", file=sys.stderr)
@@ -281,11 +296,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_errors() -> tuple:
+    """The errors of a run's config and data, which exit 2 as a ledger error does."""
+    from .config import ConfigError
+    from .training import DatasetError
+
+    return ConfigError, DatasetError
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DatasetError, LedgerError) as e:
+    # an except clause builds its tuple only when an exception reaches it, so
+    # a verb that raises none imports neither config nor training here
+    except (LedgerError, *_input_errors()) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

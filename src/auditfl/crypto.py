@@ -6,6 +6,12 @@ message under the same key always yields the same bytes; that is what makes
 whole ledger files reproducible. An OpenSSL without RFC 6979 support fails at
 import with `UnsupportedAlgorithm` rather than producing different ledgers.
 
+Every SHA-256 in the package is computed here, by `sha256` and `Hasher`,
+in the OpenSSL that `cryptography` links for ECDSA. No module imports
+`hashlib`, so an audit maps one OpenSSL, not that one and the system
+`libcrypto` that `hashlib` loads. Both take any C-contiguous buffer: bytes,
+bytearrays, memoryviews and numpy arrays, read as their bytes.
+
 Signing keys are plain scalars derived from entropy by a SHA-256
 hash-to-scalar loop, so a key depends only on its entropy.
 
@@ -21,7 +27,6 @@ encodings verify as False, they never raise.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
@@ -45,12 +50,33 @@ _SIGN = ec.ECDSA(Prehashed(hashes.SHA256()), deterministic_signing=True)
 _VERIFY = ec.ECDSA(Prehashed(hashes.SHA256()))
 
 
+# an empty SHA-256 context; copying it is half the cost of building one
+_EMPTY = hashes.Hash(hashes.SHA256())
+
+
 def sha256(*parts) -> bytes:
     """32-byte collision-resistant digest of the concatenated buffers."""
-    h = hashlib.sha256()
+    h = _EMPTY.copy()
     for part in parts:
-        h.update(part)
-    return h.digest()
+        # `cryptography` reads only byte-format buffers, not a numpy array
+        h.update(memoryview(part).cast("B"))
+    return h.finalize()
+
+
+class Hasher:
+    """SHA-256 of the buffers fed to `update`, in order, for a digest of
+    bytes that do not arrive at once; `digest` ends it."""
+
+    __slots__ = ("_hash",)
+
+    def __init__(self):
+        self._hash = _EMPTY.copy()
+
+    def update(self, part) -> None:
+        self._hash.update(memoryview(part).cast("B"))
+
+    def digest(self) -> bytes:
+        return self._hash.finalize()
 
 
 @dataclass(frozen=True)

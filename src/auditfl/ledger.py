@@ -24,20 +24,21 @@ payload_len u64 | payload | frame_checksum 32B, where the checksum is
 SHA-256 of the 88-byte header alone. The header holds `payload_digest`, so
 the checksum covers the payload through it, and a block's chain digest is
 its checksum: the next block's `prev_digest` equals it. Every payload byte
-is thus hashed once on write and once on read. All integers little-endian.
+is thus hashed once on write and once on read, by `crypto.Hasher` as it
+streams past, and each header by `crypto.sha256`. All integers
+little-endian.
 Blocks are written with timestamp 0, and `open` rejects any other value,
 so a ledger's bytes depend on their payloads alone and each sequence of
 payloads has one encoding.
 """
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
-from .crypto import sha256
+from .crypto import Hasher, sha256
 
 LEDGER_MAGIC = b"AFLCHN\x00\x02"
 _HEADER = struct.Struct("<Q32s32sQQ")
@@ -76,7 +77,7 @@ class Payload:
         self._size = size
         self._left = size
         self._height = height
-        self._hash = hashlib.sha256()
+        self._hash = Hasher()
 
     def __len__(self) -> int:
         return self._size
@@ -209,7 +210,7 @@ class Ledger:
             with f:
                 f.seek(start)
                 f.write(bytes(8 + _HEADER.size))
-                digest, plen = hashlib.sha256(), 0
+                digest, plen = Hasher(), 0
                 for part in parts:
                     digest.update(part)
                     f.write(part)

@@ -11,11 +11,11 @@ integers leaves the scale unchanged and keeps every audit identity exact.
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from .crypto import sha256
 from .fixedpoint import FpVector
 
 # Sign-magnitude bounds for the correlated random-number pairs; the product
@@ -37,9 +37,9 @@ def derive_seed(master: int, *tags) -> int:
     Each tag (int, str, or bytes) is length-prefixed before hashing so that
     distinct tag paths can never collide.
     """
-    h = hashlib.sha256()
-    h.update(b"auditfl.seed.v1")
-    h.update(int(master).to_bytes(16, "little", signed=False))
+    # joined and hashed in one call: each hash update is a call into
+    # `cryptography`, and the whole path is a few dozen bytes
+    parts = [b"auditfl.seed.v1", int(master).to_bytes(16, "little", signed=False)]
     for tag in tags:
         if isinstance(tag, int):
             data = b"i" + tag.to_bytes(8, "little", signed=True)
@@ -49,9 +49,8 @@ def derive_seed(master: int, *tags) -> int:
             data = b"b" + tag
         else:
             raise TypeError(f"unsupported seed tag type: {type(tag)!r}")
-        h.update(len(data).to_bytes(2, "little"))
-        h.update(data)
-    return int.from_bytes(h.digest()[:16], "little")
+        parts += (len(data).to_bytes(2, "little"), data)
+    return int.from_bytes(sha256(b"".join(parts))[:16], "little")
 
 
 _ZERO4 = np.zeros(4, dtype=_U64)

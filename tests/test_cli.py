@@ -77,6 +77,20 @@ class TestRun:
         code = main(["run", "--config", str(cfg_path), "--out", str(completed_run)])
         assert code == 2
 
+    def test_refuses_an_existing_ledger_before_writing_a_corpus(
+        self, workspace, completed_run, tmp_path, capsys
+    ):
+        # the synthetic corpus of an empty --data-dir is written only for a
+        # run that will happen
+        _, cfg_path = workspace
+        data = tmp_path / "empty"
+        data.mkdir()
+        code = main(["run", "--config", str(cfg_path), "--out", str(completed_run),
+                     "--data-dir", str(data)])
+        assert code == 2
+        assert "already exists" in capsys.readouterr().err
+        assert list(data.iterdir()) == []
+
     def test_with_baseline(self, workspace, monkeypatch, capsys):
         from auditfl import protocol
 

@@ -195,3 +195,71 @@ class TestHash:
 
     def test_digest_length(self):
         assert len(crypto.sha256(b"x")) == 32
+
+
+def _buffer_kinds():
+    """(name, parts) for every kind of buffer the package hashes, each part
+    list hashing to the bytes of its parts in order."""
+    data = bytes(range(256)) * 3
+    arr = np.arange(-40, 40, dtype="<i8")
+    ro = np.frombuffer(data, dtype=np.uint8)  # read-only: it views bytes
+    return [
+        ("bytes", [data]),
+        ("bytearray", [bytearray(data)]),
+        ("memoryview slices", [memoryview(data)[3:100], memoryview(data)[100:101]]),
+        ("read-only numpy memoryview", [memoryview(ro)[5:]]),
+        ("1-D numpy", [arr]),
+        ("2-D numpy", [arr.reshape(8, 10)]),
+        ("uint8 numpy", [ro]),
+        ("empty parts", [b"", memoryview(b""), np.zeros(0, dtype="<i8"), bytearray()]),
+        ("none", []),
+        ("mixed", [b"head", arr, b"", memoryview(data)[7:9], bytearray(b"tail")]),
+    ]
+
+
+class TestHashKnownAnswers:
+    """`crypto.sha256` and `crypto.Hasher` against the standard library's
+    SHA-256 (the package itself does not import it)."""
+
+    @pytest.mark.parametrize(
+        "parts", [parts for _, parts in _buffer_kinds()],
+        ids=[name for name, _ in _buffer_kinds()],
+    )
+    def test_one_shot_and_streamed_equal_hashlib(self, parts):
+        ref = hashlib.sha256()
+        for part in parts:
+            ref.update(part)
+        assert crypto.sha256(*parts) == ref.digest()
+        h = crypto.Hasher()
+        for part in parts:
+            h.update(part)
+        assert h.digest() == ref.digest()
+
+    def test_long_stream(self):
+        # many updates of varied sizes, as the ledger stream makes them
+        rng = np.random.default_rng(1)
+        data = rng.integers(0, 256, 300_000, dtype=np.uint8).tobytes()
+        cuts = sorted(rng.integers(0, len(data), 40).tolist())
+        h, ref, start = crypto.Hasher(), hashlib.sha256(), 0
+        for end in cuts + [len(data)]:
+            h.update(data[start:end])
+            ref.update(data[start:end])
+            start = end
+        assert h.digest() == ref.digest() == hashlib.sha256(data).digest()
+
+    def test_hashers_are_independent(self):
+        a, b = crypto.Hasher(), crypto.Hasher()
+        a.update(b"a")
+        assert b.digest() == hashlib.sha256(b"").digest()
+        assert a.digest() == hashlib.sha256(b"a").digest()
+        assert crypto.sha256(b"x") == hashlib.sha256(b"x").digest()
+
+    def test_non_contiguous_buffer_is_refused(self):
+        # as hashlib refuses it: a strided view has no bytes to read in place
+        arr = np.arange(20, dtype="<i8")[::2]
+        with pytest.raises((TypeError, ValueError, BufferError)):
+            hashlib.sha256(arr)
+        with pytest.raises((TypeError, ValueError, BufferError)):
+            crypto.sha256(arr)
+        with pytest.raises((TypeError, ValueError, BufferError)):
+            crypto.Hasher().update(arr)

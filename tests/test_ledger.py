@@ -2,12 +2,11 @@
 import dataclasses
 import struct
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
 
-from auditfl.crypto import sha256
+from auditfl.crypto import Hasher, sha256
 from auditfl.ledger import _HEADER, LEDGER_MAGIC, Ledger, LedgerError
 from util import read_payloads, run_published, small_config
 
@@ -102,8 +101,6 @@ class TestAppend:
             Ledger.create(chain.path, b"x")
 
     def test_append_hashes_each_payload_byte_once(self, tmp_path, monkeypatch):
-        import hashlib
-
         import auditfl.ledger
 
         hashed = []
@@ -112,23 +109,17 @@ class TestAppend:
             hashed.append(sum(memoryview(part).nbytes for part in parts))
             return sha256(*parts)
 
-        class CountingHash:
-            """hashlib.sha256(), counting the bytes it is fed."""
+        class CountingHasher(Hasher):
+            """The streaming hasher, counting the bytes it is fed."""
 
-            def __init__(self):
-                self._h = hashlib.sha256()
+            __slots__ = ()
 
             def update(self, part):
                 hashed.append(memoryview(part).nbytes)
-                self._h.update(part)
-
-            def digest(self):
-                return self._h.digest()
+                super().update(part)
 
         monkeypatch.setattr(auditfl.ledger, "sha256", counting_sha256)
-        monkeypatch.setattr(
-            auditfl.ledger, "hashlib", types.SimpleNamespace(sha256=CountingHash)
-        )
+        monkeypatch.setattr(auditfl.ledger, "Hasher", CountingHasher)
         chain = Ledger.create(tmp_path / "c.bin", b"g")
         per_block = []
         # the writer of a payload held in parts, and the streamed writer
@@ -141,7 +132,11 @@ class TestAppend:
         # the payload digest and the checksum over the header alone: the
         # previous block's digest is its checksum, kept, not rehashed
         assert per_block == [100_000 + _HEADER.size] * 4
-        assert len(read_payloads(chain.path)) == 5
+        # reading hashes each payload byte and each header once again
+        hashed.clear()
+        payloads = read_payloads(chain.path)
+        assert len(payloads) == 5
+        assert sum(hashed) == sum(map(len, payloads)) + 5 * _HEADER.size
 
     def test_deterministic_bytes(self, tmp_path):
         a = Ledger.create(tmp_path / "a.bin", b"g")
