@@ -8,13 +8,14 @@ participant's detection mask is held until the server's mask for it is
 read, and dotted with it once; each published aggregation mask is hashed
 and added to a running sum; the signatures are verified once the round's
 aggregation tables are read; the benign set is re-derived from the masked
-detection products, the masked aggregation replayed from the sum and the
-server aggregate, and the round's learning-rate step added to a running
-sum of the steps. So the audit never holds a round. The masked model comes
-last: added to the sum of the steps, it telescopes to the recovered
-initial model, which is checked against the server's signature.
-No secret (seed, mask, key, gradient) is ever consulted; this module must
-not import the protocol, randomness, or training machinery.
+detection products, each divided exactly by its l_i, the masked
+aggregation replayed from the sum and the server aggregate, and the
+round's learning-rate step added to a running sum of the steps. So the
+audit never holds a round. The masked model comes last: added to the sum
+of the steps, it telescopes to the recovered initial model, which is
+checked against the server's signature. No secret (seed, mask, key,
+gradient) is ever consulted; this module must not import the protocol,
+randomness, or training machinery.
 
 All checks are exact integer equalities; there are no tolerances anywhere.
 Every failed check raises AuditFailure, and the report names the first
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import crypto
 from .fixedpoint import (
@@ -150,20 +150,33 @@ def audit_aggregate(
 
 
 def deflated_products(
-    products: dict[int, int], genesis: GenesisPayload
-) -> dict[int, Fraction]:
-    """Masked inner products scaled back to a common basis by rt_i = 1/l_i,
-    with each l_i from the genesis roster."""
-    return {pid: Fraction(p, genesis.roster[pid][1]) for pid, p in products.items()}
+    products: dict[int, int], genesis: GenesisPayload, r: int
+) -> dict[int, int]:
+    """Round r's masked inner products scaled back to a common basis by
+    rt_i = 1/l_i, each l_i from the genesis roster. The division is exact:
+    <mg1_i, mgS1_i> = l_i * <g_i, g_S>, so the quotient is the plaintext
+    product the server ranked, and a product that l_i does not divide is
+    a `benign-set` rejection."""
+    deflated = {}
+    for pid, p in products.items():
+        l = genesis.roster[pid][1]
+        deflated[pid], rest = divmod(p, l)
+        if rest:
+            raise AuditFailure(
+                "benign-set",
+                f"round {r}: masked detection product of participant {pid} "
+                f"is not a multiple of its deflation factor l = {l}",
+            )
+    return deflated
 
 
-def ranking_of(products: dict[int, Fraction]) -> tuple[int, ...]:
+def ranking_of(products: dict[int, int]) -> tuple[int, ...]:
     """Ids by descending deflated product; ties break by ascending id."""
     return tuple(pid for pid, _ in sorted(products.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
 def benign_set(
-    products: dict[int, int | Fraction], clipping: bool, clip_factor: int
+    products: dict[int, int], clipping: bool, clip_factor: int
 ) -> tuple[set[int], set[int]]:
     """(positive, benign): the ids whose inner product is positive, and of
     those the benign ones: all of them, or with clipping only those whose
@@ -171,7 +184,7 @@ def benign_set(
     positives. The lower median keeps the clip rule exact.
 
     The one benign-set rule: the server applies it to plaintext inner
-    products, the audit to deflated masked ones, which have the same signs.
+    products, the audit to deflated masked ones, which equal them.
     """
     positive = {pid for pid, p in products.items() if sign_indicator(p) == 1}
     if not clipping or not positive:
@@ -286,7 +299,7 @@ def _audit_round(
             f"round {r}: server detection masks cover {server_ids} "
             f"but participants are {present}",
         )
-    deflated = deflated_products(products, genesis)
+    deflated = deflated_products(products, genesis, r)
     positive, derived = benign_set(deflated, genesis.clipping, genesis.clip_factor)
     published = list(mg2_digests)
     if set(published) != derived:

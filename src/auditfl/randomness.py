@@ -10,7 +10,6 @@ integers leaves the scale unchanged and keeps every audit identity exact.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,18 +55,12 @@ def derive_seed(master: int, *tags) -> int:
 _ZERO4 = np.zeros(4, dtype=_U64)
 
 
-@functools.cache
-def _philox() -> np.random.Philox:
-    """The one generator `prg` reuses, built on first use.
-
-    `prg` overwrites its whole state on every call with the state of a fresh
-    `Philox(key=...)` (counter 0, empty buffer), so each stream depends on
-    its seed alone. Building a new generator per call costs several times
-    more and draws OS entropy that is never used. Building it lazily keeps
-    numpy.random out of a process that never draws, such as an audit. Not
-    thread-safe; the package runs single-threaded in each process.
-    """
-    return np.random.Philox(0)
+# The one generator `prg` reuses. `prg` overwrites its whole state on every
+# call with the state of a fresh `Philox(key=...)` (counter 0, empty
+# buffer), so each stream depends on its seed alone; building a generator
+# per call costs several times more and draws OS entropy that is never
+# used. Not thread-safe; the package runs single-threaded in each process.
+_PHILOX = np.random.Philox(0)
 
 
 def prg(seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -83,8 +76,7 @@ def prg(seed: int, count: int, start: int = 0) -> np.ndarray:
         return np.empty(0, dtype=_U64)
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (seed >> 64) & 0xFFFFFFFFFFFFFFFF],
                    dtype=_U64)
-    gen = _philox()
-    gen.state = {
+    _PHILOX.state = {
         "bit_generator": "Philox",
         "state": {"counter": np.array([start // 4, 0, 0, 0], dtype=_U64), "key": key},
         "buffer": _ZERO4,
@@ -93,8 +85,8 @@ def prg(seed: int, count: int, start: int = 0) -> np.ndarray:
         "uinteger": 0,
     }
     if start % 4:
-        gen.random_raw(start % 4)
-    return gen.random_raw(count)
+        _PHILOX.random_raw(start % 4)
+    return _PHILOX.random_raw(count)
 
 
 def sign_vector(seed: int, count: int) -> np.ndarray:

@@ -7,7 +7,7 @@ strictly ascending ids (so each record has one encoding). Every vector is
 held and published as its canonical `Encoded` bytes, each raw at the
 vector's least byte width. No rational is on
 the wire: the genesis roster carries each participant's deflation factor
-l_i as a nonzero u32, and the auditor deflates by Fraction(product, l_i).
+l_i as a nonzero u32, and the auditor deflates by exact division by l_i.
 Each participant signs one message per round, `submission_message`, which
 binds the round, its id and the digests of both its masked vectors; a
 participant that is not benign has its second vector published as that
@@ -19,19 +19,18 @@ model's blob (`training_header`, `round_blob`, `vector_blob`), so a run can
 write it one round at a time as the rounds end. One parser reads a
 training record front to back (`TrainingRecordReader`), one round at a
 time and each round one table entry at a time (`RoundReader`, the one
-reader of the round layout, which `RoundRecord.decode` collects), from a
-buffer or straight from a ledger payload stream. Each vector it hands out
-is checked for its header and length; its raws are read
-(`FpVector.decode`) only when arithmetic needs them. From a buffer a vector
-is a read-only view of it, not a copy; from a stream it is the vector's
-own bytes, read when the parse reaches it, so a consumer holds only the
-vectors it keeps.
+reader of the round layout, which `RoundRecord.decode` collects), straight
+from a ledger payload stream or from a buffer. Each vector it hands out
+is its own bytes, read when the parse reaches it, so a consumer holds only
+the vectors it keeps; it is checked for its header and length, and its
+raws are read (`FpVector.decode`) only when arithmetic needs them.
 
 This module holds no secrets; the auditor imports it, the protocol fills it.
 """
 from __future__ import annotations
 
 import functools
+import io
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -53,24 +52,19 @@ class RecordFormatError(Exception):
 
 
 class _Reader:
-    """Parses a buffer, or a ledger payload stream, front to back.
+    """Parses a ledger payload stream, or a buffer, front to back, only
+    through `read(n)`: a buffer is wrapped once in `io.BytesIO`.
 
-    From a buffer every blob it takes is a view, not a copy. From a stream
-    (anything with `read(n)`, such as `ledger.Payload`) a blob is the next
-    n bytes, read and hashed by the ledger as they are handed out; the
-    reader keeps none of them. `size` bounds a reader of a stream to the
-    next `size` bytes (`blob`).
+    A blob it takes is the next n bytes, read (and, from `ledger.Payload`,
+    hashed) as they are handed out; the reader keeps none of them. `size`
+    bounds a reader of a stream to the next `size` bytes (`blob`).
     """
 
     def __init__(self, data, what: str, size: int | None = None):
-        self.off = 0
-        self.what = what
-        if hasattr(data, "read"):
-            self.stream, self.view = data, None
-            self.size = len(data) if size is None else size
-        else:
-            self.stream, self.view = None, memoryview(data)
-            self.size = len(self.view)
+        if not hasattr(data, "read"):
+            data, size = io.BytesIO(data), memoryview(data).nbytes
+        self.stream, self.off, self.what = data, 0, what
+        self.size = len(data) if size is None else size
 
     def _truncated(self, n: int) -> RecordFormatError:
         return RecordFormatError(
@@ -78,26 +72,21 @@ class _Reader:
             f"needed {n} more bytes of {self.size}"
         )
 
-    def take(self, n: int) -> memoryview | bytes:
-        off = self.off
-        if off + n > self.size:
+    def take(self, n: int) -> bytes:
+        if self.off + n > self.size:
             raise self._truncated(n)
-        self.off = off + n
-        if self.stream is not None:
-            return self.stream.read(n)
-        return self.view[off : off + n]
+        self.off += n
+        return self.stream.read(n)
 
     def unpack(self, fmt: str):
         size = struct.calcsize(fmt)
         return struct.unpack(fmt, self.take(size))
 
     def blob(self, what: str) -> "_Reader":
-        """The next length-prefixed blob as a reader of its own, bounded by
-        the blob's length: from a buffer a view of it, from a stream the
-        stream itself, read only as the blob is parsed."""
+        """The next length-prefixed blob as a reader of its own over the
+        same stream, bounded by the blob's length and read only as the blob
+        is parsed."""
         (n,) = self.unpack("<I")
-        if self.stream is None:
-            return _Reader(self.take(n), what)
         if self.off + n > self.size:
             raise self._truncated(n)
         self.off += n
@@ -442,9 +431,9 @@ class TrainingRecordReader:
     by the round blob's length, once it has checked the round's index, and
     `masked_model()`, called after the rounds, reads the masked final model
     and checks that nothing follows it. Each round must be read to its end
-    before the next is asked for. Over a stream every entry is read only
-    as the round's parse reaches it, so the reader holds no round. Every
-    defect is a RecordFormatError, raised when the parse reaches it.
+    before the next is asked for. Every entry is read only as the round's
+    parse reaches it, so the reader holds no round. Every defect is a
+    RecordFormatError, raised when the parse reaches it.
     """
 
     def __init__(self, data):

@@ -4,7 +4,6 @@ import struct
 import subprocess
 import sys
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +33,7 @@ from util import (
     tamper_flip_mg1,
     tamper_ledger_byte,
     tamper_masked_model,
+    tamper_server_mask_off_multiple,
     tamper_swap_signatures,
     zero_share_oracle,
 )
@@ -205,16 +205,35 @@ class TestTamperSoundness:
             f"round 1: submission signature of participant {pid} does not verify"
         )
 
+    def test_server_mask_edit_off_the_multiple_of_l_rejected(
+        self, honest_run, tmp_path
+    ):
+        # no signature covers mgS1_i, and the edit keeps the product's sign,
+        # so the benign set and the aggregate are as published; only the
+        # exact deflation by l_i sees that the product is not l_i * <g_i, g_S>
+        _, _, _, path = honest_run
+        work = tmp_path / "mgS1.bin"
+        work.write_bytes(path.read_bytes())
+        _, record, genesis = load_chain(work)
+        tampered, pid = tamper_server_mask_off_multiple(record, genesis)
+        republish(work, tampered)
+        report = full_audit(work)
+        assert (report.failure_stage, report.failure) == (
+            "benign-set",
+            f"round 1: masked detection product of participant {pid} is not "
+            f"a multiple of its deflation factor l = {genesis.roster[pid][1]}",
+        )
+
 
 class TestClippingRanking:
     def test_ranking_matches_plaintext_oracle(self, honest_run):
         cfg, result, internals, path = honest_run
         _, record, genesis = load_chain(path)
         for info, rec in zip(internals, record.rounds):
-            products = deflated_products(round_products(rec), genesis)
+            products = deflated_products(round_products(rec), genesis, rec.r)
             # white-box oracle: exact plaintext inner products
-            for pid, frac in products.items():
-                assert frac == Fraction(info.dots[pid])
+            assert products == info.dots
+            assert all(type(p) is int for p in products.values())
             plaintext_order = tuple(
                 pid
                 for pid, _ in sorted(
@@ -240,7 +259,7 @@ class TestClippingRanking:
             assert ra.ranking[0] == 3
 
     def test_tie_breaks_by_ascending_id(self):
-        products = {5: Fraction(7), 2: Fraction(7), 9: Fraction(1)}
+        products = {5: 7, 2: 7, 9: 1}
         assert ranking_of(products) == (2, 5, 9)
 
 
@@ -447,7 +466,7 @@ class TestStructuredFailures:
             GenesisPayload.decode(b"".join(zero.encode()))
 
     def test_zero_denominator_deflation_rejected(self, honest_run, tmp_path):
-        # l_i is the denominator of Fraction(product, l_i); a zero l_i is
+        # the audit divides each masked product by l_i; a zero l_i is
         # rejected at stage genesis, before any round is read
         import dataclasses
 
@@ -918,33 +937,55 @@ class TestVerdictPrecedence:
 
 class TestRecordFuzz:
     def test_seeded_bit_flips_pin_their_verdicts(self, tmp_path):
-        # 300 single-bit flips of a training record, each re-framed so that
+        # 2000 single-bit flips of a training record, each re-framed so that
         # the chain verifies and a record check has to catch it. The
         # histogram pins what the audit decides on each: a change of stage
-        # or order shows here. Accepted flips are in the unsigned server
-        # vectors (README, "What the audit rejects").
+        # or order shows here. No signature covers the server vectors, and
+        # a flip in them passes only where no check reads it: in the server
+        # aggregate mgS2, or in a raw of a detection mask mgS1_i whose
+        # mg1_i raw is 0, which leaves the masked product as it was (README,
+        # "What the audit rejects").
         import collections
         import random
 
         cfg = small_config(participants=4, rounds=2)
         _, _, path = run_published(tmp_path, cfg, seed=5)
         genesis_bytes, record, _ = load_chain(path)
-        payload = b"".join(record.encode())
+        parts = record.encode()
+        spans, off = [], 0  # (start, end, round record, server vector, id or None)
+        server = {}
+        for rec in record.rounds:
+            server[id(rec.server_agg.data)] = rec, rec.server_agg, None
+            for pid, vec in rec.server_detect.items():
+                server[id(vec.data)] = rec, vec, pid
+        for part in parts:
+            n = memoryview(part).nbytes
+            if id(part) in server:
+                spans.append((off, off + n, *server[id(part)]))
+            off += n
+        payload = b"".join(parts)
         rng = random.Random(2024)
         work = tmp_path / "flipped.bin"
         verdicts = collections.Counter()
-        for _ in range(300):
+        for _ in range(2000):
             data = bytearray(payload)
-            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+            at = rng.randrange(len(data))
+            data[at] ^= 1 << rng.randrange(8)
             work.write_bytes(frame_ledger([genesis_bytes, bytes(data)]))
             report = full_audit(work)
             verdicts["accept" if report.ok else report.failure_stage] += 1
+            if report.ok:
+                [(start, _, rec, vec, pid)] = [s for s in spans if s[0] <= at < s[1]]
+                if pid is not None:  # past the 10-byte header, in raw k of mgS1_pid
+                    assert at - start >= 10
+                    k = (at - start - 10) // vec.width
+                    assert FpVector.decode(rec.local_detect[pid][0]).raw[k] == 0
         assert dict(verdicts) == {
-            "signature": 174,
-            "accept": 79,
-            "record-format": 21,
-            "model-recovery": 21,
-            "structure": 3,
-            "benign-set": 1,
-            "metadata": 1,
+            "signature": 1225,
+            "accept": 16,
+            "benign-set": 439,
+            "model-recovery": 208,
+            "record-format": 84,
+            "structure": 23,
+            "metadata": 5,
         }

@@ -20,6 +20,8 @@ SRC = Path(auditfl.__file__).resolve().parent.parent
 TRAINING_MODULES = ("auditfl.protocol", "auditfl.training", "auditfl.randomness",
                     "auditfl.config")
 HASHLIB_MODULES = ("hashlib", "_hashlib")
+# rationals: the audit deflates by exact integer division
+RATIONAL_MODULES = ("fractions", "decimal")
 
 
 def _loaded_after(code: str) -> dict:
@@ -59,7 +61,7 @@ class TestLeanAudit:
             "auditfl.auditor", "auditfl.crypto", "auditfl.fixedpoint",
             "auditfl.ledger", "auditfl.records",
         }
-        assert not loaded & {*TRAINING_MODULES, *HASHLIB_MODULES}
+        assert not loaded & {*TRAINING_MODULES, *HASHLIB_MODULES, *RATIONAL_MODULES}
 
     def test_cli_audit_loads_no_training_module_nor_hashlib(self, ledger):
         out = _loaded_after(

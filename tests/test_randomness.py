@@ -218,7 +218,8 @@ class TestKernelsMatchReferenceFormulas:
                 assert np.array_equal(prg(seed, dim), _philox_words(seed, dim))
 
     def test_import_does_not_build_the_generator(self):
-        # an audit never draws, so importing the package must not load
+        # an audit never draws: importing the package and the auditor must
+        # not import randomness, which builds the generator, nor load
         # numpy.random (about 2 MB of peak RSS in an audit process)
         import subprocess
         import sys

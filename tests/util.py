@@ -278,6 +278,24 @@ def tamper_masked_model(record: TrainingRecord) -> TrainingRecord:
     )
 
 
+def tamper_server_mask_off_multiple(
+    record: TrainingRecord, genesis: GenesisPayload
+) -> tuple[TrainingRecord, int]:
+    """Add 1 to one raw of a benign participant's server detection mask in
+    round 1, where its detection mask's raw is positive and not a multiple
+    of its l_i: the masked product grows by that raw, so its sign and the
+    benign set stay, but l_i no longer divides it. The tampered record and
+    the participant's id."""
+    rec = record.rounds[0]
+    pid = min(rec.local_agg)
+    l = genesis.roster[pid][1]
+    mg1 = FpVector.decode(rec.local_detect[pid][0]).raw
+    k = next(k for k, v in enumerate(mg1) if v > 0 and v % l)
+    server_detect = {**rec.server_detect, pid: _bump_entry(rec.server_detect[pid], k)}
+    tampered = dataclasses.replace(rec, server_detect=server_detect)
+    return _replace_round(record, 0, tampered), pid
+
+
 def tamper_swap_signatures(record: TrainingRecord) -> TrainingRecord:
     """Swap the submission signatures of two participants in one round."""
     for r_idx, rec in enumerate(record.rounds):
