@@ -112,8 +112,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--clip", dest="clipping", action="store_true",
                    help="enable inner-product clipping of amplified gradients")
     p.add_argument("--clip-factor", dest="clip_factor", type=int)
-    p.add_argument("--metrics-every", dest="metrics_every", type=int,
-                   help="evaluate test accuracy every N rounds (0 = final only)")
     p.add_argument("--dataset-kind", dest="dataset_kind", choices=["idx", "synthetic"])
     p.add_argument("--data-dir", dest="data_dir")
 
@@ -189,7 +187,10 @@ def cmd_verify_chain(args) -> int:
 
 def _sweep_one(cfg: RunConfig, count: int, publish: bool, out_dir: str,
                train: Dataset, test: Dataset):
-    """One sweep entry: scheme and baseline accuracy at `count` flippers."""
+    """One sweep entry: scheme and baseline accuracy at `count` flippers.
+
+    Only the final accuracies are kept, so each run evaluates only its
+    final model, whatever the config's `metrics_every`."""
     from . import config as cfgmod
     from .protocol import run_training
     from .training import AdversarySpec
@@ -197,6 +198,7 @@ def _sweep_one(cfg: RunConfig, count: int, publish: bool, out_dir: str,
     cfg = cfgmod.with_overrides(
         cfg,
         malicious={i: AdversarySpec("label_flip") for i in range(1, count + 1)},
+        metrics_every=0,
     )
     ledger_path = None
     if publish:
@@ -268,6 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="train, publish, and write metrics")
     _add_config_flags(p_run)
+    p_run.add_argument("--metrics-every", dest="metrics_every", type=int,
+                       help="evaluate test accuracy every N rounds (0 = final only)")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--with-baseline", action="store_true",
                        help="also run the FedAvg baseline for comparison")

@@ -114,11 +114,12 @@ class FpVector:
         y = x * float(1 << scale)  # exact: multiplying by a power of two
         # NaN fails both compares, so NaN, infinities and |y| >= 2^52 all
         # take the checked path; below 2^52, y +- 0.5 is the same float64 sum
-        # as that path's, and the cast truncates it toward zero
+        # as that path's, and the cast truncates it toward zero. The sum is
+        # taken in y's place, so the step holds one temporary of the
+        # vector's length, not two
         if y.size and -_HALF_EXACT < y.min() and y.max() < _HALF_EXACT:
-            half = np.copysign(0.5, y)
-            half += y
-            return cls(half.astype(np.int64), scale)
+            y += np.copysign(0.5, y)
+            return cls(y.astype(np.int64), scale)
         return cls._from_floats_checked(x, scale)
 
     @classmethod
@@ -141,8 +142,12 @@ class FpVector:
         raw = rounded.astype(np.int64)
         return cls(np.where(np.signbit(x), -raw, raw), scale)
 
-    def to_floats(self) -> np.ndarray:
-        return self.raw.astype(np.float64) / float(1 << self.scale)
+    def to_floats(self, dtype=np.float64) -> np.ndarray:
+        """The values as a new array of `dtype`: each raw rounded to it
+        once, then scaled by 2^-scale, which is exact."""
+        x = self.raw.astype(dtype)
+        x /= x.dtype.type(1 << self.scale)
+        return x
 
     def __eq__(self, other) -> bool:
         return (

@@ -3,10 +3,11 @@
 Datasets are read from IDX files (MNIST's distribution format) and keep
 their pixels as the bytes they were read from; a minibatch is dequantized
 when it is drawn, and an evaluation one block of rows at a time. Models are
-flattened parameter vectors in fixed point; forward/backward passes run in
-float64 from the fixed-point snapshot and only the resulting gradient is
-quantized, so training numerics stay conventional while the protocol path
-stays exact.
+flattened parameter vectors in fixed point. Training's forward and backward
+passes run in float64 from the fixed-point snapshot and only the resulting
+gradient is quantized, so training numerics stay conventional while the
+protocol path stays exact. Evaluation runs the same forward pass in
+float32: its accuracy feeds only the metrics.
 """
 from __future__ import annotations
 
@@ -345,11 +346,13 @@ def _forward(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """The logits, and each layer's input: X as given, then every ReLU output.
 
-    X is float64 features, or stored rows of a `Dataset` with its divisor.
-    The input layer then turns X into features one block of rows at a time,
-    as `Dataset.take` does, in one reused float64 buffer, and multiplies
-    each block into one preallocated output, so a whole test set never
-    exists as floats. The logits stay bit-identical to one product
+    Every product runs in the layers' dtype: float64 when `loss_and_grad`
+    trains, float32 when `evaluate` predicts. X is features of that dtype,
+    or stored rows of a `Dataset` with its divisor. The input layer then
+    turns X into features one block of rows at a time, as `Dataset.take`
+    does, in one reused buffer of the layers' dtype, and multiplies each
+    block into one preallocated output, so a whole test set never exists
+    as floats. In float64 the logits stay bit-identical to one product
     over all rows as long as every block takes the BLAS kernel the whole
     product takes. OpenBLAS uses a separate small-matrix kernel, with other
     bits, up to 10^6 multiply-adds, so the blocks of a split product are
@@ -361,12 +364,14 @@ def _forward(
     n = X.shape[0]
     rows = max(FORWARD_BLOCK, -(-FORWARD_WORK // W.size))
     blocks = -(-n // rows) or 1
-    out = np.empty((n, b.size))
-    buf = None if X.dtype == np.float64 else np.empty((-(-n // blocks), X.shape[1]))
+    out = np.empty((n, b.size), dtype=W.dtype)
+    buf = None
+    if X.dtype != W.dtype:
+        buf = np.empty((-(-n // blocks), X.shape[1]), dtype=W.dtype)
     for k in range(blocks):
         lo, hi = n * k // blocks, n * (k + 1) // blocks
         block = X[lo:hi]
-        if buf is not None:  # float32(v) / divisor in float32, then widened
+        if buf is not None:  # float32(v) / divisor in float32, in the buffer's dtype
             block = np.divide(block, divisor, out=buf[: hi - lo], dtype=np.float32)
         np.dot(block, W, out=out[lo:hi])
     out += b
@@ -382,7 +387,7 @@ def loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and its gradient w.r.t. the flattened parameters.
 
-    The forward pass is `evaluate`'s; the loss is the mean of
+    The forward pass is `evaluate`'s, run in float64; the loss is the mean of
     -log(p_y + 1e-300) over the rows, and back-propagation starts at the
     output layer."""
     n = X.shape[0]
@@ -427,10 +432,17 @@ def local_gradient(
 
 def evaluate(arch: Architecture, params: FpVector, ds: Dataset) -> float:
     """Accuracy fraction on a nonempty dataset, from the forward pass that
-    `loss_and_grad` trains with, fed the stored rows block by block."""
+    `loss_and_grad` trains with, fed the stored rows block by block.
+
+    It runs in float32: the weights are rounded once from the fixed-point
+    raws, and each block of rows becomes the float32 features that training
+    widens to float64. An accuracy reaches only the metrics, never the
+    ledger, and the tests pin that every prediction equals the float64
+    forward pass's."""
     if len(ds) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    logits, _ = _forward(_layers(arch, params.to_floats()), ds.stored(), ds.divisor)
+    layers = _layers(arch, params.to_floats(np.float32))
+    logits, _ = _forward(layers, ds.stored(), ds.divisor)
     return float((logits.argmax(axis=1) == ds.labels).mean())
 
 

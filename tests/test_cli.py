@@ -297,6 +297,44 @@ class TestSweep:
         assert b"error" not in csvs[1]
         assert csvs[0] == csvs[1]
 
+    @pytest.mark.parametrize("rounds", [1, 4])
+    def test_entry_evaluates_only_its_two_final_models(
+        self, workspace, tmp_path, monkeypatch, rounds
+    ):
+        # the workspace config evaluates every round; a sweep entry keeps
+        # only the final accuracies, the same ones such a run reports
+        from auditfl import config, protocol
+        from auditfl.cli import _sweep_one, prepare_datasets
+
+        root, cfg_path = workspace
+        cfg = config.with_overrides(config.from_file(cfg_path), rounds=rounds)
+        assert cfg.metrics_every == 1
+        train, test = prepare_datasets(cfg)
+        evaluate, evaluated = protocol.evaluate, []
+
+        def counting(*args):
+            evaluated.append(evaluate(*args))
+            return evaluated[-1]
+
+        monkeypatch.setattr(protocol, "evaluate", counting)
+        accuracies = _sweep_one(cfg, 1, False, str(tmp_path), train, test)
+        assert len(evaluated) == 2
+        monkeypatch.undo()
+        cfg = config.with_overrides(cfg, malicious=config.parse_malicious(["1:label_flip"]))
+        assert accuracies == (
+            protocol.run_training(cfg, train, test).metrics[-1]["test_accuracy"],
+            protocol.run_training(cfg, train, test, detection=False)
+            .metrics[-1]["test_accuracy"],
+        )
+
+    def test_metrics_every_is_a_run_flag_only(self, workspace, capsys):
+        root, cfg_path = workspace
+        with pytest.raises(SystemExit):
+            main(["sweep", "--config", str(cfg_path), "--metrics-every", "1",
+                  "--out", str(root / "never3")])
+        assert "--metrics-every" in capsys.readouterr().err
+        assert not (root / "never3").exists()
+
     def test_missing_idx_dataset_rejected(self, workspace, tmp_path):
         # the datasets are prepared once, before any entry runs
         root, cfg_path = workspace

@@ -9,6 +9,7 @@ import pytest
 from auditfl import run_training, training
 from auditfl.cli import write_metrics_csv
 from auditfl.fixedpoint import FpVector
+from auditfl.protocol import pretrain
 from auditfl.randomness import derive_seed, prg
 from auditfl.training import (
     FORWARD_BLOCK,
@@ -451,6 +452,40 @@ def one_shot_evaluate(arch, params, X, y):
     return float((logits.argmax(axis=1) == y).mean())
 
 
+def params_48_bits(arch, rows):
+    """Seeded weights in [-0.05, 0.05) with 48 fractional bits: products of
+    pixels and weights round in float64, so a change in the order of
+    accumulation shows in the logit bits."""
+    words = prg(derive_seed(arch.hidden, rows, "blockwise-params"), arch.param_count)
+    return FpVector.from_floats(
+        (words >> np.uint64(11)).astype(np.float64) * 2.0**-53 * 0.1 - 0.05, 48
+    )
+
+
+def assert_float32_predicts_as_float64(arch, params, ds):
+    """`evaluate`'s precision contract: its float32 forward pass predicts
+    every row as the float64 forward pass of one product per layer does,
+    so its accuracy is the float64 accuracy."""
+    X = ds.take()
+    expected = one_shot_logits(arch, params.to_floats(), X).argmax(axis=1)
+    logits, _ = _forward(_layers(arch, params.to_floats(np.float32)), ds.stored(),
+                         ds.divisor)
+    assert logits.dtype == np.float32
+    assert np.array_equal(logits.argmax(axis=1), expected)
+    assert evaluate(arch, params, ds) == float((expected == ds.labels).mean())
+    return expected
+
+
+@pytest.fixture(scope="module")
+def synthetic_split(tmp_path_factory):
+    """A synthetic corpus's (train, test) datasets: 784 uint8 pixels, 2000
+    test rows, so evaluate's input layer takes several blocks."""
+    paths = make_synthetic_corpus(tmp_path_factory.mktemp("split"), 23,
+                                  n_train=1200, n_test=2000, side=28)
+    return tuple(load_idx(paths[f"{part}_images"], paths[f"{part}_labels"])
+                 for part in ("train", "test"))
+
+
 @pytest.fixture(scope="module")
 def test_set_4000():
     # a test set of the default shape: 4000 rows of 784 pixels, 10 classes
@@ -473,12 +508,7 @@ class TestBlockwiseForward:
     )
     def test_bit_identical_to_one_shot(self, test_set_4000, features, hidden, rows):
         arch = Architecture(features, 10, hidden)
-        # 48 fractional bits: products of pixels and weights round in float64,
-        # so a change in the order of accumulation shows in the logit bits
-        words = prg(derive_seed(hidden, rows, "blockwise-params"), arch.param_count)
-        params = FpVector.from_floats(
-            (words >> np.uint64(11)).astype(np.float64) * 2.0**-53 * 0.1 - 0.05, 48
-        )
+        params = params_48_bits(arch, rows)
         X, y = test_set_4000[0][:rows, :features], test_set_4000[1][:rows]
         logits, _ = _forward(_layers(arch, params.to_floats()), X)
         expected = one_shot_logits(arch, params.to_floats(), X)
@@ -488,6 +518,27 @@ class TestBlockwiseForward:
             arch, params.to_floats(), X, y
         )
 
+    @pytest.mark.parametrize("features", [784, 100])
+    @pytest.mark.parametrize("hidden", [0, 8, 64])
+    def test_float32_predictions_of_48_bit_models(self, test_set_4000, features, hidden):
+        arch = Architecture(features, 10, hidden)
+        X, y = test_set_4000[0][:, :features], test_set_4000[1]
+        assert_float32_predicts_as_float64(
+            arch, params_48_bits(arch, 4000), Dataset(features=X, labels=y, n_classes=10)
+        )
+
+    @pytest.mark.parametrize("hidden", [0, 64])
+    def test_float32_predictions_of_trained_models(self, synthetic_split, hidden):
+        train, test = synthetic_split
+        arch = Architecture(train.n_features, train.n_classes, hidden)
+        cfg = small_config(hidden=hidden, pretrain_steps=40, eta="0.5", master_seed=hidden)
+        predicted = assert_float32_predicts_as_float64(arch, pretrain(cfg, arch, train), test)
+        # a model that has learnt something: its predictions are not one class
+        assert (predicted == test.labels).mean() > 0.3
+        assert len(np.unique(predicted)) > 2
+
+    # float32 weights, features, activations and logits: the buffers are
+    # half the float64 pass's, under an eighth of a float64 copy of the rows
     @pytest.mark.parametrize("hidden", [0, 64])
     def test_evaluate_allocates_under_a_quarter_of_a_float64_copy(
         self, test_set_4000, hidden
@@ -502,7 +553,7 @@ class TestBlockwiseForward:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < X.size * 8 // 4
+        assert peak < X.size * 8 // 8
 
 
 class TestStoredPixels:

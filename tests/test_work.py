@@ -4,17 +4,23 @@ Timings on a shared host drift by about 15%; these counts do not. Each is
 taken by wrapping a seam (a module function or a method) around one
 `small_config` run and one `full_audit` of its ledger, and is pinned
 exactly, so a change that does more or less work shows here even where a
-timing cannot resolve it. Each test's docstring says what moves its count.
+timing cannot resolve it. An unpublished run of the same config gives the
+counts of a run that publishes nothing. Each test's docstring says what
+moves its count.
 """
 import collections
+import hashlib
 import sys
 
 import pytest
 
-from auditfl import auditor, crypto, full_audit, ledger, protocol
-from util import run_published, sign_flip_spec, small_config
+from auditfl import auditor, crypto, full_audit, ledger, protocol, randomness
+from auditfl.fixedpoint import FpVector
+from util import load_chain, make_dataset, sign_flip_spec, small_config
 
 N, R = 4, 3
+# the data's 16 features and 4 classes make d = 16 * 4 + 4; small_config's batch
+D, BATCH = 68, 64
 
 
 def _counting(counts, name, fn, units=lambda *args: 1):
@@ -27,6 +33,11 @@ def _counting(counts, name, fn, units=lambda *args: 1):
 
 def _nbytes(*parts) -> int:
     return sum(memoryview(p).nbytes for p in parts)
+
+
+def _digest(vec) -> bytes:
+    """SHA-256 of an encoding's bytes, outside the hashing the tests count."""
+    return hashlib.sha256(vec.data).digest()
 
 
 def _count_sha256(mp, counts) -> None:
@@ -43,17 +54,78 @@ def _count_sha256(mp, counts) -> None:
     )
 
 
+def _count_round_prg_words(mp, words) -> None:
+    """Count the words every `randomness.prg` call draws, under each
+    module's binding of it, into words[(who, r)]: who is the id of the
+    participant whose round-r `compute_submission` draws them, or "server"
+    inside `Server.run_round(r, ...)`. Draws outside a round (data split,
+    key and pair derivation) are not counted."""
+    prg, at = randomness.prg, []
+
+    def counted(seed, count, *args):
+        if at:
+            words[at[-1]] += count
+        return prg(seed, count, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("auditfl") and getattr(module, "prg", None) is prg:
+            mp.setattr(module, "prg", counted)
+
+    def within(method, who):
+        def wrapped(self, *args):
+            at.append(who(self, *args))
+            try:
+                return method(self, *args)
+            finally:
+                at.pop()
+
+        return wrapped
+
+    mp.setattr(protocol.Participant, "compute_submission", within(
+        protocol.Participant.compute_submission, lambda p, w, r: (p.secrets.id, r)))
+    mp.setattr(protocol.Server, "run_round", within(
+        protocol.Server.run_round, lambda s, r, *_: ("server", r)))
+
+
+def _counted_run(mp, counts) -> None:
+    """The run-side seams: ECDSA, masked forms, SHA-256, PRG words in the
+    rounds, evaluations, and the SHA-256 of every encoding made."""
+    mp.setattr(crypto, "sign", _counting(counts, "signs", crypto.sign))
+    mp.setattr(crypto, "verify", _counting(counts, "verifies", crypto.verify))
+    mp.setattr(protocol, "masked_forms",
+               _counting(counts, "masked_forms", protocol.masked_forms))
+    mp.setattr(protocol, "evaluate", _counting(counts, "evaluates", protocol.evaluate))
+    _count_sha256(mp, counts)
+    counts["prg_words"] = collections.Counter()
+    _count_round_prg_words(mp, counts["prg_words"])
+    counts["encoded"] = encoded = collections.Counter()
+    encode = FpVector.encode
+
+    def counting_encode(self):
+        out = encode(self)
+        encoded[_digest(out)] += 1
+        return out
+
+    mp.setattr(FpVector, "encode", counting_encode)
+
+
 @pytest.fixture(scope="module")
-def counted(tmp_path_factory):
+def data():
+    """run_published's tiny train and test sets, made before any seam is
+    wrapped: their seed derivations are not the run's work."""
+    return make_dataset(5, 600, 16, 4), make_dataset(6, 150, 16, 4)
+
+
+@pytest.fixture(scope="module")
+def counted(tmp_path_factory, data):
     """(run counts, audit counts, audit report, ledger size in bytes)."""
     cfg = small_config(participants=N, rounds=R, malicious={2: sign_flip_spec()})
+    path = tmp_path_factory.mktemp("work") / "ledger.bin"
     run, audit = collections.Counter(), collections.Counter()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(crypto, "sign", _counting(run, "signs", crypto.sign))
-        mp.setattr(crypto, "verify", _counting(run, "verifies", crypto.verify))
-        mp.setattr(protocol, "masked_forms",
-                   _counting(run, "masked_forms", protocol.masked_forms))
-        _, _, path = run_published(tmp_path_factory.mktemp("work"), cfg)
+        _counted_run(mp, run)
+        result = protocol.run_training(cfg, *data, ledger_path=path)
+    run["w0"], run["record"] = result.w0, load_chain(path)[1]
     with pytest.MonkeyPatch.context() as mp:
         _count_sha256(mp, audit)
         mp.setattr(crypto, "verify", _counting(audit, "verifies", crypto.verify))
@@ -76,6 +148,19 @@ def counted(tmp_path_factory):
     return run, audit, report, path.stat().st_size
 
 
+@pytest.fixture(scope="module")
+def unpublished(data):
+    """The run counts of `counted`'s config and data, unpublished and
+    evaluated every round."""
+    cfg = small_config(participants=N, rounds=R, malicious={2: sign_flip_spec()},
+                       metrics_every=1)
+    counts = collections.Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        _counted_run(mp, counts)
+        protocol.run_training(cfg, *data, publish=False)
+    return counts
+
+
 class TestRunWork:
     def test_ecdsa_signs(self, counted):
         """One signature per submission and the server's over w_0: n·R + 1.
@@ -94,6 +179,64 @@ class TestRunWork:
         the forms once would make it one."""
         run, _, _, _ = counted
         assert run["masked_forms"] == 2 * N * R == 24
+
+    def test_sha256_bytes_per_ledger_byte(self, counted):
+        """Every payload byte once as the ledger stream takes it in, and
+        the two 88-byte block headers (15055); the digests of every mg1_i
+        and mg2_i twice, by the participant to sign them and by the server
+        to check them (17616); each 80-byte submission message once to sign
+        and once to verify, and w_0's encoding once for its signature
+        (1998); and the derivation paths of the seeds and keys (4641).
+        Hashing a vector once for both its digest and the chain would cut
+        the second share."""
+        run, _, _, size = counted
+        assert (run["sha256_bytes"], size) == (39310, 15143)
+
+    def test_encodes_per_published_vector(self, counted):
+        """Each published vector is encoded once: per round every mg1_i,
+        each benign mg2_i, every server mask mgS1_i and the server
+        aggregate, then the masked final model. The mg2_i of a valid
+        participant that is not benign is encoded once too, though only its
+        digest is published, and so is w_0, for the server's signature. An
+        encode of a vector that is already bytes would add one here."""
+        run, _, _, _ = counted
+        record, encoded = run["record"], run["encoded"]
+        published, digest_only = [record.masked_model], []
+        for rec in record.rounds:
+            published += [mg1 for mg1, _ in rec.local_detect.values()]
+            published += [*rec.local_agg.values(), *rec.server_detect.values(),
+                          rec.server_agg]
+            digest_only += rec.agg_digests.values()
+        assert [encoded[_digest(v)] for v in published] == [1] * len(published)
+        assert [encoded[h] for h in digest_only] == [1] * len(digest_only)
+        assert encoded[_digest(run["w0"].encode())] == 1
+        assert (len(published), len(digest_only), encoded.total()) == (37, 3, 41)
+
+    def test_prg_words_per_participant_and_round(self, counted, unpublished):
+        """A published participant draws its batch indices (BATCH words),
+        its round's sign stream (one word per 64 coordinates) and its zero
+        share (D words); unpublished, only its batch. The server draws its
+        own batch and, publishing, each participant's sign stream and zero
+        share again to check its masked forms, and the round's model mask
+        (D words). Sending the masked forms once, or deriving the sign
+        stream from fewer words, moves these counts."""
+        published = counted[0]["prg_words"]
+        streams = -(-D // 64) + D
+        for words, participant, server in (
+            (published, BATCH + streams, BATCH + N * streams + D),
+            (unpublished["prg_words"], BATCH, BATCH),
+        ):
+            assert {r: words[("server", r)] for r in range(1, R + 1)} == dict.fromkeys(
+                range(1, R + 1), server)
+            assert {k: v for k, v in words.items() if k[0] != "server"} == {
+                (i, r): participant for i in range(1, N + 1) for r in range(1, R + 1)}
+        assert (BATCH + streams, BATCH + N * streams + D) == (134, 412)
+
+    def test_evaluations_per_run(self, counted, unpublished):
+        """`protocol.evaluate` runs after each round that `metrics_every`
+        selects, and after the final one: once at metrics_every=0, R times
+        at metrics_every=1."""
+        assert (counted[0]["evaluates"], unpublished["evaluates"]) == (1, R)
 
 
 class TestAuditWork:
