@@ -16,6 +16,20 @@ digests it computed to verify the signatures. Each published vector is
 encoded once, by the party that computes it. An unpublished round skips
 masks, signatures and the record; its model trajectory is the same.
 
+The submissions a round verifies are drawn one group of participants at a
+time: `training.local_gradients` differentiates the group's minibatches in
+one forward and backward pass, and then each participant attacks, masks,
+encodes and signs its own gradient (`Participant.compute_submission`). A
+group holds as many participants as `training.GROUP_FEATURES` stacked
+float64 features allow, which is one at 784 features and ten at 100 with
+64-row batches (see there for the measurement behind it). Every gradient
+is bit-identical to the participant's one-shard pass, so grouping changes
+no byte of the ledger, the metrics or the audit. Each group's stack is
+dropped before the next group is drawn, and the round's submissions when
+`run_round` returns. On the `many-small` benchmark config (48
+participants, 100 features) grouping cut a FedAvg round from 5.9 to
+4.7 ms (README).
+
 A published run writes its training record into ledger block 1 while it
 trains: the block is streamed (`Ledger.append_stream`) from the record's
 header, then each round's blob as soon as its round ends, then the masked
@@ -78,6 +92,8 @@ from .training import (
     evaluate,
     init_params,
     local_gradient,
+    local_gradients,
+    participants_per_group,
     partition,
 )
 
@@ -214,32 +230,26 @@ class Participant:
     def __init__(
         self,
         secrets: ParticipantSecrets,
-        arch: Architecture,
         shard: Dataset,
-        batch_size: int,
         adversary: AdversarySpec | None = None,
     ):
         self.secrets = secrets
-        self.arch = arch
         self.adversary = adversary or AdversarySpec()
         # label flipping poisons the shard once, before any training
         self.shard = corrupt_shard(
             shard, self.adversary, derive_seed(secrets.zero_seed, "attack")
         )
-        self.batch_size = batch_size
 
-    def compute_submission(self, w_prev: FpVector, r: int) -> Submission:
-        """The round-r local gradient (after any attack) and its loss,
-        masked, encoded and signed when the participant holds a signing key.
-        A run that publishes nothing hands out no keys, and its masks and
-        signatures would not affect the trajectory."""
-        g, loss = local_gradient(
-            self.arch,
-            w_prev,
-            self.shard,
-            self.batch_size,
-            derive_seed(self.secrets.mask_seed, "batch", r),
-        )
+    def batch_seed(self, r: int) -> int:
+        """The seed of the participant's round-r minibatch."""
+        return derive_seed(self.secrets.mask_seed, "batch", r)
+
+    def compute_submission(self, g: FpVector, loss: float, r: int) -> Submission:
+        """The round-r submission of the participant's local gradient g,
+        drawn under `batch_seed(r)`, and its loss: g after any attack,
+        masked, encoded and signed when the participant holds a signing
+        key. A run that publishes nothing hands out no keys, and its masks
+        and signatures would not affect the trajectory."""
         g = corrupt_gradient(g, self.adversary)
         if self.secrets.keypair is None:
             return Submission(self.secrets.id, g, loss)
@@ -554,16 +564,25 @@ def run_training(
         secrets, participant_secrets = None, training_secrets(config)
 
     participants = [
-        Participant(
-            ps,
-            arch,
-            shards[ps.id],
-            config.batch_size,
-            config.malicious.get(ps.id),
-        )
+        Participant(ps, shards[ps.id], config.malicious.get(ps.id))
         for ps in participant_secrets
     ]
     server = Server(config, secrets, arch, root_shard, w0)
+    group = participants_per_group(arch.n_features, config.batch_size)
+
+    def submissions(r: int) -> list[Submission]:
+        """Every participant's round-r submission, by ascending id; the
+        gradients are drawn one group of participants at a time."""
+        out = []
+        for lo in range(0, len(participants), group):
+            members = participants[lo : lo + group]
+            gradients = local_gradients(
+                arch, server.w, [p.shard for p in members], config.batch_size,
+                [p.batch_seed(r) for p in members],
+            )
+            out += [p.compute_submission(g, loss, r)
+                    for p, (g, loss) in zip(members, gradients)]
+        return out
 
     metrics: list[dict] = []
 
@@ -572,9 +591,7 @@ def run_training(
         publishing) as soon as it is made, then evaluates."""
         for r in range(1, config.rounds + 1):
             # the submissions die with the call: none is held past its round
-            record, benign, train_loss = server.run_round(
-                r, [p.compute_submission(server.w, r) for p in participants], detection
-            )
+            record, benign, train_loss = server.run_round(r, submissions(r), detection)
             yield record
             del record  # written: no round record is held past its round
             row = {

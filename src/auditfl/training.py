@@ -8,6 +8,18 @@ passes run in float64 from the fixed-point snapshot and only the resulting
 gradient is quantized, so training numerics stay conventional while the
 protocol path stays exact. Evaluation runs the same forward pass in
 float32: its accuracy feeds only the metrics.
+
+A round's participants are differentiated in stacked groups:
+`local_gradients` draws the minibatches of a group into one float64 stack
+and makes one forward and backward pass, one conversion of the model to
+floats and one quantization for the whole group; `local_gradient` is its
+one-shard case. Each step of the pass acts on every minibatch alone (one
+BLAS call per minibatch, reductions along its own rows), so every gradient
+and loss is bit-identical to the one-shard pass. A group holds as many
+minibatches as GROUP_FEATURES stacked features allow; the measurements
+that sized it are given there. On the `many-small` benchmark config (48
+participants, 100 features, seed 3) a FedAvg round takes 4.7 ms against
+5.9 ms with one pass per participant (perfbench medians, README).
 """
 from __future__ import annotations
 
@@ -18,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fixedpoint import DEFAULT_SCALE, FpVector
+from .fixedpoint import _HALF_EXACT, DEFAULT_SCALE, FpVector
 from .randomness import derive_seed, prg
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -37,9 +49,9 @@ class Dataset:
     `features` holds the stored values: uint8 pixels as read from IDX files,
     or float32 features as given. The feature of stored value v is
     float32(v) / divisor in float32, with divisor 255 for uint8 and 1 for
-    float32. `take` applies it to the rows of a minibatch, and `evaluate`
-    to one block of rows at a time, so no float copy of the whole matrix is
-    ever held.
+    float32. `local_gradients` applies it to the rows of each minibatch,
+    and `evaluate` to one block of rows at a time, so no float copy of the
+    whole matrix is ever held.
 
     A loaded dataset has `rows` None: sample k is `features[k]`. A shard from
     `partition` shares its parent's feature matrix and holds only its row
@@ -76,11 +88,6 @@ class Dataset:
         """Stored rows of samples `idx`, all of them by default: a view of a
         loaded dataset's slice, a gathered copy of a shard's rows."""
         return self.features[idx if self.rows is None else self.rows[idx]]
-
-    def take(self, idx=slice(None)) -> np.ndarray:
-        """Feature rows of samples `idx`, all of them by default, as a new
-        float32 matrix."""
-        return np.divide(self.stored(idx), self.divisor, dtype=np.float32)
 
 
 def _read_exact(f, n: int, path: Path, what: str) -> bytes:
@@ -347,33 +354,41 @@ def _forward(
     """The logits, and each layer's input: X as given, then every ReLU output.
 
     Every product runs in the layers' dtype: float64 when `loss_and_grad`
-    trains, float32 when `evaluate` predicts. X is features of that dtype,
-    or stored rows of a `Dataset` with its divisor. The input layer then
-    turns X into features one block of rows at a time, as `Dataset.take`
-    does, in one reused buffer of the layers' dtype, and multiplies each
-    block into one preallocated output, so a whole test set never exists
-    as floats. In float64 the logits stay bit-identical to one product
-    over all rows as long as every block takes the BLAS kernel the whole
-    product takes. OpenBLAS uses a separate small-matrix kernel, with other
-    bits, up to 10^6 multiply-adds, so the blocks of a split product are
-    near-equal and each does at least FORWARD_WORK / 2 of them. Later
-    layers run once on the whole matrix: splitting those by rows does
-    change their bits.
+    trains, float32 when `evaluate` predicts. Training passes a stack of
+    minibatches, X of shape (k, batch, features) in float64, and every
+    layer runs as `np.matmul`, one BLAS call per minibatch whose shape does
+    not depend on k, so each minibatch's logits have the bits of its own
+    one-minibatch pass.
+
+    Evaluation passes X as the stored rows (n, features) of a `Dataset`
+    with its divisor. The input layer then turns X into features one block
+    of rows at a time, as `local_gradients` does a batch, in one reused
+    buffer of the layers' dtype, and multiplies each block into one
+    preallocated output, so a whole test set never exists as floats. In
+    float64 the logits stay bit-identical to one product over all rows as
+    long as every block takes the BLAS kernel the whole product takes.
+    OpenBLAS uses a separate small-matrix kernel, with other bits, up to
+    10^6 multiply-adds, so the blocks of a split product are near-equal and
+    each does at least FORWARD_WORK / 2 of them. Later layers run once on
+    the whole matrix: splitting those by rows does change their bits.
     """
     W, b = layers[0]
-    n = X.shape[0]
-    rows = max(FORWARD_BLOCK, -(-FORWARD_WORK // W.size))
-    blocks = -(-n // rows) or 1
-    out = np.empty((n, b.size), dtype=W.dtype)
-    buf = None
-    if X.dtype != W.dtype:
-        buf = np.empty((-(-n // blocks), X.shape[1]), dtype=W.dtype)
-    for k in range(blocks):
-        lo, hi = n * k // blocks, n * (k + 1) // blocks
-        block = X[lo:hi]
-        if buf is not None:  # float32(v) / divisor in float32, in the buffer's dtype
-            block = np.divide(block, divisor, out=buf[: hi - lo], dtype=np.float32)
-        np.dot(block, W, out=out[lo:hi])
+    if X.ndim == 3:
+        out = np.matmul(X, W)
+    else:
+        n = X.shape[0]
+        rows = max(FORWARD_BLOCK, -(-FORWARD_WORK // W.size))
+        blocks = -(-n // rows) or 1
+        out = np.empty((n, b.size), dtype=W.dtype)
+        buf = None
+        if X.dtype != W.dtype:
+            buf = np.empty((-(-n // blocks), X.shape[1]), dtype=W.dtype)
+        for k in range(blocks):
+            lo, hi = n * k // blocks, n * (k + 1) // blocks
+            block = X[lo:hi]
+            if buf is not None:  # float32(v) / divisor in float32, in the buffer's dtype
+                block = np.divide(block, divisor, out=buf[: hi - lo], dtype=np.float32)
+            np.dot(block, W, out=out[lo:hi])
     out += b
     inputs = [X]
     for W, b in layers[1:]:
@@ -384,37 +399,123 @@ def _forward(
 
 def loss_and_grad(
     arch: Architecture, params: np.ndarray, X: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient w.r.t. the flattened parameters.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cross-entropy and its gradient w.r.t. the flattened parameters,
+    of each of a stack of k minibatches: X (k, batch, features), y (k, batch).
 
-    The forward pass is `evaluate`'s, run in float64; the loss is the mean of
-    -log(p_y + 1e-300) over the rows, and back-propagation starts at the
-    output layer."""
-    n = X.shape[0]
+    Returns the k losses and the (k, d) gradients. The forward pass is
+    `evaluate`'s, run in float64; each loss is the mean of
+    -log(p_y + 1e-300) over its minibatch's rows, and back-propagation
+    starts at the output layer. Every step acts on each minibatch alone, as
+    one BLAS call or one reduction along its own rows, so minibatch j gets
+    the same bits in any stack."""
+    k, n = y.shape
     layers = _layers(arch, params)
-    # float64 up front: a batch is one block, and back-propagation reads it
-    X = X.astype(np.float64, copy=False)
+    X = X.astype(np.float64, copy=False)  # back-propagation reads it
     logits, inputs = _forward(layers, X)
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    delta = e / e.sum(axis=1, keepdims=True)  # the softmax probabilities
-    loss = float(-np.log(delta[np.arange(n), y] + 1e-300).mean())
-    delta[np.arange(n), y] -= 1.0
+    # The row maxima and the bias gradients reduce across rows of a
+    # transposed copy: numpy pays a call per row of a reduction along a
+    # short contiguous axis. A maximum is exact in any order, and a sum
+    # across rows adds them one by one in either layout.
+    c = logits.shape[2]
+    top = _across(logits.reshape(-1, c).T, np.maximum).reshape(k, n, 1)
+    delta = np.exp(logits - top)
+    delta /= delta.sum(axis=2, keepdims=True)  # the softmax probabilities
+    at_label = np.arange(0, delta.size, c) + y.ravel()  # in delta.flat
+    flat = delta.reshape(-1)
+    losses = -np.log(flat[at_label].reshape(k, n) + 1e-300).mean(axis=1)
+    flat[at_label] -= 1.0
     delta /= n
-    grads: list[np.ndarray] = []
-    for k in range(len(layers) - 1, -1, -1):
-        a = inputs[k]
-        grads[:0] = [(a.T @ delta).ravel(), delta.sum(axis=0)]
-        if k > 0:  # a is a ReLU output: a > 0 exactly where its input was
-            delta = (delta @ layers[k][0].T) * (a > 0.0)
-    return loss, np.concatenate(grads)
+    grads = np.empty((k, arch.param_count))
+    end = arch.param_count
+    for layer in range(len(layers) - 1, -1, -1):
+        a, W = inputs[layer], layers[layer][0]
+        i, o = W.shape
+        start = end - i * o - o
+        np.matmul(a.transpose(0, 2, 1), delta,
+                  out=grads[:, start : end - o].reshape(k, i, o))
+        grads[:, end - o : end] = _across(delta.transpose(1, 0, 2), np.add)
+        end = start
+        if layer > 0:  # a is a ReLU output: a > 0 exactly where its input was
+            delta = (delta @ W.T) * (a > 0.0)
+    return losses, grads
 
 
-def sample_batch(ds: Dataset, batch: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded minibatch (with replacement; bias at these sizes is negligible)."""
-    if batch > len(ds):
-        raise ValueError(f"batch {batch} exceeds shard size {len(ds)}")
-    idx = (prg(seed, batch) % np.uint64(len(ds))).astype(np.int64)
-    return ds.take(idx), ds.labels[idx]
+def _across(a: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """op.reduce of a along its first axis, from a contiguous copy."""
+    return op.reduce(np.ascontiguousarray(a), axis=0)
+
+
+# The float64 features of the minibatches `local_gradients` stacks into one
+# pass, 512 KB: the round loop of `protocol.run_training` groups as many
+# participants as `participants_per_group` gives. At 64-row batches that is
+# one participant at 784 features (`reference`, `wide-mlp`), whose pass is
+# large already, and ten at 100 (`many-small`), where numpy's per-call cost
+# outweighs a minibatch's arithmetic. Sized on `many-small` (perfbench,
+# seed 3, 2-vCPU VM, one BLAS thread, 4 alternating runs each, medians, with
+# each minibatch gathered on its own): FedAvg rounds took 5.91 ms with one
+# participant per pass, 5.32 ms at 2^15 features (5 per group) and 5.03 ms
+# at 2^16, and the published run peaked at 49.88, 49.86 and 49.71 MB. At
+# 2^17 (20 per group) rounds were 3% faster again in one process, but the
+# published run peaked 0.4 MB higher (3 runs).
+GROUP_FEATURES = 1 << 16
+
+
+def participants_per_group(n_features: int, batch: int) -> int:
+    """How many minibatches of `batch` rows one `local_gradients` call
+    stacks: as many as fit GROUP_FEATURES, and at least one."""
+    return max(1, GROUP_FEATURES // (batch * n_features))
+
+
+def local_gradients(
+    arch: Architecture,
+    params: FpVector,
+    shards: list[Dataset],
+    batch: int,
+    seeds: list[int],
+) -> list[tuple[FpVector, float]]:
+    """One seeded minibatch cross-entropy gradient per shard, quantized to
+    fixed point, with its loss: (g_j, loss_j) of shards[j] under seeds[j].
+    The shards are shards of one dataset: they share its stored features.
+
+    Each shard draws `batch` sample indices with replacement from its
+    seed's PRG stream (the bias is negligible at these sizes). The drawn
+    rows of every shard are gathered at once and dequantized,
+    float32(v) / divisor in float32 as `evaluate` does a block, into one
+    float64 stack. The model is converted to floats once, and one
+    `loss_and_grad` pass differentiates the stack. Every gradient has the
+    bits of its shard's one-shard call. The gradients are quantized in one
+    pass when all of them take `FpVector.from_floats`'s fast path;
+    otherwise each goes through `from_floats` in order, so the first one
+    that overflows raises what its one-shard call raises."""
+    features, divisor = shards[0].features, shards[0].divisor
+    rows = np.empty((len(shards), batch), dtype=np.int64)
+    y = np.empty((len(shards), batch), dtype=np.int64)
+    for j, (shard, seed) in enumerate(zip(shards, seeds, strict=True)):
+        if batch > len(shard):
+            raise ValueError(f"batch {batch} exceeds shard size {len(shard)}")
+        if shard.features is not features:
+            raise ValueError("the shards of one call must share one feature matrix")
+        idx = (prg(seed, batch) % np.uint64(len(shard))).astype(np.int64)
+        rows[j] = idx if shard.rows is None else shard.rows[idx]
+        y[j] = shard.labels[idx]
+    X = np.empty((len(shards), batch, arch.n_features))
+    np.divide(features[rows], divisor, out=X, dtype=np.float32)
+    losses, grads = loss_and_grad(arch, params.to_floats(), X, y)
+    del X  # before the quantization's temporaries
+    return list(zip(_quantize(grads, params.scale), losses.tolist()))
+
+
+def _quantize(grads: np.ndarray, scale: int) -> list[FpVector]:
+    """`FpVector.from_floats(g, scale)` of each row g of `grads`, with its
+    fast-path test taken once over all rows: below 2^52 in magnitude after
+    scaling, y + copysign(0.5, y) truncated is its rounding."""
+    y = grads * float(1 << scale)  # exact: multiplying by a power of two
+    if -_HALF_EXACT < y.min() and y.max() < _HALF_EXACT:
+        y += np.copysign(0.5, y)
+        return [FpVector(raw, scale) for raw in y.astype(np.int64)]
+    del y
+    return [FpVector.from_floats(g, scale) for g in grads]
 
 
 def local_gradient(
@@ -424,10 +525,8 @@ def local_gradient(
     batch: int,
     seed: int,
 ) -> tuple[FpVector, float]:
-    """One seeded minibatch cross-entropy gradient, quantized to fixed point."""
-    X, y = sample_batch(shard, batch, seed)
-    loss, grad = loss_and_grad(arch, params.to_floats(), X, y)
-    return FpVector.from_floats(grad, params.scale), loss
+    """`local_gradients` of one shard: its quantized gradient and loss."""
+    return local_gradients(arch, params, [shard], batch, [seed])[0]
 
 
 def evaluate(arch: Architecture, params: FpVector, ds: Dataset) -> float:

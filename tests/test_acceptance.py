@@ -448,7 +448,7 @@ class TestCriterion4ZeroShares:
                 server = Server(cfg, secrets, arch, data, w0)
                 g_s, _ = server.server_gradient(1)
                 subs = [
-                    Participant(ps, arch, data, cfg.batch_size).sign_gradient(g_s, 1)
+                    Participant(ps, data).sign_gradient(g_s, 1)
                     for ps in parts
                 ]
                 with observed_rounds() as views:
@@ -578,7 +578,7 @@ class TestCriterion7GradientCheck:
             X = (vals[:16].reshape(4, 4) + 1.0) / 2.0
             y = np.array([0, 1, 1, 0])
             params = vals[16:26] * 0.8
-            _, analytic = loss_and_grad(arch, params, X, y)
+            _, (analytic,) = loss_and_grad(arch, params, X[None], y[None])
             fd = finite_difference_gradient(arch, params, X, y)
             denom = np.maximum(np.abs(fd), 1e-3)
             worst = max(worst, float(np.max(np.abs(analytic - fd) / denom)))

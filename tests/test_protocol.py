@@ -110,7 +110,7 @@ class TestMaskedForms:
         w0 = FpVector.zeros(arch.param_count, cfg.scale)
         server = Server(cfg, secrets, arch, make_dataset(1, 20, 3, 3), w0)
         ps = parts[1]
-        sub = Participant(ps, arch, make_dataset(2, 20, 3, 3), 4).sign_gradient(g, 3)
+        sub = Participant(ps, make_dataset(2, 20, 3, 3)).sign_gradient(g, 3)
         signs, mg1, _, mg2 = masked_forms(ps, g, 3)
         # the submission carries both forms' canonical bytes, and one
         # signature over the round, the id and their digests
@@ -416,8 +416,8 @@ class TestRoundIdentities:
         g_s, _ = server.server_gradient(1)
         assert g_s.raw.any()
         subs = [
-            Participant(parts[0], arch, shards[1], cfg.batch_size).sign_gradient(-g_s, 1),
-            Participant(parts[1], arch, shards[2], cfg.batch_size).sign_gradient(-g_s, 1),
+            Participant(parts[0], shards[1]).sign_gradient(-g_s, 1),
+            Participant(parts[1], shards[2]).sign_gradient(-g_s, 1),
         ]
         with observed_rounds() as views:
             record, benign, _ = server.run_round(1, subs)

@@ -1,4 +1,5 @@
 """Dataset ingestion, partitioning, gradients, adversaries, evaluation."""
+import dataclasses
 import hashlib
 import struct
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 
 from auditfl import run_training, training
 from auditfl.cli import write_metrics_csv
-from auditfl.fixedpoint import FpVector
+from auditfl.fixedpoint import FixedPointOverflowError, FpVector
 from auditfl.protocol import pretrain
 from auditfl.randomness import derive_seed, prg
 from auditfl.training import (
@@ -27,13 +28,19 @@ from auditfl.training import (
     init_params,
     load_idx,
     local_gradient,
+    local_gradients,
     loss_and_grad,
     make_synthetic_corpus,
+    participants_per_group,
     partition,
-    sample_batch,
     write_idx,
 )
 from util import make_dataset, small_config
+
+
+def features(ds: Dataset) -> np.ndarray:
+    """Every feature row of ds as float32: float32(v) / divisor in float32."""
+    return np.divide(ds.stored(), ds.divisor, dtype=np.float32)
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +60,7 @@ class TestIdxIO:
         assert len(ds) == 2 and ds.n_features == 9
         assert ds.features.dtype == np.uint8
         assert np.array_equal(ds.features, imgs.reshape(2, 9))
-        assert np.allclose(ds.take()[0] * 255, np.arange(9))
+        assert np.allclose(features(ds)[0] * 255, np.arange(9))
         assert ds.labels.tolist() == [1, 0]
 
     def test_every_pixel_value_scales_like_the_copying_formula(self, tmp_path):
@@ -64,7 +71,7 @@ class TestIdxIO:
         ds = load_idx(tmp_path / "im", tmp_path / "lb", n_classes=2)
         old = imgs.reshape(1, 256).astype(np.float32) / 255.0
         assert ds.features.dtype == np.uint8
-        X = ds.take()
+        X = features(ds)
         assert X.dtype == old.dtype == np.float32
         assert np.array_equal(X.view(np.uint32), old.view(np.uint32))
 
@@ -72,7 +79,7 @@ class TestIdxIO:
         ds = load_idx(idx_corpus["train_images"], idx_corpus["train_labels"], 4)
         assert len(ds) == 600 and ds.n_features == 36
         assert ds.features.dtype == np.uint8
-        X = ds.take()
+        X = features(ds)
         assert 0.0 <= X.min() and X.max() <= 1.0 and X.max() > 0.0
 
     def test_holds_the_pixels_once(self, tmp_path):
@@ -193,7 +200,7 @@ class TestPartition:
         rows = np.concatenate([p.rows for p in parts])
         assert np.array_equal(np.sort(rows), np.arange(n))
         for p in parts:
-            assert np.array_equal(p.take(), ds.features[p.rows])
+            assert np.array_equal(features(p), ds.features[p.rows])
             assert np.array_equal(p.labels, ds.labels[p.rows])
 
     def test_two_parts_of_four(self):
@@ -251,7 +258,7 @@ class TestPartition:
 
 def copied(shard: Dataset) -> Dataset:
     """The shard with its own copy of its feature rows, as shards once were."""
-    return Dataset(features=shard.take(), labels=shard.labels.copy(),
+    return Dataset(features=features(shard), labels=shard.labels.copy(),
                    n_classes=shard.n_classes)
 
 
@@ -264,13 +271,10 @@ class TestRowShards:
             a = corrupt_shard(shard, spec, seed=11)
             b = corrupt_shard(copied(shard), spec, seed=11)
             assert np.array_equal(a.labels, b.labels)
-            for seed in range(5):
-                Xa, ya = sample_batch(a, 32, seed)
-                Xb, yb = sample_batch(b, 32, seed)
-                assert np.array_equal(Xa, Xb) and np.array_equal(ya, yb)
             arch = Architecture(5, 4, hidden=3)
             w = init_params(arch, 2)
-            assert local_gradient(arch, w, a, 32, 9) == local_gradient(arch, w, b, 32, 9)
+            for seed in range(5):
+                assert local_gradient(arch, w, a, 32, seed) == local_gradient(arch, w, b, 32, seed)
 
     def test_label_flip_keeps_rows_and_features(self):
         shard = partition(make_dataset(9, 100, 2, 3), 2, seed=1)[1]
@@ -295,9 +299,9 @@ def finite_difference_gradient(arch, params, X, y, eps=1e-5):
         up[k] += eps
         down = base.copy()
         down[k] -= eps
-        lu, _ = loss_and_grad(arch, up, X, y)
-        ld, _ = loss_and_grad(arch, down, X, y)
-        out[k] = (lu - ld) / (2 * eps)
+        lu, _ = loss_and_grad(arch, up, X[None], y[None])
+        ld, _ = loss_and_grad(arch, down, X[None], y[None])
+        out[k] = (lu[0] - ld[0]) / (2 * eps)
     return out
 
 
@@ -308,7 +312,7 @@ class TestGradients:
         arch = Architecture(n_features=3, n_classes=2)
         X = np.array([[0.2, 0.4, 0.8], [0.9, 0.1, 0.3]])
         y = np.array([0, 1])
-        _, grad = loss_and_grad(arch, np.zeros(arch.param_count), X, y)
+        _, (grad,) = loss_and_grad(arch, np.zeros(arch.param_count), X[None], y[None])
         onehot = np.eye(2)[y]
         delta = (np.full((2, 2), 0.5) - onehot) / 2
         expected_W = X.T @ (-delta * -1)  # = X^T delta
@@ -328,7 +332,7 @@ class TestGradients:
             params = vals[8 + trial * arch.param_count :
                           8 + (trial + 1) * arch.param_count] * 0.7
             # keep clear of relu kinks for the mlp case
-            _, analytic = loss_and_grad(arch, params, X, y)
+            _, (analytic,) = loss_and_grad(arch, params, X[None], y[None])
             fd = finite_difference_gradient(arch, params, X, y)
             denom = np.maximum(np.abs(fd), 1e-3)
             assert np.max(np.abs(analytic - fd) / denom) < 1e-4
@@ -343,8 +347,200 @@ class TestGradients:
 
     def test_batch_exceeding_shard_rejected(self):
         ds = make_dataset(3, 10, 2, 2)
-        with pytest.raises(ValueError):
-            sample_batch(ds, 11, seed=1)
+        arch = Architecture(2, 2)
+        with pytest.raises(ValueError, match="batch 11 exceeds shard size 10"):
+            local_gradient(arch, init_params(arch, 1), ds, 11, seed=1)
+
+
+def one_batch_loss_and_grad(arch, params, X, y):
+    """The loss and gradient of one minibatch as 2-d products, one per
+    layer and direction: the pass each participant made on its own before
+    minibatches were stacked."""
+    n = X.shape[0]
+    layers = _layers(arch, params)
+    inputs = [X.astype(np.float64)]
+    out = np.dot(inputs[0], layers[0][0]) + layers[0][1]
+    for W, b in layers[1:]:
+        inputs.append(np.maximum(out, 0.0))
+        out = inputs[-1] @ W + b
+    e = np.exp(out - out.max(axis=1, keepdims=True))
+    delta = e / e.sum(axis=1, keepdims=True)
+    loss = float(-np.log(delta[np.arange(n), y] + 1e-300).mean())
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grads = []
+    for k in range(len(layers) - 1, -1, -1):
+        a = inputs[k]
+        grads[:0] = [(a.T @ delta).ravel(), delta.sum(axis=0)]
+        if k > 0:
+            delta = (delta @ layers[k][0].T) * (a > 0.0)
+    return loss, np.concatenate(grads)
+
+
+@pytest.fixture(scope="module")
+def stacking_shards(tmp_path_factory):
+    """(uint8 shards, their float32 twins): five participant shards of 120
+    samples at 100 features (the many-small benchmark's shape), the second
+    label-flipped."""
+    paths = make_synthetic_corpus(tmp_path_factory.mktemp("stack"), 31, n_train=720,
+                                  n_test=10, side=10)
+    stored = load_idx(paths["train_images"], paths["train_labels"])
+    twin = Dataset(features(stored), stored.labels, stored.n_classes)
+    out = []
+    for ds in (stored, twin):
+        shards = partition(ds, 6, seed=4)[1:]
+        shards[1] = corrupt_shard(shards[1], AdversarySpec("label_flip"), seed=8)
+        out.append(shards)
+    return out
+
+
+def seeded_model(arch, seed):
+    """A model at the default scale with seeded weights in [-0.25, 0.25]."""
+    words = prg(derive_seed(seed, arch.hidden, "stack-model"), arch.param_count)
+    return FpVector.from_floats(
+        ((words % np.uint64(2001)).astype(np.float64) / 1000.0 - 1.0) * 0.25)
+
+
+def drawn_batch(shard, batch, seed):
+    """The features and labels of the minibatch that `seed` draws from shard."""
+    idx = (prg(seed, batch) % np.uint64(len(shard))).astype(np.int64)
+    return np.divide(shard.stored(idx), shard.divisor, dtype=np.float32), shard.labels[idx]
+
+
+class TestStackedGradients:
+    """`local_gradients` differentiates a stack of minibatches in one pass;
+    every shard's gradient and loss keep the bits of its one-shard call, and
+    those are the bits of a plain per-minibatch pass, at any group size."""
+
+    @pytest.mark.parametrize("stored", ["uint8", "float32"])
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    @pytest.mark.parametrize("hidden", [0, 8, 64])
+    def test_every_group_gives_the_one_shard_bits(self, stacking_shards, stored,
+                                                  batch, hidden):
+        shards = stacking_shards[stored == "float32"]
+        arch = Architecture(100, 10, hidden)
+        w = seeded_model(arch, batch)
+        seeds = [derive_seed(batch, hidden, "stack", j) for j in range(len(shards))]
+        singles = [local_gradient(arch, w, s, batch, seed) for s, seed in zip(shards, seeds)]
+        for (g, loss), shard, seed in zip(singles, shards, seeds):
+            expected_loss, grad = one_batch_loss_and_grad(
+                arch, w.to_floats(), *drawn_batch(shard, batch, seed))
+            assert g == FpVector.from_floats(grad, w.scale)
+            assert loss.hex() == expected_loss.hex()
+        for size in range(1, len(shards) + 1):
+            grouped = []
+            for lo in range(0, len(shards), size):
+                grouped += local_gradients(arch, w, shards[lo : lo + size], batch,
+                                           seeds[lo : lo + size])
+            assert [g for g, _ in grouped] == [g for g, _ in singles]
+            assert [l.hex() for _, l in grouped] == [l.hex() for _, l in singles]
+
+    @staticmethod
+    def scaled(shards, factors):
+        """The float32 shards over one copy of their feature matrix in which
+        each shard's rows are multiplied by its factor."""
+        X = shards[0].features.copy()
+        for shard, factor in zip(shards, factors):
+            X[shard.rows] *= np.float32(factor)
+        return [dataclasses.replace(shard, features=X) for shard in shards]
+
+    def test_a_group_past_the_fast_path_gives_the_one_shard_bits(self, stacking_shards):
+        # features of 1e11 give gradient raws past 2^52: every gradient of
+        # the group is then quantized on its own, and still fits int64
+        shards = self.scaled(stacking_shards[1][:3], [1, 1e11, 1])
+        arch = Architecture(100, 10)
+        w = seeded_model(arch, 2)
+        grouped = local_gradients(arch, w, shards, 16, [5, 6, 7])
+        assert np.abs(grouped[1][0].raw).max() > 2**52
+        assert grouped == [local_gradient(arch, w, s, 16, seed)
+                           for s, seed in zip(shards, [5, 6, 7])]
+
+    def test_the_first_overflowing_gradient_raises_its_one_shard_error(
+        self, stacking_shards
+    ):
+        # shard 1 overflows the raw range, and shard 2 would overflow too
+        shards = self.scaled(stacking_shards[1][:3], [1, 1e16, 1e17])
+        arch = Architecture(100, 10)
+        w = seeded_model(arch, 3)
+        with pytest.raises(FixedPointOverflowError) as alone:
+            local_gradient(arch, w, shards[1], 16, 6)
+        with pytest.raises(FixedPointOverflowError) as grouped:
+            local_gradients(arch, w, shards, 16, [5, 6, 7])
+        assert "exceeds the signed 64-bit raw range" in str(alone.value)
+        assert str(grouped.value) == str(alone.value)
+
+    def test_the_dequantized_stack_is_the_float32_features_widened(
+        self, stacking_shards, monkeypatch
+    ):
+        # the stored uint8 rows reach the pass as float32(v) / 255 in
+        # float32, widened to float64, as the features of load time were
+        shards = stacking_shards[0][:2]
+        passed = []
+
+        def capture(arch, params, X, y):
+            passed.append((X.copy(), y.copy()))
+            return loss_and_grad(arch, params, X, y)
+
+        monkeypatch.setattr(training, "loss_and_grad", capture)
+        arch = Architecture(100, 10)
+        local_gradients(arch, init_params(arch, 1), shards, 9, [3, 4])
+        (X, y), = passed
+        assert X.dtype == np.float64 and X.shape == (2, 9, 100)
+        for j, (shard, seed) in enumerate(zip(shards, [3, 4])):
+            idx = (prg(seed, 9) % np.uint64(len(shard))).astype(np.int64)
+            old = shard.stored(idx).astype(np.float32) / np.float32(255.0)
+            assert np.array_equal(X[j], old.astype(np.float64))
+            assert np.array_equal(y[j], shard.labels[idx])
+
+    def test_one_pass_and_one_model_conversion_per_group(self, stacking_shards,
+                                                         monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "loss_and_grad", lambda *a: calls.append("pass")
+                            or loss_and_grad(*a))
+        to_floats = FpVector.to_floats
+        monkeypatch.setattr(FpVector, "to_floats", lambda self, *a: calls.append(
+            "convert") or to_floats(self, *a))
+        arch = Architecture(100, 10)
+        local_gradients(arch, init_params(arch, 1), stacking_shards[0], 8, range(5))
+        assert calls == ["convert", "pass"]
+
+    def test_the_shards_of_a_group_share_their_features(self, stacking_shards):
+        uint8, float32 = stacking_shards
+        arch = Architecture(100, 10)
+        with pytest.raises(ValueError, match="share one feature matrix"):
+            local_gradients(arch, init_params(arch, 1), [uint8[0], float32[1]], 8, [1, 2])
+
+    def test_group_sizes(self):
+        # one 64-row minibatch at 784 features, ten at 100 (the benchmark
+        # workloads' shapes); never fewer than one
+        assert participants_per_group(784, 64) == 1
+        assert participants_per_group(100, 64) == 10
+        assert participants_per_group(16, 64) == 64
+        assert participants_per_group(784, 1000) == 1
+
+    @pytest.mark.parametrize("hidden", [0, 8])
+    def test_run_bytes_do_not_depend_on_the_group_size(self, tmp_path, monkeypatch,
+                                                       hidden):
+        train, test = make_dataset(3, 600, 16, 4), make_dataset(4, 150, 16, 4)
+        cfg = small_config(participants=5, rounds=2, hidden=hidden, metrics_every=1,
+                           malicious={2: AdversarySpec("sign_flip"),
+                                      4: AdversarySpec("label_flip")})
+        digests, passes = set(), []
+        monkeypatch.setattr(training, "loss_and_grad",
+                            lambda *a: passes.append(len(a[3])) or loss_and_grad(*a))
+        for group in (1, 2, 3, 5):
+            monkeypatch.setattr(training, "GROUP_FEATURES", group * 64 * 16)
+            assert participants_per_group(16, 64) == group
+            path = tmp_path / f"{group}.bin"
+            passes.clear()
+            result = run_training(cfg, train, test, ledger_path=path)
+            # per round, one pass per group of participants and the server's
+            stacks = [min(group, 5 - lo) for lo in range(0, 5, group)] + [1]
+            assert passes == stacks * cfg.rounds
+            write_metrics_csv(tmp_path / f"{group}.csv", result.metrics)
+            digests.add(tuple(hashlib.sha256((tmp_path / f"{group}.{ext}").read_bytes())
+                              .hexdigest() for ext in ("bin", "csv")))
+        assert len(digests) == 1
 
 
 class TestAdversaries:
@@ -409,12 +605,12 @@ class TestEvaluate:
         vals = (words % np.uint64(2001)).astype(np.float64) / 1000.0 - 1.0
         params = FpVector.from_floats(vals, 20)
         ds = make_dataset(4, 50, 4, 3)
-        X = ds.take().astype(np.float64)
+        X = features(ds).astype(np.float64)
         logits, _ = _forward(_layers(arch, params.to_floats()), X)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
         loss = float(-np.log(probs[np.arange(len(ds)), ds.labels] + 1e-300).mean())
-        assert loss_and_grad(arch, params.to_floats(), X, ds.labels)[0] == loss
+        assert loss_and_grad(arch, params.to_floats(), X[None], ds.labels[None])[0].tolist() == [loss]
         acc = float((logits.argmax(axis=1) == ds.labels).mean())
         assert 0.0 < acc < 1.0
         assert evaluate(arch, params, ds) == acc
@@ -425,7 +621,7 @@ class TestEvaluate:
         losses = []
         for mag in (0.5, 2.0, 8.0):
             params = np.array([mag, -mag, mag, -mag])  # W row + biases
-            losses.append(loss_and_grad(arch, params, X, y)[0])
+            losses.append(loss_and_grad(arch, params, X[None], y[None])[0][0])
         assert losses[0] > losses[1] > losses[2]
         assert losses[2] < 1e-6
 
@@ -466,7 +662,7 @@ def assert_float32_predicts_as_float64(arch, params, ds):
     """`evaluate`'s precision contract: its float32 forward pass predicts
     every row as the float64 forward pass of one product per layer does,
     so its accuracy is the float64 accuracy."""
-    X = ds.take()
+    X = features(ds)
     expected = one_shot_logits(arch, params.to_floats(), X).argmax(axis=1)
     logits, _ = _forward(_layers(arch, params.to_floats(np.float32)), ds.stored(),
                          ds.divisor)

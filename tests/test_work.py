@@ -12,9 +12,10 @@ import collections
 import hashlib
 import sys
 
+import numpy as np
 import pytest
 
-from auditfl import auditor, crypto, full_audit, ledger, protocol, randomness
+from auditfl import auditor, crypto, full_audit, ledger, protocol, randomness, training
 from auditfl.fixedpoint import FpVector
 from util import load_chain, make_dataset, sign_flip_spec, small_config
 
@@ -54,16 +55,30 @@ def _count_sha256(mp, counts) -> None:
     )
 
 
-def _count_round_prg_words(mp, words) -> None:
+def _batch_seeds(cfg) -> dict[int, tuple[int, int]]:
+    """(id, r) of every participant's round-r minibatch seed, derived
+    before any seam is wrapped: the derivations hash bytes that are not the
+    run's."""
+    return {
+        randomness.derive_seed(ps.mask_seed, "batch", r): (ps.id, r)
+        for ps in protocol.training_secrets(cfg) for r in range(1, R + 1)
+    }
+
+
+def _count_round_prg_words(mp, words, batch_seeds) -> None:
     """Count the words every `randomness.prg` call draws, under each
     module's binding of it, into words[(who, r)]: who is the id of the
-    participant whose round-r `compute_submission` draws them, or "server"
-    inside `Server.run_round(r, ...)`. Draws outside a round (data split,
-    key and pair derivation) are not counted."""
+    participant whose round-r minibatch seed (`batch_seeds`) draws them, or
+    whose round-r `compute_submission` masks its gradient, or "server"
+    inside `Server.run_round(r, ...)`. A round's minibatches are drawn a
+    group of participants at a time, outside both methods. Draws outside a
+    round (data split, key and pair derivation) are not counted."""
     prg, at = randomness.prg, []
 
     def counted(seed, count, *args):
-        if at:
+        if seed in batch_seeds:
+            words[batch_seeds[seed]] += count
+        elif at:
             words[at[-1]] += count
         return prg(seed, count, *args)
 
@@ -82,22 +97,30 @@ def _count_round_prg_words(mp, words) -> None:
         return wrapped
 
     mp.setattr(protocol.Participant, "compute_submission", within(
-        protocol.Participant.compute_submission, lambda p, w, r: (p.secrets.id, r)))
+        protocol.Participant.compute_submission, lambda p, g, loss, r: (p.secrets.id, r)))
     mp.setattr(protocol.Server, "run_round", within(
         protocol.Server.run_round, lambda s, r, *_: ("server", r)))
 
 
-def _counted_run(mp, counts) -> None:
+def _counted_run(mp, counts, cfg) -> None:
     """The run-side seams: ECDSA, masked forms, SHA-256, PRG words in the
-    rounds, evaluations, and the SHA-256 of every encoding made."""
+    rounds, forward/backward passes, float64 model conversions,
+    evaluations, and the SHA-256 of every encoding made."""
+    batch_seeds = _batch_seeds(cfg)
     mp.setattr(crypto, "sign", _counting(counts, "signs", crypto.sign))
     mp.setattr(crypto, "verify", _counting(counts, "verifies", crypto.verify))
     mp.setattr(protocol, "masked_forms",
                _counting(counts, "masked_forms", protocol.masked_forms))
     mp.setattr(protocol, "evaluate", _counting(counts, "evaluates", protocol.evaluate))
+    mp.setattr(training, "loss_and_grad",
+               _counting(counts, "passes", training.loss_and_grad))
+    to_floats = FpVector.to_floats
+    mp.setattr(FpVector, "to_floats", _counting(
+        counts, "float64_models", to_floats,
+        lambda self, dtype=np.float64: int(dtype == np.float64)))
     _count_sha256(mp, counts)
     counts["prg_words"] = collections.Counter()
-    _count_round_prg_words(mp, counts["prg_words"])
+    _count_round_prg_words(mp, counts["prg_words"], batch_seeds)
     counts["encoded"] = encoded = collections.Counter()
     encode = FpVector.encode
 
@@ -123,7 +146,7 @@ def counted(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("work") / "ledger.bin"
     run, audit = collections.Counter(), collections.Counter()
     with pytest.MonkeyPatch.context() as mp:
-        _counted_run(mp, run)
+        _counted_run(mp, run, cfg)
         result = protocol.run_training(cfg, *data, ledger_path=path)
     run["w0"], run["record"] = result.w0, load_chain(path)[1]
     with pytest.MonkeyPatch.context() as mp:
@@ -156,7 +179,7 @@ def unpublished(data):
                        metrics_every=1)
     counts = collections.Counter()
     with pytest.MonkeyPatch.context() as mp:
-        _counted_run(mp, counts)
+        _counted_run(mp, counts, cfg)
         protocol.run_training(cfg, *data, publish=False)
     return counts
 
@@ -231,6 +254,35 @@ class TestRunWork:
             assert {k: v for k, v in words.items() if k[0] != "server"} == {
                 (i, r): participant for i in range(1, N + 1) for r in range(1, R + 1)}
         assert (BATCH + streams, BATCH + N * streams + D) == (134, 412)
+
+    def test_passes_per_round(self, counted, unpublished):
+        """One forward/backward pass per group of participants and one for
+        the server gradient per round. The 4 participants' 64-row batches of
+        16 features fit one group, so R * (1 + 1), published or not; a pass
+        per participant would make it R * (N + 1)."""
+        groups = -(-N // training.participants_per_group(16, BATCH))
+        assert groups == 1
+        assert (counted[0]["passes"], unpublished["passes"]) == (R * (groups + 1),) * 2
+
+    def test_model_conversions_per_group(self, counted, unpublished):
+        """The model becomes float64 once per pass: once per group and once
+        for the server gradient, R * 2 in all; the evaluations convert it to
+        float32 and are not counted."""
+        assert counted[0]["float64_models"] == unpublished["float64_models"] == R * 2
+
+    def test_pretrain_passes(self, data):
+        """The warm start makes one pass and one model conversion per step."""
+        cfg = small_config(pretrain_steps=3)
+        arch = training.Architecture(16, 4)
+        counts = collections.Counter()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(training, "loss_and_grad",
+                       _counting(counts, "passes", training.loss_and_grad))
+            to_floats = FpVector.to_floats
+            mp.setattr(FpVector, "to_floats",
+                       _counting(counts, "float64_models", to_floats))
+            protocol.pretrain(cfg, arch, data[0])
+        assert (counts["passes"], counts["float64_models"]) == (3, 3)
 
     def test_evaluations_per_run(self, counted, unpublished):
         """`protocol.evaluate` runs after each round that `metrics_every`

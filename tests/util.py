@@ -456,8 +456,8 @@ def stale_mask_signer(pid: int, r: int):
     """Participant pid signs its round-r gradient with its round-(r-1) masks."""
     honest = protocol.Participant.compute_submission
 
-    def stale(self, w_prev, round_no):
-        sub = honest(self, w_prev, round_no)
+    def stale(self, g, loss, round_no):
+        sub = honest(self, g, loss, round_no)
         if self.secrets.id == pid and round_no == r:
             return self.sign_gradient(sub.gradient, r - 1, sub.loss)
         return sub
