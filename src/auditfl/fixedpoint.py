@@ -110,17 +110,25 @@ class FpVector:
     @classmethod
     def from_floats(cls, xs, scale: int = DEFAULT_SCALE) -> "FpVector":
         """Round reals onto the 2^-scale lattice, half away from zero."""
-        x = np.asarray(xs, dtype=np.float64)
+        return cls.from_float_rows(np.asarray(xs, dtype=np.float64)[None], scale)[0]
+
+    @classmethod
+    def from_float_rows(cls, rows, scale: int = DEFAULT_SCALE) -> list["FpVector"]:
+        """`from_floats` of each row of a 2-d array, in one pass when every
+        entry takes the fast path; otherwise row by row on the checked path,
+        so the first row that cannot be quantized raises."""
+        x = np.asarray(rows, dtype=np.float64)
         y = x * float(1 << scale)  # exact: multiplying by a power of two
         # NaN fails both compares, so NaN, infinities and |y| >= 2^52 all
         # take the checked path; below 2^52, y +- 0.5 is the same float64 sum
         # as that path's, and the cast truncates it toward zero. The sum is
         # taken in y's place, so the step holds one temporary of the
-        # vector's length, not two
+        # array's size, not two
         if y.size and -_HALF_EXACT < y.min() and y.max() < _HALF_EXACT:
             y += np.copysign(0.5, y)
-            return cls(y.astype(np.int64), scale)
-        return cls._from_floats_checked(x, scale)
+            return [cls(raw, scale) for raw in y.astype(np.int64)]
+        del y
+        return [cls._from_floats_checked(row, scale) for row in x]
 
     @classmethod
     def _from_floats_checked(cls, x: np.ndarray, scale: int) -> "FpVector":

@@ -582,6 +582,7 @@ def run_training(
             )
             out += [p.compute_submission(g, loss, r)
                     for p, (g, loss) in zip(members, gradients)]
+            del gradients  # not held through the next group's pass
         return out
 
     metrics: list[dict] = []

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fixedpoint import _HALF_EXACT, DEFAULT_SCALE, FpVector
+from .fixedpoint import DEFAULT_SCALE, FpVector
 from .randomness import derive_seed, prg
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -416,7 +416,10 @@ def loss_and_grad(
     # The row maxima and the bias gradients reduce across rows of a
     # transposed copy: numpy pays a call per row of a reduction along a
     # short contiguous axis. A maximum is exact in any order, and a sum
-    # across rows adds them one by one in either layout.
+    # across rows adds them one by one in either layout. A layer of one
+    # output is the exception: numpy sums one minibatch's single column as
+    # a contiguous run, pairwise, so its bias gradient is that sum along
+    # each minibatch's rows.
     c = logits.shape[2]
     top = _across(logits.reshape(-1, c).T, np.maximum).reshape(k, n, 1)
     delta = np.exp(logits - top)
@@ -434,7 +437,10 @@ def loss_and_grad(
         start = end - i * o - o
         np.matmul(a.transpose(0, 2, 1), delta,
                   out=grads[:, start : end - o].reshape(k, i, o))
-        grads[:, end - o : end] = _across(delta.transpose(1, 0, 2), np.add)
+        if o == 1:
+            grads[:, end - 1] = delta[:, :, 0].sum(axis=1)
+        else:
+            grads[:, end - o : end] = _across(delta.transpose(1, 0, 2), np.add)
         end = start
         if layer > 0:  # a is a ReLU output: a > 0 exactly where its input was
             delta = (delta @ W.T) * (a > 0.0)
@@ -484,10 +490,10 @@ def local_gradients(
     float32(v) / divisor in float32 as `evaluate` does a block, into one
     float64 stack. The model is converted to floats once, and one
     `loss_and_grad` pass differentiates the stack. Every gradient has the
-    bits of its shard's one-shard call. The gradients are quantized in one
-    pass when all of them take `FpVector.from_floats`'s fast path;
-    otherwise each goes through `from_floats` in order, so the first one
-    that overflows raises what its one-shard call raises."""
+    bits of its shard's one-shard call. `FpVector.from_float_rows`
+    quantizes them, in one pass when every entry takes `from_floats`'s fast
+    path and row by row otherwise, so the first one that overflows raises
+    what its one-shard call raises."""
     features, divisor = shards[0].features, shards[0].divisor
     rows = np.empty((len(shards), batch), dtype=np.int64)
     y = np.empty((len(shards), batch), dtype=np.int64)
@@ -503,19 +509,7 @@ def local_gradients(
     np.divide(features[rows], divisor, out=X, dtype=np.float32)
     losses, grads = loss_and_grad(arch, params.to_floats(), X, y)
     del X  # before the quantization's temporaries
-    return list(zip(_quantize(grads, params.scale), losses.tolist()))
-
-
-def _quantize(grads: np.ndarray, scale: int) -> list[FpVector]:
-    """`FpVector.from_floats(g, scale)` of each row g of `grads`, with its
-    fast-path test taken once over all rows: below 2^52 in magnitude after
-    scaling, y + copysign(0.5, y) truncated is its rounding."""
-    y = grads * float(1 << scale)  # exact: multiplying by a power of two
-    if -_HALF_EXACT < y.min() and y.max() < _HALF_EXACT:
-        y += np.copysign(0.5, y)
-        return [FpVector(raw, scale) for raw in y.astype(np.int64)]
-    del y
-    return [FpVector.from_floats(g, scale) for g in grads]
+    return list(zip(FpVector.from_float_rows(grads, params.scale), losses.tolist()))
 
 
 def local_gradient(

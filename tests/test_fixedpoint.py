@@ -529,6 +529,30 @@ class TestFromFloatsMatchesReference:
     def test_empty(self):
         assert FpVector.from_floats([], 20).dim == 0
 
+    @pytest.mark.parametrize("past", [None, 2.0**41.9, 2.0**42.9, 2.0**43, float("nan")])
+    def test_rows_are_quantized_as_vectors(self, past):
+        # one pass for the rows when all of them take the fast path; a row
+        # past it sends every row to the checked path, whose first row that
+        # cannot be quantized raises its own from_floats error
+        rows = (prg(77, 4 * 300).astype(np.float64) * 2.0**-64 - 0.5).reshape(4, 300)
+        if past is not None:
+            rows[1, 7] = past
+            rows[2, 3] = -2 * past
+        expected, error = [], None
+        for row in rows:
+            try:
+                expected.append(FpVector.from_floats(row, 20))
+            except FixedPointOverflowError as e:
+                error = str(e)
+                break
+        if error is None:
+            assert FpVector.from_float_rows(rows, 20) == expected
+        else:
+            with pytest.raises(FixedPointOverflowError) as ei:
+                FpVector.from_float_rows(rows, 20)
+            assert str(ei.value) == error
+        assert FpVector.from_float_rows(np.empty((0, 300)), 20) == []
+
 
 def test_active_backend_reports_selection():
     assert active_backend() == "numpy"

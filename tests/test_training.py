@@ -414,7 +414,7 @@ class TestStackedGradients:
 
     @pytest.mark.parametrize("stored", ["uint8", "float32"])
     @pytest.mark.parametrize("batch", [1, 7, 64])
-    @pytest.mark.parametrize("hidden", [0, 8, 64])
+    @pytest.mark.parametrize("hidden", [0, 1, 8, 64])
     def test_every_group_gives_the_one_shard_bits(self, stacking_shards, stored,
                                                   batch, hidden):
         shards = stacking_shards[stored == "float32"]
@@ -434,6 +434,25 @@ class TestStackedGradients:
                                            seeds[lo : lo + size])
             assert [g for g, _ in grouped] == [g for g, _ in singles]
             assert [l.hex() for _, l in grouped] == [l.hex() for _, l in singles]
+
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    @pytest.mark.parametrize("hidden", [0, 1, 8, 64])
+    def test_every_stack_gives_the_one_minibatch_float_bits(self, stacking_shards,
+                                                            batch, hidden):
+        # before quantization, which would hide a difference in the last
+        # bits: one output (hidden 1) is where numpy sums a column pairwise
+        shards = stacking_shards[0]
+        arch = Architecture(100, 10, hidden)
+        w = seeded_model(arch, batch).to_floats()
+        drawn = [drawn_batch(s, batch, derive_seed(batch, "float", j))
+                 for j, s in enumerate(shards)]
+        expected = [one_batch_loss_and_grad(arch, w, X, y) for X, y in drawn]
+        for size in range(1, len(shards) + 1):
+            X = np.stack([X for X, _ in drawn[:size]])
+            losses, grads = loss_and_grad(arch, w, X, np.stack([y for _, y in drawn[:size]]))
+            for j in range(size):
+                assert losses[j].hex() == expected[j][0].hex()
+                assert grads[j].tobytes() == expected[j][1].tobytes()
 
     @staticmethod
     def scaled(shards, factors):
@@ -518,7 +537,7 @@ class TestStackedGradients:
         assert participants_per_group(16, 64) == 64
         assert participants_per_group(784, 1000) == 1
 
-    @pytest.mark.parametrize("hidden", [0, 8])
+    @pytest.mark.parametrize("hidden", [0, 1, 8])
     def test_run_bytes_do_not_depend_on_the_group_size(self, tmp_path, monkeypatch,
                                                        hidden):
         train, test = make_dataset(3, 600, 16, 4), make_dataset(4, 150, 16, 4)
