@@ -16,19 +16,28 @@ digests it computed to verify the signatures. Each published vector is
 encoded once, by the party that computes it. An unpublished round skips
 masks, signatures and the record; its model trajectory is the same.
 
-The submissions a round verifies are drawn one group of participants at a
-time: `training.local_gradients` differentiates the group's minibatches in
-one forward and backward pass, and then each participant attacks, masks,
-encodes and signs its own gradient (`Participant.compute_submission`). A
-group holds as many participants as `training.GROUP_FEATURES` stacked
-float64 features allow, which is one at 784 features and ten at 100 with
-64-row batches (see there for the measurement behind it). Every gradient
-is bit-identical to the participant's one-shard pass, so grouping changes
-no byte of the ledger, the metrics or the audit. Each group's stack is
+A round is carried one group of participants at a time, as one stack, from
+the gradient to the verified submission. `training.local_gradients`
+differentiates the group's minibatches in one forward and backward pass;
+each participant attacks its own gradient; `masked_forms` derives the
+group's sign streams, masked forms and zero shares as (k, d) stacks under
+one int64 bound; each row is encoded (`fixedpoint.encode_rows`), and each
+participant signs its own rows (`Participant.compute_submission`). The
+server checks the same groups (`Server.verify_group`): it derives their
+forms again with `masked_forms`, compares each submission's bytes with the
+canonical encoding of its rows (`Server.verify_submission`), and masks its
+own gradient for the whole group in one pass. The one-participant case is
+the group of one, so every group size takes one masking path. A group
+holds as many participants as `training.GROUP_FEATURES` stacked float64
+features allow, which is one at 784 features and ten at 100 with 64-row
+batches (see there for the measurement behind it). Every row is
+bit-identical to the participant's forms alone, so grouping changes no
+byte of the ledger, the metrics or the audit. Each group's stacks are
 dropped before the next group is drawn, and the round's submissions when
 `run_round` returns. On the `many-small` benchmark config (48
-participants, 100 features) grouping cut a FedAvg round from 5.9 to
-4.7 ms (README).
+participants, 100 features) grouping the gradients cut a FedAvg round from
+5.9 to 4.7 ms, and grouping the masking a published round by a further
+12-20% (README).
 
 A published run writes its training record into ledger block 1 while it
 trains: the block is streamed (`Ledger.append_stream`) from the record's
@@ -58,19 +67,23 @@ from .config import ConfigError, RunConfig
 from .fixedpoint import (
     Encoded,
     FpVector,
+    INT64_MAX,
     dot,
+    encode_rows,
     floor_average,
     hadamard,
+    max_abs,
     scale_by_dyadic,
 )
 from .ledger import Ledger
 from .randomness import (
-    bounded_int_vector,
+    MASK_BITS,
+    bounded_int_rows,
     derive_seed,
     gen_correlated_pair,
     model_mask_share,
     prg,
-    sign_vector,
+    sign_bits,
 )
 from .records import (
     GenesisPayload,
@@ -186,22 +199,66 @@ def preprocess(
 
 
 def masked_forms(
-    ps: ParticipantSecrets, g: FpVector, r: int
-) -> tuple[np.ndarray, FpVector, FpVector, FpVector]:
-    """Participant ps's round-r masked forms of g: (signs, mg1, zv, mg2).
+    secrets: list[ParticipantSecrets], gradients: list[FpVector], r: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The round-r masked forms of a group's gradients, as (k, d) stacks
+    whose row j belongs to secrets[j] and gradients[j]: (bits, mg1, zv, mg2).
 
-    The participant encodes mg1 and mg2 and signs the digests of the bytes;
-    the server recomputes them here to check those bytes. The round's sign
-    stream scaled by rn_i is the PRVG mask rv_r, so mg1 = rv_r (.) g; scaled
-    by rn_S_i it is the server's detection mask. zv is the round's zero
-    share and mg2 = zv + g.
+    The participants encode mg1 and mg2 and sign the digests of the bytes;
+    the server recomputes them here to check those bytes. Row j's sign
+    stream is 1 - 2 * bits[j]: scaled by rn_i it is the PRVG mask rv_r, so
+    mg1 = rv_r (.) g; scaled by rn_S_i it is the server's detection mask
+    (`detection_masks`). zv is the round's zero share and mg2 = zv + g. A
+    group of one stacks no copy of its gradient.
     """
+    raws = (gradients[0].raw[None] if len(gradients) == 1
+            else np.stack([g.raw for g in gradients]))
+    dim = raws.shape[1]
     # "prvg" is only the seed's domain tag; the ledger bytes depend on it
-    signs = sign_vector(derive_seed(ps.mask_seed, "prvg", r), g.dim)
-    mg1 = hadamard(g, signs * np.int64(ps.rn))
-    zero = bounded_int_vector(derive_seed(ps.zero_seed, "zero", r), g.dim)
-    zv = FpVector(zero, g.scale)
-    return signs, mg1, zv, zv + g
+    bits = sign_bits([derive_seed(ps.mask_seed, "prvg", r) for ps in secrets], dim)
+    zero = bounded_int_rows([derive_seed(ps.zero_seed, "zero", r) for ps in secrets], dim)
+    rn = [ps.rn for ps in secrets]
+    # one bound for the group: every |g * rn| and |zv + g| within int64
+    # (|zv| <= 2^MASK_BITS); past it each member is masked on the checked
+    # kernels in turn, so the first to overflow raises what it raises alone
+    top = max_abs(raws)
+    if top * max(map(abs, rn)) <= INT64_MAX and top + (1 << MASK_BITS) <= INT64_MAX:
+        return bits, _signed_products(raws, bits, rn), zero, zero + raws
+    checked = [
+        (hadamard(g, _signs(b) * np.int64(c)), FpVector(z, g.scale) + g)
+        for g, b, c, z in zip(gradients, bits, rn, zero)
+    ]
+    return (bits, np.stack([mg1.raw for mg1, _ in checked]), zero,
+            np.stack([mg2.raw for _, mg2 in checked]))
+
+
+def detection_masks(g_s: FpVector, bits: np.ndarray, rn_s: list[int]) -> np.ndarray:
+    """The server's detection masks mg_S1 = g_s (.) (signs * rn_S_i) of a
+    group, as a (k, d) stack: row j from the sign bits bits[j] of
+    `masked_forms` and rn_s[j]. Past the group's bound each row is masked
+    by the checked `hadamard` in turn."""
+    if max_abs(g_s.raw) * max(map(abs, rn_s)) <= INT64_MAX:
+        return _signed_products(g_s.raw[None], bits, rn_s)
+    return np.stack([hadamard(g_s, _signs(b) * np.int64(c)).raw for b, c in zip(bits, rn_s)])
+
+
+def _signed_products(raws: np.ndarray, bits: np.ndarray, rn: list[int]) -> np.ndarray:
+    """The (k, d) raws of `hadamard` of each row raws[j] with the mask
+    (1 - 2 * bits[j]) * rn[j]; `raws` is (k, d), or (1, d) for one vector
+    masked k ways. Unchecked: the caller has bounded every product inside
+    int64. Two products over the stack, by rn and by int8 signs; a negation
+    under a `where=` mask ran 4-8x slower at d=1010 and d=50890."""
+    out = raws * np.array(rn, dtype=np.int64)[:, None]
+    signs = bits.astype(np.int8)
+    signs *= -2
+    signs += 1
+    out *= signs
+    return out
+
+
+def _signs(bits: np.ndarray) -> np.ndarray:
+    """The int64 signs 1 - 2 * b of one row of sign bits."""
+    return 1 - 2 * bits.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +301,12 @@ class Participant:
         """The seed of the participant's round-r minibatch."""
         return derive_seed(self.secrets.mask_seed, "batch", r)
 
-    def compute_submission(self, g: FpVector, loss: float, r: int) -> Submission:
-        """The round-r submission of the participant's local gradient g,
-        drawn under `batch_seed(r)`, and its loss: g after any attack,
-        masked, encoded and signed when the participant holds a signing
-        key. A run that publishes nothing hands out no keys, and its masks
-        and signatures would not affect the trajectory."""
-        g = corrupt_gradient(g, self.adversary)
-        if self.secrets.keypair is None:
-            return Submission(self.secrets.id, g, loss)
-        return self.sign_gradient(g, r, loss)
-
-    def sign_gradient(self, g: FpVector, r: int, loss: float = 0.0) -> Submission:
-        """Mask an already-computed gradient for round r, encode both masked
-        forms and sign the round's one submission message over them."""
-        _, mg1, _, mg2 = masked_forms(self.secrets, g, r)
-        mg1, mg2 = mg1.encode(), mg2.encode()
+    def compute_submission(
+        self, g: FpVector, loss: float, r: int, mg1: Encoded, mg2: Encoded
+    ) -> Submission:
+        """The round-r submission of the participant's gradient g, after
+        any attack, and its loss: the encodings of its masked forms, and
+        the round's one submission message over them, signed."""
         pid = self.secrets.id
         message = submission_message(r, pid, vector_digest(mg1), vector_digest(mg2))
         return Submission(
@@ -270,6 +317,24 @@ class Participant:
             mg2=mg2.data,
             signature=crypto.sign(self.secrets.keypair, message),
         )
+
+
+def sign_group(
+    members: list[Participant], gradients: list[FpVector], losses: list[float], r: int
+) -> list[Submission]:
+    """The round-r submissions of a group of participants that hold signing
+    keys, from their gradients (after any attack) and losses: the group's
+    masked forms derived as one stack, each row encoded, and each member's
+    rows signed by `Participant.compute_submission`. The stacks are dropped
+    on return; the submissions hold the encodings."""
+    _, mg1, _, mg2 = masked_forms([p.secrets for p in members], gradients, r)
+    scale = gradients[0].scale
+    return [
+        p.compute_submission(g, loss, r, enc1, enc2)
+        for p, g, loss, enc1, enc2 in zip(
+            members, gradients, losses, encode_rows(mg1, scale), encode_rows(mg2, scale)
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -363,29 +428,51 @@ class Server:
         )
 
     def verify_submission(
-        self, sub: Submission, r: int
-    ) -> tuple[np.ndarray, VerifiedSubmission] | None:
-        """Recompute both masked gradients, check the submitted bytes
-        against them and check the signature over those bytes.
-
-        The decoder accepts only the least byte width, so bytes that decode
-        to the recomputed vector are its canonical encoding. Returns the
-        round's sign stream (rv_r = signs * rn_i) and the checked forms, or
-        None if the bytes or the signature fail.
-        """
-        ps = self.secrets.per_participant[sub.id]
-        signs, mg1, _, mg2 = masked_forms(ps, sub.gradient, r)
+        self, sub: Submission, r: int, mg1: Encoded, mg2: Encoded
+    ) -> VerifiedSubmission | None:
+        """Check a submission's bytes against the canonical encodings mg1
+        and mg2 of the masked forms the server recomputed for it, and its
+        signature over those bytes. Returns the checked forms, views of the
+        submitted bytes, or None if the bytes or the signature fail."""
         try:
             enc1, enc2 = Encoded.parse(sub.mg1), Encoded.parse(sub.mg2)
-            if FpVector.decode(enc1) != mg1 or FpVector.decode(enc2) != mg2:
-                return None
         except ValueError:
+            return None
+        if enc1 != mg1 or enc2 != mg2:
             return None
         mg2_digest = vector_digest(enc2)
         message = submission_message(r, sub.id, vector_digest(enc1), mg2_digest)
+        ps = self.secrets.per_participant[sub.id]
         if not crypto.verify(ps.keypair.public, message, sub.signature):
             return None
-        return signs, VerifiedSubmission(sub, enc1, enc2, mg2_digest)
+        return VerifiedSubmission(sub, enc1, enc2, mg2_digest)
+
+    def verify_group(
+        self, subs: list[Submission], g_s: FpVector, r: int
+    ) -> list[tuple[VerifiedSubmission, Encoded]]:
+        """Verify a group of submissions as one stack: recompute their masked
+        forms (`masked_forms`), encode each row, check each submission
+        against its rows (`verify_submission`), then mask g_s for every
+        valid one. Returns each valid submission's checked forms with the
+        encoding of its server detection mask mg_S1 = g_s (.) (signs *
+        rn_S_i), in the order of `subs`; no stack or re-encoding outlives
+        the call."""
+        secrets = [self.secrets.per_participant[sub.id] for sub in subs]
+        bits, mg1, _, mg2 = masked_forms(secrets, [sub.gradient for sub in subs], r)
+        scale = g_s.scale
+        checked = [
+            self.verify_submission(sub, r, enc1, enc2)
+            for sub, enc1, enc2 in zip(subs, encode_rows(mg1, scale), encode_rows(mg2, scale))
+        ]
+        del mg1, mg2
+        valid = [j for j, v in enumerate(checked) if v is not None]
+        if not valid:
+            return []
+        if len(valid) < len(subs):
+            bits = bits[valid]
+        rn_s = [self.secrets.rn_server[subs[j].id] for j in valid]
+        detect = encode_rows(detection_masks(g_s, bits, rn_s), scale)
+        return [(checked[j], enc) for j, enc in zip(valid, detect)]
 
     def run_round(
         self, r: int, submissions: list[Submission], detection: bool = True
@@ -407,14 +494,12 @@ class Server:
         publish = self.secrets is not None
         if publish:
             # a submission whose signature fails is malicious for this round
-            # and left out of the record (stored signatures must all verify)
-            for sub in valid:
-                checked = self.verify_submission(sub, r)
-                if checked is not None:
-                    signs, verified[sub.id] = checked
-                    # encoded now, so no sign stream is held to the round's end
-                    rn_s = np.int64(self.secrets.rn_server[sub.id])
-                    server_detect[sub.id] = hadamard(g_s, signs * rn_s).encode()
+            # and left out of the record (stored signatures must all verify);
+            # the submissions are checked in the groups they were drawn in
+            group = participants_per_group(self.arch.n_features, self.config.batch_size)
+            for lo in range(0, len(valid), group):
+                for v, detect in self.verify_group(valid[lo : lo + group], g_s, r):
+                    verified[v.sub.id], server_detect[v.sub.id] = v, detect
             valid = [v.sub for v in verified.values()]
         gradients = {sub.id: sub.gradient for sub in valid}
         if detection:
@@ -571,18 +656,27 @@ def run_training(
     group = participants_per_group(arch.n_features, config.batch_size)
 
     def submissions(r: int) -> list[Submission]:
-        """Every participant's round-r submission, by ascending id; the
-        gradients are drawn one group of participants at a time."""
+        """Every participant's round-r submission, by ascending id, made one
+        group of participants at a time: the group's gradients are drawn in
+        one pass, attacked, and, when publishing, masked, encoded and signed
+        as one stack. A run that publishes nothing hands out no keys, and
+        its masks and signatures would not affect the trajectory."""
         out = []
         for lo in range(0, len(participants), group):
             members = participants[lo : lo + group]
-            gradients = local_gradients(
+            drawn = local_gradients(
                 arch, server.w, [p.shard for p in members], config.batch_size,
                 [p.batch_seed(r) for p in members],
             )
-            out += [p.compute_submission(g, loss, r)
-                    for p, (g, loss) in zip(members, gradients)]
-            del gradients  # not held through the next group's pass
+            gradients = [corrupt_gradient(g, p.adversary)
+                         for p, (g, _) in zip(members, drawn)]
+            losses = [loss for _, loss in drawn]
+            if publishing:
+                out += sign_group(members, gradients, losses, r)
+            else:
+                out += [Submission(p.secrets.id, g, loss)
+                        for p, g, loss in zip(members, gradients, losses)]
+            del drawn, gradients  # not held through the next group's pass
         return out
 
     metrics: list[dict] = []

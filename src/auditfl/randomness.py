@@ -89,6 +89,26 @@ def prg(seed: int, count: int, start: int = 0) -> np.ndarray:
     return _PHILOX.random_raw(count)
 
 
+def _prg_rows(seeds: list[int], count: int) -> np.ndarray:
+    """(k, count) uint64 words whose row j is prg(seeds[j], count); one
+    seed's row is its stream itself, not a copy."""
+    if len(seeds) == 1:
+        return prg(seeds[0], count)[None]
+    out = np.empty((len(seeds), count), dtype=_U64)
+    for row, seed in zip(out, seeds):
+        row[...] = prg(seed, count)
+    return out
+
+
+def sign_bits(seeds: list[int], count: int) -> np.ndarray:
+    """(k, count) uint8 array of 0s and 1s: row j holds the bits b of
+    `sign_vector(seeds[j], count)`, whose signs are 1 - 2 * b."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    words = _prg_rows(seeds, -(-count // 64)).astype("<u8", copy=False)
+    return np.unpackbits(words.view(np.uint8), axis=1, count=count, bitorder="little")
+
+
 def sign_vector(seed: int, count: int) -> np.ndarray:
     """int64 vector of +-1 signs, each uniform and indexed by position.
 
@@ -96,11 +116,7 @@ def sign_vector(seed: int, count: int) -> np.ndarray:
     The sign of entry k is 1 - 2 * b, where b is bit k % 64 of stream word
     k // 64, so `count` signs take ceil(count / 64) words.
     """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    words = prg(seed, -(-count // 64)).astype("<u8", copy=False)
-    bits = np.unpackbits(words.view(np.uint8), count=count, bitorder="little")
-    signs = bits.astype(np.int64)
+    signs = sign_bits([seed], count)[0].astype(np.int64)
     signs *= -2
     signs += 1
     return signs
@@ -131,14 +147,20 @@ def gen_correlated_pair(seed: int) -> CorrelatedPair:
 
 def bounded_int_vector(seed: int, dim: int, bits: int = MASK_BITS) -> np.ndarray:
     """Uniform int64 vector over [-2^bits, 2^bits); exact power-of-two range."""
+    return bounded_int_rows([seed], dim, bits)[0]
+
+
+def bounded_int_rows(seeds: list[int], dim: int, bits: int = MASK_BITS) -> np.ndarray:
+    """(k, dim) int64 array whose row j is bounded_int_vector(seeds[j], dim,
+    bits)."""
     if not (0 < bits < 63):
         raise ValueError(f"bits must be in (0, 63), got {bits}")
-    words = prg(seed, dim)
+    words = _prg_rows(seeds, dim)
     # the span 2^(bits+1) is a power of two, so the mask is `% span`
     words &= _U64((1 << (bits + 1)) - 1)
-    vec = words.view(np.int64)
-    vec -= np.int64(1 << bits)
-    return vec
+    rows = words.view(np.int64)
+    rows -= np.int64(1 << bits)
+    return rows
 
 
 def model_mask_share(seed: int, r: int, dim: int, scale: int, eta_exp: int) -> FpVector:

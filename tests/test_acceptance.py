@@ -16,7 +16,14 @@ import pytest
 
 from auditfl import RunConfig, full_audit, run_training
 from auditfl.fixedpoint import FpVector, dot, floor_div
-from auditfl.protocol import Participant, Server, preprocess, pretrain, robust_aggregate
+from auditfl.protocol import (
+    Participant,
+    Server,
+    preprocess,
+    pretrain,
+    robust_aggregate,
+    sign_group,
+)
 from auditfl.randomness import (
     derive_seed,
     gen_correlated_pair,
@@ -447,10 +454,8 @@ class TestCriterion4ZeroShares:
                 secrets, parts, _ = preprocess(cfg, dim, w0)
                 server = Server(cfg, secrets, arch, data, w0)
                 g_s, _ = server.server_gradient(1)
-                subs = [
-                    Participant(ps, data).sign_gradient(g_s, 1)
-                    for ps in parts
-                ]
+                subs = sign_group([Participant(ps, data) for ps in parts],
+                                  [g_s] * n, [0.0] * n, 1)
                 with observed_rounds() as views:
                     record, benign, _ = server.run_round(1, subs)
                 assert views[0].rejected_sigs == [] and benign == list(range(1, n + 1))

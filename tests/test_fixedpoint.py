@@ -18,7 +18,14 @@ from auditfl import (
     hadamard,
     sign_indicator,
 )
-from auditfl.fixedpoint import _DOT_CHUNK, scale_by_dyadic
+from auditfl.fixedpoint import (
+    _DOT_CHUNK,
+    _EQ_CHUNK,
+    Encoded,
+    encode_rows,
+    floor_average,
+    scale_by_dyadic,
+)
 from auditfl.randomness import prg
 
 INT64_MIN = -(1 << 63)
@@ -321,6 +328,49 @@ class TestFloorDiv:
         assert np.array_equal(lhs, rhs)
 
 
+def _chained_average(first, others):
+    """floor_average as first written: one checked `+` per vector."""
+    total = first
+    for v in others:
+        total = total + v
+    return floor_div(total, len(others) + 1)
+
+
+class TestFloorAverage:
+    @pytest.mark.parametrize("n, dim", [(0, 5), (1, 7), (48, 1010), (20, 7850), (8, 50890)])
+    def test_equals_the_chained_sum(self, n, dim):
+        vectors = [FpVector(_random_raws(n * 100 + j, dim, 50), 20) for j in range(n + 1)]
+        out = floor_average(vectors[0], vectors[1:])
+        assert out == _chained_average(vectors[0], vectors[1:])
+        # the inputs are left as they were
+        assert vectors[0] == FpVector(_random_raws(n * 100, dim, 50), 20)
+
+    def test_large_raws_whose_partial_sums_fit(self):
+        # the bound (3 * 2^62) leaves int64, but no partial sum does
+        first = FpVector(np.array([1 << 62, -5]), 20)
+        others = [FpVector(np.array([-(1 << 62), 3]), 20), FpVector(np.array([1 << 62, 1]), 20)]
+        out = floor_average(first, others)
+        assert out == _chained_average(first, others)
+        assert out.raw.tolist() == [(1 << 62) // 3, -1]
+
+    def test_overflow_raises_the_chained_message(self):
+        first = FpVector(np.array([0, INT64_MAX - 5]), 20)
+        others = [FpVector(np.array([1, 3]), 20), FpVector(np.array([1, 3]), 20)]
+        with pytest.raises(FixedPointOverflowError) as chained:
+            _chained_average(first, others)
+        with pytest.raises(FixedPointOverflowError) as ours:
+            floor_average(first, others)
+        assert str(ours.value) == str(chained.value)
+        assert f"at index 1: {INT64_MAX - 2} + 3" in str(ours.value)
+
+    def test_mixed_vectors_rejected(self):
+        a = FpVector(np.array([1, 2]), 20)
+        with pytest.raises(ValueError, match="mixed scales"):
+            floor_average(a, [FpVector(np.array([1, 2]), 16)])
+        with pytest.raises(DimensionMismatchError):
+            floor_average(a, [FpVector(np.array([1]), 20)])
+
+
 class TestScaleByDyadic:
     def test_matches_floor_oracle(self):
         words = prg(5150, 2000)
@@ -456,6 +506,48 @@ class TestEncoding:
         data = _encode_oracle(raws, 20, width)
         with pytest.raises(ValueError, match=f"width {width} is not minimal"):
             FpVector.decode(data)
+
+    @pytest.mark.parametrize("dim", [0, 1, 17, 1010])
+    def test_encode_rows_equals_encode_of_each_row(self, dim):
+        # one row per width, each holding its width's least raw, so the
+        # stack's rows differ in width
+        rows = np.stack([_random_raws(w * 10 + dim, dim, 8 * w - 2) for w in range(1, 9)])
+        if dim:
+            rows[:, 0] = [-(1 << (8 * w - 1)) for w in range(1, 9)]
+        out = encode_rows(rows, 13)
+        assert [bytes(e.data) for e in out] == [bytes(FpVector(r, 13).encode().data)
+                                               for r in rows]
+        assert [(e.dim, e.scale) for e in out] == [(dim, 13)] * 8
+        assert [e.width for e in out] == ([1] * 8 if dim == 0 else list(range(1, 9)))
+
+
+class TestEncodedEquality:
+    @pytest.mark.parametrize("dim", [5, _EQ_CHUNK // 4 + 3, 50890])
+    def test_equal_bytes_are_equal(self, dim):
+        v = FpVector(_random_raws(dim, dim, 30), 20)
+        a, b = v.encode(), Encoded.parse(bytes(v.encode().data))
+        assert a.data is not b.data and a == b and b == a
+
+    @pytest.mark.parametrize("dim", [5, _EQ_CHUNK // 4 + 3, 50890])
+    def test_buffers_that_differ_in_the_last_byte(self, dim):
+        v = FpVector(_random_raws(dim + 1, dim, 30), 20)
+        data = bytearray(v.encode().data)
+        data[-1] ^= 1
+        assert v.encode() != Encoded.parse(bytes(data))
+        assert Encoded.parse(bytes(data)) != v.encode()
+
+    def test_two_widths_of_one_vector(self):
+        raws = [1, -300, 7]
+        minimal = FpVector(np.array(raws), 20).encode()
+        wide = Encoded.parse(_encode_oracle(raws, 20, 3))
+        assert minimal.width == 2 and wide.width == 3
+        assert minimal != wide and wide != minimal
+
+    def test_header_fields_and_other_types(self):
+        v = FpVector(np.array([1, 2]), 20)
+        assert v.encode() != FpVector(np.array([1, 2]), 19).encode()
+        assert v.encode() != FpVector(np.array([1, 2, 0]), 20).encode()
+        assert v.encode() != bytes(v.encode().data)
 
     def test_determinism_across_construction_paths(self):
         a = FpVector.from_floats([0.25, -0.75], 20)

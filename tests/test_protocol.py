@@ -6,27 +6,41 @@ import numpy as np
 import pytest
 
 from auditfl import ConfigError, RunConfig, crypto, full_audit
-from auditfl.fixedpoint import FpVector, dot, floor_div, hadamard, scale_by_dyadic
+from auditfl.crypto import sha256
+from auditfl.fixedpoint import (
+    INT64_MAX,
+    Encoded,
+    FixedPointOverflowError,
+    FpVector,
+    dot,
+    floor_div,
+    hadamard,
+    scale_by_dyadic,
+)
 from auditfl.ledger import Ledger
 from auditfl.protocol import (
     Participant,
     Server,
+    Submission,
     masked_forms,
     preprocess,
     robust_aggregate,
     run_training,
+    sign_group,
 )
 from auditfl.randomness import derive_seed, prg, sign_vector
 from auditfl.records import submission_message, vector_digest
-from auditfl.training import AdversarySpec, Architecture, DatasetError
+from auditfl.training import AdversarySpec, Architecture, DatasetError, corrupt_gradient
 from util import (
     frame_ledger,
     make_dataset,
+    masked_forms_oracle,
     model_mask_oracle,
     observed_rounds,
     read_payloads,
     run_published,
     run_with_internals,
+    sign_oracle,
     small_config,
     stale_mask_signer,
     zero_share_oracle,
@@ -96,13 +110,14 @@ class TestMaskedForms:
         _, _, parts, g = self._setup()
         ps = parts[0]
         for r in (1, 2):
-            signs, mg1, zv, mg2 = masked_forms(ps, g, r)
+            bits, mg1, zv, mg2 = masked_forms([ps], [g], r)
+            assert bits.shape == mg1.shape == zv.shape == mg2.shape == (1, g.dim)
             # PRVG: the round's sign stream scaled by rn_i
             rv = sign_vector(derive_seed(ps.mask_seed, "prvg", r), g.dim) * ps.rn
-            assert np.array_equal(signs * ps.rn, rv)
-            assert mg1 == hadamard(g, rv)
-            assert zv == zero_share_oracle(ps.zero_seed, r, g.dim, g.scale)
-            assert mg2 == zv + g
+            assert np.array_equal((1 - 2 * bits[0].astype(np.int64)) * ps.rn, rv)
+            assert FpVector(mg1[0], g.scale) == hadamard(g, rv)
+            assert FpVector(zv[0], g.scale) == zero_share_oracle(ps.zero_seed, r, g.dim, g.scale)
+            assert FpVector(mg2[0], g.scale) == FpVector(zv[0], g.scale) + g
 
     def test_participant_signs_and_server_verifies_the_same_forms(self):
         cfg, secrets, parts, g = self._setup()
@@ -110,21 +125,147 @@ class TestMaskedForms:
         w0 = FpVector.zeros(arch.param_count, cfg.scale)
         server = Server(cfg, secrets, arch, make_dataset(1, 20, 3, 3), w0)
         ps = parts[1]
-        sub = Participant(ps, make_dataset(2, 20, 3, 3)).sign_gradient(g, 3)
-        signs, mg1, _, mg2 = masked_forms(ps, g, 3)
+        sub, = sign_group([Participant(ps, make_dataset(2, 20, 3, 3))], [g], [0.0], 3)
+        signs, mg1, _, mg2 = masked_forms_oracle(ps, g, 3)
         # the submission carries both forms' canonical bytes, and one
         # signature over the round, the id and their digests
         mg1, mg2 = mg1.encode(), mg2.encode()
-        assert (sub.mg1, sub.mg2) == (mg1.data, mg2.data)
+        assert (bytes(sub.mg1), bytes(sub.mg2)) == (bytes(mg1.data), bytes(mg2.data))
         message = submission_message(3, ps.id, vector_digest(mg1), vector_digest(mg2))
         assert crypto.verify(ps.keypair.public, message, sub.signature)
-        checked = server.verify_submission(sub, 3)
-        assert checked is not None
-        server_signs, v = checked
-        assert np.array_equal(server_signs, signs)
-        assert (v.mg1, v.mg2) == (mg1, mg2)
+        g_s = FpVector((prg(5, g.dim) % np.uint64(4001)).astype(np.int64) - 2000, cfg.scale)
+        (v, detect), = server.verify_group([sub], g_s, 3)
+        assert (v.sub, v.mg1, v.mg2) == (sub, mg1, mg2)
+        assert detect == hadamard(g_s, signs * secrets.rn_server[ps.id]).encode()
         # signatures bind the round: the same submission fails in round 4
-        assert server.verify_submission(sub, 4) is None
+        assert server.verify_group([sub], g_s, 4) == []
+
+
+def _group(dim: int, n: int = 6):
+    """n participants' secrets, members and gradients at dimension dim, a
+    server holding the run's secrets, and a server gradient. Member 1
+    flips its gradient's sign and member 3 amplifies it."""
+    cfg = small_config(participants=n)
+    secrets, parts, _ = preprocess(cfg, dim, FpVector.zeros(dim, cfg.scale))
+    shard = make_dataset(2, 20, 3, 3)
+    attacks = {1: AdversarySpec("sign_flip"), 3: AdversarySpec("scale_amplify")}
+    members = [Participant(ps, shard, attacks.get(j)) for j, ps in enumerate(parts)]
+    gradients = [
+        corrupt_gradient(FpVector((prg(50 + j, dim) % np.uint64(1 << 21)).astype(np.int64)
+                                  - (1 << 20), cfg.scale), m.adversary)
+        for j, m in enumerate(members)
+    ]
+    server = Server(cfg, secrets, Architecture(3, 3), shard, FpVector.zeros(dim, cfg.scale))
+    g_s = FpVector((prg(49, dim) % np.uint64(1 << 21)).astype(np.int64) - (1 << 20), cfg.scale)
+    return secrets, parts, members, gradients, server, g_s
+
+
+def _resigned(ps, r: int, g: FpVector, mg1: bytes, mg2: bytes) -> Submission:
+    """A submission of g with the given bytes, validly signed over them."""
+    message = submission_message(r, ps.id, sha256(mg1), sha256(mg2))
+    return Submission(ps.id, g, 0.0, mg1, mg2, crypto.sign(ps.keypair, message))
+
+
+def _widened(vec: Encoded) -> bytes:
+    """The vector's encoding one byte wider than its least width."""
+    raws = FpVector.decode(vec).raw
+    body = raws.astype("<i8").view(np.uint8).reshape(-1, 8)[:, : vec.width + 1]
+    header = vec.dim.to_bytes(8, "little") + bytes([vec.scale, vec.width + 1])
+    return header + body.tobytes()
+
+
+class TestGroupedRound:
+    """A group's masked forms are derived, encoded, signed and verified as
+    one stack; every row is what its participant's forms are alone."""
+
+    R = 2
+
+    @pytest.mark.parametrize("dim", [10, 1010, 7850])
+    def test_every_row_equals_the_one_participant_oracles(self, dim):
+        secrets, parts, members, gradients, server, g_s = _group(dim, 5)
+        oracles = [masked_forms_oracle(ps, g, self.R) for ps, g in zip(parts, gradients)]
+        for size in range(1, 6):
+            bits, mg1, zv, mg2 = masked_forms(parts[:size], gradients[:size], self.R)
+            for j, (signs, o_mg1, o_zv, o_mg2) in enumerate(oracles[:size]):
+                assert np.array_equal(1 - 2 * bits[j].astype(np.int64), signs)
+                assert [mg1[j].tolist(), zv[j].tolist(), mg2[j].tolist()] == [
+                    o_mg1.raw.tolist(), o_zv.raw.tolist(), o_mg2.raw.tolist()]
+            subs = sign_group(members[:size], gradients[:size], [0.5] * size, self.R)
+            checked = server.verify_group(subs, g_s, self.R)
+            assert [v.sub.id for v, _ in checked] == [ps.id for ps in parts[:size]]
+            for sub, (v, detect), (signs, o_mg1, _, o_mg2), ps in zip(
+                subs, checked, oracles, parts
+            ):
+                assert FpVector.decode(sub.mg1) == o_mg1
+                assert FpVector.decode(sub.mg2) == o_mg2
+                assert (v.mg1, v.mg2) == (o_mg1.encode(), o_mg2.encode())
+                assert detect == hadamard(g_s, signs * secrets.rn_server[ps.id]).encode()
+
+    def test_an_overflowing_member_raises_its_own_message(self):
+        secrets, parts, members, gradients, server, g_s = _group(10, 5)
+        # members 2 and 4 overflow mg1 = g * rn; member 2 comes first
+        big = [g.raw.copy() for g in gradients]
+        big[2][7], big[4][1] = 1 << 60, -(1 << 61)
+        gradients = [FpVector(raw, g.scale) for raw, g in zip(big, gradients)]
+        with pytest.raises(FixedPointOverflowError) as alone:
+            masked_forms([parts[2]], [gradients[2]], self.R)
+        assert "mask product overflows int64 at index 7" in str(alone.value)
+        with pytest.raises(FixedPointOverflowError) as grouped:
+            masked_forms(parts, gradients, self.R)
+        assert str(grouped.value) == str(alone.value)
+        with pytest.raises(FixedPointOverflowError) as signed:
+            sign_group(members, gradients, [0.0] * 5, self.R)
+        assert str(signed.value) == str(alone.value)
+        subs = [Submission(ps.id, g, 0.0, b"", b"", b"") for ps, g in zip(parts, gradients)]
+        with pytest.raises(FixedPointOverflowError) as verified:
+            server.verify_group(subs, g_s, self.R)
+        assert str(verified.value) == str(alone.value)
+
+    def test_a_group_past_its_bound_that_fits_gives_the_oracle_rows(self):
+        # a raw that overflows against the group's largest |rn| but not
+        # against its own member's, so the group is masked row by row
+        secrets, parts, members, gradients, server, g_s = _group(10, 5)
+        rn = [abs(ps.rn) for ps in parts]
+        low = rn.index(min(rn))
+        assert min(rn) < max(rn)
+        raw = gradients[low].raw.copy()
+        raw[3] = -(INT64_MAX // max(rn) + 1)
+        gradients[low] = FpVector(raw, gradients[low].scale)
+        _, mg1, _, mg2 = masked_forms(parts, gradients, self.R)
+        for j, (ps, g) in enumerate(zip(parts, gradients)):
+            _, o_mg1, _, o_mg2 = masked_forms_oracle(ps, g, self.R)
+            assert mg1[j].tolist() == o_mg1.raw.tolist()
+            assert mg2[j].tolist() == o_mg2.raw.tolist()
+
+    def test_the_server_refuses_exactly_the_bad_submissions(self, monkeypatch):
+        secrets, parts, members, gradients, server, g_s = _group(1010, 6)
+        r = self.R
+        subs = sign_group(members, gradients, [0.0] * 6, r)
+        enc = [(Encoded.parse(s.mg1), Encoded.parse(s.mg2)) for s in subs]
+        flipped = bytearray(subs[0].mg1)
+        flipped[-1] ^= 1
+        subs[0] = _resigned(parts[0], r, gradients[0], bytes(flipped), bytes(subs[0].mg2))
+        # the right mg2 vector, in a width that is not its least
+        subs[1] = _resigned(parts[1], r, gradients[1], bytes(subs[1].mg1), _widened(enc[1][1]))
+        wide, width = _widened(enc[1][1]), enc[1][1].width + 1
+        assert [int.from_bytes(wide[k : k + width], "little", signed=True)
+                for k in range(10, len(wide), width)] == FpVector.decode(enc[1][1]).raw.tolist()
+        subs[2], = sign_group(members[2:3], gradients[2:3], [0.0], r - 1)  # stale round
+        signature = bytearray(subs[3].signature)
+        signature[-1] ^= 1
+        subs[3] = Submission(subs[3].id, subs[3].gradient, 0.0, subs[3].mg1, subs[3].mg2,
+                             bytes(signature))
+        calls = []
+        verify = Server.verify_submission
+        monkeypatch.setattr(Server, "verify_submission", lambda self, sub, *a: calls.append(
+            sub.id) or verify(self, sub, *a))
+        checked = server.verify_group(subs, g_s, r)
+        assert calls == [ps.id for ps in parts]
+        assert [v.sub.id for v, _ in checked] == [parts[4].id, parts[5].id]
+        for (v, detect), j in zip(checked, (4, 5)):
+            signs = sign_oracle(parts[j].mask_seed, r, 1010)
+            assert (v.mg1, v.mg2) == enc[j]
+            assert detect == hadamard(g_s, signs * secrets.rn_server[parts[j].id]).encode()
 
 
 class TestSignatureCounts:
@@ -415,10 +556,8 @@ class TestRoundIdentities:
         server = Server(cfg, secrets, arch, shards[0], w0)
         g_s, _ = server.server_gradient(1)
         assert g_s.raw.any()
-        subs = [
-            Participant(parts[0], shards[1]).sign_gradient(-g_s, 1),
-            Participant(parts[1], shards[2]).sign_gradient(-g_s, 1),
-        ]
+        subs = sign_group([Participant(parts[0], shards[1]), Participant(parts[1], shards[2])],
+                          [-g_s, -g_s], [0.0, 0.0], 1)
         with observed_rounds() as views:
             record, benign, _ = server.run_round(1, subs)
         assert benign == views[0].benign == []

@@ -8,11 +8,13 @@ from auditfl.randomness import (
     RN_HI,
     RN_LO,
     CorrelatedPair,
+    bounded_int_rows,
     bounded_int_vector,
     derive_seed,
     gen_correlated_pair,
     model_mask_share,
     prg,
+    sign_bits,
     sign_vector,
 )
 
@@ -264,3 +266,17 @@ class TestKernelsMatchReferenceFormulas:
                     ref = (words % span).astype(np.int64) - np.int64(1 << bits)
                     out = bounded_int_vector(seed, dim, bits)
                     assert out.dtype == np.int64 and np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_stacked_rows_are_the_one_seed_streams(self, count):
+        # row j of a stack of k seeds is seed j's stream, at every k
+        seeds = self.SEEDS[:count]
+        for dim in self.DIMS + [65]:
+            bits = sign_bits(seeds, dim)
+            assert bits.dtype == np.uint8 and bits.shape == (count, dim)
+            for seed, row in zip(seeds, bits):
+                assert np.array_equal(1 - 2 * row.astype(np.int64), sign_vector(seed, dim))
+            shares = bounded_int_rows(seeds, dim)
+            assert shares.dtype == np.int64 and shares.shape == (count, dim)
+            for seed, row in zip(seeds, shares):
+                assert np.array_equal(row, bounded_int_vector(seed, dim))

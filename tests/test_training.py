@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from auditfl import run_training, training
+from auditfl import protocol, run_training, training
 from auditfl.cli import write_metrics_csv
 from auditfl.fixedpoint import FixedPointOverflowError, FpVector
 from auditfl.protocol import pretrain
@@ -544,18 +544,25 @@ class TestStackedGradients:
         cfg = small_config(participants=5, rounds=2, hidden=hidden, metrics_every=1,
                            malicious={2: AdversarySpec("sign_flip"),
                                       4: AdversarySpec("label_flip")})
-        digests, passes = set(), []
+        digests, passes, masked = set(), [], []
         monkeypatch.setattr(training, "loss_and_grad",
                             lambda *a: passes.append(len(a[3])) or loss_and_grad(*a))
+        masked_forms = protocol.masked_forms
+        monkeypatch.setattr(protocol, "masked_forms",
+                            lambda *a: masked.append(len(a[1])) or masked_forms(*a))
         for group in (1, 2, 3, 5):
             monkeypatch.setattr(training, "GROUP_FEATURES", group * 64 * 16)
             assert participants_per_group(16, 64) == group
             path = tmp_path / f"{group}.bin"
             passes.clear()
+            masked.clear()
             result = run_training(cfg, train, test, ledger_path=path)
-            # per round, one pass per group of participants and the server's
-            stacks = [min(group, 5 - lo) for lo in range(0, 5, group)] + [1]
-            assert passes == stacks * cfg.rounds
+            # per round, one pass per group of participants and the server's;
+            # the participants mask each group as one stack, and the server
+            # checks the same groups
+            groups = [min(group, 5 - lo) for lo in range(0, 5, group)]
+            assert passes == (groups + [1]) * cfg.rounds
+            assert masked == (groups + groups) * cfg.rounds
             write_metrics_csv(tmp_path / f"{group}.csv", result.metrics)
             digests.add(tuple(hashlib.sha256((tmp_path / f"{group}.{ext}").read_bytes())
                               .hexdigest() for ext in ("bin", "csv")))

@@ -15,7 +15,8 @@ import sys
 import numpy as np
 import pytest
 
-from auditfl import auditor, crypto, full_audit, ledger, protocol, randomness, training
+from auditfl import auditor, crypto, fixedpoint, full_audit, ledger, protocol, randomness
+from auditfl import training
 from auditfl.fixedpoint import FpVector
 from util import load_chain, make_dataset, sign_flip_spec, small_config
 
@@ -55,58 +56,63 @@ def _count_sha256(mp, counts) -> None:
     )
 
 
-def _batch_seeds(cfg) -> dict[int, tuple[int, int]]:
-    """(id, r) of every participant's round-r minibatch seed, derived
-    before any seam is wrapped: the derivations hash bytes that are not the
-    run's."""
-    return {
-        randomness.derive_seed(ps.mask_seed, "batch", r): (ps.id, r)
-        for ps in protocol.training_secrets(cfg) for r in range(1, R + 1)
-    }
+def _round_seeds(cfg) -> dict[int, tuple[int, int]]:
+    """(id, r) of the seeds of every participant's round-r streams: its
+    minibatch, its sign stream and its zero share. Derived before any seam
+    is wrapped: the derivations hash bytes that are not the run's."""
+    seeds = {}
+    for ps in protocol.training_secrets(cfg):
+        for r in range(1, R + 1):
+            for base, tag in ((ps.mask_seed, "batch"), (ps.mask_seed, "prvg"),
+                              (ps.zero_seed, "zero")):
+                seeds[randomness.derive_seed(base, tag, r)] = (ps.id, r)
+    return seeds
 
 
-def _count_round_prg_words(mp, words, batch_seeds) -> None:
+def _within_rounds(mp) -> list:
+    """Wrap `Server.run_round`; the list returned holds ("server", r) while
+    round r runs on the server, and is empty outside it."""
+    at, run_round = [], protocol.Server.run_round
+
+    def wrapped(self, r, *args):
+        at.append(("server", r))
+        try:
+            return run_round(self, r, *args)
+        finally:
+            at.pop()
+
+    mp.setattr(protocol.Server, "run_round", wrapped)
+    return at
+
+
+def _count_round_prg_words(mp, words, seeds, at) -> None:
     """Count the words every `randomness.prg` call draws, under each
-    module's binding of it, into words[(who, r)]: who is the id of the
-    participant whose round-r minibatch seed (`batch_seeds`) draws them, or
-    whose round-r `compute_submission` masks its gradient, or "server"
-    inside `Server.run_round(r, ...)`. A round's minibatches are drawn a
-    group of participants at a time, outside both methods. Draws outside a
-    round (data split, key and pair derivation) are not counted."""
-    prg, at = randomness.prg, []
+    module's binding of it, into words[(who, r)]: who is "server" inside
+    `Server.run_round(r, ...)` (`at`), and otherwise the id of the
+    participant whose round-r stream (`seeds`) draws them. A group's
+    minibatches and masked forms are drawn outside the round's methods;
+    the server draws each participant's streams again to check its
+    masked forms. Draws outside a round (data split, key and pair
+    derivation) are not counted."""
+    prg = randomness.prg
 
     def counted(seed, count, *args):
-        if seed in batch_seeds:
-            words[batch_seeds[seed]] += count
-        elif at:
+        if at:
             words[at[-1]] += count
+        elif seed in seeds:
+            words[seeds[seed]] += count
         return prg(seed, count, *args)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("auditfl") and getattr(module, "prg", None) is prg:
             mp.setattr(module, "prg", counted)
 
-    def within(method, who):
-        def wrapped(self, *args):
-            at.append(who(self, *args))
-            try:
-                return method(self, *args)
-            finally:
-                at.pop()
-
-        return wrapped
-
-    mp.setattr(protocol.Participant, "compute_submission", within(
-        protocol.Participant.compute_submission, lambda p, g, loss, r: (p.secrets.id, r)))
-    mp.setattr(protocol.Server, "run_round", within(
-        protocol.Server.run_round, lambda s, r, *_: ("server", r)))
-
 
 def _counted_run(mp, counts, cfg) -> None:
     """The run-side seams: ECDSA, masked forms, SHA-256, PRG words in the
     rounds, forward/backward passes, float64 model conversions,
     evaluations, and the SHA-256 of every encoding made."""
-    batch_seeds = _batch_seeds(cfg)
+    seeds = _round_seeds(cfg)
     mp.setattr(crypto, "sign", _counting(counts, "signs", crypto.sign))
     mp.setattr(crypto, "verify", _counting(counts, "verifies", crypto.verify))
     mp.setattr(protocol, "masked_forms",
@@ -119,17 +125,21 @@ def _counted_run(mp, counts, cfg) -> None:
         counts, "float64_models", to_floats,
         lambda self, dtype=np.float64: int(dtype == np.float64)))
     _count_sha256(mp, counts)
+    at = _within_rounds(mp)
     counts["prg_words"] = collections.Counter()
-    _count_round_prg_words(mp, counts["prg_words"], batch_seeds)
+    _count_round_prg_words(mp, counts["prg_words"], seeds, at)
+    # every encoding, by its digest and by whether `Server.run_round` made it
     counts["encoded"] = encoded = collections.Counter()
-    encode = FpVector.encode
+    encode_rows = fixedpoint.encode_rows
 
-    def counting_encode(self):
-        out = encode(self)
-        encoded[_digest(out)] += 1
+    def counting_encode_rows(rows, scale):
+        out = encode_rows(rows, scale)
+        for enc in out:
+            encoded[_digest(enc), "round" if at else "outside"] += 1
         return out
 
-    mp.setattr(FpVector, "encode", counting_encode)
+    for module in (fixedpoint, protocol):
+        mp.setattr(module, "encode_rows", counting_encode_rows)
 
 
 @pytest.fixture(scope="module")
@@ -196,12 +206,16 @@ class TestRunWork:
         run, _, _, _ = counted
         assert run["verifies"] == N * R == 12
 
-    def test_masked_forms_per_submission(self, counted):
-        """Two per submission: the participant derives its masked forms to
-        sign them, and the server derives them again to check them. Sending
-        the forms once would make it one."""
+    def test_masked_forms_per_group(self, counted):
+        """One per group of participants on each side and round: the
+        participants derive their group's masked forms as one stack to sign
+        them, and the server derives them again to check them. The 4
+        participants' 64-row batches of 16 features fit one group, so
+        2 * R; sending the forms once would halve it, and a derivation per
+        submission would make it 2 * N * R."""
+        groups = -(-N // training.participants_per_group(16, BATCH))
         run, _, _, _ = counted
-        assert run["masked_forms"] == 2 * N * R == 24
+        assert run["masked_forms"] == 2 * groups * R == 6
 
     def test_sha256_bytes_per_ledger_byte(self, counted):
         """Every payload byte once as the ledger stream takes it in, and
@@ -216,24 +230,36 @@ class TestRunWork:
         assert (run["sha256_bytes"], size) == (39310, 15143)
 
     def test_encodes_per_published_vector(self, counted):
-        """Each published vector is encoded once: per round every mg1_i,
-        each benign mg2_i, every server mask mgS1_i and the server
-        aggregate, then the masked final model. The mg2_i of a valid
-        participant that is not benign is encoded once too, though only its
-        digest is published, and so is w_0, for the server's signature. An
-        encode of a vector that is already bytes would add one here."""
+        """Each published vector is encoded once, by the party that computes
+        it: per round every mg1_i, each benign mg2_i, every server mask
+        mgS1_i and the server aggregate, then the masked final model. The
+        mg2_i of a valid participant that is not benign is encoded once
+        too, though only its digest is published, and so is w_0, for the
+        server's signature. The server encodes each participant's mg1_i and
+        mg2_i once more, from the forms it recomputed, to check the
+        submitted bytes against them. An encode of a vector that is already
+        bytes would add one here."""
         run, _, _, _ = counted
         record, encoded = run["record"], run["encoded"]
-        published, digest_only = [record.masked_model], []
+        participant, server, digest_only = [], [], []
         for rec in record.rounds:
-            published += [mg1 for mg1, _ in rec.local_detect.values()]
-            published += [*rec.local_agg.values(), *rec.server_detect.values(),
-                          rec.server_agg]
+            participant += [mg1 for mg1, _ in rec.local_detect.values()]
+            participant += rec.local_agg.values()
+            server += [*rec.server_detect.values(), rec.server_agg]
             digest_only += rec.agg_digests.values()
-        assert [encoded[_digest(v)] for v in published] == [1] * len(published)
-        assert [encoded[h] for h in digest_only] == [1] * len(digest_only)
-        assert encoded[_digest(run["w0"].encode())] == 1
-        assert (len(published), len(digest_only), encoded.total()) == (37, 3, 41)
+        # the participants encode outside `Server.run_round` and the server
+        # inside it; w_0 and the masked final model are encoded outside any
+        # round
+        by_participant = [_digest(v) for v in participant] + list(digest_only)
+        assert [encoded[h, "outside"] for h in by_participant] == [1] * 24
+        assert [encoded[h, "round"] for h in by_participant] == [1] * 24
+        assert [encoded[_digest(v), "round"] for v in server] == [1] * 15
+        assert [encoded[_digest(v), "outside"] for v in server] == [0] * 15
+        for vector in (record.masked_model, run["w0"].encode()):
+            h = _digest(vector)
+            assert (encoded[h, "outside"], encoded[h, "round"]) == (1, 0)
+        assert (len(participant) + len(server) + 1, len(digest_only)) == (37, 3)
+        assert encoded.total() == 41 + 2 * N * R == 65
 
     def test_prg_words_per_participant_and_round(self, counted, unpublished):
         """A published participant draws its batch indices (BATCH words),
@@ -241,8 +267,9 @@ class TestRunWork:
         share (D words); unpublished, only its batch. The server draws its
         own batch and, publishing, each participant's sign stream and zero
         share again to check its masked forms, and the round's model mask
-        (D words). Sending the masked forms once, or deriving the sign
-        stream from fewer words, moves these counts."""
+        (D words). Drawing a group's streams as one stack moves none of
+        them; sending the masked forms once, or deriving the sign stream
+        from fewer words, would."""
         published = counted[0]["prg_words"]
         streams = -(-D // 64) + D
         for words, participant, server in (

@@ -15,7 +15,7 @@ from auditfl import RunConfig, protocol, run_training
 from auditfl.auditor import audit_aggregate, audit_detection
 from auditfl.crypto import sha256
 from auditfl.ledger import _HEADER, LEDGER_MAGIC, ZERO_DIGEST, Ledger
-from auditfl.fixedpoint import Encoded, FpVector, dot
+from auditfl.fixedpoint import Encoded, FpVector, dot, hadamard
 from auditfl.randomness import MASK_BITS, bounded_int_vector, derive_seed, prg
 from auditfl.records import GenesisPayload, RoundRecord, TrainingRecord, vector_digest
 from auditfl.training import AdversarySpec, Dataset
@@ -86,8 +86,8 @@ def observed_rounds():
         views[-1].benign = list(benign)
         return record, benign, train_loss
 
-    def observed_verify(self, sub, r):
-        verified = verify_submission(self, sub, r)
+    def observed_verify(self, sub, r, *forms):
+        verified = verify_submission(self, sub, r, *forms)
         if verified is None:
             views[-1].rejected_sigs.append(sub.id)
         return verified
@@ -117,6 +117,24 @@ def zero_share_oracle(zero_seed: int, r: int, dim: int, scale: int) -> FpVector:
     """A participant's round-r zero share, drawn from its seed as the
     protocol specifies, independently of protocol.masked_forms."""
     return FpVector(bounded_int_vector(derive_seed(zero_seed, "zero", r), dim), scale)
+
+
+def sign_oracle(mask_seed: int, r: int, dim: int) -> np.ndarray:
+    """A participant's round-r +-1 sign stream, drawn from its seed as the
+    protocol specifies, independently of randomness.sign_bits: entry k is -1
+    where bit k % 64 of stream word k // 64 is set."""
+    words = [int(w) for w in prg(derive_seed(mask_seed, "prvg", r), -(-dim // 64))]
+    return np.array([1 - 2 * ((words[k // 64] >> (k % 64)) & 1) for k in range(dim)],
+                    dtype=np.int64)
+
+
+def masked_forms_oracle(ps, g: FpVector, r: int) -> tuple:
+    """Participant ps's round-r masked forms of g alone, (signs, mg1, zv,
+    mg2), from the oracles and the one-vector checked kernels:
+    mg1 = g (.) (signs * rn_i) and mg2 = zv + g."""
+    signs = sign_oracle(ps.mask_seed, r, g.dim)
+    zv = zero_share_oracle(ps.zero_seed, r, g.dim, g.scale)
+    return signs, hadamard(g, signs * ps.rn), zv, zv + g
 
 
 def model_mask_oracle(seed: int, r: int, dim: int, scale: int, eta_exp: int) -> FpVector:
@@ -453,14 +471,17 @@ def server_dropping_in_threshold():
 
 @contextlib.contextmanager
 def stale_mask_signer(pid: int, r: int):
-    """Participant pid signs its round-r gradient with its round-(r-1) masks."""
+    """Participant pid signs its round-r gradient with its round-(r-1) masks.
+
+    `Participant.compute_submission` signs each member's rows of its
+    group's masked forms; for pid in round r it masks the gradient again as
+    a group of one in round r-1 and signs that."""
     honest = protocol.Participant.compute_submission
 
-    def stale(self, g, loss, round_no):
-        sub = honest(self, g, loss, round_no)
+    def stale(self, g, loss, round_no, *forms):
         if self.secrets.id == pid and round_no == r:
-            return self.sign_gradient(sub.gradient, r - 1, sub.loss)
-        return sub
+            return protocol.sign_group([self], [g], [loss], r - 1)[0]
+        return honest(self, g, loss, round_no, *forms)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(protocol.Participant, "compute_submission", stale)
