@@ -208,8 +208,8 @@ def masked_forms(
     the server recomputes them here to check those bytes. Row j's sign
     stream is 1 - 2 * bits[j]: scaled by rn_i it is the PRVG mask rv_r, so
     mg1 = rv_r (.) g; scaled by rn_S_i it is the server's detection mask
-    (`detection_masks`). zv is the round's zero share and mg2 = zv + g. A
-    group of one stacks no copy of its gradient.
+    (`Server.verify_group`). zv is the round's zero share and mg2 = zv + g.
+    A group of one stacks no copy of its gradient.
     """
     raws = (gradients[0].raw[None] if len(gradients) == 1
             else np.stack([g.raw for g in gradients]))
@@ -232,7 +232,7 @@ def masked_forms(
             np.stack([mg2.raw for _, mg2 in checked]))
 
 
-def detection_masks(g_s: FpVector, bits: np.ndarray, rn_s: list[int]) -> np.ndarray:
+def _detection_masks(g_s: FpVector, bits: np.ndarray, rn_s: list[int]) -> np.ndarray:
     """The server's detection masks mg_S1 = g_s (.) (signs * rn_S_i) of a
     group, as a (k, d) stack: row j from the sign bits bits[j] of
     `masked_forms` and rn_s[j]. Past the group's bound each row is masked
@@ -471,7 +471,7 @@ class Server:
         if len(valid) < len(subs):
             bits = bits[valid]
         rn_s = [self.secrets.rn_server[subs[j].id] for j in valid]
-        detect = encode_rows(detection_masks(g_s, bits, rn_s), scale)
+        detect = encode_rows(_detection_masks(g_s, bits, rn_s), scale)
         return [(checked[j], enc) for j, enc in zip(valid, detect)]
 
     def run_round(
