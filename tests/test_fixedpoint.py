@@ -520,6 +520,11 @@ class TestEncoding:
         assert [(e.dim, e.scale) for e in out] == [(dim, 13)] * 8
         assert [e.width for e in out] == ([1] * 8 if dim == 0 else list(range(1, 9)))
 
+    def test_determinism_across_construction_paths(self):
+        a = FpVector.from_floats([0.25, -0.75], 20)
+        b = FpVector(np.array([262144, -786432]), 20)
+        assert a.encode() == b.encode()
+
 
 class TestEncodedEquality:
     @pytest.mark.parametrize("dim", [5, _EQ_CHUNK // 4 + 3, 50890])
@@ -548,11 +553,6 @@ class TestEncodedEquality:
         assert v.encode() != FpVector(np.array([1, 2]), 19).encode()
         assert v.encode() != FpVector(np.array([1, 2, 0]), 20).encode()
         assert v.encode() != bytes(v.encode().data)
-
-    def test_determinism_across_construction_paths(self):
-        a = FpVector.from_floats([0.25, -0.75], 20)
-        b = FpVector(np.array([262144, -786432]), 20)
-        assert a.encode() == b.encode()
 
 
 def _from_floats_reference(xs, scale: int) -> np.ndarray:
